@@ -14,7 +14,10 @@
 //! GOLDEN_REGEN=1 cargo test --test golden_determinism -- --ignored
 //! ```
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use saga::core::Instance;
+use saga::datasets::iot;
 use saga::schedulers::util::fixtures;
 use saga::schedulers::{self, Scheduler};
 
@@ -84,15 +87,49 @@ fn large_battery() -> Vec<(String, Instance)> {
         .collect()
 }
 
+/// Wide networks (48–142 nodes): one seeded instance from each IoT
+/// generator (edge/fog/cloud networks with infinite cloud links) and one
+/// seeded random instance on 48 heterogeneous nodes. Schedulers whose cost
+/// tables scan node pairs (BIL's level table) switch to their wide-network
+/// path here; the rows were recorded before that path existed.
+fn wide_battery() -> Vec<(String, Instance)> {
+    let iot: [(&str, fn(&mut StdRng) -> Instance); 4] = [
+        ("etl", iot::sample_etl),
+        ("predict", iot::sample_predict),
+        ("stats", iot::sample_stats),
+        ("train", iot::sample_train),
+    ];
+    let mut v: Vec<(String, Instance)> = iot
+        .iter()
+        .enumerate()
+        .map(|(k, &(name, sample))| {
+            let seed = 8000 + k as u64;
+            let inst = sample(&mut StdRng::seed_from_u64(seed));
+            let n = inst.network.node_count();
+            (format!("wide_{name}_s{seed}_n{n}"), inst)
+        })
+        .collect();
+    let (seed, t, n, p) = (8100u64, 60usize, 48usize, 0.1f64);
+    v.push((
+        format!("wide_s{seed}_t{t}_n{n}"),
+        fixtures::random_instance(seed, t, n, p),
+    ));
+    v
+}
+
 /// One `scheduler,instance,bits` line per (roster scheduler, large
 /// instance), in a fixed order.
 fn current_large_lines() -> Vec<String> {
-    let battery = large_battery();
+    let roster = roster();
     let mut lines = Vec::new();
-    for s in roster() {
-        for (label, inst) in &battery {
-            let m = s.schedule(inst).makespan();
-            lines.push(format!("{},{},{:016x}", s.name(), label, m.to_bits()));
+    // one block per battery, so a battery added later appends its rows and
+    // leaves the earlier blocks byte-identical
+    for battery in [large_battery(), wide_battery()] {
+        for s in &roster {
+            for (label, inst) in &battery {
+                let m = s.schedule(inst).makespan();
+                lines.push(format!("{},{},{:016x}", s.name(), label, m.to_bits()));
+            }
         }
     }
     lines
