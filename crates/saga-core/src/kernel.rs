@@ -348,6 +348,7 @@ pub struct SchedContext {
     indeg_scratch: Vec<u32>,
     f64_pool: Vec<Vec<f64>>,
     task_pool: Vec<Vec<TaskId>>,
+    node_pool: Vec<Vec<NodeId>>,
     // ---- placement recording (incremental delta-evaluation) ----
     /// When true, every [`place`](Self::place) appends to the `rec_*`
     /// buffers; enabled only inside schedulers' incremental entry points.
@@ -1493,6 +1494,17 @@ impl SchedContext {
         buf.clear();
         self.task_pool.push(buf);
     }
+
+    /// Borrows a cleared `Vec<NodeId>` from the pool.
+    pub fn take_nodes(&mut self) -> Vec<NodeId> {
+        self.node_pool.pop().unwrap_or_default()
+    }
+
+    /// Returns a node scratch buffer to the pool.
+    pub fn give_nodes(&mut self, mut buf: Vec<NodeId>) {
+        buf.clear();
+        self.node_pool.push(buf);
+    }
 }
 
 #[cfg(test)]
@@ -1708,5 +1720,9 @@ mod tests {
         assert_eq!(again.capacity(), cap);
         let tasks = ctx.take_tasks();
         ctx.give_tasks(tasks);
+        let mut nodes = ctx.take_nodes();
+        nodes.push(NodeId(3));
+        ctx.give_nodes(nodes);
+        assert!(ctx.take_nodes().is_empty());
     }
 }

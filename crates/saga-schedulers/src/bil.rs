@@ -16,7 +16,21 @@
 //! machinery; the original's k-th-order-statistic refinement for resolving
 //! contention between equally-ready tasks is simplified to the max/min rule
 //! above (documented deviation — it affects only dense tie situations).
-//! Complexity `O(|T|^2 |V| log |V|)` per the original analysis.
+//!
+//! The level table dominates the run on wide networks. The plain table
+//! scans every `v'` for every edge and node: `O(|E| |V|^2)` divisions. From
+//! [`PRUNE_MIN_NODES`] nodes up, each finished row's nodes are sorted by
+//! level once (`O(|T| |V| log |V|)` in all), and the scan over a
+//! successor's row walks that order and stops at the first `BIL(s, v')`
+//! that is not below the incumbent: message times are never negative, so
+//! no later candidate can win either. An `(edge, v)` pair then costs the
+//! number of levels below the incumbent, which is at most `v`'s rank in
+//! the row. That rank is `|V|` only in the worst case; on edge/fog/cloud
+//! networks the equal-speed edge tier ties, so a scan stops after the fog
+//! and cloud tiers, `O(|E| |V| (fog + cloud))` in all. Below the cutoff
+//! the plain scan wins, because it vectorises and a few-node row gives the
+//! sort little to skip. Both loops take the minimum of the same
+//! candidates, so the table bits do not depend on the path.
 
 use crate::{util, KernelRun};
 use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
@@ -25,9 +39,27 @@ use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Bil;
 
+/// Node count from which [`bil_table_into`] sorts each row and prunes the
+/// successor scans. Timing both tables on 20-task random DAGs, the pruned
+/// one breaks even near 8 nodes on edge/fog/cloud networks and near 28 on
+/// random heterogeneous ones, and is 1.15× and 2.8× faster at 32 nodes.
+const PRUNE_MIN_NODES: usize = 32;
+
 /// Computes the `BIL(t, v)` table, reverse-topologically, into a flat
 /// task-major buffer (`out[t * |V| + v]`).
-fn bil_table_into(ctx: &SchedContext, out: &mut Vec<f64>) {
+fn bil_table_into(ctx: &mut SchedContext, out: &mut Vec<f64>) {
+    if ctx.node_count() < PRUNE_MIN_NODES {
+        bil_table_plain(ctx, out);
+    } else {
+        let mut order = ctx.take_nodes();
+        bil_table_pruned(ctx, out, &mut order);
+        ctx.give_nodes(order);
+    }
+}
+
+/// The table by a full scan over every `v'`; the reference the pruned
+/// loop is tested against.
+fn bil_table_plain(ctx: &SchedContext, out: &mut Vec<f64>) {
     let nv = ctx.node_count();
     out.clear();
     out.resize(ctx.task_count() * nv, 0.0);
@@ -49,6 +81,44 @@ fn bil_table_into(ctx: &SchedContext, out: &mut Vec<f64>) {
             }
             out[t.index() * nv + v.index()] = ctx.exec_time(t, v) + level;
         }
+    }
+}
+
+/// The table with each successor scan cut short (see the module docs):
+/// `order[t * |V|..]` lists the nodes of `t`'s finished row by ascending
+/// level. `v` itself ends a scan at the latest, since its level is the
+/// initial incumbent, so the scan needs no `v' != v` test.
+fn bil_table_pruned(ctx: &SchedContext, out: &mut Vec<f64>, order: &mut Vec<NodeId>) {
+    let nv = ctx.node_count();
+    out.clear();
+    out.resize(ctx.task_count() * nv, 0.0);
+    order.clear();
+    order.resize(ctx.task_count() * nv, NodeId(0));
+    for &t in ctx.topo_order().iter().rev() {
+        let row = t.index() * nv..(t.index() + 1) * nv;
+        for v in ctx.nodes() {
+            let mut level = 0.0f64;
+            for (st, cost) in ctx.succs(t) {
+                let succ = st.index() * nv..(st.index() + 1) * nv;
+                let levels = &out[succ.clone()];
+                let mut best = levels[v.index()];
+                for &v2 in &order[succ] {
+                    let l = levels[v2.index()];
+                    if l >= best {
+                        break;
+                    }
+                    best = best.min(l + ctx.comm_time(cost, v, v2));
+                }
+                level = level.max(best);
+            }
+            out[t.index() * nv + v.index()] = ctx.exec_time(t, v) + level;
+        }
+        let levels = &out[row.clone()];
+        let ord = &mut order[row];
+        for (slot, v) in ord.iter_mut().zip(ctx.nodes()) {
+            *slot = v;
+        }
+        ord.sort_unstable_by(|a, b| levels[a.index()].total_cmp(&levels[b.index()]));
     }
 }
 
@@ -163,11 +233,78 @@ mod tests {
         let mut ctx = SchedContext::new();
         ctx.reset(&inst);
         let mut bil = Vec::new();
-        bil_table_into(&ctx, &mut bil);
+        bil_table_into(&mut ctx, &mut bil);
         let nv = ctx.node_count();
         // t4 (sink, cost 0.8) on v2 (speed 1.5): BIL = 0.8 / 1.5
         assert!((bil[3 * nv + 2] - 0.8 / 1.5).abs() < 1e-12);
         assert!((bil[3 * nv] - 0.8).abs() < 1e-12);
+    }
+
+    /// `bil_table_into` and the pruned loop on their own must both equal
+    /// the plain loop bit for bit.
+    fn assert_tables_agree(inst: &Instance, what: &str) {
+        let mut ctx = SchedContext::new();
+        ctx.reset(inst);
+        let (mut plain, mut pruned, mut dispatched) = (Vec::new(), Vec::new(), Vec::new());
+        bil_table_plain(&ctx, &mut plain);
+        bil_table_pruned(&ctx, &mut pruned, &mut Vec::new());
+        bil_table_into(&mut ctx, &mut dispatched);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pruned), bits(&plain), "pruned loop: {what}");
+        assert_eq!(bits(&dispatched), bits(&plain), "bil_table_into: {what}");
+    }
+
+    #[test]
+    fn pruned_table_matches_plain_on_every_dataset() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB11);
+        let mut wide = 0;
+        for gen in saga_datasets::all_generators() {
+            for k in 0..3 {
+                let inst = gen.sample(&mut rng);
+                wide += usize::from(inst.network.node_count() >= PRUNE_MIN_NODES);
+                assert_tables_agree(&inst, &format!("{} #{k}", gen.name));
+            }
+        }
+        assert!(wide > 0, "no dataset instance reached the pruned path");
+    }
+
+    #[test]
+    fn pruned_table_matches_plain_on_degenerate_weights() {
+        // small integer weights make ties between levels common, and zero
+        // speeds, zero/infinite links and zero-weight edges give levels and
+        // message times of 0 and infinity
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB12);
+        for k in 0..160 {
+            let nv = [1usize, 2, 3, 5, 31, 32, 33, 48][k % 8];
+            let mut g = saga_core::TaskGraph::new();
+            let tasks: Vec<TaskId> = (0..rng.gen_range(1..=16usize))
+                .map(|i| g.add_task(format!("t{i}"), rng.gen_range(0..=3u32) as f64))
+                .collect();
+            for (i, &a) in tasks.iter().enumerate() {
+                for &b in &tasks[i + 1..] {
+                    if rng.gen_bool(0.3) {
+                        g.add_dependency(a, b, rng.gen_range(0..=3u32) as f64)
+                            .unwrap();
+                    }
+                }
+            }
+            let weight = |rng: &mut rand::rngs::StdRng| match rng.gen_range(0..6u32) {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                w => w as f64,
+            };
+            let speeds: Vec<f64> = (0..nv).map(|_| weight(&mut rng)).collect();
+            let mut net = saga_core::Network::complete(&speeds, 1.0);
+            for u in 0..nv {
+                for v in u + 1..nv {
+                    net.set_link(NodeId(u as u32), NodeId(v as u32), weight(&mut rng));
+                }
+            }
+            let inst = Instance::new(net, g);
+            assert_tables_agree(&inst, &format!("random #{k} ({nv} nodes)"));
+        }
     }
 
     #[test]

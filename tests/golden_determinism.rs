@@ -17,7 +17,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saga::core::Instance;
-use saga::datasets::iot;
+use saga::datasets;
 use saga::schedulers::util::fixtures;
 use saga::schedulers::{self, Scheduler};
 
@@ -93,20 +93,16 @@ fn large_battery() -> Vec<(String, Instance)> {
 /// tables scan node pairs (BIL's level table) switch to their wide-network
 /// path here; the rows were recorded before that path existed.
 fn wide_battery() -> Vec<(String, Instance)> {
-    let iot: [(&str, fn(&mut StdRng) -> Instance); 4] = [
-        ("etl", iot::sample_etl),
-        ("predict", iot::sample_predict),
-        ("stats", iot::sample_stats),
-        ("train", iot::sample_train),
-    ];
-    let mut v: Vec<(String, Instance)> = iot
-        .iter()
+    let iot = ["etl", "predict", "stats", "train"];
+    let mut v: Vec<(String, Instance)> = datasets::all_generators()
+        .into_iter()
+        .filter(|gen| iot.contains(&gen.name))
         .enumerate()
-        .map(|(k, &(name, sample))| {
+        .map(|(k, gen)| {
             let seed = 8000 + k as u64;
-            let inst = sample(&mut StdRng::seed_from_u64(seed));
+            let inst = gen.sample(&mut StdRng::seed_from_u64(seed));
             let n = inst.network.node_count();
-            (format!("wide_{name}_s{seed}_n{n}"), inst)
+            (format!("wide_{}_s{seed}_n{n}", gen.name), inst)
         })
         .collect();
     let (seed, t, n, p) = (8100u64, 60usize, 48usize, 0.1f64);
