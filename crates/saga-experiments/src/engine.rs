@@ -988,6 +988,36 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A checkpoint on a full disk: the first record fails with ENOSPC, and
+    /// `run_cells` must return that error without panicking and without
+    /// starting every remaining cell.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn run_cells_stops_after_a_checkpoint_write_failure() {
+        use saga_pisa::{cell_config, PisaConfig};
+        let base = PisaConfig {
+            i_max: 2,
+            restarts: 1,
+            seed: 0xF011,
+            ..PisaConfig::default()
+        };
+        let cells: Vec<SearchCell> = (0..64)
+            .map(|i| SearchCell::pair("HEFT", "CPoP", cell_config(base, i)))
+            .collect();
+        let ck = CellCheckpoint::open(std::path::Path::new("/dev/full"), false).unwrap();
+        let progress = Progress::new("full-disk", cells.len());
+        let err = BatchEngine::new()
+            .run_cells(&cells, Some(&progress), Some(&ck))
+            .expect_err("a write to /dev/full must fail");
+        assert_eq!(err.raw_os_error(), Some(28), "expected ENOSPC, got {err}");
+        assert!(
+            progress.completed() < cells.len(),
+            "cells kept starting after the failed write: {} of {}",
+            progress.completed(),
+            cells.len()
+        );
+    }
+
     #[test]
     fn progress_counts_monotonically() {
         let p = Progress::new("test", 10);
@@ -1085,6 +1115,40 @@ mod tests {
                 "sharded row {k} must match the unsharded run bit-for-bit"
             );
         }
+    }
+
+    /// The row twin of `run_cells_stops_after_a_checkpoint_write_failure`.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn sharded_dataset_rows_stop_after_a_checkpoint_write_failure() {
+        use saga_pisa::ShardSpec;
+        let gen = saga_datasets::by_name("chains").unwrap();
+        let scheds: Vec<Box<dyn Scheduler>> = ["HEFT", "FastestNode"]
+            .iter()
+            .map(|n| saga_schedulers::by_name(n).unwrap())
+            .collect();
+        let count = 64;
+        let key_of = |k: usize| format!("fig2/chains#k{k}");
+        let ck = RowCheckpoint::open(std::path::Path::new("/dev/full"), false).unwrap();
+        let progress = Progress::new("full-disk", count);
+        let err = BatchEngine::new()
+            .dataset_makespans_sharded(
+                &scheds,
+                &gen,
+                count,
+                0xF011,
+                &key_of,
+                ShardSpec::FULL,
+                Some(&progress),
+                Some(&ck),
+            )
+            .expect_err("a write to /dev/full must fail");
+        assert_eq!(err.raw_os_error(), Some(28), "expected ENOSPC, got {err}");
+        assert!(
+            progress.completed() < count,
+            "rows kept starting after the failed write: {} of {count}",
+            progress.completed()
+        );
     }
 
     #[test]
