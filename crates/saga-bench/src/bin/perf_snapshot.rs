@@ -8,15 +8,11 @@
 //! ```
 
 use rand::rngs::StdRng;
-use rayon::prelude::*;
-use saga_core::{BatchedSchedContext, Instance, SchedContext};
+use saga_core::{Instance, SchedContext};
 use saga_experiments::benchmarking;
 use saga_experiments::engine::BatchEngine;
-use saga_experiments::merge::merge_files;
 use saga_pisa::annealer::AnnealScratch;
-use saga_pisa::{
-    pairwise_cells, shard_cells, GeneralPerturber, Pisa, PisaConfig, SearchCell, ShardSpec,
-};
+use saga_pisa::{pairwise_cells, GeneralPerturber, Pisa, PisaConfig};
 use saga_schedulers::util::fixtures;
 use saga_schedulers::Scheduler;
 use std::hint::black_box;
@@ -130,300 +126,7 @@ fn fig4_quick_cells_per_s(threads: usize) -> f64 {
     cells.len() as f64 / (ms / 1e3)
 }
 
-/// The quick fig4 battery on the batch runtime's two execution paths,
-/// bypassing the `SAGA_NO_BATCH` toggle (which is latched once per
-/// process): `scalar` loops every cell through `SearchCell::run` with one
-/// warm context — the exact shape the planners take with batching disabled
-/// — and `lockstep` packs cells into lane groups the way `plan_units`
-/// does and drives `run_cells_lockstep`. Results are bit-identical between
-/// the two; only throughput differs. Returns `(scalar, lockstep)` in
-/// cells per second.
-fn fig4_quick_batch_paths_cells_per_s() -> (f64, f64) {
-    let schedulers = saga_schedulers::benchmark_schedulers();
-    let cells = pairwise_cells(
-        &schedulers,
-        PisaConfig {
-            i_max: 250,
-            restarts: 2,
-            seed: 0xF164,
-            ..PisaConfig::default()
-        },
-    );
-    let mut ctx = SchedContext::new();
-    let mut scratch = AnnealScratch::default();
-    let scalar_ms = time_ms(|| {
-        for cell in &cells {
-            black_box(cell.run(&mut ctx, &mut scratch).ratio);
-        }
-    });
-    let mut batch = BatchedSchedContext::default();
-    let lockstep_ms = time_ms(|| {
-        let mut group: Vec<&SearchCell> = Vec::new();
-        let mut lanes = 0usize;
-        for cell in &cells {
-            if !saga_pisa::lockstep_supported(cell) {
-                black_box(cell.run(&mut ctx, &mut scratch).ratio);
-                continue;
-            }
-            if lanes + cell.config.restarts > saga_pisa::LANE_BUDGET && !group.is_empty() {
-                black_box(saga_pisa::run_cells_lockstep(&mut batch, &group));
-                group.clear();
-                lanes = 0;
-            }
-            group.push(cell);
-            lanes += cell.config.restarts;
-        }
-        if !group.is_empty() {
-            black_box(saga_pisa::run_cells_lockstep(&mut batch, &group));
-        }
-    });
-    let n = cells.len() as f64;
-    (n / (scalar_ms / 1e3), n / (lockstep_ms / 1e3))
-}
-
-/// Warm-context sweep latency: `makespan_into` against a reused
-/// `SchedContext` with pinned tables — the annealer's evaluation shape,
-/// isolating the selection loops from per-call allocation and table
-/// builds.
-fn sched_sweep_ms(s: &dyn Scheduler, inst: &Instance, reps: usize) -> f64 {
-    let mut ctx = SchedContext::new();
-    ctx.pin_tables(inst);
-    black_box(s.makespan_into(inst, &mut ctx));
-    let ms = time_ms(|| {
-        for _ in 0..reps {
-            black_box(s.makespan_into(black_box(inst), &mut ctx));
-        }
-    }) / reps as f64;
-    ctx.unpin_tables();
-    ms
-}
-
-/// The PR-8 BENCH protocol rows in one pass: quick 50-task PISA cells,
-/// 50- and 250-task warm-context sweep latencies for the acceptance
-/// schedulers, and the shipped quick-fig4 path. One invocation = one
-/// sample; the driver script interleaves invocations of the two builds and
-/// takes medians.
-fn pr8_rows() -> Vec<(&'static str, f64)> {
-    let inst50 = fixtures::random_instance(42, 50, 4, 0.15);
-    let inst250 = fixtures::random_instance(42, 250, 4, 0.15);
-    // warm-up pass so the first measurement is not paying page faults
-    black_box(saga_schedulers::Heft.schedule(&inst50).makespan());
-    let mut out = Vec::new();
-    out.push((
-        "pisa_cell_quick_heft_vs_cpop_ms",
-        pisa_cell_ms(&saga_schedulers::Heft, &saga_schedulers::Cpop),
-    ));
-    out.push((
-        "pisa_cell_quick_minmin_vs_etf_ms",
-        pisa_cell_ms(&saga_schedulers::MinMin, &saga_schedulers::Etf),
-    ));
-    let rows: [(&dyn Scheduler, &str, &str); 3] = [
-        (
-            &saga_schedulers::Heft,
-            "sched_heft_50t_sweep_ms",
-            "sched_heft_250t_sweep_ms",
-        ),
-        (
-            &saga_schedulers::Cpop,
-            "sched_cpop_50t_sweep_ms",
-            "sched_cpop_250t_sweep_ms",
-        ),
-        (
-            &saga_schedulers::Etf,
-            "sched_etf_50t_sweep_ms",
-            "sched_etf_250t_sweep_ms",
-        ),
-    ];
-    for (s, l50, l250) in rows {
-        out.push((l50, sched_sweep_ms(s, &inst50, 400)));
-        out.push((l250, sched_sweep_ms(s, &inst250, 50)));
-    }
-    // 16-node variants: wide enough for the fused row formulation's
-    // vectorized compose (the 4-node rows above sit in the scalar regime)
-    let inst250w = fixtures::random_instance(42, 250, 16, 0.15);
-    let wide: [(&dyn Scheduler, &str); 3] = [
-        (&saga_schedulers::Heft, "sched_heft_250t_16n_sweep_ms"),
-        (&saga_schedulers::Cpop, "sched_cpop_250t_16n_sweep_ms"),
-        (&saga_schedulers::Etf, "sched_etf_250t_16n_sweep_ms"),
-    ];
-    for (s, label) in wide {
-        out.push((label, sched_sweep_ms(s, &inst250w, 50)));
-    }
-    out.push((
-        "fig4_quick_cells_run_cells_1t_cells_per_s",
-        fig4_quick_cells_per_s(1),
-    ));
-    out
-}
-
-/// The quick fig4 battery run through the distributed-grid front door:
-/// `shard_cells(cells, 0/1)` before `run_cells`, exactly what `--shard`
-/// does on a 1-shard run. The delta against the unsharded row is the whole
-/// cost of the shard layer (key formatting + FNV digest per cell) — the
-/// acceptance bar is ≥0.98× of unsharded.
-fn fig4_quick_cells_per_s_shard_1of1(threads: usize) -> f64 {
-    let schedulers = saga_schedulers::benchmark_schedulers();
-    let cells = pairwise_cells(
-        &schedulers,
-        PisaConfig {
-            i_max: 250,
-            restarts: 2,
-            seed: 0xF164,
-            ..PisaConfig::default()
-        },
-    );
-    let n = cells.len() as f64;
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let engine = BatchEngine::new();
-    let ms = time_ms(|| {
-        let cells = shard_cells(black_box(cells), ShardSpec { index: 0, count: 1 });
-        black_box(engine.run_cells(&cells, None, None).unwrap());
-    });
-    std::env::remove_var("RAYON_NUM_THREADS");
-    n / (ms / 1e3)
-}
-
-/// saga-merge throughput on a synthetic 3-shard checkpoint set
-/// (`files` × `records` ~100-byte JSONL records, disjoint keys). Returns
-/// merged records per second, including the parse, the key sort and the
-/// canonical write.
-fn merge_records_per_s(files: usize, records: usize) -> f64 {
-    let dir = std::env::temp_dir();
-    let paths: Vec<std::path::PathBuf> = (0..files)
-        .map(|f| {
-            let path = dir.join(format!(
-                "saga_perf_snapshot_{}_merge{f}.jsonl",
-                std::process::id()
-            ));
-            let mut text = String::new();
-            for r in 0..records {
-                text.push_str(&format!(
-                    "{{\"key\":\"bench/cell#{f:02}of{r:06}\",\"ratio_bits\":\
-                     \"3ff0000000{f:02x}{r:04x}\",\"evals\":{r}}}\n"
-                ));
-            }
-            std::fs::write(&path, text).unwrap();
-            path
-        })
-        .collect();
-    let total = (files * records) as f64;
-    let mut out = Vec::new();
-    let ms = time_ms(|| {
-        black_box(merge_files(black_box(&paths), &mut out).unwrap());
-    });
-    for p in &paths {
-        let _ = std::fs::remove_file(p);
-    }
-    assert!(!out.is_empty());
-    total / (ms / 1e3)
-}
-
-/// A deterministic compute spin — the unit of synthetic skewed work.
-fn spin(units: u64) -> u64 {
-    let mut acc = 0u64;
-    for i in 0..units {
-        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-    }
-    acc
-}
-
-/// Skew-recovery wall clock at 4 workers: 64 items where the first 8 are
-/// 50× heavier than the rest — the heavy items all land in worker 0's
-/// seeded deque segment, so finishing near the fair-share bound requires
-/// the siblings to steal. `cursor: true` re-runs the identical workload on
-/// the legacy shared-cursor queue (`RAYON_QUEUE=cursor`) for the in-tree
-/// A/B.
-fn skew_elapsed_ms(cursor: bool) -> f64 {
-    let items: Vec<u64> = (0..64u64)
-        .map(|i| if i < 8 { 2_000_000 } else { 40_000 })
-        .collect();
-    std::env::set_var("RAYON_NUM_THREADS", "4");
-    if cursor {
-        std::env::set_var("RAYON_QUEUE", "cursor");
-    }
-    // warm-up: spawn the workers once before timing
-    black_box(
-        items
-            .par_iter()
-            .with_min_len(1)
-            .map(|&u| spin(u))
-            .collect::<Vec<u64>>(),
-    );
-    let ms = time_ms(|| {
-        black_box(
-            items
-                .par_iter()
-                .with_min_len(1)
-                .map(|&u| spin(u))
-                .collect::<Vec<u64>>(),
-        );
-    });
-    if cursor {
-        std::env::remove_var("RAYON_QUEUE");
-    }
-    std::env::remove_var("RAYON_NUM_THREADS");
-    ms
-}
-
-/// The PR-9 BENCH protocol rows: shard-layer overhead at 1/1 (must be
-/// within noise of unsharded), saga-merge throughput, and the
-/// skew-recovery A/B between the work-stealing deques and the legacy
-/// cursor queue at 4 workers. One invocation = one sample; the driver
-/// interleaves invocations of the two builds and takes medians.
-fn pr9_rows() -> Vec<(&'static str, f64)> {
-    vec![
-        (
-            "fig4_quick_cells_run_cells_1t_cells_per_s",
-            fig4_quick_cells_per_s(1),
-        ),
-        (
-            "fig4_quick_cells_shard_1of1_1t_cells_per_s",
-            fig4_quick_cells_per_s_shard_1of1(1),
-        ),
-        ("merge_3x2000_records_per_s", merge_records_per_s(3, 2000)),
-        ("skew_64items_4w_deque_ms", skew_elapsed_ms(false)),
-        ("skew_64items_4w_cursor_ms", skew_elapsed_ms(true)),
-    ]
-}
-
 fn main() {
-    // `--pr9` restricts the snapshot to the PR-9 BENCH protocol rows.
-    if std::env::args().any(|a| a == "--pr9") {
-        let fields: Vec<String> = pr9_rows()
-            .iter()
-            .map(|(k, v)| format!("  \"{k}\": {v:.4}"))
-            .collect();
-        println!("{{\n{}\n}}", fields.join(",\n"));
-        return;
-    }
-    // `--pr8` restricts the snapshot to the PR-8 BENCH protocol rows.
-    if std::env::args().any(|a| a == "--pr8") {
-        let fields: Vec<String> = pr8_rows()
-            .iter()
-            .map(|(k, v)| format!("  \"{k}\": {v:.4}"))
-            .collect();
-        println!("{{\n{}\n}}", fields.join(",\n"));
-        return;
-    }
-    // `--fig4` restricts the snapshot to the quick-fig4 throughput rows —
-    // the tight loop used when comparing builds under the BENCH protocol.
-    let fig4_only = std::env::args().any(|a| a == "--fig4");
-    if fig4_only {
-        let mut out = Vec::new();
-        out.push((
-            "fig4_quick_cells_run_cells_1t_cells_per_s",
-            fig4_quick_cells_per_s(1),
-        ));
-        let (scalar, lockstep) = fig4_quick_batch_paths_cells_per_s();
-        out.push(("fig4_quick_cells_scalar_pooled_1t_cells_per_s", scalar));
-        out.push(("fig4_quick_cells_lockstep_1t_cells_per_s", lockstep));
-        let fields: Vec<String> = out
-            .iter()
-            .map(|(k, v)| format!("  \"{k}\": {v:.4}"))
-            .collect();
-        println!("{{\n{}\n}}", fields.join(",\n"));
-        return;
-    }
     let inst50 = fixtures::random_instance(42, 50, 4, 0.15);
     let mut out = Vec::new();
 
@@ -504,11 +207,6 @@ fn main() {
         "fig4_quick_cells_run_cells_4t_cells_per_s",
         fig4_quick_cells_per_s(4),
     ));
-
-    // the batch runtime's two paths head to head (same cells, same bits)
-    let (scalar, lockstep) = fig4_quick_batch_paths_cells_per_s();
-    out.push(("fig4_quick_cells_scalar_pooled_1t_cells_per_s", scalar));
-    out.push(("fig4_quick_cells_lockstep_1t_cells_per_s", lockstep));
 
     let fields: Vec<String> = out
         .iter()

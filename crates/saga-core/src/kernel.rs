@@ -110,8 +110,8 @@ fn fold_arrivals(out: &mut [f64], row: &[f64], f: f64, cost: f64) {
 
 /// Whether the fused EFT row kernels are enabled (the default). Set
 /// `SAGA_NO_EFT_ROW` (to anything but `0`) to force every scheduler down
-/// the scalar per-node query path, mirroring `SAGA_NO_INCREMENTAL` /
-/// `SAGA_NO_BATCH`; read once per process. Both paths are bit-identical —
+/// the scalar per-node query path, mirroring `SAGA_NO_INCREMENTAL`; read
+/// once per process. Both paths are bit-identical —
 /// the golden suites run once with the toggle set and diff.
 pub fn eft_rows_enabled() -> bool {
     static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();

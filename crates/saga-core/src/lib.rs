@@ -12,7 +12,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 mod builder;
 pub mod dist;
 mod error;
@@ -30,7 +29,6 @@ mod schedule;
 mod seed;
 pub mod stochastic;
 
-pub use batch::{batch_enabled, BatchedSchedContext};
 pub use builder::ScheduleBuilder;
 pub use error::{GraphError, ScheduleError};
 pub use graph::{DepEdge, TaskGraph};

@@ -26,7 +26,7 @@
 //!   `eprintln!` assumed sequential execution).
 
 use rayon::prelude::*;
-use saga_core::{BatchedSchedContext, ContextPool, Instance, SchedContext};
+use saga_core::{ContextPool, Instance, SchedContext};
 use saga_pisa::annealer::AnnealScratch;
 use saga_pisa::{PisaResult, SearchCell};
 use saga_schedulers::Scheduler;
@@ -106,8 +106,7 @@ impl Progress {
     }
 
     /// Total work steals observed across the runs folded into this
-    /// reporter (0 under the sequential short-circuit or the legacy cursor
-    /// queue).
+    /// reporter (0 under the sequential short-circuit).
     pub fn steals(&self) -> usize {
         self.steals.load(Ordering::Relaxed)
     }
@@ -211,7 +210,7 @@ impl BatchEngine {
         progress: Option<&Progress>,
         checkpoint: Option<&CellCheckpoint>,
     ) -> std::io::Result<Vec<PisaResult>> {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::atomic::AtomicBool;
         let write_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
         let failed = AtomicBool::new(false);
         let note_write_error = |e: std::io::Error| {
@@ -225,76 +224,40 @@ impl BatchEngine {
             }
             failed.store(true, Ordering::Relaxed);
         };
-        // Eligible pairwise cells run in lockstep lane groups; everything
-        // else — other cell kinds, oversized restart counts, cells the
-        // checkpoint will replay, `SAGA_NO_BATCH` — takes the scalar path.
-        // The plan never changes results (both paths are bit-identical), so
-        // resumed runs may group differently than the original run did.
-        let units = saga_pisa::plan_units(cells, |_, cell| {
-            checkpoint.is_none_or(|c| c.stored(&cell.key()).is_none())
-        });
-        let finish = |key: &str, res: PisaResult| {
-            if let Some(c) = checkpoint {
-                if let Err(e) = c.record(key, &res) {
-                    note_write_error(e);
-                }
-            }
-            if let Some(p) = progress {
-                p.tick();
-            }
-            Some(res)
-        };
-        let mut by_unit: Vec<Vec<(usize, Option<PisaResult>)>> = units
+        let results: Vec<Option<PisaResult>> = cells
             .par_iter()
             .map_init(
-                || {
-                    (
-                        self.pool.take(),
-                        AnnealScratch::default(),
-                        BatchedSchedContext::default(),
-                    )
-                },
-                |(ctx, scratch, batch), unit| {
+                || (self.pool.take(), AnnealScratch::default()),
+                |(ctx, scratch), cell| {
                     // once a write failed, the run's results can never all be
                     // returned — don't burn hours annealing cells that would
                     // be thrown away with the error
                     if failed.load(Ordering::Relaxed) {
-                        return unit.indices().iter().map(|&i| (i, None)).collect();
+                        return None;
                     }
-                    match unit {
-                        saga_pisa::ExecUnit::Scalar(i) => {
-                            let cell = &cells[*i];
-                            let key = cell.key();
-                            let res = match checkpoint.and_then(|c| c.stored(&key)) {
-                                Some(stored) => {
-                                    // replayed, not re-recorded: the file
-                                    // already holds this line
-                                    if let Some(p) = progress {
-                                        p.tick();
-                                    }
-                                    Some(stored)
-                                }
-                                None => finish(&key, cell.run(ctx, scratch)),
-                            };
-                            vec![(*i, res)]
+                    let key = cell.key();
+                    if let Some(stored) = checkpoint.and_then(|c| c.stored(&key)) {
+                        // replayed, not re-recorded: the file already holds
+                        // this line
+                        if let Some(p) = progress {
+                            p.tick();
                         }
-                        saga_pisa::ExecUnit::Lockstep(idxs) => {
-                            let group: Vec<&SearchCell> = idxs.iter().map(|&i| &cells[i]).collect();
-                            let results = saga_pisa::run_cells_lockstep(batch, &group);
-                            idxs.iter()
-                                .zip(results)
-                                .map(|(&i, res)| (i, finish(&cells[i].key(), res)))
-                                .collect()
+                        return Some(stored);
+                    }
+                    let res = cell.run(ctx, scratch);
+                    if let Some(c) = checkpoint {
+                        if let Err(e) = c.record(&key, &res) {
+                            note_write_error(e);
                         }
                     }
+                    if let Some(p) = progress {
+                        p.tick();
+                    }
+                    Some(res)
                 },
             )
             .collect();
         observe_workers(progress);
-        let mut results: Vec<Option<PisaResult>> = cells.iter().map(|_| None).collect();
-        for (i, res) in by_unit.drain(..).flatten() {
-            results[i] = res;
-        }
         let first_error = write_error
             .into_inner()
             .unwrap_or_else(|poisoned| poisoned.into_inner());

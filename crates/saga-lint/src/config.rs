@@ -95,16 +95,6 @@ impl Config {
                     path: "crates/saga-pisa/src/annealer.rs",
                     fns: Some(&["run_annealing", "accept"]),
                 },
-                // the lockstep batch runtime: the SoA row sweeps and the
-                // per-step lane loop run as hot as the scalar annealer
-                HotPath {
-                    path: "crates/saga-core/src/batch.rs",
-                    fns: Some(&["reset_lane", "retire", "advance_live", "lane"]),
-                },
-                HotPath {
-                    path: "crates/saga-pisa/src/lockstep.rs",
-                    fns: Some(&["run_steps", "eval_pair"]),
-                },
             ],
             error_paths: vec![
                 "crates/saga-experiments/src/engine.rs",

@@ -408,10 +408,8 @@ fn run_annealing(
 }
 
 /// Metropolis acceptance for a maximization over ratios; handles the
-/// infinite ratios that zero-weight instances produce. Shared with the
-/// lockstep batch driver, whose per-lane accept/reject must consume the
-/// lane's RNG stream exactly like this scalar loop does.
-pub(crate) fn accept(cur: f64, candidate: f64, t: f64, rng: &mut StdRng) -> bool {
+/// infinite ratios that zero-weight instances produce.
+fn accept(cur: f64, candidate: f64, t: f64, rng: &mut StdRng) -> bool {
     if candidate >= cur {
         return true;
     }

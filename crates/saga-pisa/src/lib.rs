@@ -30,7 +30,6 @@ pub mod annealer;
 pub mod app_specific;
 pub mod constraints;
 pub mod library;
-pub mod lockstep;
 pub mod metric;
 pub mod pairwise;
 pub mod perturb;
@@ -38,7 +37,6 @@ pub mod runner;
 pub mod shard;
 
 pub use annealer::{AnnealScratch, PairTraces, Pisa, PisaConfig, PisaResult};
-pub use lockstep::{lockstep_supported, plan_units, run_cells_lockstep, ExecUnit, LANE_BUDGET};
 pub use pairwise::{pairwise_cells, pairwise_matrix, PairwiseMatrix};
 pub use perturb::{GeneralPerturber, Perturber};
 pub use runner::{cell_config, run_cells_pooled, CellKind, SearchCell};

@@ -18,16 +18,16 @@
 //! is `saga_experiments::engine::BatchEngine::run_cells`; this module also
 //! provides the plain pooled executor [`run_cells_pooled`] that
 //! [`pairwise_matrix`](crate::pairwise_matrix) and in-crate tests use.
+//! Both run every cell through [`SearchCell::run`].
 
 use crate::ablation::{self, Strategy};
 use crate::annealer::{AnnealScratch, Pisa, PisaConfig, PisaResult};
 use crate::app_specific::AppSpecific;
 use crate::constraints;
-use crate::lockstep;
 use crate::metric::{self, Objective};
 use crate::perturb::{initial_instance, GeneralPerturber};
 use rayon::prelude::*;
-use saga_core::{derive_seed, fnv1a, BatchedSchedContext, ContextPool, SchedContext};
+use saga_core::{derive_seed, fnv1a, ContextPool, SchedContext};
 use saga_schedulers::Scheduler;
 
 /// What one adversarial-search cell searches.
@@ -257,42 +257,17 @@ pub fn cell_config(base: PisaConfig, index: u64) -> PisaConfig {
 }
 
 /// Runs cells across rayon workers, each worker holding one warm pooled
-/// context, one scratch, and one lane block for its whole run. Eligible
-/// pairwise cells are grouped into lockstep units by the batch planner
-/// (scalar fallback for other cell kinds, oversized restart counts, and
-/// `SAGA_NO_BATCH`); results come back in cell order, bit-identical under
-/// any plan and thread count. The experiment engine's `run_cells` adds
-/// progress and checkpointing on top of the same per-unit execution.
+/// context and one scratch for its whole run. Results come back in cell
+/// order, bit-identical for any thread count. The experiment engine's
+/// `run_cells` adds progress and checkpointing on top of the same loop.
 pub fn run_cells_pooled(cells: &[SearchCell]) -> Vec<PisaResult> {
     let pool = ContextPool::new();
-    let units = lockstep::plan_units(cells, |_, _| true);
-    let mut by_unit: Vec<Vec<(usize, PisaResult)>> = units
+    cells
         .par_iter()
         .map_init(
-            || {
-                (
-                    pool.take(),
-                    AnnealScratch::default(),
-                    BatchedSchedContext::default(),
-                )
-            },
-            |(ctx, scratch, batch), unit| match unit {
-                lockstep::ExecUnit::Scalar(i) => vec![(*i, cells[*i].run(ctx, scratch))],
-                lockstep::ExecUnit::Lockstep(idxs) => {
-                    let group: Vec<&SearchCell> = idxs.iter().map(|&i| &cells[i]).collect();
-                    let results = lockstep::run_cells_lockstep(batch, &group);
-                    idxs.iter().copied().zip(results).collect()
-                }
-            },
+            || (pool.take(), AnnealScratch::default()),
+            |(ctx, scratch), cell| cell.run(ctx, scratch),
         )
-        .collect();
-    // scatter unit results back to input order
-    let mut out: Vec<Option<PisaResult>> = cells.iter().map(|_| None).collect();
-    for (i, res) in by_unit.drain(..).flatten() {
-        out[i] = Some(res);
-    }
-    out.into_iter()
-        .map(|r| r.expect("planner covers every cell exactly once"))
         .collect()
 }
 

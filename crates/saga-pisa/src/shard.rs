@@ -4,10 +4,9 @@
 //! ([`SearchCell::key`]) are pure functions of the cell's configuration.
 //! `--shard i/N` partitions that list by `fnv1a(key) % N == i`: a stateless
 //! assignment that depends only on the cell's identity — not on thread
-//! count, not on the order cells were generated, and not on lockstep
-//! `plan_units` grouping (bins shard *first*, then plan execution units
-//! within the shard) — so N hosts each run a disjoint `1/N` slice against
-//! their own checkpoint JSONL, and `saga-merge` reassembles the union.
+//! count, and not on the order cells were generated — so N hosts each run
+//! a disjoint `1/N` slice against their own checkpoint JSONL, and
+//! `saga-merge` reassembles the union.
 //!
 //! The same partition applies to any keyed record stream (fig2's
 //! per-dataset rows use it too, via [`ShardSpec::contains_key`]): the only
@@ -97,9 +96,6 @@ impl fmt::Display for ShardSpec {
 }
 
 /// Filters `cells` down to the ones in `shard`, preserving grid order.
-/// Sharding happens *before* lockstep planning: the shard decides which
-/// cells a host owns, then `plan_units` groups same-shape cells within that
-/// subset — so the partition is independent of lane packing.
 pub fn shard_cells(cells: Vec<SearchCell>, shard: ShardSpec) -> Vec<SearchCell> {
     if shard.is_full() {
         return cells;

@@ -1,18 +1,18 @@
-//! Exhaustive model-checking of the vendored rayon queue protocols.
+//! Exhaustive model-checking of the vendored rayon queue protocol.
 //!
-//! `rayon::model` re-expresses the work-stealing deque and legacy cursor
-//! protocols against the vendored loom shims (deterministic
-//! bounded-preemption DFS over interleavings, vector-clock race
-//! detection); this suite drives it both ways:
+//! `rayon::model` re-expresses the work-stealing deque protocol against
+//! the vendored loom shims (deterministic bounded-preemption DFS over
+//! interleavings, vector-clock race detection); this suite drives it both
+//! ways:
 //!
 //! - **Pass direction:** every bounded 2- and 3-worker execution of the
-//!   faithful protocols is free of lost items, double-claims,
+//!   faithful protocol is free of lost items, double-claims,
 //!   non-termination and torn stats publication. Run with
 //!   `--nocapture` to see the interleaving counts CI prints.
 //! - **Mutation direction:** deliberately re-introducing each bug class
 //!   (the pre-fix `Relaxed` termination decrement, a lost split tail, a
-//!   double-processed chunk, a torn cursor claim) is *caught*, which is
-//!   the evidence the pass direction means something.
+//!   double-processed chunk) is *caught*, which is the evidence the pass
+//!   direction means something.
 //!
 //! The explorer is deterministic: same model, same schedules, same
 //! counts — asserted below, per the workspace determinism rules.
@@ -51,25 +51,6 @@ fn deque_uneven_segments_exhaustive() {
     let report = check(ModelCfg::deque(2, 5, 2));
     println!(
         "deque 2w/5i/c2: {} interleavings, {} scheduled ops",
-        report.executions, report.total_ops
-    );
-}
-
-#[test]
-fn cursor_two_workers_exhaustive() {
-    let report = check(ModelCfg::cursor(2, 4, 2));
-    println!(
-        "cursor 2w/4i/c2: {} interleavings, {} scheduled ops",
-        report.executions, report.total_ops
-    );
-    assert!(report.executions > 1, "schedules were actually explored");
-}
-
-#[test]
-fn cursor_three_workers_exhaustive() {
-    let report = check(ModelCfg::cursor(3, 3, 1));
-    println!(
-        "cursor 3w/3i/c1: {} interleavings, {} scheduled ops",
         report.executions, report.total_ops
     );
 }
@@ -118,19 +99,6 @@ fn double_process_is_caught() {
     );
 }
 
-/// A torn (load + store) cursor claim lets two workers take the same
-/// chunk index; the second `take()` trips the claimed-twice assertion.
-#[test]
-fn nonatomic_cursor_claim_is_caught() {
-    let v = find_violation(ModelCfg::cursor(2, 4, 2).with_mutation(Mutation::NonAtomicCursorClaim))
-        .expect("a torn cursor claim must be caught");
-    println!("torn-claim violation: {v}");
-    assert!(
-        v.message.contains("claimed twice"),
-        "unexpected violation: {v}"
-    );
-}
-
 /// The explorer is deterministic: identical configs enumerate identical
 /// schedule counts (no randomness, no wall-clock or OS-scheduling
 /// dependence).
@@ -140,8 +108,8 @@ fn exploration_is_deterministic() {
     let b = check(ModelCfg::deque(2, 4, 2));
     assert_eq!(a.executions, b.executions);
     assert_eq!(a.total_ops, b.total_ops);
-    let c = check(ModelCfg::cursor(3, 3, 1));
-    let d = check(ModelCfg::cursor(3, 3, 1));
+    let c = check(ModelCfg::deque(3, 3, 1));
+    let d = check(ModelCfg::deque(3, 3, 1));
     assert_eq!(c.executions, d.executions);
     assert_eq!(c.total_ops, d.total_ops);
 }

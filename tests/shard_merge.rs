@@ -1,7 +1,7 @@
 //! Integration suite for the distributed shard-and-merge protocol (PR 9).
 //!
 //! `--shard i/N` partitions a grid's cells by `fnv1a(key) % N` — stateless,
-//! thread-count independent, lockstep-planning independent — and
+//! thread-count independent, generation-order independent — and
 //! `saga-merge` unions the per-shard checkpoints back into one canonical
 //! (key-sorted) file. The distributed run is only trustworthy if three
 //! things hold, and this suite proves each:
