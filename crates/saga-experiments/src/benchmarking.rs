@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saga_core::Instance;
 use saga_datasets::DatasetGenerator;
+use saga_pisa::ShardSpec;
 use saga_schedulers::Scheduler;
 
 /// Summary statistics of a scheduler's makespan ratios over a dataset.
@@ -61,10 +62,11 @@ pub fn dataset_instances(gen: &DatasetGenerator, count: usize, seed: u64) -> Vec
 }
 
 /// [`benchmark_dataset`] on the batch engine: generation *and* evaluation
-/// fuse into per-instance cells ([`BatchEngine::dataset_makespans`]) that
-/// shard across workers with pinned cost tables, then reduce to the same
-/// [`RatioStats`]. Output is bit-identical to [`benchmark_dataset`] and
-/// independent of `RAYON_NUM_THREADS`.
+/// fuse into per-instance rows
+/// ([`BatchEngine::dataset_makespans_sharded`], whole grid, no checkpoint)
+/// that shard across workers with pinned cost tables, then reduce to the
+/// same [`RatioStats`]. Output is bit-identical to [`benchmark_dataset`]
+/// and independent of `RAYON_NUM_THREADS`.
 pub fn benchmark_dataset_engine(
     engine: &BatchEngine,
     schedulers: &[Box<dyn Scheduler>],
@@ -73,9 +75,23 @@ pub fn benchmark_dataset_engine(
     seed: u64,
     progress: Option<&Progress>,
 ) -> Vec<RatioStats> {
-    let rows = engine.dataset_makespans(schedulers, gen, count, seed, progress);
+    let no_key = |_: usize| String::new();
+    // without a checkpoint no write can fail, and the full shard computes
+    // every row
+    let rows = engine
+        .dataset_makespans_sharded(
+            schedulers,
+            gen,
+            count,
+            seed,
+            &no_key,
+            ShardSpec::FULL,
+            progress,
+            None,
+        )
+        .unwrap_or_default();
     let mut per_sched: Vec<Vec<f64>> = vec![Vec::with_capacity(count); schedulers.len()];
-    for row in &rows {
+    for row in rows.iter().flatten() {
         for (k, r) in ratios_of(row).into_iter().enumerate() {
             per_sched[k].push(r);
         }
@@ -175,9 +191,13 @@ mod tests {
         let gen = saga_datasets::by_name("montage").unwrap();
         let scheds = benchmark_schedulers();
         let engine = crate::engine::BatchEngine::new();
-        let fused = engine.dataset_makespans(&scheds, &gen, 5, 7, None);
+        let key_of = |k: usize| format!("montage#k{k}");
+        let fused = engine
+            .dataset_makespans_sharded(&scheds, &gen, 5, 7, &key_of, ShardSpec::FULL, None, None)
+            .unwrap();
         let split = engine.makespans(&scheds, &dataset_instances(&gen, 5, 7), None);
-        for (a, b) in fused.iter().zip(&split) {
+        assert_eq!(fused.len(), split.len());
+        for (a, b) in fused.iter().flatten().zip(&split) {
             assert_eq!(
                 a.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),
                 b.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),

@@ -67,7 +67,10 @@ fn run_workflow(
         Some(p) => std::path::PathBuf::from(p),
         None => shard.checkpoint_path(std::path::Path::new(&base)),
     };
-    let checkpoint = CellCheckpoint::open(&ckpt_path, resume).expect("open checkpoint");
+    let checkpoint = cli::checkpoint_or_exit(
+        CellCheckpoint::open(&ckpt_path, resume),
+        cli::CheckpointOp::Open(&ckpt_path),
+    );
     if resume && checkpoint.loaded() > 0 {
         eprintln!(
             "resuming: {} cells already in {}",
@@ -76,7 +79,10 @@ fn run_workflow(
         );
     }
     let progress = Progress::new(format!("app_pisa/{workflow}"), cells.len());
-    let results = engine.run_cells_or_exit(&cells, Some(&progress), Some(&checkpoint));
+    let results = cli::checkpoint_or_exit(
+        engine.run_cells(&cells, Some(&progress), Some(&checkpoint)),
+        cli::CheckpointOp::Write,
+    );
     if !shard.is_full() {
         // a partial shard can't render the per-CCR matrices; its output is
         // the checkpoint itself

@@ -37,10 +37,10 @@ fn main() {
     let generators = saga_datasets::all_generators();
     let dataset_names: Vec<String> = generators.iter().map(|g| g.name.to_string()).collect();
 
-    let checkpoint = RowCheckpoint::open(&ckpt_path, resume).unwrap_or_else(|e| {
-        eprintln!("fatal: cannot open checkpoint {}: {e}", ckpt_path.display());
-        std::process::exit(1);
-    });
+    let checkpoint = cli::checkpoint_or_exit(
+        RowCheckpoint::open(&ckpt_path, resume),
+        cli::CheckpointOp::Open(&ckpt_path),
+    );
     if resume && checkpoint.loaded() > 0 {
         eprintln!(
             "resuming: {} rows already in {}",
@@ -66,8 +66,8 @@ fn main() {
     let mut done = 0usize;
     for gen in &generators {
         let key_of_k = |k: usize| key_of(gen.name, k);
-        let rows = engine
-            .dataset_makespans_sharded(
+        let rows = cli::checkpoint_or_exit(
+            engine.dataset_makespans_sharded(
                 &schedulers,
                 gen,
                 instances,
@@ -76,14 +76,9 @@ fn main() {
                 shard,
                 Some(&progress),
                 Some(&checkpoint),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!(
-                    "fatal: checkpoint write failed: {e} — rows recorded before the failure \
-                     are flushed; re-run with --resume after freeing space"
-                );
-                std::process::exit(1);
-            });
+            ),
+            cli::CheckpointOp::Write,
+        );
         done += rows.iter().flatten().count();
         if !shard.is_full() {
             continue;

@@ -53,7 +53,10 @@ fn main() {
         "running PISA for {} of {total} ordered pairs (shard {shard}, {restarts} restarts x {imax} iters)...",
         cells.len()
     );
-    let checkpoint = CellCheckpoint::open(&ckpt_path, resume).expect("open checkpoint");
+    let checkpoint = cli::checkpoint_or_exit(
+        CellCheckpoint::open(&ckpt_path, resume),
+        cli::CheckpointOp::Open(&ckpt_path),
+    );
     if resume && checkpoint.loaded() > 0 {
         eprintln!(
             "resuming: {} cells already in {}",
@@ -64,7 +67,10 @@ fn main() {
     let engine = BatchEngine::new();
     let progress = Progress::new("fig4", cells.len());
     let t0 = std::time::Instant::now();
-    let results = engine.run_cells_or_exit(&cells, Some(&progress), Some(&checkpoint));
+    let results = cli::checkpoint_or_exit(
+        engine.run_cells(&cells, Some(&progress), Some(&checkpoint)),
+        cli::CheckpointOp::Write,
+    );
     eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
     if !shard.is_full() {
         // a partial shard can't render the matrix; its output is the

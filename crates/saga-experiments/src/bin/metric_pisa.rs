@@ -63,7 +63,10 @@ fn main() {
     }
     let total = cells.len();
     let cells = shard_cells(cells, shard);
-    let checkpoint = CellCheckpoint::open(&ckpt_path, resume).expect("open checkpoint");
+    let checkpoint = cli::checkpoint_or_exit(
+        CellCheckpoint::open(&ckpt_path, resume),
+        cli::CheckpointOp::Open(&ckpt_path),
+    );
     if resume && checkpoint.loaded() > 0 {
         eprintln!(
             "resuming: {} cells already in {}",
@@ -73,7 +76,10 @@ fn main() {
     }
     let engine = BatchEngine::new();
     let progress = Progress::new("metric_pisa", cells.len());
-    let results = engine.run_cells_or_exit(&cells, Some(&progress), Some(&checkpoint));
+    let results = cli::checkpoint_or_exit(
+        engine.run_cells(&cells, Some(&progress), Some(&checkpoint)),
+        cli::CheckpointOp::Write,
+    );
     if !shard.is_full() {
         // a partial shard can't render the matrix; its output is the
         // checkpoint itself

@@ -44,6 +44,32 @@ pub fn checkpoint_path(
     }
 }
 
+/// What a grid binary was doing when its checkpoint failed, for
+/// [`checkpoint_or_exit`].
+pub enum CheckpointOp<'a> {
+    /// Opening (and, with `--resume`, reading) the checkpoint at this path.
+    Open(&'a std::path::Path),
+    /// Appending a record during the run.
+    Write,
+}
+
+/// The grid binaries' one exit path for checkpoint errors: unwraps
+/// `result`, or prints a `fatal:` line for `op` and exits 1.
+pub fn checkpoint_or_exit<T>(result: std::io::Result<T>, op: CheckpointOp<'_>) -> T {
+    result.unwrap_or_else(|e| {
+        match op {
+            CheckpointOp::Open(path) => {
+                eprintln!("fatal: cannot open checkpoint {}: {e}", path.display())
+            }
+            CheckpointOp::Write => eprintln!(
+                "fatal: checkpoint write failed: {e} — records written before the failure \
+                 are flushed; re-run with --resume after freeing space"
+            ),
+        }
+        std::process::exit(1)
+    })
+}
+
 /// Returns the first positional (non-flag) argument, if any.
 pub fn positional(args: &[String]) -> Option<&str> {
     let mut skip = false;

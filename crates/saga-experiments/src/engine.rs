@@ -23,19 +23,24 @@
 //!   `RAYON_NUM_THREADS`;
 //! * **Progress** — [`Progress`] emits monotone `done/total` counts from an
 //!   atomic counter, coherent under concurrency (the old per-dataset
-//!   `eprintln!` assumed sequential execution).
+//!   `eprintln!` assumed sequential execution);
+//! * **Resume and shards** — [`BatchEngine::run_cells`] and
+//!   [`BatchEngine::dataset_makespans_sharded`] run one keyed-grid loop:
+//!   each unit of work has a stable key that picks its shard and its
+//!   checkpoint record, so stored records replay instead of re-running.
 
+use crate::checkpoint::{Checkpoint, Record};
 use rayon::prelude::*;
 use saga_core::{ContextPool, Instance, SchedContext};
 use saga_pisa::annealer::AnnealScratch;
-use saga_pisa::{PisaResult, SearchCell};
+use saga_pisa::{PisaResult, SearchCell, ShardSpec};
 use saga_schedulers::Scheduler;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::borrow::Borrow;
+use std::io;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+pub use crate::checkpoint::{CellCheckpoint, RowCheckpoint};
 pub use saga_core::derive_seed;
 
 /// A coherent, concurrency-safe progress reporter for batch runs.
@@ -198,8 +203,8 @@ impl BatchEngine {
     /// [`SearchCell::key`]) are replayed instead of re-run — a multi-hour
     /// paper-scale fig4 run survives interruption.
     ///
-    /// A checkpoint *write* failure (full disk, closed pipe) no longer
-    /// aborts the process mid-grid: cells already in flight finish, cells
+    /// A checkpoint *write* failure (full disk, closed pipe) does not
+    /// abort the process mid-grid: cells already in flight finish, cells
     /// not yet started are skipped (their annealing work would be discarded
     /// with the error anyway), and the first I/O error is returned — with
     /// every cell recorded before it already flushed to the file, so a
@@ -209,132 +214,20 @@ impl BatchEngine {
         cells: &[SearchCell],
         progress: Option<&Progress>,
         checkpoint: Option<&CellCheckpoint>,
-    ) -> std::io::Result<Vec<PisaResult>> {
-        use std::sync::atomic::AtomicBool;
-        let write_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
-        let failed = AtomicBool::new(false);
-        let note_write_error = |e: std::io::Error| {
-            // a poisoned slot still holds a coherent Option; recover it
-            // rather than abort
-            let mut slot = write_error
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-            failed.store(true, Ordering::Relaxed);
-        };
-        let results: Vec<Option<PisaResult>> = cells
-            .par_iter()
-            .map_init(
-                || (self.pool.take(), AnnealScratch::default()),
-                |(ctx, scratch), cell| {
-                    // once a write failed, the run's results can never all be
-                    // returned — don't burn hours annealing cells that would
-                    // be thrown away with the error
-                    if failed.load(Ordering::Relaxed) {
-                        return None;
-                    }
-                    let key = cell.key();
-                    if let Some(stored) = checkpoint.and_then(|c| c.stored(&key)) {
-                        // replayed, not re-recorded: the file already holds
-                        // this line
-                        if let Some(p) = progress {
-                            p.tick();
-                        }
-                        return Some(stored);
-                    }
-                    let res = cell.run(ctx, scratch);
-                    if let Some(c) = checkpoint {
-                        if let Err(e) = c.record(&key, &res) {
-                            note_write_error(e);
-                        }
-                    }
-                    if let Some(p) = progress {
-                        p.tick();
-                    }
-                    Some(res)
-                },
-            )
-            .collect();
-        observe_workers(progress);
-        let first_error = write_error
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(results
-                .into_iter()
-                // saga-lint: allow(error-discipline) — cells return None only after `failed` is set, which always records an error first; with no error recorded every cell ran
-                .map(|r| r.expect("no cell skipped without a recorded error"))
-                .collect()),
-        }
-    }
-
-    /// [`run_cells`](Self::run_cells) for experiment binaries: a checkpoint
-    /// write failure prints the error — noting that every cell recorded
-    /// before it is already flushed and resumable — and exits nonzero
-    /// instead of returning. Keeps the four PISA drivers' failure behavior
-    /// identical.
-    pub fn run_cells_or_exit(
-        &self,
-        cells: &[SearchCell],
-        progress: Option<&Progress>,
-        checkpoint: Option<&CellCheckpoint>,
-    ) -> Vec<PisaResult> {
-        self.run_cells(cells, progress, checkpoint)
-            .unwrap_or_else(|e| {
-                eprintln!(
-                    "fatal: checkpoint write failed: {e} — cells recorded before the failure \
-                     are flushed; re-run with --resume after freeing space"
-                );
-                std::process::exit(1);
-            })
-    }
-
-    /// The fused fig2-class dataset loop: cell `k` *generates* instance `k`
-    /// from its own derived seed (`derive_seed(seed, k)`) and immediately
-    /// evaluates every scheduler on it under pinned cost tables, all inside
-    /// the worker — so dataset sampling shards across cores along with the
-    /// evaluation instead of bottlenecking on one sequential generation
-    /// pass (the old layout's limit at 1000-instance budgets). Returns
-    /// `out[instance][scheduler]` makespans in instance order; per-cell
-    /// seeds and order-preserving collection keep the output bit-identical
-    /// for any `RAYON_NUM_THREADS`, and identical to generating the
-    /// instances up front with the same per-instance seeds.
-    pub fn dataset_makespans(
-        &self,
-        schedulers: &[Box<dyn Scheduler>],
-        gen: &saga_datasets::DatasetGenerator,
-        count: usize,
-        seed: u64,
-        progress: Option<&Progress>,
-    ) -> Vec<Vec<f64>> {
-        let rows: Vec<Vec<f64>> = (0..count)
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map_init(
-                || self.pool.take(),
-                |ctx, k| {
-                    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(
-                        derive_seed(seed, k as u64),
-                    );
-                    let inst = gen.sample(&mut rng);
-                    let row = ctx.with_pinned(&inst, |ctx| {
-                        schedulers
-                            .iter()
-                            .map(|s| s.makespan_into(&inst, ctx))
-                            .collect::<Vec<f64>>()
-                    });
-                    if let Some(p) = progress {
-                        p.tick();
-                    }
-                    row
-                },
-            )
-            .collect();
-        observe_workers(progress);
-        rows
+    ) -> io::Result<Vec<PisaResult>> {
+        let results = self.run_keyed(
+            cells,
+            SearchCell::key,
+            ShardSpec::FULL,
+            progress,
+            checkpoint,
+            |ctx, scratch: &mut AnnealScratch, cell| cell.run(ctx, scratch),
+        )?;
+        // with no write error and the full shard, every cell ran
+        results
+            .into_iter()
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| io::Error::other("a cell was skipped without a write error"))
     }
 
     /// Runs every scheduler on every instance — the fig2-class inner loop.
@@ -347,36 +240,28 @@ impl BatchEngine {
         instances: &[Instance],
         progress: Option<&Progress>,
     ) -> Vec<Vec<f64>> {
-        let rows: Vec<Vec<f64>> = instances
-            .par_iter()
-            .map_init(
-                || self.pool.take(),
-                |ctx, inst| {
-                    let row = ctx.with_pinned(inst, |ctx| {
-                        schedulers
-                            .iter()
-                            .map(|s| s.makespan_into(inst, ctx))
-                            .collect::<Vec<f64>>()
-                    });
-                    if let Some(p) = progress {
-                        p.tick();
-                    }
-                    row
-                },
-            )
-            .collect();
+        let rows = self.map_ctx(instances.iter().collect(), |ctx, inst| {
+            let row = pinned_row(ctx, schedulers, inst);
+            if let Some(p) = progress {
+                p.tick();
+            }
+            row
+        });
         observe_workers(progress);
         rows
     }
 
-    /// [`dataset_makespans`](Self::dataset_makespans) for *distributed,
-    /// resumable* fig2-class runs: each instance row carries a stable key
-    /// (`key_of(k)`), only rows in `shard` are computed (the rest come back
-    /// `None`), and rows already stored in the [`RowCheckpoint`] replay
-    /// instead of re-running. Computed makespans are bit-identical to the
-    /// unsharded [`dataset_makespans`] path — same per-instance seed
-    /// streams, same pinned-table evaluation — so the union of all shards'
-    /// checkpoints reconstructs the 1-host run exactly.
+    /// The fused, resumable fig2-class dataset loop: row `k` *generates*
+    /// instance `k` from its own derived seed (`derive_seed(seed, k)`) and
+    /// evaluates every scheduler on it under pinned cost tables, all inside
+    /// the worker — so dataset sampling shards across cores along with the
+    /// evaluation. Each row carries a stable key (`key_of(k)`); only rows in
+    /// `shard` are computed (the rest come back `None`), and rows already
+    /// stored in the [`RowCheckpoint`] replay instead of re-running. Rows
+    /// come back in instance order, bit-identical for any
+    /// `RAYON_NUM_THREADS` and to generating the instances up front with
+    /// the same per-instance seeds, so the union of all shards' checkpoints
+    /// reconstructs the 1-host run exactly.
     ///
     /// A checkpoint write failure skips rows not yet started (mirroring
     /// [`run_cells`](Self::run_cells)) and returns the first I/O error with
@@ -389,378 +274,109 @@ impl BatchEngine {
         count: usize,
         seed: u64,
         key_of: &(impl Fn(usize) -> String + Sync),
-        shard: saga_pisa::ShardSpec,
+        shard: ShardSpec,
         progress: Option<&Progress>,
         checkpoint: Option<&RowCheckpoint>,
-    ) -> std::io::Result<Vec<Option<Vec<f64>>>> {
-        use std::sync::atomic::AtomicBool;
-        let write_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
+    ) -> io::Result<Vec<Option<Vec<f64>>>> {
+        let ks: Vec<usize> = (0..count).collect();
+        self.run_keyed(
+            &ks,
+            |&k| key_of(k),
+            shard,
+            progress,
+            checkpoint,
+            |ctx, _: &mut (), &k| {
+                let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(
+                    derive_seed(seed, k as u64),
+                );
+                pinned_row(ctx, schedulers, &gen.sample(&mut rng))
+            },
+        )
+    }
+
+    /// The one resumable keyed-grid loop. Per item, in order: skip it
+    /// (`None`) when its key is outside `shard`; replay it when
+    /// `checkpoint` holds its key; skip it (`None`) once an earlier
+    /// checkpoint write failed; otherwise compute it with the worker's warm
+    /// context and scratch, record it, and tick `progress`. Results come
+    /// back in item order; the first write error, if any, is returned
+    /// instead, with every record before it flushed.
+    fn run_keyed<T: Sync, S: Default, R: Record + Send + Sync + Borrow<R::Input>>(
+        &self,
+        items: &[T],
+        key_of: impl Fn(&T) -> String + Sync,
+        shard: ShardSpec,
+        progress: Option<&Progress>,
+        checkpoint: Option<&Checkpoint<R>>,
+        compute: impl Fn(&mut SchedContext, &mut S, &T) -> R + Sync,
+    ) -> io::Result<Vec<Option<R>>> {
+        let write_error: Mutex<Option<io::Error>> = Mutex::new(None);
         let failed = AtomicBool::new(false);
-        let rows: Vec<Option<Vec<f64>>> = (0..count)
-            .collect::<Vec<_>>()
-            .into_par_iter()
+        let tick = || {
+            if let Some(p) = progress {
+                p.tick();
+            }
+        };
+        let out = items
+            .par_iter()
             .map_init(
-                || self.pool.take(),
-                |ctx, k| {
-                    let key = key_of(k);
+                || (self.pool.take(), S::default()),
+                |(ctx, scratch), item| {
+                    let key = key_of(item);
                     if !shard.contains_key(&key) {
                         return None;
                     }
                     if let Some(stored) = checkpoint.and_then(|c| c.stored(&key)) {
                         // replayed, not re-recorded: the file already holds
                         // this line
-                        if let Some(p) = progress {
-                            p.tick();
-                        }
+                        tick();
                         return Some(stored);
                     }
+                    // once a write failed, the run's results can never all
+                    // be returned — don't burn work that would be thrown
+                    // away with the error
                     if failed.load(Ordering::Relaxed) {
-                        // a failed checkpoint write means the run can't
-                        // complete; don't burn work that would be discarded
                         return None;
                     }
-                    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(
-                        derive_seed(seed, k as u64),
-                    );
-                    let inst = gen.sample(&mut rng);
-                    let row = ctx.with_pinned(&inst, |ctx| {
-                        schedulers
-                            .iter()
-                            .map(|s| s.makespan_into(&inst, ctx))
-                            .collect::<Vec<f64>>()
-                    });
-                    if let Some(c) = checkpoint {
-                        if let Err(e) = c.record(&key, &row) {
-                            let mut slot = write_error
-                                .lock()
-                                .unwrap_or_else(|poisoned| poisoned.into_inner());
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            failed.store(true, Ordering::Relaxed);
-                        }
+                    let value = compute(ctx, scratch, item);
+                    if let Some(Err(e)) = checkpoint.map(|c| c.record(&key, value.borrow())) {
+                        // a poisoned slot still holds a coherent Option;
+                        // recover it rather than abort
+                        write_error
+                            .lock()
+                            .unwrap_or_else(|poisoned| poisoned.into_inner())
+                            .get_or_insert(e);
+                        failed.store(true, Ordering::Relaxed);
                     }
-                    if let Some(p) = progress {
-                        p.tick();
-                    }
-                    Some(row)
+                    tick();
+                    Some(value)
                 },
             )
             .collect();
         observe_workers(progress);
-        let first_error = write_error
+        match write_error
             .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        match first_error {
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        {
             Some(e) => Err(e),
-            None => Ok(rows),
+            None => Ok(out),
         }
     }
 }
 
-/// One completed cell, as persisted in the checkpoint JSONL. The ratio and
-/// initial-ratio fields are stored as `f64::to_bits` hex strings — the
-/// checkpoint must replay *bit-identical* results, and JSON float printing
-/// wouldn't round-trip exactly (nor encode the unbounded cells' infinities).
-/// `ratio` repeats the value as a plain float purely for human readers;
-/// `None` encodes an unbounded cell, mirroring the witness-library format.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct CellRecord {
-    key: String,
-    ratio_bits: String,
-    initial_bits: String,
-    evaluations: usize,
-    ratio: Option<f64>,
-    instance: serde_json::Value,
-}
-
-impl CellRecord {
-    fn new(key: &str, res: &PisaResult) -> std::io::Result<Self> {
-        let instance = serde_json::from_str(&res.instance.to_json())
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(CellRecord {
-            key: key.to_string(),
-            ratio_bits: format!("{:016x}", res.ratio.to_bits()),
-            initial_bits: format!("{:016x}", res.initial_ratio.to_bits()),
-            evaluations: res.evaluations,
-            ratio: res.ratio.is_finite().then_some(res.ratio),
-            instance,
-        })
-    }
-
-    fn result(&self) -> Option<PisaResult> {
-        let bits = |s: &str| u64::from_str_radix(s, 16).ok().map(f64::from_bits);
-        Some(PisaResult {
-            instance: Instance::from_json(&self.instance.to_string()).ok()?,
-            ratio: bits(&self.ratio_bits)?,
-            initial_ratio: bits(&self.initial_bits)?,
-            evaluations: self.evaluations,
-        })
-    }
-}
-
-/// A JSONL checkpoint for [`BatchEngine::run_cells`]: every finished cell is
-/// appended (and flushed) as it completes, and a resumed run replays stored
-/// cells instead of re-running them. Cells are matched by
-/// [`SearchCell::key`], which encodes the budget and seed — changing
-/// `--imax`/`--restarts`/`--seed` makes old lines unmatchable rather than
-/// silently wrong. Malformed lines (e.g. a half-written line from a crash)
-/// are skipped with a warning, so a torn checkpoint only costs re-running
-/// the affected cell.
-pub struct CellCheckpoint {
-    done: BTreeMap<String, PisaResult>,
-    file: Mutex<std::fs::File>,
-    skipped: usize,
-}
-
-impl CellCheckpoint {
-    /// Opens `path` for checkpointing. With `resume`, existing well-formed
-    /// lines are loaded for replay and new cells append after them;
-    /// otherwise the file is truncated and the run starts clean.
-    ///
-    /// Malformed resume lines are counted ([`skipped`](Self::skipped)) and
-    /// summarized on stderr — a corrupted checkpoint is visible instead of
-    /// quietly re-running its cells.
-    pub fn open(path: &std::path::Path, resume: bool) -> std::io::Result<Self> {
-        let mut done = BTreeMap::new();
-        let mut unterminated = false;
-        let mut skipped = 0usize;
-        if resume {
-            match std::fs::read_to_string(path) {
-                Ok(text) => {
-                    unterminated = !text.is_empty() && !text.ends_with('\n');
-                    for (lineno, line) in text.lines().enumerate() {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        let parsed = serde_json::from_str::<CellRecord>(line)
-                            .ok()
-                            .and_then(|r| Some((r.key.clone(), r.result()?)));
-                        match parsed {
-                            Some((key, res)) => {
-                                done.insert(key, res);
-                            }
-                            None => {
-                                skipped += 1;
-                                eprintln!(
-                                    "[checkpoint] skipping malformed line {} of {}",
-                                    lineno + 1,
-                                    path.display()
-                                );
-                            }
-                        }
-                    }
-                    if skipped > 0 {
-                        eprintln!(
-                            "[checkpoint] {} corrupted/unparseable line(s) skipped in {} — \
-                             the affected cells will re-run",
-                            skipped,
-                            path.display()
-                        );
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(resume)
-            .truncate(!resume)
-            .write(true)
-            .open(path)?;
-        if unterminated {
-            // a crash mid-append left a torn final line (already skipped
-            // above); terminate it so the next record starts on its own
-            // line instead of merging into — and corrupting — the tear
-            writeln!(file)?;
-        }
-        Ok(CellCheckpoint {
-            done,
-            file: Mutex::new(file),
-            skipped,
-        })
-    }
-
-    /// Number of cells loaded from the file for replay.
-    pub fn loaded(&self) -> usize {
-        self.done.len()
-    }
-
-    /// Number of malformed/unparseable lines skipped while loading for
-    /// resume (0 for a fresh run).
-    pub fn skipped(&self) -> usize {
-        self.skipped
-    }
-
-    /// The stored result for `key`, if the checkpoint has it.
-    pub fn stored(&self, key: &str) -> Option<PisaResult> {
-        self.done.get(key).cloned()
-    }
-
-    /// Appends one finished cell and flushes, so an interruption loses at
-    /// most the cells in flight. An I/O failure (full disk, closed pipe) is
-    /// returned instead of panicking, so the driver can finish the batch
-    /// and surface the error with everything already recorded still intact.
-    pub fn record(&self, key: &str, res: &PisaResult) -> std::io::Result<()> {
-        let line = serde_json::to_string(&CellRecord::new(key, res)?)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        // a poisoned file mutex still wraps a usable handle: the writer that
-        // panicked completed or abandoned its line, and ours appends whole
-        let mut file = self
-            .file
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        writeln!(file, "{line}")?;
-        file.flush()
-    }
-}
-
-/// One keyed makespan row, as persisted in a [`RowCheckpoint`] JSONL.
-/// Makespans are stored as space-joined `f64::to_bits` hex words — replay
-/// must be bit-identical and JSON float printing wouldn't round-trip
-/// infinities or the last ulp.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct RowRecord {
-    key: String,
-    bits: String,
-}
-
-impl RowRecord {
-    fn new(key: &str, row: &[f64]) -> Self {
-        RowRecord {
-            key: key.to_string(),
-            bits: row
-                .iter()
-                .map(|m| format!("{:016x}", m.to_bits()))
-                .collect::<Vec<_>>()
-                .join(" "),
-        }
-    }
-
-    fn row(&self) -> Option<Vec<f64>> {
-        if self.bits.trim().is_empty() {
-            return Some(Vec::new());
-        }
-        self.bits
-            .split_whitespace()
-            .map(|w| u64::from_str_radix(w, 16).ok().map(f64::from_bits))
+/// Every scheduler's makespan on `inst`, with the cost tables built once
+/// and pinned for the whole row ([`SchedContext::with_pinned`]).
+fn pinned_row(
+    ctx: &mut SchedContext,
+    schedulers: &[Box<dyn Scheduler>],
+    inst: &Instance,
+) -> Vec<f64> {
+    ctx.with_pinned(inst, |ctx| {
+        schedulers
+            .iter()
+            .map(|s| s.makespan_into(inst, ctx))
             .collect()
-    }
-}
-
-/// A JSONL checkpoint for keyed makespan rows — the fig2-class analogue of
-/// [`CellCheckpoint`] (there is no [`SearchCell`] behind a benchmarking
-/// row, so the row's key string is the contract instead). Same semantics:
-/// append-and-flush per row, resume replays stored keys, torn lines are
-/// counted and skipped, a tear is newline-terminated so later appends
-/// can't merge into it.
-pub struct RowCheckpoint {
-    done: BTreeMap<String, Vec<f64>>,
-    file: Mutex<std::fs::File>,
-    skipped: usize,
-}
-
-impl RowCheckpoint {
-    /// Opens `path` for checkpointing; with `resume`, existing well-formed
-    /// lines load for replay (malformed ones are counted and reported),
-    /// otherwise the file is truncated.
-    pub fn open(path: &std::path::Path, resume: bool) -> std::io::Result<Self> {
-        let mut done = BTreeMap::new();
-        let mut unterminated = false;
-        let mut skipped = 0usize;
-        if resume {
-            match std::fs::read_to_string(path) {
-                Ok(text) => {
-                    unterminated = !text.is_empty() && !text.ends_with('\n');
-                    for (lineno, line) in text.lines().enumerate() {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        let parsed = serde_json::from_str::<RowRecord>(line)
-                            .ok()
-                            .and_then(|r| Some((r.key.clone(), r.row()?)));
-                        match parsed {
-                            Some((key, row)) => {
-                                done.insert(key, row);
-                            }
-                            None => {
-                                skipped += 1;
-                                eprintln!(
-                                    "[checkpoint] skipping malformed line {} of {}",
-                                    lineno + 1,
-                                    path.display()
-                                );
-                            }
-                        }
-                    }
-                    if skipped > 0 {
-                        eprintln!(
-                            "[checkpoint] {} corrupted/unparseable line(s) skipped in {} — \
-                             the affected rows will re-run",
-                            skipped,
-                            path.display()
-                        );
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(resume)
-            .truncate(!resume)
-            .write(true)
-            .open(path)?;
-        if unterminated {
-            // terminate the torn final line so the next append starts clean
-            writeln!(file)?;
-        }
-        Ok(RowCheckpoint {
-            done,
-            file: Mutex::new(file),
-            skipped,
-        })
-    }
-
-    /// Number of rows loaded from the file for replay.
-    pub fn loaded(&self) -> usize {
-        self.done.len()
-    }
-
-    /// Number of malformed/unparseable lines skipped while loading.
-    pub fn skipped(&self) -> usize {
-        self.skipped
-    }
-
-    /// The stored makespan row for `key`, if present.
-    pub fn stored(&self, key: &str) -> Option<Vec<f64>> {
-        self.done.get(key).cloned()
-    }
-
-    /// Appends one finished row and flushes; I/O failures are returned, not
-    /// panicked, mirroring [`CellCheckpoint::record`].
-    pub fn record(&self, key: &str, row: &[f64]) -> std::io::Result<()> {
-        let line = serde_json::to_string(&RowRecord::new(key, row))
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let mut file = self
-            .file
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        writeln!(file, "{line}")?;
-        file.flush()
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1008,46 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn row_checkpoint_round_trips_bits_and_counts_tears() {
-        let path =
-            std::env::temp_dir().join(format!("saga_rowckpt_test_{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let ck = RowCheckpoint::open(&path, false).unwrap();
-        let row = vec![1.5, f64::INFINITY, 0.1 + 0.2];
-        ck.record("fig2/chains#k0#s0000000000000001", &row).unwrap();
-        ck.record("fig2/chains#k1#s0000000000000001", &[]).unwrap();
-        drop(ck);
-        // simulate a crash mid-append
-        {
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            write!(f, "{{\"key\":\"fig2/chains#k2").unwrap();
-        }
-        let ck = RowCheckpoint::open(&path, true).unwrap();
-        assert_eq!(ck.loaded(), 2);
-        assert_eq!(ck.skipped(), 1);
-        let replay = ck.stored("fig2/chains#k0#s0000000000000001").unwrap();
-        assert_eq!(
-            replay.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),
-            row.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),
-            "replay must be bit-identical, infinities included"
-        );
-        assert_eq!(
-            ck.stored("fig2/chains#k1#s0000000000000001").unwrap(),
-            vec![]
-        );
-        // appending after the tear starts a fresh line
-        ck.record("fig2/chains#k3#s0000000000000001", &[2.0])
-            .unwrap();
-        drop(ck);
-        let ck = RowCheckpoint::open(&path, true).unwrap();
-        assert_eq!(ck.loaded(), 3);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn sharded_dataset_rows_cover_exactly_and_match_unsharded() {
         use saga_pisa::ShardSpec;
         let gen = saga_datasets::by_name("chains").unwrap();
@@ -1056,7 +632,11 @@ mod tests {
         let count = 6;
         let seed = 0xF162;
         let key_of = |k: usize| format!("fig2/chains#k{k}#s{seed:016x}");
-        let full = engine.dataset_makespans(&scheds, &gen, count, seed, None);
+        let full = engine.makespans(
+            &scheds,
+            &crate::benchmarking::dataset_instances(&gen, count, seed),
+            None,
+        );
         let mut merged: Vec<Option<Vec<f64>>> = vec![None; count];
         for index in 0..3u64 {
             let shard = ShardSpec { index, count: 3 };

@@ -25,6 +25,7 @@ use saga_core::Instance;
 use saga_schedulers::Scheduler;
 
 pub mod benchmarking;
+mod checkpoint;
 pub mod cli;
 pub mod engine;
 pub mod merge;

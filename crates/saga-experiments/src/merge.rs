@@ -15,9 +15,11 @@
 //!   duplicates are a hard error naming the key and both files, because two
 //!   different results for one deterministic cell mean a corrupted or
 //!   mislabeled shard.
-//! * **Torn-line-tolerant** — malformed lines (a crash mid-append on some
-//!   host) are counted per input and skipped, mirroring the checkpoints'
-//!   own resume behavior.
+//! * **Torn-line-tolerant** — inputs are split into lines by the
+//!   checkpoints' own line reader (`checkpoint::lines`), so a torn line —
+//!   a crash mid-append on some host, a byte that is not UTF-8 — is
+//!   counted and skipped here as on resume. Only the parse differs: merge
+//!   reads just the `"key"` field and never decodes a record.
 //! * **Canonical output** — records are written sorted by key. Checkpoint
 //!   files append in completion order, which varies with thread count and
 //!   scheduling, so byte-identity between a merged N-host run and a 1-host
@@ -25,6 +27,7 @@
 //!   file canonicalizes it, and the two outputs must then be byte-identical
 //!   (CI enforces exactly that).
 
+use crate::checkpoint::lines;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
@@ -106,12 +109,9 @@ pub fn merge_files(inputs: &[PathBuf], out: &mut dyn Write) -> Result<MergeSumma
         ..MergeSummary::default()
     };
     for (file_idx, path) in inputs.iter().enumerate() {
-        let text = std::fs::read_to_string(path).map_err(|e| MergeError::Io(path.clone(), e))?;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Some(key) = line_key(line) else {
+        let bytes = std::fs::read(path).map_err(|e| MergeError::Io(path.clone(), e))?;
+        for (_, line) in lines(&bytes) {
+            let Some((line, key)) = line.and_then(|l| Some((l, line_key(l)?))) else {
                 summary.torn += 1;
                 continue;
             };
@@ -119,8 +119,7 @@ pub fn merge_files(inputs: &[PathBuf], out: &mut dyn Write) -> Result<MergeSumma
                 None => {
                     records.insert(key, (line.to_string(), file_idx));
                 }
-                Some((existing, first_idx)) if existing == line => {
-                    let _ = first_idx;
+                Some((existing, _)) if existing == line => {
                     summary.duplicates += 1;
                 }
                 Some((_, first_idx)) => {
