@@ -146,9 +146,16 @@ pub fn merge_to_path(inputs: &[PathBuf], out: &Path) -> Result<MergeSummary, Mer
     let tmp = out.with_extension("jsonl.tmp");
     let mut buf: Vec<u8> = Vec::new();
     let summary = merge_files(inputs, &mut buf)?;
-    std::fs::write(&tmp, &buf).map_err(|e| MergeError::Io(tmp.clone(), e))?;
-    std::fs::rename(&tmp, out).map_err(|e| MergeError::Io(out.to_path_buf(), e))?;
-    Ok(summary)
+    let written = std::fs::write(&tmp, &buf)
+        .map_err(|e| MergeError::Io(tmp.clone(), e))
+        .and_then(|()| {
+            std::fs::rename(&tmp, out).map_err(|e| MergeError::Io(out.to_path_buf(), e))
+        });
+    if written.is_err() {
+        // a failed write or rename must not leave a stray partial merge
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written.map(|()| summary)
 }
 
 #[cfg(test)]
@@ -247,5 +254,22 @@ mod tests {
         let missing = PathBuf::from("/nonexistent/saga_merge_test.jsonl");
         let err = merge_files(std::slice::from_ref(&missing), &mut Vec::new()).unwrap_err();
         assert!(matches!(err, MergeError::Io(p, _) if p == missing));
+    }
+
+    #[test]
+    fn failed_rename_leaves_no_temp_file() {
+        // renaming a file over an existing directory fails after the temp
+        // sibling is written: the error must not leave that sibling behind
+        let input = tmp("rename_in.jsonl", "{\"key\":\"a\",\"v\":1}\n");
+        let out = std::env::temp_dir().join(format!("saga_merge_{}_outdir", std::process::id()));
+        std::fs::create_dir_all(&out).unwrap();
+        let err = merge_to_path(std::slice::from_ref(&input), &out).unwrap_err();
+        assert!(
+            matches!(err, MergeError::Io(ref p, _) if *p == out),
+            "{err}"
+        );
+        assert!(!out.with_extension("jsonl.tmp").exists());
+        let _ = std::fs::remove_dir(&out);
+        let _ = std::fs::remove_file(input);
     }
 }

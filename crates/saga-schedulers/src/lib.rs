@@ -148,7 +148,9 @@ pub(crate) trait KernelRun: Send + Sync {
     /// makespan_incremental`]) before falling back to their decision loop;
     /// the default invalidates the trace and runs from scratch (schedulers
     /// whose structure doesn't fit a single recorded pass, e.g. Duplex's
-    /// best-of-two, stay on this path).
+    /// best-of-two, stay on this path). Stateful decision loops resume
+    /// their state after the replay: WBA advances its RNG one word per
+    /// replayed step and replays only non-structural regions.
     fn run_recorded(
         &self,
         inst: &Instance,

@@ -16,11 +16,22 @@
 //! makespan is a running max over placed finish times (same fold, same
 //! value) instead of an O(|T|) rescan per step — bit-identical decisions
 //! and RNG stream, minus the O(ready × nodes × preds) rescans.
+//!
+//! Incremental evaluation replays the recorded run's unchanged prefix like
+//! MinMin does. The selection weighs options across the whole ready set,
+//! so the replay is frontier-sensitive: it stops once a placement-dirty
+//! task is ready. Each step draws exactly one `next_u64` on every branch
+//! (integer `gen_range` and `gen::<f64>()` are one word each in the
+//! vendored `StdRng`, pinned by its `one_word_per_draw` test), so after `k`
+//! replayed steps the RNG is advanced by `k` words and the loop resumes
+//! with the stream a full run would have. Structural regions run in full:
+//! an added dependency removes its target from frontiers the recorded run
+//! drew against, which the frontier check on the new run cannot see.
 
 use crate::{util, KernelRun};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use saga_core::{Instance, SchedContext};
+use rand::{Rng, RngCore, SeedableRng};
+use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext};
 
 /// The WBA scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -35,6 +46,90 @@ impl Default for Wba {
     }
 }
 
+/// The WBA decision loop from whatever partial state `ctx` is in: `rng`
+/// must sit exactly one draw past its seed per placed task, and `current`
+/// must be the running max over the placed finishes (both hold trivially
+/// on an empty context). Append-only, so every candidate `(start, finish)`
+/// comes from the [`util::FrontierSweep`] cache.
+fn wba_loop(ctx: &mut SchedContext, rng: &mut StdRng, mut current: f64) {
+    let n = ctx.task_count();
+    let nv = ctx.node_count();
+    let fused = util::fused_rows_profitable(nv);
+    let mut srow = [0.0f64; util::STACK_NODES];
+    let mut frow = [0.0f64; util::STACK_NODES];
+    let mut sweep = util::FrontierSweep::new(ctx);
+    // Per-step options, in pooled parallel buffers. Option `i` is
+    // (ready task `i / nv`, node `i % nv`) — the ready set is stable
+    // while a step's options are built and consumed, so the identity is
+    // recovered from the index instead of storing tuples (which would
+    // need their own, unpooled allocation).
+    let mut starts = ctx.take_f64();
+    let mut increases = ctx.take_f64();
+    while ctx.placed_count() < n {
+        starts.clear();
+        increases.clear();
+        let mut i_min = f64::INFINITY;
+        let mut i_max = f64::NEG_INFINITY;
+        for &t in ctx.ready() {
+            if fused {
+                // one branchless compose per task; the option loop reads
+                // the finished rows (same bits, same option order, so
+                // the sampling RNG stream is unchanged)
+                sweep.fused_rows(ctx, t, &mut srow[..nv], &mut frow[..nv]);
+            }
+            for v in 0..nv {
+                let (s, f) = if fused {
+                    (srow[v], frow[v])
+                } else {
+                    let s = ctx.append_tails()[v].max(sweep.row(nv, t)[v]);
+                    (s, s + ctx.exec_row(t)[v])
+                };
+                let increase = (f - current).max(0.0);
+                i_min = i_min.min(increase);
+                i_max = i_max.max(increase);
+                starts.push(s);
+                increases.push(increase);
+            }
+        }
+        // exactly one `next_u64` per step on every branch (see the module
+        // docs): the replay in `run_recorded` relies on it
+        let chosen = if !i_min.is_finite() || !i_max.is_finite() || i_max == i_min {
+            // uniformly random among options (covers infinite increases
+            // on zero-speed networks and the all-equal case)
+            rng.gen_range(0..increases.len())
+        } else {
+            // weight by (I_max - I): zero for the worst, largest for the
+            // best; sample proportionally
+            let total: f64 = increases
+                .iter()
+                .map(|&i| if i.is_finite() { i_max - i } else { 0.0 })
+                .sum();
+            if total <= 0.0 {
+                rng.gen_range(0..increases.len())
+            } else {
+                let mut x = rng.gen::<f64>() * total;
+                let mut pick = increases.len() - 1;
+                for (idx, &i) in increases.iter().enumerate() {
+                    let w = if i.is_finite() { i_max - i } else { 0.0 };
+                    if x < w {
+                        pick = idx;
+                        break;
+                    }
+                    x -= w;
+                }
+                pick
+            }
+        };
+        let t = ctx.ready()[chosen / nv];
+        ctx.place(t, saga_core::NodeId((chosen % nv) as u32), starts[chosen]);
+        sweep.note_placed(ctx, t);
+        current = current.max(ctx.finish_time(t));
+    }
+    ctx.give_f64(starts);
+    ctx.give_f64(increases);
+    sweep.release(ctx);
+}
+
 impl KernelRun for Wba {
     fn kernel_name(&self) -> &'static str {
         "WBA"
@@ -43,82 +138,35 @@ impl KernelRun for Wba {
     fn run(&self, inst: &Instance, ctx: &mut SchedContext) {
         ctx.reset(inst);
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let n = ctx.task_count();
-        let nv = ctx.node_count();
-        let fused = util::fused_rows_profitable(nv);
-        let mut srow = [0.0f64; util::STACK_NODES];
-        let mut frow = [0.0f64; util::STACK_NODES];
-        let mut sweep = util::FrontierSweep::new(ctx);
-        // running max over placed finishes == ctx.current_makespan()
+        wba_loop(ctx, &mut rng, 0.0);
+    }
+
+    fn run_recorded(
+        &self,
+        inst: &Instance,
+        ctx: &mut SchedContext,
+        trace: &mut RunTrace,
+        dirty: &DirtyRegion,
+    ) {
+        ctx.reset(inst);
+        ctx.begin_recording();
+        let mut rng = StdRng::seed_from_u64(self.seed);
         let mut current = 0.0f64;
-        // Per-step options, in pooled parallel buffers. Option `i` is
-        // (ready task `i / nv`, node `i % nv`) — the ready set is stable
-        // while a step's options are built and consumed, so the identity is
-        // recovered from the index instead of storing tuples (which would
-        // need their own, unpooled allocation).
-        let mut starts = ctx.take_f64();
-        let mut increases = ctx.take_f64();
-        while ctx.placed_count() < n {
-            starts.clear();
-            increases.clear();
-            let mut i_min = f64::INFINITY;
-            let mut i_max = f64::NEG_INFINITY;
-            for &t in ctx.ready() {
-                if fused {
-                    // one branchless compose per task; the option loop reads
-                    // the finished rows (same bits, same option order, so
-                    // the sampling RNG stream is unchanged)
-                    sweep.fused_rows(ctx, t, &mut srow[..nv], &mut frow[..nv]);
-                }
-                for v in 0..nv {
-                    let (s, f) = if fused {
-                        (srow[v], frow[v])
-                    } else {
-                        let s = ctx.append_tails()[v].max(sweep.row(nv, t)[v]);
-                        (s, s + ctx.exec_row(t)[v])
-                    };
-                    let increase = (f - current).max(0.0);
-                    i_min = i_min.min(increase);
-                    i_max = i_max.max(increase);
-                    starts.push(s);
-                    increases.push(increase);
-                }
+        // A structural edit changes which tasks were ready at each recorded
+        // step, and with it the option list and total weight every draw
+        // was made against; the frontier check only sees the *new*
+        // frontier, so such regions run in full.
+        if !dirty.is_structural() {
+            util::replay_frontier_prefix(ctx, trace, dirty, true, |_, _| false);
+            // the replayed steps are the recorded run's first steps: one
+            // draw each, and the same running-max fold over their finishes
+            for k in 0..ctx.placed_count() {
+                rng.next_u64();
+                current = current.max(ctx.finish_time(trace.task(k)));
             }
-            let chosen = if !i_min.is_finite() || !i_max.is_finite() || i_max == i_min {
-                // uniformly random among options (covers infinite increases
-                // on zero-speed networks and the all-equal case)
-                rng.gen_range(0..increases.len())
-            } else {
-                // weight by (I_max - I): zero for the worst, largest for the
-                // best; sample proportionally
-                let total: f64 = increases
-                    .iter()
-                    .map(|&i| if i.is_finite() { i_max - i } else { 0.0 })
-                    .sum();
-                if total <= 0.0 {
-                    rng.gen_range(0..increases.len())
-                } else {
-                    let mut x = rng.gen::<f64>() * total;
-                    let mut pick = increases.len() - 1;
-                    for (idx, &i) in increases.iter().enumerate() {
-                        let w = if i.is_finite() { i_max - i } else { 0.0 };
-                        if x < w {
-                            pick = idx;
-                            break;
-                        }
-                        x -= w;
-                    }
-                    pick
-                }
-            };
-            let t = ctx.ready()[chosen / nv];
-            ctx.place(t, saga_core::NodeId((chosen % nv) as u32), starts[chosen]);
-            sweep.note_placed(ctx, t);
-            current = current.max(ctx.finish_time(t));
         }
-        ctx.give_f64(starts);
-        ctx.give_f64(increases);
-        sweep.release(ctx);
+        wba_loop(ctx, &mut rng, current);
+        ctx.take_recording(trace);
     }
 }
 

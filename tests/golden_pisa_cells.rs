@@ -120,6 +120,21 @@ fn battery_cells() -> Vec<SearchCell> {
             ablation_config(seed(&mut idx)),
         ));
     }
+    // Section VII cells with WBA on either side of the ratio, appended so
+    // every earlier cell keeps its seed index (recorded while WBA still
+    // re-ran every evaluation from scratch)
+    for (workflow, ccr, tname, bname) in [
+        ("blast", 0.5, "WBA", "HEFT"),
+        ("seismology", 1.0, "MinMin", "WBA"),
+    ] {
+        cells.push(SearchCell::app(
+            workflow,
+            ccr,
+            tname,
+            bname,
+            short_config(seed(&mut idx)),
+        ));
+    }
     cells
 }
 

@@ -15,6 +15,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga::core::{DirtyRegion, Instance, RunTrace, SchedContext};
+use saga::datasets::workflows::WORKFLOW_NAMES;
+use saga::pisa::app_specific::AppSpecific;
 use saga::pisa::perturb::{initial_instance, GeneralPerturber, Perturber};
 use saga::schedulers::Scheduler;
 
@@ -44,56 +46,103 @@ fn check_all(
     ctx.unpin_tables();
 }
 
+/// Drives `iters` rounds of the annealer protocol on `inst` — perturb →
+/// evaluate, and on a coin flip revert → evaluate with the revert's own
+/// region (the annealer's `pending`) — checking every scheduler each time.
+fn roundtrip(
+    scheds: &[Box<dyn Scheduler>],
+    perturber: &GeneralPerturber,
+    mut inst: Instance,
+    rng: &mut StdRng,
+    iters: usize,
+    label: &str,
+) {
+    let mut ctx = SchedContext::new();
+    let mut fresh = SchedContext::new();
+    let mut traces: Vec<RunTrace> = scheds.iter().map(|_| RunTrace::new()).collect();
+    // seed the traces exactly like a restart's first evaluation
+    check_all(
+        scheds,
+        &inst,
+        &mut ctx,
+        &mut traces,
+        &DirtyRegion::full(),
+        &mut fresh,
+        &format!("{label} initial"),
+    );
+    for iter in 0..iters {
+        let undo = perturber
+            .perturb_undoable(&mut inst, rng)
+            .expect("general perturber always supports undo");
+        let dirty = undo.dirty_region();
+        check_all(
+            scheds,
+            &inst,
+            &mut ctx,
+            &mut traces,
+            &dirty,
+            &mut fresh,
+            &format!("{label} iter {iter} perturb"),
+        );
+        if rng.gen_bool(0.5) {
+            undo.revert(&mut inst);
+            check_all(
+                scheds,
+                &inst,
+                &mut ctx,
+                &mut traces,
+                &undo.revert_dirty_region(),
+                &mut fresh,
+                &format!("{label} iter {iter} revert"),
+            );
+        }
+    }
+}
+
 #[test]
 fn perturb_evaluate_undo_roundtrips_bit_identically() {
     let scheds = saga::schedulers::benchmark_schedulers();
     let perturber = GeneralPerturber::default();
     for seed in [1u64, 7, 42] {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut inst = initial_instance(&mut rng);
-        let mut ctx = SchedContext::new();
-        let mut fresh = SchedContext::new();
-        let mut traces: Vec<RunTrace> = scheds.iter().map(|_| RunTrace::new()).collect();
-        // seed the traces exactly like a restart's first evaluation
-        check_all(
+        let inst = initial_instance(&mut rng);
+        roundtrip(
             &scheds,
-            &inst,
-            &mut ctx,
-            &mut traces,
-            &DirtyRegion::full(),
-            &mut fresh,
-            "initial",
+            &perturber,
+            inst,
+            &mut rng,
+            150,
+            &format!("seed {seed}"),
         );
-        for iter in 0..150 {
-            let undo = perturber
-                .perturb_undoable(&mut inst, &mut rng)
-                .expect("general perturber always supports undo");
-            let dirty = undo.dirty_region();
-            check_all(
+    }
+}
+
+#[test]
+fn section_vii_instances_roundtrip_bit_identically() {
+    // the Section VII grid: rigid workflow graphs of up to ~45 tasks on
+    // 4-10-node networks under the weight-only perturber — deep replay
+    // prefixes, and networks on both sides of the fused-row cutoff
+    let scheds = saga::schedulers::benchmark_schedulers();
+    let mut node_counts = Vec::new();
+    for (w, workflow) in WORKFLOW_NAMES.iter().enumerate() {
+        for (c, ccr) in [0.2, 1.0, 5.0].into_iter().enumerate() {
+            let app = AppSpecific::new(workflow, ccr).expect("known workflow");
+            let mut rng = StdRng::seed_from_u64((w * 3 + c) as u64);
+            let inst = app.initial_instance(&mut rng);
+            node_counts.push(inst.network.node_count());
+            roundtrip(
                 &scheds,
-                &inst,
-                &mut ctx,
-                &mut traces,
-                &dirty,
-                &mut fresh,
-                &format!("seed {seed} iter {iter} perturb"),
+                &app.perturber(),
+                inst,
+                &mut rng,
+                30,
+                &format!("{workflow}@{ccr}"),
             );
-            if rng.gen_bool(0.5) {
-                // rejection path: revert, and the next evaluation's dirty
-                // region is the revert's own (the annealer's `pending`)
-                undo.revert(&mut inst);
-                check_all(
-                    &scheds,
-                    &inst,
-                    &mut ctx,
-                    &mut traces,
-                    &undo.revert_dirty_region(),
-                    &mut fresh,
-                    &format!("seed {seed} iter {iter} revert"),
-                );
-            }
         }
     }
+    // the fused-row band starts at 8 nodes
+    assert!(node_counts.iter().any(|&n| n < 8), "{node_counts:?}");
+    assert!(node_counts.iter().any(|&n| n >= 8), "{node_counts:?}");
 }
 
 #[test]
