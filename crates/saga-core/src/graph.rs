@@ -7,10 +7,9 @@
 //! allocation-free.
 
 use crate::{GraphError, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// A weighted dependency edge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DepEdge {
     /// The other endpoint (successor in `succs`, predecessor in `preds`).
     pub task: TaskId,
@@ -19,7 +18,7 @@ pub struct DepEdge {
 }
 
 /// A directed acyclic task graph with weighted tasks and dependencies.
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default)]
 pub struct TaskGraph {
     names: Vec<String>,
     costs: Vec<f64>,

@@ -1,10 +1,13 @@
 //! A problem instance `(N, G)`: a network paired with a task graph.
 
 use crate::{Network, TaskGraph};
-use serde::{Deserialize, Serialize};
 
 /// A scheduling problem instance: the pair `(N, G)` of Section II.
-#[derive(Debug, Serialize, Deserialize)]
+///
+/// Its one JSON form is a value tree (`speeds`, `links`, `tasks`, `deps`,
+/// infinite links as `null`) that `Serialize`/`Deserialize` build and read,
+/// so records embedding an instance are parsed once.
+#[derive(Debug)]
 pub struct Instance {
     /// The compute network `N`.
     pub network: Network,
@@ -48,29 +51,28 @@ impl Instance {
         }
     }
 
-    /// Serializes the instance to JSON, mapping non-finite link strengths to
-    /// `null` explicitly so the output round-trips (bare `serde_json` turns
-    /// `inf` into `null` but cannot read it back into an `f64`).
+    /// The instance's JSON value form, pretty-printed.
     pub fn to_json(&self) -> String {
-        let dto = dto::InstanceDto::from(self);
-        // saga-lint: allow(error-discipline) — InstanceDto is vectors and tuples of primitives; the vendored serializer has no failure path for it
-        serde_json::to_string_pretty(&dto).expect("instance serialization cannot fail")
+        // saga-lint: allow(error-discipline) — the value tree is vectors and tuples of primitives; the vendored serializer has no failure path for it
+        serde_json::to_string_pretty(self).expect("instance serialization cannot fail")
     }
 
     /// Parses an instance previously produced by [`Instance::to_json`].
     /// Fails on malformed JSON *and* on well-formed JSON that encodes an
-    /// invalid instance (a dependency cycle, an out-of-range task id) — a
+    /// invalid instance (a dependency cycle, an out-of-range task id, a
+    /// negative weight, a ragged or asymmetric link matrix) — a
     /// hand-edited witness file is a parse error, not a panic.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        let dto: dto::InstanceDto = serde_json::from_str(s)?;
-        dto.try_into()
+        serde_json::from_str(s)
     }
 }
 
 mod dto {
-    //! JSON-safe mirror of [`Instance`]: infinities become `None`.
+    //! The JSON value form of [`Instance`]: [`InstanceDto`]'s fields, with
+    //! infinite link strengths as `None`.
+    use super::Instance;
     use crate::{Network, TaskGraph};
-    use serde::{Deserialize, Serialize};
+    use serde::{Deserialize, Serialize, Value};
 
     fn enc(x: f64) -> Option<f64> {
         x.is_finite().then_some(x)
@@ -81,67 +83,67 @@ mod dto {
     }
 
     #[derive(Serialize, Deserialize)]
-    pub(super) struct InstanceDto {
+    struct InstanceDto {
         speeds: Vec<f64>,
         links: Vec<Option<f64>>,
         tasks: Vec<(String, f64)>,
         deps: Vec<(u32, u32, f64)>,
     }
 
-    impl From<&super::Instance> for InstanceDto {
-        fn from(inst: &super::Instance) -> Self {
-            let n = inst.network.node_count();
-            let mut links = Vec::with_capacity(n * n);
-            for u in inst.network.nodes() {
-                for v in inst.network.nodes() {
-                    links.push(enc(inst.network.link(u, v)));
-                }
-            }
+    impl Serialize for Instance {
+        fn to_value(&self) -> Value {
+            let g = &self.graph;
             // Canonical dep order: adjacency lists reflect mutation history
             // (perturbation add/remove churn), and the parse side re-inserts
             // in sorted order anyway. Sorting here makes serialization a
             // stable function of the instance's *value*, so an instance and
             // its JSON round-trip print identically (checkpoint replay and
             // resumed runs must emit byte-identical witness files).
-            let mut deps: Vec<(u32, u32, f64)> = inst
-                .graph
-                .dependencies()
-                .map(|(a, b, c)| (a.0, b.0, c))
-                .collect();
+            let mut deps: Vec<(u32, u32, f64)> =
+                g.dependencies().map(|(a, b, c)| (a.0, b.0, c)).collect();
             deps.sort_unstable_by_key(|&(a, b, _)| (a, b));
             InstanceDto {
-                speeds: inst.network.speeds().to_vec(),
-                links,
-                tasks: inst
-                    .graph
+                speeds: self.network.speeds().to_vec(),
+                links: self.network.links().iter().map(|&x| enc(x)).collect(),
+                tasks: g
                     .tasks()
-                    .map(|t| (inst.graph.name(t).to_string(), inst.graph.cost(t)))
+                    .map(|t| (g.name(t).to_string(), g.cost(t)))
                     .collect(),
                 deps,
             }
+            .to_value()
         }
     }
 
-    impl TryFrom<InstanceDto> for super::Instance {
-        type Error = serde_json::Error;
-
-        fn try_from(dto: InstanceDto) -> Result<Self, Self::Error> {
-            let network =
-                Network::from_matrix(dto.speeds, dto.links.into_iter().map(dec).collect());
+    impl Deserialize for Instance {
+        fn from_value(v: &Value) -> Result<Self, serde::Error> {
+            let dto = InstanceDto::from_value(v)?;
+            let n = dto.speeds.len();
+            let links: Vec<f64> = dto.links.into_iter().map(dec).collect();
+            // JSON has no NaN, so `< 0.0` is the only invalid weight left
+            if links.len() != n * n
+                || dto.speeds.iter().chain(&links).any(|&x| x < 0.0)
+                || (0..n).any(|i| (0..i).any(|j| links[i * n + j] != links[j * n + i]))
+            {
+                return Err(serde::Error::custom(format!(
+                    "network of {n} node(s) needs n*n symmetric non-negative links"
+                )));
+            }
             let mut graph = TaskGraph::with_capacity(dto.tasks.len());
             for (name, cost) in dto.tasks {
-                graph.add_task(name, cost);
+                graph
+                    .try_add_task(name, cost)
+                    .map_err(serde::Error::custom)?;
             }
             let mut deps = dto.deps;
             deps.sort_unstable_by_key(|&(a, b, _)| (a, b));
             for (a, b, c) in deps {
-                graph.add_dependency(a.into(), b.into(), c).map_err(|e| {
-                    serde_json::Error::from(serde::Error::custom(format!(
-                        "dependency {a} -> {b}: {e}"
-                    )))
-                })?;
+                graph
+                    .add_dependency(a.into(), b.into(), c)
+                    .map_err(serde::Error::custom)?;
             }
-            Ok(super::Instance { network, graph })
+            let network = Network::from_matrix(dto.speeds, links);
+            Ok(Instance { network, graph })
         }
     }
 }

@@ -10,14 +10,13 @@
 //! filesystems (the paper's Chameleon-derived networks).
 
 use crate::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// A complete weighted network of compute nodes.
 ///
 /// Link strengths are stored as a dense row-major `n x n` symmetric matrix;
 /// zero speeds/strengths are legal and yield infinite times (the paper clips
 /// perturbed weights at 0, which is how its `>1000` ratios arise).
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct Network {
     speeds: Vec<f64>,
     links: Vec<f64>,

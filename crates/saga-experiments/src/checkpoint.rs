@@ -7,7 +7,9 @@
 //! [`SearchCell`](saga_pisa::SearchCell), [`RowCheckpoint`] a fig2
 //! makespan row. Both store floats as `f64::to_bits` hex: replay must be
 //! bit-identical, and JSON float printing would neither round-trip the
-//! last ulp nor encode the unbounded cells' infinities.
+//! last ulp nor encode the unbounded cells' infinities. A cell's witness
+//! instance is embedded in the [`Instance`] JSON value form, so each line
+//! is parsed once: the record and its instance decode from one value tree.
 //!
 //! Torn lines — a crash mid-append, a byte that is not UTF-8 — are
 //! counted and skipped, so a damaged checkpoint only costs re-running the
@@ -73,7 +75,7 @@ struct CellRecord {
     initial_bits: String,
     evaluations: usize,
     ratio: Option<f64>,
-    instance: serde_json::Value,
+    instance: Instance,
 }
 
 impl Record for PisaResult {
@@ -86,7 +88,7 @@ impl Record for PisaResult {
             initial_bits: hex_bits(res.initial_ratio),
             evaluations: res.evaluations,
             ratio: res.ratio.is_finite().then_some(res.ratio),
-            instance: serde_json::from_str(&res.instance.to_json()).map_err(invalid_data)?,
+            instance: res.instance.clone(),
         };
         serde_json::to_string(&record).map_err(invalid_data)
     }
@@ -94,7 +96,7 @@ impl Record for PisaResult {
     fn decode(line: &str) -> Option<(String, PisaResult)> {
         let r: CellRecord = serde_json::from_str(line).ok()?;
         let res = PisaResult {
-            instance: Instance::from_json(&r.instance.to_string()).ok()?,
+            instance: r.instance,
             ratio: from_hex_bits(&r.ratio_bits)?,
             initial_ratio: from_hex_bits(&r.initial_bits)?,
             evaluations: r.evaluations,

@@ -5,7 +5,9 @@
 //!
 //! Witnesses serialize to JSON-lines; a new scheduler can be scored against
 //! every stored witness without re-running the (comparatively expensive)
-//! annealing search.
+//! annealing search. Each line is parsed once: a record keeps its witness
+//! as the [`Instance`] JSON value tree, and [`WitnessRecord::instance`]
+//! decodes that tree directly.
 
 use crate::makespan_ratio;
 use saga_core::Instance;
@@ -21,7 +23,7 @@ pub struct WitnessRecord {
     pub baseline: String,
     /// Recorded makespan ratio; `None` encodes an unbounded (`> 1000`) cell.
     pub ratio: Option<f64>,
-    /// The instance, in [`Instance::to_json`] form (JSON-safe infinities).
+    /// The instance, in its JSON value form (JSON-safe infinities).
     pub instance: serde_json::Value,
 }
 
@@ -32,15 +34,14 @@ impl WitnessRecord {
             target: target.to_string(),
             baseline: baseline.to_string(),
             ratio: ratio.is_finite().then_some(ratio),
-            // saga-lint: allow(error-discipline) — parsing the JSON that Instance::to_json just produced; the round-trip is covered by the goldens
-            instance: serde_json::from_str(&inst.to_json()).expect("instance JSON is valid"),
+            instance: inst.to_value(),
         }
     }
 
     /// Decodes the stored instance. Fails on a hand-edited or corrupted
     /// record — library files come from disk, so the parse is fallible.
     pub fn instance(&self) -> Result<Instance, serde_json::Error> {
-        Instance::from_json(&self.instance.to_string())
+        serde_json::from_value(&self.instance)
     }
 
     /// The recorded ratio as an `f64` (`inf` for unbounded).
@@ -78,13 +79,10 @@ impl WitnessLibrary {
 
     /// Serializes to JSON lines.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            // saga-lint: allow(error-discipline) — WitnessRecord has no map keys or fallible Serialize impls; the vendored serializer cannot fail on it
-            out.push_str(&serde_json::to_string(r).expect("record serializes"));
-            out.push('\n');
-        }
-        out
+        self.records
+            .iter()
+            .map(|r| format!("{}\n", r.to_value()))
+            .collect()
     }
 
     /// Parses JSON lines (blank lines ignored).
