@@ -108,17 +108,47 @@ fn fold_arrivals(out: &mut [f64], row: &[f64], f: f64, cost: f64) {
     fold_arrivals_elementwise(out, row, f, cost);
 }
 
-/// Whether the fused EFT row kernels are enabled (the default). Set
-/// `SAGA_NO_EFT_ROW` (to anything but `0`) to force every scheduler down
-/// the scalar per-node query path, mirroring `SAGA_NO_INCREMENTAL`; read
-/// once per process. Both paths are bit-identical —
-/// the golden suites run once with the toggle set and diff.
-pub fn eft_rows_enabled() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| match std::env::var_os("SAGA_NO_EFT_ROW") {
-        None => true,
-        Some(v) => v == "0",
-    })
+/// Which evaluation paths a [`SchedContext`] runs: each `false` field
+/// selects the reference path its fast path must match bit for bit. No
+/// production caller changes the all-fast default; the fields let one test
+/// process run the golden fixtures on every path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EvalPaths {
+    /// Incremental delta-evaluation (selective table refresh + prefix
+    /// replay). Only the annealer's objectives (`Pisa::ratio_incremental`
+    /// and `Objective::ratio_incremental` in saga-pisa) read it: `false`
+    /// makes them widen every dirty region to [`DirtyRegion::full`]
+    /// ([`Self::widen`]), so each of their evaluations runs from scratch.
+    /// A direct `Scheduler::makespan_incremental` or
+    /// `schedule_incremental_into` call still replays the region it is
+    /// given.
+    pub incremental: bool,
+    /// The fused EFT row kernels in the schedulers' node selection; `false`
+    /// forces the scalar per-node queries everywhere.
+    pub fused_rows: bool,
+}
+
+impl Default for EvalPaths {
+    fn default() -> Self {
+        EvalPaths {
+            incremental: true,
+            fused_rows: true,
+        }
+    }
+}
+
+impl EvalPaths {
+    /// The dirty region an evaluation may use: `dirty` itself on the
+    /// incremental path, [`DirtyRegion::full`] on the full-rebuild
+    /// reference path.
+    #[inline]
+    pub fn widen(self, dirty: &DirtyRegion) -> DirtyRegion {
+        if self.incremental {
+            *dirty
+        } else {
+            DirtyRegion::full()
+        }
+    }
 }
 
 /// The append-start/finish compose over one task's rows:
@@ -365,12 +395,30 @@ pub struct SchedContext {
     /// immediately runs the first scheduler; this makes that first reset
     /// free.
     run_clean: bool,
+    // ---- configuration (kept by `reset`) ----
+    /// Which evaluation paths this context runs.
+    paths: EvalPaths,
 }
 
 impl SchedContext {
     /// An empty context; owns no buffers until the first [`reset`](Self::reset).
     pub fn new() -> Self {
         SchedContext::default()
+    }
+
+    /// An empty context that runs `paths` instead of the default fast
+    /// paths. [`reset`](Self::reset) and pool reuse keep the choice.
+    pub fn with_paths(paths: EvalPaths) -> Self {
+        SchedContext {
+            paths,
+            ..SchedContext::default()
+        }
+    }
+
+    /// The evaluation paths this context runs.
+    #[inline]
+    pub fn paths(&self) -> EvalPaths {
+        self.paths
     }
 
     /// Rebuilds every cached table and clears the run state for `inst`,

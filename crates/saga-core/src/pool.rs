@@ -156,6 +156,23 @@ mod tests {
     }
 
     #[test]
+    fn paths_survive_reset_and_pool_reuse() {
+        use crate::{DirtyRegion, EvalPaths};
+        let reference = EvalPaths {
+            incremental: false,
+            fused_rows: false,
+        };
+        let mut ctx = SchedContext::with_paths(reference);
+        ctx.with_pinned(&tiny_instance(), |ctx| ctx.reset(&tiny_instance()));
+        ctx.reset(&tiny_instance());
+        let pool = ContextPool::new();
+        *pool.take() = ctx; // returned to the pool on drop
+        assert_eq!(pool.take().paths(), reference);
+        assert!(reference.widen(&DirtyRegion::clean()).is_full());
+        assert!(EvalPaths::default().widen(&DirtyRegion::clean()).is_clean());
+    }
+
+    #[test]
     fn dropped_guard_never_returns_a_pinned_context() {
         let pool = ContextPool::new();
         let inst = tiny_instance();

@@ -2,14 +2,11 @@
 //! scheduler on every instance of a dataset and report makespan ratios
 //! against the best baseline on each instance.
 //!
-//! Two drivers share the statistics code: [`benchmark_dataset`] walks the
-//! grid sequentially (the pre-engine reference path, kept for perf
-//! comparison and as the semantic baseline), and
-//! [`benchmark_dataset_engine`] shards the same cells across the
+//! [`benchmark_dataset_engine`] shards the grid across the
 //! [`BatchEngine`](crate::engine::BatchEngine) with generation fused into
-//! each cell — instance `k` always comes from the stream
-//! `derive_seed(seed, k)`, so both drivers sample identical instances and
-//! produce bit-identical `RatioStats` at any thread count.
+//! each cell. Instance `k` always comes from the stream
+//! `derive_seed(seed, k)` ([`dataset_instances`] draws the same ones up
+//! front), so the `RatioStats` are bit-identical at any thread count.
 
 use crate::engine::{BatchEngine, Progress};
 use rand::rngs::StdRng;
@@ -32,14 +29,9 @@ pub struct RatioStats {
     pub unbounded: usize,
 }
 
-/// Per-instance makespan ratios for a set of schedulers: each scheduler's
-/// makespan divided by the minimum makespan any scheduler achieved on that
-/// instance (the paper's benchmarking objective).
-pub fn instance_ratios(schedulers: &[Box<dyn Scheduler>], inst: &Instance) -> Vec<f64> {
-    ratios_of(&crate::makespans(schedulers, inst))
-}
-
-/// Converts one instance's makespan row into ratios against the row's best.
+/// Converts one instance's makespan row into ratios against the row's best:
+/// each scheduler's makespan divided by the minimum makespan any scheduler
+/// achieved on that instance (the paper's benchmarking objective).
 pub fn ratios_of(makespans: &[f64]) -> Vec<f64> {
     let best = makespans.iter().copied().fold(f64::INFINITY, f64::min);
     makespans
@@ -48,9 +40,9 @@ pub fn ratios_of(makespans: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Draws the same `count` instances [`benchmark_dataset`] would: instance
-/// `k` comes from its own stream `derive_seed(seed, k)`, so the sequential
-/// reference path and the engine's sharded generation sample identical
+/// Draws the same `count` instances [`benchmark_dataset_engine`] does:
+/// instance `k` comes from its own stream `derive_seed(seed, k)`, so up-front
+/// generation and the engine's sharded generation sample identical
 /// instances regardless of who generates them (and in what order).
 pub fn dataset_instances(gen: &DatasetGenerator, count: usize, seed: u64) -> Vec<Instance> {
     (0..count)
@@ -61,12 +53,12 @@ pub fn dataset_instances(gen: &DatasetGenerator, count: usize, seed: u64) -> Vec
         .collect()
 }
 
-/// [`benchmark_dataset`] on the batch engine: generation *and* evaluation
-/// fuse into per-instance rows
+/// Benchmarks `schedulers` on `count` fresh instances of `gen`, returning
+/// one [`RatioStats`] per scheduler (in scheduler order). Generation *and*
+/// evaluation fuse into per-instance rows
 /// ([`BatchEngine::dataset_makespans_sharded`], whole grid, no checkpoint)
-/// that shard across workers with pinned cost tables, then reduce to the
-/// same [`RatioStats`]. Output is bit-identical to [`benchmark_dataset`]
-/// and independent of `RAYON_NUM_THREADS`.
+/// that shard across workers with pinned cost tables. Output is
+/// independent of `RAYON_NUM_THREADS`.
 pub fn benchmark_dataset_engine(
     engine: &BatchEngine,
     schedulers: &[Box<dyn Scheduler>],
@@ -93,27 +85,6 @@ pub fn benchmark_dataset_engine(
     let mut per_sched: Vec<Vec<f64>> = vec![Vec::with_capacity(count); schedulers.len()];
     for row in rows.iter().flatten() {
         for (k, r) in ratios_of(row).into_iter().enumerate() {
-            per_sched[k].push(r);
-        }
-    }
-    per_sched.into_iter().map(|rs| summarize(&rs)).collect()
-}
-
-/// Benchmarks `schedulers` on `count` fresh instances of `gen`, returning
-/// one [`RatioStats`] per scheduler (in scheduler order). The fully
-/// sequential reference path: same per-instance seed derivation as the
-/// engine driver, one instance and one evaluation at a time.
-pub fn benchmark_dataset(
-    schedulers: &[Box<dyn Scheduler>],
-    gen: &DatasetGenerator,
-    count: usize,
-    seed: u64,
-) -> Vec<RatioStats> {
-    let mut per_sched: Vec<Vec<f64>> = vec![Vec::with_capacity(count); schedulers.len()];
-    for k in 0..count {
-        let mut rng = StdRng::seed_from_u64(crate::engine::derive_seed(seed, k as u64));
-        let inst = gen.sample(&mut rng);
-        for (k, r) in instance_ratios(schedulers, &inst).into_iter().enumerate() {
             per_sched[k].push(r);
         }
     }
@@ -153,7 +124,7 @@ mod tests {
         let scheds = benchmark_schedulers();
         for _ in 0..5 {
             let inst = gen.sample(&mut rng);
-            let rs = instance_ratios(&scheds, &inst);
+            let rs = ratios_of(&crate::makespans(&scheds, &inst));
             assert!(rs.iter().all(|&r| r >= 1.0 - 1e-9));
             assert!(rs.iter().any(|&r| (r - 1.0).abs() < 1e-9));
         }
@@ -166,22 +137,6 @@ mod tests {
         assert_eq!(s.unbounded, 1);
         assert_eq!(s.median, 3.0); // index 2 of sorted [1,2,3,inf]
         assert!((s.mean_finite - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn engine_driver_matches_sequential_driver_bit_for_bit() {
-        let gen = saga_datasets::by_name("out_trees").unwrap();
-        let scheds = benchmark_schedulers();
-        let engine = crate::engine::BatchEngine::new();
-        let seq = benchmark_dataset(&scheds, &gen, 4, 99);
-        let par = benchmark_dataset_engine(&engine, &scheds, &gen, 4, 99, None);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(a.max.to_bits(), b.max.to_bits());
-            assert_eq!(a.median.to_bits(), b.median.to_bits());
-            assert_eq!(a.mean_finite.to_bits(), b.mean_finite.to_bits());
-            assert_eq!(a.unbounded, b.unbounded);
-        }
     }
 
     #[test]
@@ -209,7 +164,8 @@ mod tests {
     fn benchmark_dataset_runs_end_to_end() {
         let gen = saga_datasets::by_name("in_trees").unwrap();
         let scheds = benchmark_schedulers();
-        let stats = benchmark_dataset(&scheds, &gen, 3, 11);
+        let engine = crate::engine::BatchEngine::new();
+        let stats = benchmark_dataset_engine(&engine, &scheds, &gen, 3, 11, None);
         assert_eq!(stats.len(), scheds.len());
         for s in stats {
             assert!(s.max >= 1.0 - 1e-9);

@@ -20,7 +20,8 @@ pub struct HotPath {
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Crates/files whose outputs are result-producing: determinism rules
-    /// (`nondet-collection`, `nondet-time`, `nondet-rng`) apply here.
+    /// (`nondet-collection`, `nondet-time`, `nondet-rng`, `nondet-env`)
+    /// apply here.
     pub result_producing: Vec<&'static str>,
     /// The hot-path allocation deny list (`hot-alloc`).
     pub hot_paths: Vec<HotPath>,
@@ -133,6 +134,7 @@ pub const RULES: &[&str] = &[
     "nondet-collection",
     "nondet-time",
     "nondet-rng",
+    "nondet-env",
     "hot-alloc",
     "error-discipline",
     "env-registry",

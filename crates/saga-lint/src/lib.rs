@@ -5,11 +5,13 @@
 //! ones `rustc`/`clippy` cannot see because they are *project* contracts,
 //! not language contracts:
 //!
-//! 1. **determinism** (`nondet-collection`, `nondet-time`, `nondet-rng`) —
-//!    result-producing crates stay bit-identical for any
+//! 1. **determinism** (`nondet-collection`, `nondet-time`, `nondet-rng`,
+//!    `nondet-env`) — result-producing crates stay bit-identical for any
 //!    `RAYON_NUM_THREADS`, so they must not consult hash-order collections,
-//!    wall clocks, or RNG streams that aren't plumbed from configured
-//!    seeds;
+//!    wall clocks, RNG streams that aren't plumbed from configured seeds,
+//!    or environment variables (a latched env toggle picks a code path per
+//!    process, out of reach of the configuration and of same-process
+//!    tests);
 //! 2. **hot-path allocation** (`hot-alloc`) — the scheduling kernel, the
 //!    incremental path, scheduler `run` entry points and the annealer inner
 //!    loop stay allocation-free after warm-up;

@@ -8,7 +8,7 @@
 /// One declared toggle.
 #[derive(Debug, Clone)]
 pub struct RegistryEntry {
-    /// The variable name, e.g. `SAGA_NO_INCREMENTAL`.
+    /// The variable name, e.g. `RAYON_NUM_THREADS`.
     pub name: String,
     /// 1-based line of its table row in the registry document.
     pub line: u32,

@@ -3,10 +3,10 @@
 //!
 //! Four families, matching ARCHITECTURE.md's "Machine-checked invariants":
 //!
-//! * **`nondet-collection` / `nondet-time` / `nondet-rng`** — determinism:
-//!   result-producing code must not consult hash-order collections, wall
-//!   clocks, or RNGs whose seed is not plumbed from a config/`derive_seed`
-//!   stream.
+//! * **`nondet-collection` / `nondet-time` / `nondet-rng` / `nondet-env`**
+//!   — determinism: result-producing code must not consult hash-order
+//!   collections, wall clocks, RNGs whose seed is not plumbed from a
+//!   config/`derive_seed` stream, or environment variables.
 //! * **`hot-alloc`** — deny-listed hot paths (the kernel, the incremental
 //!   path, scheduler `run` entry points, the annealer inner loop) must not
 //!   allocate: `Vec::new`, `vec!`, `.to_vec()`, `.collect()`, `.clone()`,
@@ -149,6 +149,25 @@ pub fn lint_file(rel: &str, kind: FileKind, scan: &FileScan, cfg: &Config) -> Fi
                         t.text
                     ),
                 )),
+                "var" | "var_os"
+                    if next_is('(')
+                        && p >= 3
+                        && tok(p - 1).is_punct(':')
+                        && tok(p - 2).is_punct(':')
+                        && tok(p - 3).text == "env" =>
+                {
+                    raw.push(finding(
+                        "nondet-env",
+                        t,
+                        format!(
+                            "`env::{}` read in result-producing code: an \
+                             environment toggle makes results depend on the \
+                             process, not the configuration — carry the choice \
+                             in a value (e.g. `EvalPaths` on the context)",
+                            t.text
+                        ),
+                    ))
+                }
                 "from_entropy" | "thread_rng" => raw.push(finding(
                     "nondet-rng",
                     t,

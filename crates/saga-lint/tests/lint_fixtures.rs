@@ -75,6 +75,33 @@ fn nondet_rules_do_not_apply_outside_result_producing_code() {
 }
 
 #[test]
+fn nondet_env_fixture_flags_every_env_read() {
+    let out = lint_as(
+        "nondet_env_bad.rs",
+        "crates/saga-pisa/src/x.rs",
+        FileKind::Lib,
+    );
+    assert_eq!(rules_of(&out), ["nondet-env"; 2], "{:?}", out.findings);
+    // outside the result-producing crates an env read is not a finding
+    let out = lint_as(
+        "nondet_env_bad.rs",
+        "crates/saga-experiments/src/cli.rs",
+        FileKind::Lib,
+    );
+    assert!(out.findings.is_empty(), "{:?}", out.findings);
+}
+
+#[test]
+fn nondet_env_clean_twin_is_silent() {
+    let out = lint_as(
+        "nondet_env_clean.rs",
+        "crates/saga-core/src/x.rs",
+        FileKind::Lib,
+    );
+    assert!(out.findings.is_empty(), "{:?}", out.findings);
+}
+
+#[test]
 fn hot_alloc_fixture_flags_every_allocation_shape() {
     let out = lint_as(
         "hot_alloc_bad.rs",

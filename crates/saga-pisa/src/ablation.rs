@@ -14,7 +14,7 @@ use crate::annealer::{AnnealScratch, PairTraces, Pisa, PisaConfig, PisaResult};
 use crate::perturb::Perturber;
 use rand::rngs::StdRng;
 use rand::Rng;
-use saga_core::{incremental_enabled, DirtyRegion, Instance};
+use saga_core::{DirtyRegion, Instance};
 use saga_schedulers::Scheduler;
 
 /// An adversarial-search acceptance strategy.
@@ -117,7 +117,6 @@ fn run_flat(
     let cfg = &pisa.config;
     let natural = ((cfg.t_min / cfg.t_max).ln() / cfg.alpha.ln()).ceil() as usize;
     let iters = natural.min(cfg.i_max);
-    let force_full = !incremental_enabled();
     let initial_ratio = pisa.ratio_incremental(start, ctx, traces, &DirtyRegion::full());
     let mut evaluations = 1;
     crate::annealer::fill(&mut scratch.current, start);
@@ -139,13 +138,8 @@ fn run_flat(
         };
         // in-place fast path with bitwise undo, mirroring the annealer's
         if let Some(undo) = pisa.perturber.perturb_undoable(current, rng) {
-            let dirty = if force_full {
-                DirtyRegion::full()
-            } else {
-                let mut d = undo.dirty_region();
-                d.merge(&pending);
-                d
-            };
+            let mut dirty = undo.dirty_region();
+            dirty.merge(&pending);
             let r = pisa.ratio_incremental(current, ctx, traces, &dirty);
             evaluations += 1;
             pending = DirtyRegion::clean();

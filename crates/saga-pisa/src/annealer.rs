@@ -4,7 +4,7 @@ use crate::makespan_ratio;
 use crate::perturb::Perturber;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saga_core::{incremental_enabled, DirtyRegion, Instance, RunTrace, SchedContext};
+use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext};
 use saga_schedulers::Scheduler;
 
 /// Annealing-schedule constants. Defaults are exactly the paper's:
@@ -112,33 +112,29 @@ pub struct Pisa<'a> {
 }
 
 impl Pisa<'_> {
-    /// The objective on one instance (fresh scheduling context; use
-    /// [`Pisa::ratio_with`] in loops).
+    /// The objective on one instance, from scratch in a fresh scheduling
+    /// context. The two scheduler runs share one cost-table build via
+    /// [`SchedContext::pin_tables`].
     pub fn ratio(&self, inst: &Instance) -> f64 {
         let mut ctx = SchedContext::new();
-        self.ratio_with(inst, &mut ctx)
-    }
-
-    /// The objective on one instance, reusing a scheduling context — the
-    /// annealer's hot path evaluates this tens of thousands of times per
-    /// cell and allocates nothing after warm-up. The two scheduler runs
-    /// share one cost-table build via [`SchedContext::pin_tables`].
-    pub fn ratio_with(&self, inst: &Instance, ctx: &mut SchedContext) -> f64 {
         ctx.pin_tables(inst);
-        let a = self.target.makespan_into(inst, ctx);
-        let b = self.baseline.makespan_into(inst, ctx);
-        ctx.unpin_tables();
+        let a = self.target.makespan_into(inst, &mut ctx);
+        let b = self.baseline.makespan_into(inst, &mut ctx);
         makespan_ratio(a, b)
     }
 
-    /// [`ratio_with`](Self::ratio_with) with incremental delta-evaluation:
+    /// [`ratio`](Self::ratio) with incremental delta-evaluation, reusing a
+    /// scheduling context the annealer keeps warm across evaluations:
     /// `dirty` describes everything that changed in `inst` since the last
     /// call with these `traces` (the annealer derives it from the
     /// perturbation undo records), the kernel refreshes exactly the stale
     /// cost-table pieces, and each scheduler replays the unchanged prefix
-    /// of its recorded previous run. Value-identical to `ratio_with` by
+    /// of its recorded previous run. Value-identical to `ratio` by
     /// construction (and pinned by the golden PISA-cell fixture); a
-    /// [`DirtyRegion::full`] region *is* `ratio_with` plus trace recording.
+    /// [`DirtyRegion::full`] region *is* `ratio` plus trace recording.
+    /// A context on the `incremental: false` reference path
+    /// ([`EvalPaths::widen`](saga_core::EvalPaths::widen)) takes that full
+    /// region for every call.
     pub fn ratio_incremental(
         &self,
         inst: &Instance,
@@ -151,6 +147,7 @@ impl Pisa<'_> {
         // and MaxMin in the sub-trace), so the per-scheduler clean skips
         // inside `makespan_incremental` — which compose correctly — are the
         // ones that handle an unchanged instance.
+        let dirty = &ctx.paths().widen(dirty);
         ctx.pin_tables_dirty(inst, dirty);
         let a = self
             .target
@@ -196,44 +193,15 @@ impl Pisa<'_> {
         scratch.traces = traces;
         res
     }
-
-    /// One annealing run from a fixed initial instance.
-    pub fn run_once(&self, start: Instance, rng: &mut StdRng) -> PisaResult {
-        let mut ctx = SchedContext::new();
-        maximize_once(
-            &mut |inst| self.ratio_with(inst, &mut ctx),
-            self.perturber,
-            self.config,
-            start,
-            rng,
-        )
-    }
 }
 
 /// Generic adversarial annealer: maximizes an arbitrary instance objective
 /// (makespan ratio, energy ratio, throughput gap, ...) with PISA's schedule.
-/// [`Pisa::run`] is `maximize` with the makespan-ratio objective; the
-/// metric-ratio objectives of `saga-pisa::metric` plug in here too.
-pub fn maximize(
-    objective: &mut dyn FnMut(&Instance) -> f64,
-    perturber: &dyn Perturber,
-    config: PisaConfig,
-    init: &dyn Fn(&mut StdRng) -> Instance,
-) -> PisaResult {
-    let mut scratch = AnnealScratch::default();
-    maximize_in(
-        &mut |inst, _| objective(inst),
-        perturber,
-        config,
-        init,
-        &mut scratch,
-    )
-}
-
-/// [`maximize`] with caller-provided scratch instances: all restarts (and,
-/// for a worker thread, all cells) share one set of instance buffers. The
-/// winning restart's best instance is kept in the scratch and cloned out
-/// exactly once, into the returned [`PisaResult`].
+/// [`Pisa::run_in`] is `maximize_in` with the makespan-ratio objective; the
+/// metric-ratio objectives of [`crate::metric`] plug in here too. All
+/// restarts (and, for a batch runner, all cells) share the caller's scratch
+/// instance buffers; the winning restart's best instance is kept in the
+/// scratch and cloned out exactly once, into the returned [`PisaResult`].
 ///
 /// The objective receives, alongside the instance, the [`DirtyRegion`]
 /// covering everything that changed since the objective's *previous* call
@@ -293,31 +261,6 @@ pub(crate) fn best_over_restarts(
     }
 }
 
-/// One annealing run of [`maximize`] from a fixed initial instance.
-pub fn maximize_once(
-    objective: &mut dyn FnMut(&Instance) -> f64,
-    perturber: &dyn Perturber,
-    config: PisaConfig,
-    start: Instance,
-    rng: &mut StdRng,
-) -> PisaResult {
-    let mut scratch = AnnealScratch::default();
-    let (ratio, initial_ratio, evaluations) = run_annealing(
-        &mut |inst, _| objective(inst),
-        perturber,
-        config,
-        &start,
-        rng,
-        &mut scratch,
-    );
-    PisaResult {
-        instance: scratch.best.expect("run stores its best instance"),
-        ratio,
-        initial_ratio,
-        evaluations,
-    }
-}
-
 /// The annealing loop proper: one run from `start`, using the scratch's
 /// persistent instances (`current`, `candidate`, `best`) with buffer-reusing
 /// `clone_from` / swaps, so a run's steady state performs no instance
@@ -331,10 +274,6 @@ fn run_annealing(
     rng: &mut StdRng,
     scratch: &mut AnnealScratch,
 ) -> (f64, f64, usize) {
-    // `SAGA_NO_INCREMENTAL` forces every evaluation down the full-rebuild
-    // path (value-identical by construction; CI diffs the golden suites
-    // under both settings).
-    let force_full = !incremental_enabled();
     let initial_ratio = objective(start, &DirtyRegion::full());
     let mut evaluations = 1;
     fill(&mut scratch.current, start);
@@ -361,13 +300,8 @@ fn run_annealing(
         // the clone-based fallback would, so both paths are value-identical
         // (the golden PISA-cell fixture pins this).
         if let Some(undo) = perturber.perturb_undoable(current, rng) {
-            let dirty = if force_full {
-                DirtyRegion::full()
-            } else {
-                let mut d = undo.dirty_region();
-                d.merge(&pending);
-                d
-            };
+            let mut dirty = undo.dirty_region();
+            dirty.merge(&pending);
             let r = objective(current, &dirty);
             evaluations += 1;
             pending = DirtyRegion::clean();

@@ -20,8 +20,8 @@
 //!   rigid scientific-workflow structures at fixed CCR.
 //! * [`runner`] — the [`SearchCell`](runner::SearchCell) runtime: every
 //!   search variant expressed as data, executed against borrowed contexts
-//!   and scratch by any driver (pooled rayon here, the checkpointing batch
-//!   engine in `saga-experiments`).
+//!   and scratch by any driver (in order on one context here, the parallel
+//!   checkpointing batch engine in `saga-experiments`).
 
 #![warn(missing_docs)]
 
@@ -39,7 +39,7 @@ pub mod shard;
 pub use annealer::{AnnealScratch, PairTraces, Pisa, PisaConfig, PisaResult};
 pub use pairwise::{pairwise_cells, pairwise_matrix, PairwiseMatrix};
 pub use perturb::{GeneralPerturber, Perturber};
-pub use runner::{cell_config, run_cells_pooled, CellKind, SearchCell};
+pub use runner::{cell_config, CellKind, SearchCell};
 pub use shard::{shard_cells, ShardSpec};
 
 /// The adversarial objective: the makespan ratio of `target` against

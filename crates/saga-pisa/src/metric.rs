@@ -3,7 +3,7 @@
 //! energy consumption, cost)". Each objective is a ratio
 //! `metric(target's schedule) / metric(baseline's schedule)` (inverted for
 //! throughput, where larger is better), pluggable into the
-//! [`maximize`](crate::annealer::maximize()) generic annealer.
+//! [`maximize_in`](crate::annealer::maximize_in()) generic annealer.
 
 use crate::annealer::{maximize_in, AnnealScratch, PairTraces, PisaConfig, PisaResult};
 use crate::makespan_ratio;
@@ -68,31 +68,23 @@ impl Objective {
 
     /// The adversarial ratio of `target` against `baseline` on `inst` under
     /// this metric (always "how much worse is the target", > 1 is worse).
+    /// Both schedules come from scratch in a fresh scheduling context.
     pub fn ratio(self, target: &dyn Scheduler, baseline: &dyn Scheduler, inst: &Instance) -> f64 {
         let mut ctx = saga_core::SchedContext::new();
-        self.ratio_with(target, baseline, inst, &mut ctx)
-    }
-
-    /// [`Objective::ratio`] reusing a scheduling context across the two
-    /// scheduler runs (the annealer's hot path).
-    pub fn ratio_with(
-        self,
-        target: &dyn Scheduler,
-        baseline: &dyn Scheduler,
-        inst: &Instance,
-        ctx: &mut saga_core::SchedContext,
-    ) -> f64 {
         ctx.pin_tables(inst);
-        let ts = target.schedule_into(inst, ctx);
-        let bs = baseline.schedule_into(inst, ctx);
-        ctx.unpin_tables();
+        let ts = target.schedule_into(inst, &mut ctx);
+        let bs = baseline.schedule_into(inst, &mut ctx);
         self.compose(inst, &ts, &bs)
     }
 
-    /// [`Objective::ratio_with`] with incremental delta-evaluation: the
+    /// [`Objective::ratio`] with incremental delta-evaluation on a context
+    /// the annealer keeps warm across evaluations: the
     /// kernel refreshes only the table pieces `dirty` names and both
     /// schedulers replay the unchanged prefix of their recorded runs before
-    /// materializing the (bit-identical) schedules the metric needs.
+    /// materializing the (bit-identical) schedules the metric needs. A
+    /// context on the `incremental: false` reference path takes
+    /// [`DirtyRegion::full`] for every call, as in
+    /// [`Pisa::ratio_incremental`](crate::Pisa::ratio_incremental).
     pub fn ratio_incremental(
         self,
         target: &dyn Scheduler,
@@ -102,6 +94,7 @@ impl Objective {
         traces: &mut PairTraces,
         dirty: &DirtyRegion,
     ) -> f64 {
+        let dirty = &ctx.paths().widen(dirty);
         ctx.pin_tables_dirty(inst, dirty);
         let ts = target.schedule_incremental_into(inst, ctx, &mut traces.target, dirty);
         let bs = baseline.schedule_incremental_into(inst, ctx, &mut traces.baseline, dirty);

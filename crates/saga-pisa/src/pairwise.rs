@@ -3,15 +3,15 @@
 //! For every ordered pair `(baseline i, target j)`, run PISA to find the
 //! instance maximizing `m_j / m_i`. The grid is expressed as
 //! [`SearchCell`]s ([`pairwise_cells`]) so any cell executor reproduces it:
-//! [`pairwise_matrix`] drives the plain pooled runner, and the `fig4`
-//! binary drives the experiment engine's checkpointing `run_cells` — both
-//! bit-identical, at any thread count (the matrix is 15×15 with 5 restarts
-//! each — over a thousand annealing runs).
+//! [`pairwise_matrix`] runs the cells in order on one context, and the
+//! `fig4` binary drives the experiment engine's parallel, checkpointing
+//! `run_cells` — both bit-identical, at any thread count (the paper's
+//! matrix is 15×15 with 5 restarts each — over a thousand annealing runs).
 
-use crate::annealer::PisaConfig;
-use crate::runner::{cell_config, run_cells_pooled, SearchCell};
+use crate::annealer::{AnnealScratch, PisaConfig};
+use crate::runner::{cell_config, SearchCell};
 use crate::PisaResult;
-use saga_core::Instance;
+use saga_core::{Instance, SchedContext};
 use saga_schedulers::Scheduler;
 
 /// The Fig. 4 result matrix.
@@ -102,12 +102,20 @@ impl PairwiseMatrix {
 }
 
 /// Runs PISA for every ordered pair of `schedulers` and assembles the
-/// Fig. 4 matrix on the pooled cell runner. `config.seed` is combined with
-/// the pair index so every cell gets an independent, reproducible stream.
+/// Fig. 4 matrix, running the cells in order on one scheduling context and
+/// one annealing scratch. `config.seed` is combined with the pair index so
+/// every cell gets an independent, reproducible stream. Grids that want
+/// cores, progress or checkpoints run [`pairwise_cells`] on the experiment
+/// engine instead.
 pub fn pairwise_matrix(schedulers: &[Box<dyn Scheduler>], config: PisaConfig) -> PairwiseMatrix {
     let names: Vec<String> = schedulers.iter().map(|s| s.name().to_string()).collect();
-    let cells = pairwise_cells(schedulers, config);
-    PairwiseMatrix::from_cell_results(names, run_cells_pooled(&cells))
+    let mut ctx = SchedContext::new();
+    let mut scratch = AnnealScratch::default();
+    let results = pairwise_cells(schedulers, config)
+        .iter()
+        .map(|cell| cell.run(&mut ctx, &mut scratch))
+        .collect();
+    PairwiseMatrix::from_cell_results(names, results)
 }
 
 #[cfg(test)]

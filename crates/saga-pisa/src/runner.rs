@@ -14,11 +14,10 @@
 //! ([`derive_seed`] over the cell's index), so results are bit-identical no
 //! matter how cells are sharded across threads or which worker claims them.
 //!
-//! The full-featured driver (progress, JSONL checkpointing, `--resume`)
-//! is `saga_experiments::engine::BatchEngine::run_cells`; this module also
-//! provides the plain pooled executor [`run_cells_pooled`] that
-//! [`pairwise_matrix`](crate::pairwise_matrix) and in-crate tests use.
-//! Both run every cell through [`SearchCell::run`].
+//! The one parallel driver (progress, JSONL checkpointing, `--resume`) is
+//! `saga_experiments::engine::BatchEngine::run_cells`;
+//! [`pairwise_matrix`](crate::pairwise_matrix) and the golden suites run
+//! cells in order on a single context. Both go through [`SearchCell::run`].
 
 use crate::ablation::{self, Strategy};
 use crate::annealer::{AnnealScratch, Pisa, PisaConfig, PisaResult};
@@ -26,8 +25,7 @@ use crate::app_specific::AppSpecific;
 use crate::constraints;
 use crate::metric::{self, Objective};
 use crate::perturb::{initial_instance, GeneralPerturber};
-use rayon::prelude::*;
-use saga_core::{derive_seed, fnv1a, ContextPool, SchedContext};
+use saga_core::{derive_seed, fnv1a, SchedContext};
 use saga_schedulers::Scheduler;
 
 /// What one adversarial-search cell searches.
@@ -256,21 +254,6 @@ pub fn cell_config(base: PisaConfig, index: u64) -> PisaConfig {
     }
 }
 
-/// Runs cells across rayon workers, each worker holding one warm pooled
-/// context and one scratch for its whole run. Results come back in cell
-/// order, bit-identical for any thread count. The experiment engine's
-/// `run_cells` adds progress and checkpointing on top of the same loop.
-pub fn run_cells_pooled(cells: &[SearchCell]) -> Vec<PisaResult> {
-    let pool = ContextPool::new();
-    cells
-        .par_iter()
-        .map_init(
-            || (pool.take(), AnnealScratch::default()),
-            |(ctx, scratch), cell| cell.run(ctx, scratch),
-        )
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,56 +268,10 @@ mod tests {
     }
 
     #[test]
-    fn cell_results_are_executor_independent() {
-        // the same cell run standalone, sequentially, and via the pooled
-        // executor produces bit-identical ratios
-        let cells = vec![
-            SearchCell::pair("HEFT", "CPoP", cell_config(quick(9), 0)),
-            SearchCell::metric(
-                Objective::RentalCost,
-                "HEFT",
-                "FastestNode",
-                cell_config(quick(9), 1),
-            ),
-            SearchCell::ablation(
-                Strategy::HillClimb,
-                "CPoP",
-                "HEFT",
-                cell_config(quick(9), 2),
-            ),
-            SearchCell::app(
-                "blast",
-                0.5,
-                "CPoP",
-                "FastestNode",
-                cell_config(quick(9), 3),
-            ),
-        ];
-        let pooled = run_cells_pooled(&cells);
-        let mut ctx = SchedContext::new();
-        let mut scratch = AnnealScratch::default();
-        for (cell, batch) in cells.iter().zip(&pooled) {
-            let solo = cell.run(&mut ctx, &mut scratch);
-            assert_eq!(
-                solo.ratio.to_bits(),
-                batch.ratio.to_bits(),
-                "{} diverged between executors",
-                cell.label
-            );
-            assert_eq!(solo.evaluations, batch.evaluations, "{}", cell.label);
-            assert_eq!(
-                solo.instance.to_json(),
-                batch.instance.to_json(),
-                "{} witness diverged",
-                cell.label
-            );
-        }
-    }
-
-    #[test]
     fn scratch_reuse_across_heterogeneous_cells_is_clean() {
-        // a worker's scratch crosses cell families (different instance
-        // shapes/sizes); results must match fresh-scratch runs
+        // a driver's context and scratch cross every cell family (different
+        // instance shapes/sizes); results must match fresh-scratch runs bit
+        // for bit
         let cells = vec![
             SearchCell::app(
                 "seismology",
@@ -350,6 +287,19 @@ mod tests {
                 "HEFT",
                 cell_config(quick(4), 2),
             ),
+            SearchCell::ablation(
+                Strategy::HillClimb,
+                "CPoP",
+                "HEFT",
+                cell_config(quick(4), 3),
+            ),
+            SearchCell::app(
+                "blast",
+                0.5,
+                "CPoP",
+                "FastestNode",
+                cell_config(quick(4), 4),
+            ),
         ];
         let mut ctx = SchedContext::new();
         let mut shared = AnnealScratch::default();
@@ -360,6 +310,13 @@ mod tests {
                 warm.ratio.to_bits(),
                 fresh.ratio.to_bits(),
                 "{}",
+                cell.label
+            );
+            assert_eq!(warm.evaluations, fresh.evaluations, "{}", cell.label);
+            assert_eq!(
+                warm.instance.to_json(),
+                fresh.instance.to_json(),
+                "{} witness diverged",
                 cell.label
             );
         }

@@ -27,7 +27,7 @@ impl KernelRun for Ert {
         ctx.reset(inst);
         let n = ctx.task_count();
         let nv = ctx.node_count();
-        let fused = util::fused_rows_profitable(nv);
+        let fused = util::fused_rows_profitable(ctx);
         let mut srow = [0.0f64; util::STACK_NODES];
         let mut frow = [0.0f64; util::STACK_NODES];
         let mut sweep = util::FrontierSweep::new(ctx);

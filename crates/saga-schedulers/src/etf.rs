@@ -19,7 +19,7 @@ pub struct Etf;
 /// ETF's selection loop from whatever partial state `ctx` is in.
 fn etf_loop(ctx: &mut SchedContext, sweep: &mut util::FrontierSweep, rank: &[f64]) {
     let n = ctx.task_count();
-    let fused = util::fused_rows_profitable(ctx.node_count());
+    let fused = util::fused_rows_profitable(ctx);
     while ctx.placed_count() < n {
         let mut chosen: Option<(TaskId, saga_core::NodeId, f64)> = None;
         for &t in ctx.ready() {

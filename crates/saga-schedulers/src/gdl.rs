@@ -72,7 +72,7 @@ fn gdl_loop(ctx: &mut SchedContext, sweep: &mut util::FrontierSweep, levels: &[f
     // The dynamic-level comparison itself must keep its exact FP expression
     // (`SL - start + delta` is not reassociable), so the row kernels only
     // replace the per-(task, node) start recompose with one fused pass.
-    let fused = util::fused_rows_profitable(nv);
+    let fused = util::fused_rows_profitable(ctx);
     let mut srow = [0.0f64; util::STACK_NODES];
     let mut frow = [0.0f64; util::STACK_NODES];
     while ctx.placed_count() < n {

@@ -9,7 +9,8 @@
 //! The per-step node selection is [`util::best_eft_node`] with the
 //! insertion policy: one batched data-ready row pass per task, per-node gap
 //! scans only where the incumbent bound admits a win (the fused row-kernel
-//! formulation; `SAGA_NO_EFT_ROW=1` forces the scalar per-node sweep).
+//! formulation; a context on the `fused_rows: false` reference path takes
+//! the scalar per-node sweep).
 
 use crate::{util, KernelRun};
 use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext};

@@ -7,8 +7,8 @@
 //!
 //! Append-only, so the node selection is one fused
 //! [`SchedContext::eft_row_append_into`] pass plus the lowest-index argmin
-//! when the row kernels are enabled (`SAGA_NO_EFT_ROW=1` forces the scalar
-//! per-node sweep).
+//! when the context runs the fused rows (the `fused_rows: false` reference
+//! path takes the scalar per-node sweep).
 
 use crate::{util, KernelRun};
 use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext};

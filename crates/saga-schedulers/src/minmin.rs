@@ -19,7 +19,7 @@ pub struct MinMin;
 /// `(start, finish)` from cached data-ready rows.
 fn min_max_loop(ctx: &mut SchedContext, sweep: &mut util::FrontierSweep, want_max: bool) {
     let n = ctx.task_count();
-    let fused = util::fused_rows_profitable(ctx.node_count());
+    let fused = util::fused_rows_profitable(ctx);
     while ctx.placed_count() < n {
         let mut chosen = None;
         for &t in ctx.ready() {

@@ -13,16 +13,18 @@ pub(crate) const STACK_NODES: usize = 32;
 /// the compose stays scalar (see the AVX dispatch gate in `saga-core`) and
 /// materializing row buffers loses to the register-resident comparator
 /// loops, so narrow networks keep the scalar per-node path — the same code
-/// `SAGA_NO_EFT_ROW=1` forces everywhere. Bit-identical either way.
+/// a context on the `fused_rows: false` reference path takes everywhere.
+/// Bit-identical either way.
 pub(crate) const WIDE_NODES: usize = 8;
 
-/// Whether the selection helpers should take the fused row path for an
-/// `nv`-node network: row kernels enabled and the width inside the
-/// `[WIDE_NODES, STACK_NODES]` band where the vectorized compose beats the
-/// scalar comparator loop and the scratch rows fit on the stack.
+/// Whether the selection helpers should take the fused row path on `ctx`:
+/// the context runs the fused rows ([`EvalPaths`](saga_core::EvalPaths))
+/// and its network width lies inside the `[WIDE_NODES, STACK_NODES]` band
+/// where the vectorized compose beats the scalar comparator loop and the
+/// scratch rows fit on the stack.
 #[inline]
-pub(crate) fn fused_rows_profitable(nv: usize) -> bool {
-    saga_core::eft_rows_enabled() && (WIDE_NODES..=STACK_NODES).contains(&nv)
+pub(crate) fn fused_rows_profitable(ctx: &SchedContext) -> bool {
+    ctx.paths().fused_rows && (WIDE_NODES..=STACK_NODES).contains(&ctx.node_count())
 }
 
 /// Cached data-ready state for *append-only* frontier sweeps (MinMin/MaxMin,
@@ -140,7 +142,7 @@ impl FrontierSweep {
     /// [`Self::best_node`] under the earliest-finish comparator
     /// (`f < bf`, lowest node id on ties) as one fused row compose plus the
     /// lowest-index argmin — bit-identical to the comparator form, which
-    /// wide networks and the `SAGA_NO_EFT_ROW` path still take.
+    /// wide networks and the `fused_rows: false` reference path still take.
     pub fn best_node_eft(&self, ctx: &SchedContext, t: TaskId) -> (NodeId, f64, f64) {
         let nv = ctx.node_count();
         if !(WIDE_NODES..=STACK_NODES).contains(&nv) {
@@ -184,10 +186,10 @@ impl FrontierSweep {
 /// bit (a node only wins on a strictly smaller finish, and the true finish
 /// never beats the `data_ready + duration` skip bound). Networks outside
 /// the `[WIDE_NODES, STACK_NODES]` profitability band and the
-/// `SAGA_NO_EFT_ROW` path take the scalar per-node formulation.
+/// `fused_rows: false` reference path take the scalar per-node formulation.
 pub fn best_eft_node(ctx: &SchedContext, t: TaskId, insertion: bool) -> (NodeId, f64, f64) {
     let nv = ctx.node_count();
-    if fused_rows_profitable(nv) {
+    if fused_rows_profitable(ctx) {
         let mut starts = [0.0f64; STACK_NODES];
         let mut finishes = [0.0f64; STACK_NODES];
         if !insertion {
@@ -270,7 +272,7 @@ fn best_eft_node_scalar(ctx: &SchedContext, t: TaskId, insertion: bool) -> (Node
 /// argmin when the row kernels are enabled.
 pub fn best_est_node(ctx: &SchedContext, t: TaskId, insertion: bool) -> (NodeId, f64, f64) {
     let nv = ctx.node_count();
-    if !insertion && fused_rows_profitable(nv) {
+    if !insertion && fused_rows_profitable(ctx) {
         let mut starts = [0.0f64; STACK_NODES];
         let mut finishes = [0.0f64; STACK_NODES];
         ctx.eft_row_append_into(t, &mut starts[..nv], &mut finishes[..nv]);

@@ -54,7 +54,7 @@ impl Default for Wba {
 fn wba_loop(ctx: &mut SchedContext, rng: &mut StdRng, mut current: f64) {
     let n = ctx.task_count();
     let nv = ctx.node_count();
-    let fused = util::fused_rows_profitable(nv);
+    let fused = util::fused_rows_profitable(ctx);
     let mut srow = [0.0f64; util::STACK_NODES];
     let mut frow = [0.0f64; util::STACK_NODES];
     let mut sweep = util::FrontierSweep::new(ctx);

@@ -8,15 +8,23 @@
 //! decisions (tie-breaking, float evaluation order, ready-set ordering)
 //! flips bits here and fails the suite.
 //!
+//! Both fixtures are checked twice in the same process: on the default
+//! evaluation paths and on the scalar reference path (a context built with
+//! `EvalPaths { fused_rows: false, .. }`, which sends every node selection
+//! through the per-node queries instead of the fused EFT row kernels).
+//!
 //! Regenerate (only when a behavior change is *intended* and reviewed):
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test --test golden_determinism -- --ignored
 //! ```
 
+mod common;
+
+use common::{assert_matches_golden, regenerate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saga::core::Instance;
+use saga::core::{EvalPaths, Instance, SchedContext};
 use saga::datasets;
 use saga::schedulers::util::fixtures;
 use saga::schedulers::{self, Scheduler};
@@ -113,9 +121,24 @@ fn wide_battery() -> Vec<(String, Instance)> {
     v
 }
 
+/// The scalar reference path: fused EFT row kernels off.
+const SCALAR_ROWS: EvalPaths = EvalPaths {
+    incremental: true,
+    fused_rows: false,
+};
+
+/// `s`'s makespan on `inst` as a fixture line, scheduled in a fresh context
+/// on `paths`.
+fn line(s: &dyn Scheduler, label: &str, inst: &Instance, paths: EvalPaths) -> String {
+    let m = s
+        .schedule_into(inst, &mut SchedContext::with_paths(paths))
+        .makespan();
+    format!("{},{},{:016x}", s.name(), label, m.to_bits())
+}
+
 /// One `scheduler,instance,bits` line per (roster scheduler, large
 /// instance), in a fixed order.
-fn current_large_lines() -> Vec<String> {
+fn current_large_lines(paths: EvalPaths) -> Vec<String> {
     let roster = roster();
     let mut lines = Vec::new();
     // one block per battery, so a battery added later appends its rows and
@@ -123,8 +146,7 @@ fn current_large_lines() -> Vec<String> {
     for battery in [large_battery(), wide_battery()] {
         for s in &roster {
             for (label, inst) in &battery {
-                let m = s.schedule(inst).makespan();
-                lines.push(format!("{},{},{:016x}", s.name(), label, m.to_bits()));
+                lines.push(line(&**s, label, inst, paths));
             }
         }
     }
@@ -136,22 +158,19 @@ fn golden_large_path() -> std::path::PathBuf {
 }
 
 /// One `scheduler,instance,bits` line per measurement, in a fixed order.
-fn current_lines() -> Vec<String> {
+fn current_lines(paths: EvalPaths) -> Vec<String> {
     let battery = battery();
     let mut lines = Vec::new();
     for s in roster() {
         for (label, inst, _) in &battery {
-            let m = s.schedule(inst).makespan();
-            lines.push(format!("{},{},{:016x}", s.name(), label, m.to_bits()));
+            lines.push(line(&*s, label, inst, paths));
         }
     }
     for s in schedulers::exact_schedulers() {
         for (label, inst, tiny) in &battery {
-            if !tiny {
-                continue;
+            if *tiny {
+                lines.push(line(&*s, label, inst, paths));
             }
-            let m = s.schedule(inst).makespan();
-            lines.push(format!("{},{},{:016x}", s.name(), label, m.to_bits()));
         }
     }
     lines
@@ -163,91 +182,56 @@ fn golden_path() -> std::path::PathBuf {
 
 #[test]
 fn makespans_match_golden_bits() {
-    let golden = std::fs::read_to_string(golden_path())
-        .expect("tests/golden_makespans.csv missing — run the regen command in this file's docs");
-    let golden: Vec<&str> = golden.lines().collect();
-    let current = current_lines();
-    assert_eq!(
-        golden.len(),
-        current.len(),
-        "golden file has {} entries, battery produces {}",
-        golden.len(),
-        current.len()
-    );
-    let mut mismatches = Vec::new();
-    for (g, c) in golden.iter().zip(&current) {
-        if g != c {
-            mismatches.push(format!("golden: {g}\n   now: {c}"));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} makespans changed bit pattern:\n{}",
-        mismatches.len(),
-        current.len(),
-        mismatches.join("\n")
+    assert_matches_golden(
+        &golden_path(),
+        &current_lines(EvalPaths::default()),
+        "makespans",
     );
 }
 
 #[test]
 fn large_makespans_match_golden_bits() {
-    let golden = std::fs::read_to_string(golden_large_path()).expect(
-        "tests/golden_makespans_large.csv missing — run the regen command in this file's docs",
+    assert_matches_golden(
+        &golden_large_path(),
+        &current_large_lines(EvalPaths::default()),
+        "large-instance makespans",
     );
-    let golden: Vec<&str> = golden.lines().collect();
-    let current = current_large_lines();
-    assert_eq!(
-        golden.len(),
-        current.len(),
-        "large golden file has {} entries, battery produces {}",
-        golden.len(),
-        current.len()
+}
+
+/// No network in this fixture has 8 or more nodes, so today it runs the
+/// same scalar code as [`makespans_match_golden_bits`]: it only guards the
+/// fused-row band's lower bound (`util::WIDE_NODES`), should that ever
+/// drop to these widths. The large fixture is the one whose in-band rows
+/// tell the two paths apart.
+#[test]
+fn makespans_match_golden_bits_on_scalar_rows() {
+    assert_matches_golden(
+        &golden_path(),
+        &current_lines(SCALAR_ROWS),
+        "scalar-path makespans",
     );
-    let mut mismatches = Vec::new();
-    for (g, c) in golden.iter().zip(&current) {
-        if g != c {
-            mismatches.push(format!("golden: {g}\n   now: {c}"));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} large-instance makespans changed bit pattern:\n{}",
-        mismatches.len(),
-        current.len(),
-        mismatches.join("\n")
+}
+
+#[test]
+fn large_makespans_match_golden_bits_on_scalar_rows() {
+    assert_matches_golden(
+        &golden_large_path(),
+        &current_large_lines(SCALAR_ROWS),
+        "scalar-path large-instance makespans",
     );
 }
 
 #[test]
 #[ignore = "writes the golden fixture; run with GOLDEN_REGEN=1 when a behavior change is intended"]
 fn regenerate_golden_large() {
-    assert_eq!(
-        std::env::var("GOLDEN_REGEN").as_deref(),
-        Ok("1"),
-        "set GOLDEN_REGEN=1 to confirm overwriting the large golden fixture"
-    );
-    let lines = current_large_lines();
-    std::fs::write(golden_large_path(), lines.join("\n") + "\n").expect("write golden fixture");
-    println!(
-        "wrote {} entries to {}",
-        lines.len(),
-        golden_large_path().display()
+    regenerate(
+        &golden_large_path(),
+        &current_large_lines(EvalPaths::default()),
     );
 }
 
 #[test]
 #[ignore = "writes the golden fixture; run with GOLDEN_REGEN=1 when a behavior change is intended"]
 fn regenerate_golden() {
-    assert_eq!(
-        std::env::var("GOLDEN_REGEN").as_deref(),
-        Ok("1"),
-        "set GOLDEN_REGEN=1 to confirm overwriting the golden fixture"
-    );
-    let lines = current_lines();
-    std::fs::write(golden_path(), lines.join("\n") + "\n").expect("write golden fixture");
-    println!(
-        "wrote {} entries to {}",
-        lines.len(),
-        golden_path().display()
-    );
+    regenerate(&golden_path(), &current_lines(EvalPaths::default()));
 }

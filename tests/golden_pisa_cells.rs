@@ -12,10 +12,15 @@
 //! assign them, so any divergence introduced by context borrowing, scratch
 //! reuse, in-place perturbation undo, the kernel's selective table refresh,
 //! incremental delta-evaluation (dirty-region table refresh + recorded-run
-//! prefix replay, the default path since PR 5 — force it off with
-//! `SAGA_NO_INCREMENTAL=1` to check the full-rebuild path against the same
-//! bits, as CI does), or engine sharding flips bits here and fails the
-//! suite.
+//! prefix replay, the default path since PR 5), or engine sharding flips
+//! bits here and fails the suite.
+//!
+//! The battery also runs, in the same process, on each reference
+//! evaluation path: in order on one context built with
+//! `EvalPaths { incremental: false, .. }` (every evaluation rebuilds its
+//! tables and re-runs both schedulers from scratch) and on one built with
+//! `EvalPaths { fused_rows: false, .. }` (every node selection on the
+//! scalar per-node queries). Both must reproduce the same fixture bits.
 //!
 //! Regenerate (only when a behavior change is *intended* and reviewed):
 //!
@@ -23,10 +28,14 @@
 //! GOLDEN_REGEN=1 cargo test --test golden_pisa_cells -- --ignored
 //! ```
 
+mod common;
+
+use common::{assert_matches_golden, regenerate};
+use saga::core::{EvalPaths, SchedContext};
 use saga::pisa::ablation::Strategy;
-use saga::pisa::annealer::PisaConfig;
+use saga::pisa::annealer::{AnnealScratch, PisaConfig};
 use saga::pisa::metric::Objective;
-use saga::pisa::SearchCell;
+use saga::pisa::{PisaResult, SearchCell};
 use saga_experiments::engine::{derive_seed, BatchEngine, CellCheckpoint};
 
 /// Base seed every cell's stream is derived from.
@@ -138,8 +147,19 @@ fn battery_cells() -> Vec<SearchCell> {
     cells
 }
 
-/// One `label,ratio_bits,initial_bits,evaluations` line per battery cell,
-/// produced by the pooled engine runtime (`BatchEngine::run_cells`).
+/// A cell's `label,ratio_bits,initial_bits,evaluations` fixture line.
+fn line(cell: &SearchCell, res: &PisaResult) -> String {
+    format!(
+        "{},{:016x},{:016x},{}",
+        cell.label,
+        res.ratio.to_bits(),
+        res.initial_ratio.to_bits(),
+        res.evaluations
+    )
+}
+
+/// One fixture line per battery cell, produced by the pooled engine
+/// runtime (`BatchEngine::run_cells`) on the default evaluation paths.
 fn current_lines() -> Vec<String> {
     let cells = battery_cells();
     let engine = BatchEngine::new();
@@ -147,15 +167,18 @@ fn current_lines() -> Vec<String> {
     cells
         .iter()
         .zip(&results)
-        .map(|(cell, res)| {
-            format!(
-                "{},{:016x},{:016x},{}",
-                cell.label,
-                res.ratio.to_bits(),
-                res.initial_ratio.to_bits(),
-                res.evaluations
-            )
-        })
+        .map(|(cell, res)| line(cell, res))
+        .collect()
+}
+
+/// One fixture line per battery cell, running the cells in order through
+/// `SearchCell::run` on one context built with `paths`.
+fn lines_on_paths(paths: EvalPaths) -> Vec<String> {
+    let mut ctx = SchedContext::with_paths(paths);
+    let mut scratch = AnnealScratch::default();
+    battery_cells()
+        .iter()
+        .map(|cell| line(cell, &cell.run(&mut ctx, &mut scratch)))
         .collect()
 }
 
@@ -165,29 +188,32 @@ fn golden_path() -> std::path::PathBuf {
 
 #[test]
 fn pisa_cells_match_golden_bits() {
-    let golden = std::fs::read_to_string(golden_path())
-        .expect("tests/golden_pisa_cells.csv missing — run the regen command in this file's docs");
-    let golden: Vec<&str> = golden.lines().collect();
-    let current = current_lines();
-    assert_eq!(
-        golden.len(),
-        current.len(),
-        "golden file has {} entries, battery produces {}",
-        golden.len(),
-        current.len()
+    assert_matches_golden(&golden_path(), &current_lines(), "PISA cells");
+}
+
+#[test]
+fn pisa_cells_match_golden_bits_without_incremental_evaluation() {
+    let full_rebuild = EvalPaths {
+        incremental: false,
+        ..EvalPaths::default()
+    };
+    assert_matches_golden(
+        &golden_path(),
+        &lines_on_paths(full_rebuild),
+        "PISA cells on the full-rebuild path",
     );
-    let mut mismatches = Vec::new();
-    for (g, c) in golden.iter().zip(&current) {
-        if g != c {
-            mismatches.push(format!("golden: {g}\n   now: {c}"));
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "{} of {} PISA cells changed value:\n{}",
-        mismatches.len(),
-        current.len(),
-        mismatches.join("\n")
+}
+
+#[test]
+fn pisa_cells_match_golden_bits_on_scalar_rows() {
+    let scalar_rows = EvalPaths {
+        fused_rows: false,
+        ..EvalPaths::default()
+    };
+    assert_matches_golden(
+        &golden_path(),
+        &lines_on_paths(scalar_rows),
+        "PISA cells on the scalar-row path",
     );
 }
 
@@ -217,16 +243,5 @@ fn checkpointed_battery_replays_identically() {
 #[test]
 #[ignore = "writes the golden fixture; run with GOLDEN_REGEN=1 when a behavior change is intended"]
 fn regenerate_golden_pisa_cells() {
-    assert_eq!(
-        std::env::var("GOLDEN_REGEN").as_deref(),
-        Ok("1"),
-        "set GOLDEN_REGEN=1 to confirm overwriting the PISA-cell golden fixture"
-    );
-    let lines = current_lines();
-    std::fs::write(golden_path(), lines.join("\n") + "\n").expect("write golden fixture");
-    println!(
-        "wrote {} entries to {}",
-        lines.len(),
-        golden_path().display()
-    );
+    regenerate(&golden_path(), &current_lines());
 }

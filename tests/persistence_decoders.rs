@@ -117,28 +117,22 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
         )
 }
 
-/// JSON numbers have no negative zero (`-0.0` prints as `0`), so the one
-/// bit a round trip may change is a zero's sign; everything else is exact.
-fn bits(x: f64) -> u64 {
-    (x + 0.0).to_bits()
-}
-
-/// An instance as bit patterns: speeds, links, named task costs, and the
-/// dependencies in canonical order.
+/// An instance as exact bit patterns (a zero's sign included): speeds,
+/// links, named task costs, and the dependencies in canonical order.
 type InstanceBits = (Vec<u64>, Vec<u64>, Vec<(String, u64)>, Vec<(u32, u32, u64)>);
 
 fn instance_bits(inst: &Instance) -> InstanceBits {
     let g = &inst.graph;
     let mut deps: Vec<_> = g
         .dependencies()
-        .map(|(a, b, c)| (a.0, b.0, bits(c)))
+        .map(|(a, b, c)| (a.0, b.0, c.to_bits()))
         .collect();
     deps.sort_unstable();
     (
-        inst.network.speeds().iter().map(|&x| bits(x)).collect(),
-        inst.network.links().iter().map(|&x| bits(x)).collect(),
+        inst.network.speeds().iter().map(|x| x.to_bits()).collect(),
+        inst.network.links().iter().map(|x| x.to_bits()).collect(),
         g.tasks()
-            .map(|t| (g.name(t).to_string(), bits(g.cost(t))))
+            .map(|t| (g.name(t).to_string(), g.cost(t).to_bits()))
             .collect(),
         deps,
     )
