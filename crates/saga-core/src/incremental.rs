@@ -23,8 +23,10 @@
 //! golden-PISA suites pin this.
 //!
 //! A context built with [`EvalPaths`](crate::EvalPaths) `{ incremental:
-//! false, .. }` takes the full-rebuild reference path instead: the
-//! annealer's objectives widen every dirty region to [`DirtyRegion::full`].
+//! false, .. }` takes the full-rebuild reference path instead:
+//! [`SchedContext::pin_tables_dirty`](crate::SchedContext::pin_tables_dirty)
+//! and the schedulers' incremental entry points widen every dirty region
+//! to [`DirtyRegion::full`].
 //! The golden PISA-cell suite runs its battery on both paths in one process
 //! and requires the same bits from each.
 

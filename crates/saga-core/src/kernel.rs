@@ -115,13 +115,11 @@ fn fold_arrivals(out: &mut [f64], row: &[f64], f: f64, cost: f64) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalPaths {
     /// Incremental delta-evaluation (selective table refresh + prefix
-    /// replay). Only the annealer's objectives (`Pisa::ratio_incremental`
-    /// and `Objective::ratio_incremental` in saga-pisa) read it: `false`
-    /// makes them widen every dirty region to [`DirtyRegion::full`]
-    /// ([`Self::widen`]), so each of their evaluations runs from scratch.
-    /// A direct `Scheduler::makespan_incremental` or
-    /// `schedule_incremental_into` call still replays the region it is
-    /// given.
+    /// replay). `false` makes [`SchedContext::pin_tables_dirty`] and the
+    /// schedulers' `makespan_incremental` and `schedule_incremental_into`
+    /// widen every dirty region they are given to [`DirtyRegion::full`]
+    /// ([`Self::widen`]), so every evaluation on the context rebuilds its
+    /// tables and runs from scratch.
     pub incremental: bool,
     /// The fused EFT row kernels in the schedulers' node selection; `false`
     /// forces the scalar per-node queries everywhere.
@@ -479,7 +477,10 @@ impl SchedContext {
     /// The caller is responsible for `dirty` actually covering every change
     /// since the tables were last built (the annealer derives it from the
     /// perturbation undo records); the golden suites pin the equivalence.
+    /// A context on the `incremental: false` reference path widens `dirty`
+    /// to [`DirtyRegion::full`] ([`EvalPaths::widen`]).
     pub fn pin_tables_dirty(&mut self, inst: &Instance, dirty: &DirtyRegion) {
+        let dirty = &self.paths.widen(dirty);
         let g = &inst.graph;
         let net = &inst.network;
         let aligned = self.n_tasks == g.task_count()

@@ -20,7 +20,7 @@ use saga_pisa::{shard_cells, PisaConfig, SearchCell};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let resume = args.iter().any(|a| a == "--resume");
+    let resume = cli::flag(&args, "resume");
     let shard = cli::shard_arg(&args);
     let ckpt_path = cli::checkpoint_path(&args, shard, "results/ablation_search_cells.jsonl");
     let config = PisaConfig {

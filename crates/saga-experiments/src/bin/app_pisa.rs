@@ -180,7 +180,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let workflow = cli::positional(&args).unwrap_or("srasearch").to_string();
     let instances: usize = cli::arg_or(&args, "instances", 15);
-    let resume = args.iter().any(|a| a == "--resume");
+    let resume = cli::flag(&args, "resume");
     let shard = cli::shard_arg(&args);
     let ckpt_override = cli::arg_str(&args, "checkpoint");
     let config = PisaConfig {

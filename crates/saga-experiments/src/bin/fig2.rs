@@ -28,7 +28,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let instances: usize = cli::arg_or(&args, "instances", 100);
     let seed: u64 = cli::arg_or(&args, "seed", 0xF162);
-    let resume = args.iter().any(|a| a == "--resume");
+    let resume = cli::flag(&args, "resume");
     let shard = cli::shard_arg(&args);
     let ckpt_path = cli::checkpoint_path(&args, shard, "results/fig2_rows.jsonl");
 

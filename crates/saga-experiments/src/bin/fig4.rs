@@ -28,11 +28,11 @@ use saga_pisa::{pairwise_cells, shard_cells, PairwiseMatrix, PisaConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = cli::flag(&args, "quick");
     let imax: usize = cli::arg_or(&args, "imax", if quick { 60 } else { 1000 });
     let restarts: usize = cli::arg_or(&args, "restarts", if quick { 1 } else { 5 });
     let seed: u64 = cli::arg_or(&args, "seed", 0xF164);
-    let resume = args.iter().any(|a| a == "--resume");
+    let resume = cli::flag(&args, "resume");
     let shard = cli::shard_arg(&args);
     let ckpt_path = cli::checkpoint_path(&args, shard, "results/fig4_cells.jsonl");
 

@@ -22,8 +22,8 @@ use saga_pisa::{cell_config, shard_cells, PisaConfig, SearchCell};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let resume = args.iter().any(|a| a == "--resume");
+    let quick = cli::flag(&args, "quick");
+    let resume = cli::flag(&args, "resume");
     let shard = cli::shard_arg(&args);
     let ckpt_path = cli::checkpoint_path(&args, shard, "results/metric_pisa_cells.jsonl");
     let config = PisaConfig {

@@ -70,6 +70,17 @@ pub fn checkpoint_or_exit<T>(result: std::io::Result<T>, op: CheckpointOp<'_>) -
     })
 }
 
+/// The value-less switches: every other `--name` takes the argument after it.
+const SWITCHES: [&str; 2] = ["--resume", "--quick"];
+
+/// Whether the switch `--name` is present. `name` must be one of the
+/// switches [`positional`] knows take no value.
+pub fn flag(args: &[String], name: &str) -> bool {
+    let flag = format!("--{name}");
+    debug_assert!(SWITCHES.contains(&flag.as_str()), "unknown switch {flag}");
+    args.contains(&flag)
+}
+
 /// Returns the first positional (non-flag) argument, if any.
 pub fn positional(args: &[String]) -> Option<&str> {
     let mut skip = false;
@@ -79,7 +90,7 @@ pub fn positional(args: &[String]) -> Option<&str> {
             continue;
         }
         if a.starts_with("--") {
-            skip = true;
+            skip = !SWITCHES.contains(&a.as_str());
             continue;
         }
         return Some(a);
@@ -108,6 +119,15 @@ mod tests {
         let args = v(&["prog", "--imax", "100", "blast", "--seed", "1"]);
         assert_eq!(positional(&args), Some("blast"));
         assert_eq!(positional(&v(&["prog", "--imax", "9"])), None);
+    }
+
+    #[test]
+    fn switches_take_no_value() {
+        let args = v(&["prog", "--resume", "blast", "--imax", "9"]);
+        assert_eq!(positional(&args), Some("blast"));
+        assert_eq!(positional(&v(&["prog", "--quick", "HEFT"])), Some("HEFT"));
+        assert!(flag(&args, "resume"));
+        assert!(!flag(&args, "quick"));
     }
 
     #[test]

@@ -152,7 +152,7 @@ struct Held {
 }
 
 /// Runs the three concurrency rule families over one non-test file.
-/// Test/bench files and `#[cfg(test)]` regions are out of scope: the
+/// Test files and `#[cfg(test)]` regions are out of scope: the
 /// protocols govern shipped code.
 pub fn scan_file(rel: &str, scan: &FileScan, cfg: &Config) -> ConcurrencyScan {
     let mut out = ConcurrencyScan::default();

@@ -63,7 +63,7 @@ pub fn lint_root(root: &Path, cfg: &Config) -> std::io::Result<Report> {
 
     for file in workspace::discover(root, &cfg.skip)? {
         let src = std::fs::read_to_string(&file.abs)?;
-        let force_test = matches!(file.kind, FileKind::Test | FileKind::Bench);
+        let force_test = file.kind == FileKind::Test;
         let scan = FileScan::new(&src, force_test);
         let outcome = rules::lint_file(&file.rel, file.kind, &scan, cfg);
         report.files_scanned += 1;

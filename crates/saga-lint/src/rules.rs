@@ -35,8 +35,6 @@ pub enum FileKind {
     Bin,
     /// An integration-test file (any `tests/` directory).
     Test,
-    /// A bench target (`benches/`).
-    Bench,
     /// Vendored dependency source (`vendor/*`).
     Vendor,
 }
@@ -76,7 +74,6 @@ pub struct FileOutcome {
 pub fn lint_file(rel: &str, kind: FileKind, scan: &FileScan, cfg: &Config) -> FileOutcome {
     let determinism = kind != FileKind::Vendor
         && kind != FileKind::Test
-        && kind != FileKind::Bench
         && Config::matches(&cfg.result_producing, rel);
     let error_discipline = kind == FileKind::Lib && Config::matches(&cfg.error_paths, rel);
     let hot_entries = if kind == FileKind::Vendor {
@@ -262,7 +259,7 @@ pub fn lint_file(rel: &str, kind: FileKind, scan: &FileScan, cfg: &Config) -> Fi
 
     // ---- concurrency families: local findings join the raw list, the
     // declaration/use facts ride along for the lib.rs cross-checks
-    let mut conc = if matches!(kind, FileKind::Test | FileKind::Bench) {
+    let mut conc = if kind == FileKind::Test {
         ConcurrencyScan::default()
     } else {
         concurrency::scan_file(rel, scan, cfg)
@@ -372,7 +369,7 @@ mod tests {
     use super::*;
 
     fn lint_src(src: &str, rel: &str, kind: FileKind, cfg: &Config) -> FileOutcome {
-        let scan = FileScan::new(src, matches!(kind, FileKind::Test | FileKind::Bench));
+        let scan = FileScan::new(src, kind == FileKind::Test);
         lint_file(rel, kind, &scan, cfg)
     }
 

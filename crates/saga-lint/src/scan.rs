@@ -50,7 +50,7 @@ pub struct FileScan {
 
 impl FileScan {
     /// Lexes and structurally scans `src`. With `force_test`, every token is
-    /// treated as test code (integration-test files, bench targets).
+    /// treated as test code (integration-test files).
     pub fn new(src: &str, force_test: bool) -> Self {
         let toks = crate::lexer::lex(src);
         let n = toks.len();

@@ -16,8 +16,8 @@ pub struct SourceFile {
 }
 
 /// Discovers the lintable files under `root`: the root package's `src/`,
-/// `tests/`, and `examples/`, every workspace crate's `src/`, `tests/`, and
-/// `benches/`, and the vendored stand-ins' `src/` (scanned for the
+/// `tests/`, and `examples/`, every workspace crate's `src/` and `tests/`,
+/// and the vendored stand-ins' `src/` (scanned for the
 /// env-registry rule). Paths containing a `skip` fragment are excluded.
 pub fn discover(root: &Path, skip: &[&str]) -> std::io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
@@ -30,7 +30,7 @@ pub fn discover(root: &Path, skip: &[&str]) -> std::io::Result<Vec<SourceFile>> 
             continue;
         }
         for member in sorted_entries(&dir)? {
-            for sub in ["src", "tests", "benches"] {
+            for sub in ["src", "tests"] {
                 walk(root, &member.join(sub), skip, &mut files)?;
             }
         }
@@ -97,8 +97,6 @@ pub fn classify(rel: &str) -> FileKind {
         FileKind::Vendor
     } else if rel.split('/').any(|c| c == "tests") {
         FileKind::Test
-    } else if rel.split('/').any(|c| c == "benches") {
-        FileKind::Bench
     } else if rel.contains("/src/bin/")
         || rel.ends_with("src/main.rs")
         || rel.starts_with("examples/")
@@ -122,10 +120,6 @@ mod tests {
         );
         assert_eq!(classify("tests/golden_determinism.rs"), FileKind::Test);
         assert_eq!(classify("crates/saga-pisa/tests/x.rs"), FileKind::Test);
-        assert_eq!(
-            classify("crates/saga-bench/benches/kernel.rs"),
-            FileKind::Bench
-        );
         assert_eq!(classify("vendor/rayon/src/lib.rs"), FileKind::Vendor);
         assert_eq!(classify("examples/quickstart.rs"), FileKind::Bin);
         assert_eq!(classify("src/lib.rs"), FileKind::Lib);

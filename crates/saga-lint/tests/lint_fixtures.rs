@@ -19,7 +19,7 @@ fn fixture(name: &str) -> String {
 /// Lints a fixture as though it sat at `rel` in the workspace.
 fn lint_as(name: &str, rel: &str, kind: FileKind) -> FileOutcome {
     let src = fixture(name);
-    let scan = FileScan::new(&src, matches!(kind, FileKind::Test | FileKind::Bench));
+    let scan = FileScan::new(&src, kind == FileKind::Test);
     lint_file(rel, kind, &scan, &Config::workspace())
 }
 

@@ -134,7 +134,7 @@ impl Pisa<'_> {
     /// [`DirtyRegion::full`] region *is* `ratio` plus trace recording.
     /// A context on the `incremental: false` reference path
     /// ([`EvalPaths::widen`](saga_core::EvalPaths::widen)) takes that full
-    /// region for every call.
+    /// region for every call: the kernel and the schedulers widen it.
     pub fn ratio_incremental(
         &self,
         inst: &Instance,
@@ -147,7 +147,6 @@ impl Pisa<'_> {
         // and MaxMin in the sub-trace), so the per-scheduler clean skips
         // inside `makespan_incremental` — which compose correctly — are the
         // ones that handle an unchanged instance.
-        let dirty = &ctx.paths().widen(dirty);
         ctx.pin_tables_dirty(inst, dirty);
         let a = self
             .target
@@ -162,7 +161,7 @@ impl Pisa<'_> {
     /// Runs all restarts from initial instances produced by `init` and
     /// returns the best result.
     ///
-    /// Acceptance follows the standard Metropolis criterion for
+    /// Acceptance follows the standard Metropolis rule for
     /// maximization, `exp(-(r_cur - r') / T)` — see DESIGN.md for why the
     /// paper's printed formula is replaced (it is non-monotonic in solution
     /// quality).

@@ -84,7 +84,8 @@ impl Objective {
     /// materializing the (bit-identical) schedules the metric needs. A
     /// context on the `incremental: false` reference path takes
     /// [`DirtyRegion::full`] for every call, as in
-    /// [`Pisa::ratio_incremental`](crate::Pisa::ratio_incremental).
+    /// [`Pisa::ratio_incremental`](crate::Pisa::ratio_incremental): the
+    /// kernel and the schedulers widen it.
     pub fn ratio_incremental(
         self,
         target: &dyn Scheduler,
@@ -94,7 +95,6 @@ impl Objective {
         traces: &mut PairTraces,
         dirty: &DirtyRegion,
     ) -> f64 {
-        let dirty = &ctx.paths().widen(dirty);
         ctx.pin_tables_dirty(inst, dirty);
         let ts = target.schedule_incremental_into(inst, ctx, &mut traces.target, dirty);
         let bs = baseline.schedule_incremental_into(inst, ctx, &mut traces.baseline, dirty);

@@ -103,6 +103,9 @@ pub trait Scheduler: Send + Sync {
     /// [`DirtyRegion::full`] when unknown — e.g. for a brand-new instance).
     /// Implementations replay only when the result is provably bit-identical
     /// to a full run; the default ignores the trace and runs from scratch.
+    /// On a context built for the `incremental: false` reference path
+    /// ([`EvalPaths::widen`](saga_core::EvalPaths::widen)) the kernel
+    /// schedulers take [`DirtyRegion::full`] for every call.
     fn makespan_incremental(
         &self,
         inst: &Instance,
@@ -193,6 +196,7 @@ impl<T: KernelRun> Scheduler for T {
         trace: &mut RunTrace,
         dirty: &DirtyRegion,
     ) -> f64 {
+        let dirty = &ctx.paths().widen(dirty);
         // nothing changed since the recorded run: its makespan still holds
         if dirty.is_clean() && trace.matches(inst.graph.task_count(), inst.network.node_count()) {
             return trace.makespan();
@@ -217,6 +221,7 @@ impl<T: KernelRun> Scheduler for T {
         trace: &mut RunTrace,
         dirty: &DirtyRegion,
     ) -> Schedule {
+        let dirty = &ctx.paths().widen(dirty);
         // a clean region still needs materialization: the replay path then
         // replays the whole trace (the dirty set never reaches the frontier)
         self.run_recorded(inst, ctx, trace, dirty);

@@ -261,7 +261,7 @@ fn best_eft_node_scalar(ctx: &SchedContext, t: TaskId, insertion: bool) -> (Node
     best.expect("network has at least one node")
 }
 
-/// The node minimizing the earliest *start* time of `t` (ETF's criterion),
+/// The node minimizing the earliest *start* time of `t` (ETF's selection rule),
 /// with the corresponding `(start, finish)`. Ties go to the earlier finish.
 ///
 /// Like [`best_eft_node`], nodes are pruned when even their data-ready lower

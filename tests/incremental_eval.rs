@@ -9,46 +9,72 @@
 //! region taken from the perturbation undo records — across *all six*
 //! perturbation operators and every benchmark scheduler, asserting each
 //! incremental makespan bit-identical to a from-scratch evaluation in a
-//! fresh context. Any unsound replay-prefix rule flips bits here long
-//! before it could reach the golden fixtures.
+//! fresh context. The round-trip properties also drive one reused context
+//! on the `incremental: false` reference path through the same protocol,
+//! which must widen every region itself and so never go stale. Any unsound
+//! replay-prefix rule flips bits here long before it could reach the
+//! golden fixtures.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saga::core::{DirtyRegion, Instance, RunTrace, SchedContext};
+use saga::core::{DirtyRegion, EvalPaths, Instance, RunTrace, SchedContext};
 use saga::datasets::workflows::WORKFLOW_NAMES;
 use saga::pisa::app_specific::AppSpecific;
 use saga::pisa::perturb::{initial_instance, GeneralPerturber, Perturber};
 use saga::schedulers::Scheduler;
 
-/// Evaluates every scheduler incrementally (shared pinned tables, per-
-/// scheduler traces — exactly how `Pisa::ratio_incremental` drives pairs)
-/// and asserts each result bit-identical to a full run in a fresh context.
+/// A context kept warm across evaluations, with one trace per scheduler.
+struct Warm {
+    ctx: SchedContext,
+    traces: Vec<RunTrace>,
+}
+
+impl Warm {
+    fn new(paths: EvalPaths, scheds: &[Box<dyn Scheduler>]) -> Self {
+        Warm {
+            ctx: SchedContext::with_paths(paths),
+            traces: scheds.iter().map(|_| RunTrace::new()).collect(),
+        }
+    }
+}
+
+/// Evaluates every scheduler incrementally on each warm context (shared
+/// pinned tables, per-scheduler traces — exactly how
+/// `Pisa::ratio_incremental` drives pairs) and asserts each result
+/// bit-identical to a full run in a fresh context.
 fn check_all(
     scheds: &[Box<dyn Scheduler>],
     inst: &Instance,
-    ctx: &mut SchedContext,
-    traces: &mut [RunTrace],
+    warm: &mut [Warm],
     dirty: &DirtyRegion,
     fresh: &mut SchedContext,
     step: &str,
 ) {
-    ctx.pin_tables_dirty(inst, dirty);
-    for (s, trace) in scheds.iter().zip(traces.iter_mut()) {
-        let incremental = s.makespan_incremental(inst, ctx, trace, dirty);
-        let full = s.makespan_into(inst, fresh);
-        assert_eq!(
-            incremental.to_bits(),
-            full.to_bits(),
-            "{} diverged at {step}: incremental {incremental} vs full {full}",
-            s.name()
-        );
+    let fulls: Vec<f64> = scheds
+        .iter()
+        .map(|s| s.makespan_into(inst, fresh))
+        .collect();
+    for w in warm.iter_mut() {
+        let ctx = &mut w.ctx;
+        ctx.pin_tables_dirty(inst, dirty);
+        for ((s, trace), full) in scheds.iter().zip(w.traces.iter_mut()).zip(&fulls) {
+            let incremental = s.makespan_incremental(inst, ctx, trace, dirty);
+            assert_eq!(
+                incremental.to_bits(),
+                full.to_bits(),
+                "{} diverged at {step} on {:?}: incremental {incremental} vs full {full}",
+                s.name(),
+                ctx.paths()
+            );
+        }
+        ctx.unpin_tables();
     }
-    ctx.unpin_tables();
 }
 
 /// Drives `iters` rounds of the annealer protocol on `inst` — perturb →
 /// evaluate, and on a coin flip revert → evaluate with the revert's own
-/// region (the annealer's `pending`) — checking every scheduler each time.
+/// region (the annealer's `pending`) — checking every scheduler each time,
+/// on a default context and on a reused `incremental: false` one.
 fn roundtrip(
     scheds: &[Box<dyn Scheduler>],
     perturber: &GeneralPerturber,
@@ -57,15 +83,20 @@ fn roundtrip(
     iters: usize,
     label: &str,
 ) {
-    let mut ctx = SchedContext::new();
+    let reference = EvalPaths {
+        incremental: false,
+        ..EvalPaths::default()
+    };
+    let mut warm = [
+        Warm::new(EvalPaths::default(), scheds),
+        Warm::new(reference, scheds),
+    ];
     let mut fresh = SchedContext::new();
-    let mut traces: Vec<RunTrace> = scheds.iter().map(|_| RunTrace::new()).collect();
     // seed the traces exactly like a restart's first evaluation
     check_all(
         scheds,
         &inst,
-        &mut ctx,
-        &mut traces,
+        &mut warm,
         &DirtyRegion::full(),
         &mut fresh,
         &format!("{label} initial"),
@@ -78,8 +109,7 @@ fn roundtrip(
         check_all(
             scheds,
             &inst,
-            &mut ctx,
-            &mut traces,
+            &mut warm,
             &dirty,
             &mut fresh,
             &format!("{label} iter {iter} perturb"),
@@ -89,8 +119,7 @@ fn roundtrip(
             check_all(
                 scheds,
                 &inst,
-                &mut ctx,
-                &mut traces,
+                &mut warm,
                 &undo.revert_dirty_region(),
                 &mut fresh,
                 &format!("{label} iter {iter} revert"),
@@ -154,14 +183,12 @@ fn rejection_dirt_accumulates_into_next_evaluation() {
     let perturber = GeneralPerturber::default();
     let mut rng = StdRng::seed_from_u64(99);
     let mut inst = initial_instance(&mut rng);
-    let mut ctx = SchedContext::new();
+    let mut warm = [Warm::new(EvalPaths::default(), &scheds)];
     let mut fresh = SchedContext::new();
-    let mut traces: Vec<RunTrace> = scheds.iter().map(|_| RunTrace::new()).collect();
     check_all(
         &scheds,
         &inst,
-        &mut ctx,
-        &mut traces,
+        &mut warm,
         &DirtyRegion::full(),
         &mut fresh,
         "initial",
@@ -176,8 +203,7 @@ fn rejection_dirt_accumulates_into_next_evaluation() {
         check_all(
             &scheds,
             &inst,
-            &mut ctx,
-            &mut traces,
+            &mut warm,
             &dirty,
             &mut fresh,
             &format!("iter {iter}"),

@@ -97,7 +97,7 @@ fn canonical(text: &str, tag: &str) -> Vec<u8> {
     out
 }
 
-/// The heart of criterion 2: run `cells` unsharded and as 3 shards, merge
+/// The byte-identity property: run `cells` unsharded and as 3 shards, merge
 /// the shard checkpoints, and demand byte-identity with the canonicalized
 /// 1-host file.
 fn assert_three_way_shard_merges_byte_identical(cells: &[SearchCell], tag: &str) {
@@ -241,7 +241,7 @@ fn merged_duplicates_must_be_byte_identical_to_dedupe() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Criterion 1: for arbitrary grid shapes (random pair subsets, seeds,
+    /// Exact cover: for arbitrary grid shapes (random pair subsets, seeds,
     /// budgets) and arbitrary shard counts, every cell lands in exactly one
     /// shard — no loss, no double-run — and the union preserves grid order.
     #[test]
