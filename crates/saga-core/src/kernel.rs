@@ -31,6 +31,7 @@
 
 use crate::incremental::{DirtyRegion, RunTrace};
 use crate::{Assignment, Instance, NodeId, Schedule, TaskId};
+use std::any::TypeId;
 
 /// Sets `v` to `n` copies of `value`, preferring an in-place fill (a memset
 /// the run-state clear performs three times per scheduler evaluation) over
@@ -385,8 +386,14 @@ pub struct SchedContext {
     rec_node: Vec<NodeId>,
     rec_start: Vec<f64>,
     /// When true, [`reset`](Self::reset) skips the table rebuild and only
-    /// clears the run state — see [`pin_tables`](Self::pin_tables).
+    /// clears the run state — see [`pin_tables`](Self::pin_tables). Only
+    /// [`set_pinned`](Self::set_pinned) assigns it.
     pinned: bool,
+    /// Makespans of parameterless schedulers on the pinned tables, keyed by
+    /// the scheduler's type ([`pinned_makespan`](Self::pinned_makespan)).
+    /// Emptied whenever `pinned` is assigned, so an entry never outlives
+    /// the tables it was computed on.
+    pinned_makespans: Vec<(TypeId, f64)>,
     /// When true, the run state is exactly as [`clear_run_state`]
     /// (Self::clear_run_state) left it (no placement since), so a pinned
     /// `reset` can skip clearing too. The annealer's objective pins then
@@ -451,17 +458,54 @@ impl SchedContext {
     /// here can be shared across several scheduler runs (the adversarial
     /// annealer evaluates two schedulers per candidate). The caller must not
     /// mutate the instance while the pin is active.
+    ///
+    /// While the pin holds, the context also memoizes the makespans of
+    /// parameterless schedulers ([`pinned_makespan`](Self::pinned_makespan)).
+    /// Pinning, re-pinning and unpinning all clear that memo.
     pub fn pin_tables(&mut self, inst: &Instance) {
-        self.pinned = false;
+        self.set_pinned(false);
         self.rebuild_tables(inst);
         self.clear_run_state();
-        self.pinned = true;
+        self.set_pinned(true);
     }
 
     /// Ends a [`pin_tables`](Self::pin_tables) scope; subsequent `reset`s
     /// rebuild the tables again.
     pub fn unpin_tables(&mut self) {
-        self.pinned = false;
+        self.set_pinned(false);
+    }
+
+    /// The one place `pinned` is assigned: any change of pin (or re-pin)
+    /// may change the tables, so it also forgets every memoized makespan.
+    fn set_pinned(&mut self, pinned: bool) {
+        self.pinned = pinned;
+        self.pinned_makespans.clear();
+    }
+
+    /// The makespan recorded for `key` by
+    /// [`memo_pinned_makespan`](Self::memo_pinned_makespan) since the
+    /// tables were last pinned, if any.
+    ///
+    /// The memo is for schedulers whose makespan is a pure function of the
+    /// pinned tables: the scheduler blanket impl keys it by the type of a
+    /// zero-sized scheduler, which has no parameters (seeded schedulers
+    /// such as WBA are never zero-sized). Only `makespan_into` reads or
+    /// writes it; `schedule_into` and the incremental entry points never do.
+    #[inline]
+    pub fn pinned_makespan(&self, key: TypeId) -> Option<f64> {
+        self.pinned_makespans
+            .iter()
+            .find(|&&(k, _)| k == key)
+            .map(|&(_, m)| m)
+    }
+
+    /// Records `makespan` under `key` for the rest of the current pin; a
+    /// no-op while the tables are not pinned. See
+    /// [`pinned_makespan`](Self::pinned_makespan).
+    pub fn memo_pinned_makespan(&mut self, key: TypeId, makespan: f64) {
+        if self.pinned {
+            self.pinned_makespans.push((key, makespan));
+        }
     }
 
     /// [`pin_tables`](Self::pin_tables) for an instance that differs from
@@ -494,7 +538,7 @@ impl SchedContext {
             self.pin_tables(inst);
             return;
         }
-        self.pinned = false;
+        self.set_pinned(false);
         if let Some(v) = dirty.node_touched() {
             // one node speed moved: refresh its execution column, the
             // speed-derived scalars, and (inv_speed changed) every average
@@ -571,7 +615,7 @@ impl SchedContext {
         if !self.run_clean {
             self.clear_run_state();
         }
-        self.pinned = true;
+        self.set_pinned(true);
     }
 
     /// Recomputes the cached execution row, cost snapshot and average

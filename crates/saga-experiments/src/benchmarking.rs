@@ -7,14 +7,27 @@
 //! each cell. Instance `k` always comes from the stream
 //! `derive_seed(seed, k)` ([`dataset_instances`] draws the same ones up
 //! front), so the `RatioStats` are bit-identical at any thread count.
+//!
+//! Fig. 2 is the same reduction over every dataset: [`fig2_rows`] computes
+//! (or replays) the keyed rows and [`fig2_matrices`] reduces them to the
+//! max and median matrices the `fig2` binary renders. The binary and the
+//! paper-scale pin in `tests/paper_pins.rs` share both calls.
 
-use crate::engine::{BatchEngine, Progress};
+use crate::engine::{BatchEngine, Progress, RowCheckpoint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saga_core::Instance;
 use saga_datasets::DatasetGenerator;
 use saga_pisa::ShardSpec;
 use saga_schedulers::Scheduler;
+use std::io;
+
+/// Fig. 2's default budget: instances per dataset (the paper's low end).
+pub const FIG2_INSTANCES: usize = 100;
+
+/// Fig. 2's default base seed; instance `k` comes from
+/// `derive_seed(FIG2_SEED, k)`.
+pub const FIG2_SEED: u64 = 0xF162;
 
 /// Summary statistics of a scheduler's makespan ratios over a dataset.
 #[derive(Debug, Clone, Copy)]
@@ -82,13 +95,69 @@ pub fn benchmark_dataset_engine(
             None,
         )
         .unwrap_or_default();
-    let mut per_sched: Vec<Vec<f64>> = vec![Vec::with_capacity(count); schedulers.len()];
+    dataset_stats(&rows, schedulers.len())
+}
+
+/// One dataset's makespan rows reduced to one [`RatioStats`] per scheduler
+/// (in scheduler order): each row becomes ratios against its best
+/// ([`ratios_of`]) and each scheduler's ratios are summarized. Rows outside
+/// the shard (`None`) are left out.
+pub fn dataset_stats(rows: &[Option<Vec<f64>>], schedulers: usize) -> Vec<RatioStats> {
+    let mut per_sched: Vec<Vec<f64>> = vec![Vec::with_capacity(rows.len()); schedulers];
     for row in rows.iter().flatten() {
         for (k, r) in ratios_of(row).into_iter().enumerate() {
             per_sched[k].push(r);
         }
     }
-    per_sched.into_iter().map(|rs| summarize(&rs)).collect()
+    per_sched.iter().map(|rs| summarize(rs)).collect()
+}
+
+/// The checkpoint key of Fig. 2's row `k` of `dataset` under base `seed`.
+pub fn fig2_key(dataset: &str, k: usize, seed: u64) -> String {
+    format!("fig2/{dataset}#k{k}#s{seed:016x}")
+}
+
+/// Fig. 2's makespan rows: for each of `generators`, in order, its
+/// `instances` rows from [`BatchEngine::dataset_makespans_sharded`], keyed
+/// by [`fig2_key`]. Rows outside `shard` are `None`; rows stored in
+/// `checkpoint` replay. Stops at the first checkpoint write error.
+#[allow(clippy::too_many_arguments)]
+pub fn fig2_rows(
+    engine: &BatchEngine,
+    schedulers: &[Box<dyn Scheduler>],
+    generators: &[DatasetGenerator],
+    instances: usize,
+    seed: u64,
+    shard: ShardSpec,
+    progress: Option<&Progress>,
+    checkpoint: Option<&RowCheckpoint>,
+) -> io::Result<Vec<Vec<Option<Vec<f64>>>>> {
+    generators
+        .iter()
+        .map(|gen| {
+            let key_of = |k: usize| fig2_key(gen.name, k, seed);
+            engine.dataset_makespans_sharded(
+                schedulers, gen, instances, seed, &key_of, shard, progress, checkpoint,
+            )
+        })
+        .collect()
+}
+
+/// Fig. 2's two matrices from [`fig2_rows`], `(max, median)`, each
+/// `[dataset][scheduler]`: every dataset reduced by [`dataset_stats`].
+pub fn fig2_matrices(
+    rows: &[Vec<Option<Vec<f64>>>],
+    schedulers: usize,
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    rows.iter()
+        .map(|dataset| {
+            let stats = dataset_stats(dataset, schedulers);
+            (
+                stats.iter().map(|s| s.max).collect(),
+                stats.iter().map(|s| s.median).collect(),
+            )
+        })
+        .unzip()
 }
 
 /// Summarizes a ratio sample.

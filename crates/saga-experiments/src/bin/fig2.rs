@@ -21,13 +21,14 @@
 //! Usage: `fig2 [--instances N] [--seed S] [--resume] [--shard i/N]
 //! [--checkpoint PATH]`.
 
+use saga_experiments::benchmarking::{self, FIG2_INSTANCES, FIG2_SEED};
 use saga_experiments::engine::{BatchEngine, Progress, RowCheckpoint};
-use saga_experiments::{benchmarking, cli, render, write_results_file};
+use saga_experiments::{cli, render, write_results_file};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let instances: usize = cli::arg_or(&args, "instances", 100);
-    let seed: u64 = cli::arg_or(&args, "seed", 0xF162);
+    let instances: usize = cli::arg_or(&args, "instances", FIG2_INSTANCES);
+    let seed: u64 = cli::arg_or(&args, "seed", FIG2_SEED);
     let resume = cli::flag(&args, "resume");
     let shard = cli::shard_arg(&args);
     let ckpt_path = cli::checkpoint_path(&args, shard, "results/fig2_rows.jsonl");
@@ -48,58 +49,35 @@ fn main() {
             ckpt_path.display()
         );
     }
-    let key_of = |dataset: &str, k: usize| format!("fig2/{dataset}#k{k}#s{seed:016x}");
     // progress totals count only this shard's rows
     let total: usize = generators
         .iter()
         .map(|g| {
             (0..instances)
-                .filter(|&k| shard.contains_key(&key_of(g.name, k)))
+                .filter(|&k| shard.contains_key(&benchmarking::fig2_key(g.name, k, seed)))
                 .count()
         })
         .sum();
 
     let engine = BatchEngine::new();
     let progress = Progress::new("fig2", total);
-    let mut max_rows: Vec<Vec<f64>> = Vec::with_capacity(generators.len());
-    let mut med_rows: Vec<Vec<f64>> = Vec::with_capacity(generators.len());
-    let mut done = 0usize;
-    for gen in &generators {
-        let key_of_k = |k: usize| key_of(gen.name, k);
-        let rows = cli::checkpoint_or_exit(
-            engine.dataset_makespans_sharded(
-                &schedulers,
-                gen,
-                instances,
-                seed,
-                &key_of_k,
-                shard,
-                Some(&progress),
-                Some(&checkpoint),
-            ),
-            cli::CheckpointOp::Write,
-        );
-        done += rows.iter().flatten().count();
-        if !shard.is_full() {
-            continue;
-        }
-        // a full run computes every row; reduce to the paper's statistics
-        let mut per_sched: Vec<Vec<f64>> = vec![Vec::with_capacity(instances); schedulers.len()];
-        for row in rows.iter().flatten() {
-            for (k, r) in benchmarking::ratios_of(row).into_iter().enumerate() {
-                per_sched[k].push(r);
-            }
-        }
-        let stats: Vec<benchmarking::RatioStats> = per_sched
-            .iter()
-            .map(|rs| benchmarking::summarize(rs))
-            .collect();
-        max_rows.push(stats.iter().map(|s| s.max).collect());
-        med_rows.push(stats.iter().map(|s| s.median).collect());
-    }
+    let rows = cli::checkpoint_or_exit(
+        benchmarking::fig2_rows(
+            &engine,
+            &schedulers,
+            &generators,
+            instances,
+            seed,
+            shard,
+            Some(&progress),
+            Some(&checkpoint),
+        ),
+        cli::CheckpointOp::Write,
+    );
     if !shard.is_full() {
         // a partial shard can't render the matrices; its output is the
         // checkpoint itself
+        let done = rows.iter().flatten().flatten().count();
         eprintln!(
             "shard {shard} complete: {done} rows in {} — merge all shards with \
              `saga-merge --out results/fig2_rows.jsonl results/fig2_rows.shard*.jsonl`, \
@@ -108,6 +86,8 @@ fn main() {
         );
         return;
     }
+    // a full run computes every row; reduce to the paper's statistics
+    let (max_rows, med_rows) = benchmarking::fig2_matrices(&rows, schedulers.len());
 
     println!(
         "{}",

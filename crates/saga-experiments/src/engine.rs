@@ -346,7 +346,10 @@ impl BatchEngine {
 }
 
 /// Every scheduler's makespan on `inst`, with the cost tables built once
-/// and pinned for the whole row ([`SchedContext::with_pinned`]).
+/// and pinned for the whole row ([`SchedContext::with_pinned`]). A
+/// parameterless scheduler that already ran in the row is looked up, not
+/// re-run ([`SchedContext::pinned_makespan`]): in the Fig. 2 roster,
+/// Duplex's MinMin and MaxMin runs serve those two columns.
 fn pinned_row(
     ctx: &mut SchedContext,
     schedulers: &[Box<dyn Scheduler>],

@@ -31,6 +31,15 @@
 //! the plain scan wins, because it vectorises and a few-node row gives the
 //! sort little to skip. Both loops take the minimum of the same
 //! candidates, so the table bits do not depend on the path.
+//!
+//! The selection loop is an append-only frontier sweep. Once a task is
+//! ready its predecessors are all placed, so its data-ready row never
+//! changes: [`util::FrontierSweep`] computes each row once, and every
+//! `BIM(t, v)` is `tail(v).max(ready(t, v)) + BIL(t, v)` over the kernel's
+//! append-tail row. These are the floats the per-node `ctx.eft(t, v,
+//! false)` query composes, without re-folding the task's predecessors for
+//! every node at every step. The tests keep that per-node loop as the
+//! oracle the sweep must match bit for bit.
 
 use crate::{util, KernelRun};
 use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
@@ -122,28 +131,34 @@ fn bil_table_pruned(ctx: &SchedContext, out: &mut Vec<f64>, order: &mut Vec<Node
     }
 }
 
-/// BIL's selection loop from whatever partial state `ctx` is in.
+/// BIL's selection loop from whatever partial state `ctx` is in (a clean
+/// context or the end of a replayed prefix). Append-only, so every start
+/// comes from the [`util::FrontierSweep`] cache: `BIM(t, v)` is
+/// `tail(v).max(ready(t, v)) + BIL(t, v)`, the same floats
+/// `ctx.eft(t, v, false)` composes, scanned in ascending node order with a
+/// strict `<`.
 fn bil_loop(ctx: &mut SchedContext, bil: &[f64]) {
     let n = ctx.task_count();
     let nv = ctx.node_count();
+    let mut sweep = util::FrontierSweep::new(ctx);
     while ctx.placed_count() < n {
         // priority of a ready task: its best (minimum over nodes) BIM;
         // the task with the largest best-BIM is the most urgent
         let mut chosen: Option<(TaskId, NodeId, f64, f64)> = None;
+        let tails = &ctx.append_tails()[..nv];
         for &t in ctx.ready() {
-            let mut best_node: Option<(NodeId, f64, f64)> = None; // (v, start, bim)
-            for v in ctx.nodes() {
-                let (s, _) = ctx.eft(t, v, false);
-                let bim = s + bil[t.index() * nv + v.index()];
-                let better = match best_node {
-                    None => true,
-                    Some((_, _, bb)) => bim < bb,
-                };
-                if better {
-                    best_node = Some((v, s, bim));
+            let ready = sweep.row(nv, t);
+            let levels = &bil[t.index() * nv..][..nv];
+            // (v, bim) of the first node with the smallest BIM
+            let mut best = (0, tails[0].max(ready[0]) + levels[0]);
+            for v in 1..nv {
+                let bim = tails[v].max(ready[v]) + levels[v];
+                if bim < best.1 {
+                    best = (v, bim);
                 }
             }
-            let (v, s, bim) = best_node.expect("non-empty network");
+            let (v, bim) = best;
+            let (v, s) = (NodeId(v as u32), tails[v].max(ready[v]));
             let better = match chosen {
                 None => true,
                 Some((ct, _, _, cb)) => bim > cb || (bim == cb && t < ct),
@@ -154,7 +169,9 @@ fn bil_loop(ctx: &mut SchedContext, bil: &[f64]) {
         }
         let (t, v, s, _) = chosen.expect("ready set cannot be empty in a DAG");
         ctx.place(t, v, s);
+        sweep.note_placed(ctx, t);
     }
+    sweep.release(ctx);
 }
 
 impl KernelRun for Bil {
@@ -240,42 +257,27 @@ mod tests {
         assert!((bil[3 * nv] - 0.8).abs() < 1e-12);
     }
 
-    /// `bil_table_into` and the pruned loop on their own must both equal
-    /// the plain loop bit for bit.
-    fn assert_tables_agree(inst: &Instance, what: &str) {
-        let mut ctx = SchedContext::new();
-        ctx.reset(inst);
-        let (mut plain, mut pruned, mut dispatched) = (Vec::new(), Vec::new(), Vec::new());
-        bil_table_plain(&ctx, &mut plain);
-        bil_table_pruned(&ctx, &mut pruned, &mut Vec::new());
-        bil_table_into(&mut ctx, &mut dispatched);
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&pruned), bits(&plain), "pruned loop: {what}");
-        assert_eq!(bits(&dispatched), bits(&plain), "bil_table_into: {what}");
-    }
-
-    #[test]
-    fn pruned_table_matches_plain_on_every_dataset() {
+    /// Three instances from every dataset generator.
+    fn dataset_instances() -> Vec<(String, Instance)> {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xB11);
-        let mut wide = 0;
+        let mut out = Vec::new();
         for gen in saga_datasets::all_generators() {
             for k in 0..3 {
-                let inst = gen.sample(&mut rng);
-                wide += usize::from(inst.network.node_count() >= PRUNE_MIN_NODES);
-                assert_tables_agree(&inst, &format!("{} #{k}", gen.name));
+                out.push((format!("{} #{k}", gen.name), gen.sample(&mut rng)));
             }
         }
-        assert!(wide > 0, "no dataset instance reached the pruned path");
+        out
     }
 
-    #[test]
-    fn pruned_table_matches_plain_on_degenerate_weights() {
-        // small integer weights make ties between levels common, and zero
-        // speeds, zero/infinite links and zero-weight edges give levels and
-        // message times of 0 and infinity
+    /// Random DAGs on 1–48 nodes with degenerate weights: small integer
+    /// weights make ties between levels common, and zero speeds,
+    /// zero/infinite links and zero-weight edges give levels, message
+    /// times and start times of 0 and infinity.
+    fn degenerate_instances() -> Vec<(String, Instance)> {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xB12);
+        let mut out = Vec::new();
         for k in 0..160 {
             let nv = [1usize, 2, 3, 5, 31, 32, 33, 48][k % 8];
             let mut g = saga_core::TaskGraph::new();
@@ -302,8 +304,112 @@ mod tests {
                     net.set_link(NodeId(u as u32), NodeId(v as u32), weight(&mut rng));
                 }
             }
-            let inst = Instance::new(net, g);
-            assert_tables_agree(&inst, &format!("random #{k} ({nv} nodes)"));
+            out.push((format!("random #{k} ({nv} nodes)"), Instance::new(net, g)));
+        }
+        out
+    }
+
+    /// `bil_table_into` and the pruned loop on their own must both equal
+    /// the plain loop bit for bit.
+    fn assert_tables_agree(inst: &Instance, what: &str) {
+        let mut ctx = SchedContext::new();
+        ctx.reset(inst);
+        let (mut plain, mut pruned, mut dispatched) = (Vec::new(), Vec::new(), Vec::new());
+        bil_table_plain(&ctx, &mut plain);
+        bil_table_pruned(&ctx, &mut pruned, &mut Vec::new());
+        bil_table_into(&mut ctx, &mut dispatched);
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pruned), bits(&plain), "pruned loop: {what}");
+        assert_eq!(bits(&dispatched), bits(&plain), "bil_table_into: {what}");
+    }
+
+    #[test]
+    fn pruned_table_matches_plain_on_every_dataset() {
+        let instances = dataset_instances();
+        for (what, inst) in &instances {
+            assert_tables_agree(inst, what);
+        }
+        assert!(
+            instances
+                .iter()
+                .any(|(_, inst)| inst.network.node_count() >= PRUNE_MIN_NODES),
+            "no dataset instance reached the pruned path"
+        );
+    }
+
+    #[test]
+    fn pruned_table_matches_plain_on_degenerate_weights() {
+        for (what, inst) in &degenerate_instances() {
+            assert_tables_agree(inst, what);
+        }
+    }
+
+    /// The per-node selection loop [`bil_loop`] replaced: every `BIM`
+    /// re-folds the task's predecessors through `ctx.eft`. Kept as the
+    /// oracle the sweep is tested against.
+    fn bil_loop_per_node(ctx: &mut SchedContext, bil: &[f64]) {
+        let n = ctx.task_count();
+        let nv = ctx.node_count();
+        while ctx.placed_count() < n {
+            let mut chosen: Option<(TaskId, NodeId, f64, f64)> = None;
+            for &t in ctx.ready() {
+                let mut best_node: Option<(NodeId, f64, f64)> = None;
+                for v in ctx.nodes() {
+                    let (s, _) = ctx.eft(t, v, false);
+                    let bim = s + bil[t.index() * nv + v.index()];
+                    let better = match best_node {
+                        None => true,
+                        Some((_, _, bb)) => bim < bb,
+                    };
+                    if better {
+                        best_node = Some((v, s, bim));
+                    }
+                }
+                let (v, s, bim) = best_node.expect("non-empty network");
+                let better = match chosen {
+                    None => true,
+                    Some((ct, _, _, cb)) => bim > cb || (bim == cb && t < ct),
+                };
+                if better {
+                    chosen = Some((t, v, s, bim));
+                }
+            }
+            let (t, v, s, _) = chosen.expect("ready set cannot be empty in a DAG");
+            ctx.place(t, v, s);
+        }
+    }
+
+    /// BIL through the sweep loop and through the per-node oracle must
+    /// place every task on the same node at the same start and finish
+    /// bits.
+    fn assert_loops_agree(inst: &Instance, what: &str) {
+        let sweep = Bil.schedule_into(inst, &mut SchedContext::new());
+        let mut ctx = SchedContext::new();
+        ctx.reset(inst);
+        let mut bil = Vec::new();
+        bil_table_into(&mut ctx, &mut bil);
+        bil_loop_per_node(&mut ctx, &bil);
+        let oracle = ctx.snapshot_schedule();
+        let bits = |s: &saga_core::Schedule| {
+            s.assignments()
+                .iter()
+                .map(|a| (a.task, a.node, a.start.to_bits(), a.finish.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&sweep), bits(&oracle), "sweep loop: {what}");
+    }
+
+    #[test]
+    fn sweep_loop_matches_per_node_loop_on_every_dataset() {
+        for (what, inst) in &dataset_instances() {
+            assert_loops_agree(inst, what);
+        }
+    }
+
+    #[test]
+    fn sweep_loop_matches_per_node_loop_on_degenerate_weights() {
+        for (what, inst) in &degenerate_instances() {
+            assert_loops_agree(inst, what);
         }
     }
 

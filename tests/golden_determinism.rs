@@ -12,6 +12,10 @@
 //! evaluation paths and on the scalar reference path (a context built with
 //! `EvalPaths { fused_rows: false, .. }`, which sends every node selection
 //! through the per-node queries instead of the fused EFT row kernels).
+//! On both paths they are also checked through one pinned row per
+//! instance (`with_pinned`, then `makespan_into` in roster order), the
+//! path `fig2` takes, where parameterless schedulers' makespans are
+//! memoized on the context.
 //!
 //! Regenerate (only when a behavior change is *intended* and reviewed):
 //!
@@ -127,26 +131,56 @@ const SCALAR_ROWS: EvalPaths = EvalPaths {
     fused_rows: false,
 };
 
-/// `s`'s makespan on `inst` as a fixture line, scheduled in a fresh context
-/// on `paths`.
-fn line(s: &dyn Scheduler, label: &str, inst: &Instance, paths: EvalPaths) -> String {
-    let m = s
-        .schedule_into(inst, &mut SchedContext::with_paths(paths))
-        .makespan();
+/// How a fixture's makespans are evaluated, on which paths.
+#[derive(Clone, Copy)]
+enum Eval {
+    /// Each scheduler's `schedule_into` in its own fresh context.
+    Fresh(EvalPaths),
+    /// One pinned row per instance, the path `fig2` takes: `with_pinned`,
+    /// then every scheduler's `makespan_into` in roster order on the one
+    /// context (parameterless schedulers' makespans are memoized there).
+    PinnedRow(EvalPaths),
+}
+
+/// `schedulers`' makespans on `inst`, in order, evaluated by `eval`.
+fn makespans(eval: Eval, schedulers: &[Box<dyn Scheduler>], inst: &Instance) -> Vec<f64> {
+    match eval {
+        Eval::Fresh(paths) => schedulers
+            .iter()
+            .map(|s| {
+                s.schedule_into(inst, &mut SchedContext::with_paths(paths))
+                    .makespan()
+            })
+            .collect(),
+        Eval::PinnedRow(paths) => SchedContext::with_paths(paths).with_pinned(inst, |ctx| {
+            schedulers
+                .iter()
+                .map(|s| s.makespan_into(inst, ctx))
+                .collect()
+        }),
+    }
+}
+
+/// A fixture line: `scheduler,instance,bits`.
+fn line(s: &dyn Scheduler, label: &str, m: f64) -> String {
     format!("{},{},{:016x}", s.name(), label, m.to_bits())
 }
 
 /// One `scheduler,instance,bits` line per (roster scheduler, large
 /// instance), in a fixed order.
-fn current_large_lines(paths: EvalPaths) -> Vec<String> {
+fn current_large_lines(eval: Eval) -> Vec<String> {
     let roster = roster();
     let mut lines = Vec::new();
     // one block per battery, so a battery added later appends its rows and
     // leaves the earlier blocks byte-identical
     for battery in [large_battery(), wide_battery()] {
-        for s in &roster {
-            for (label, inst) in &battery {
-                lines.push(line(&**s, label, inst, paths));
+        let rows: Vec<Vec<f64>> = battery
+            .iter()
+            .map(|(_, inst)| makespans(eval, &roster, inst))
+            .collect();
+        for (i, s) in roster.iter().enumerate() {
+            for ((label, _), row) in battery.iter().zip(&rows) {
+                lines.push(line(&**s, label, row[i]));
             }
         }
     }
@@ -158,18 +192,24 @@ fn golden_large_path() -> std::path::PathBuf {
 }
 
 /// One `scheduler,instance,bits` line per measurement, in a fixed order.
-fn current_lines(paths: EvalPaths) -> Vec<String> {
+/// A tiny instance's row runs the exact solvers after the roster.
+fn current_lines(eval: Eval) -> Vec<String> {
     let battery = battery();
+    let mut schedulers = roster();
+    let n_roster = schedulers.len();
+    schedulers.extend(schedulers::exact_schedulers());
+    let rows: Vec<Vec<f64>> = battery
+        .iter()
+        .map(|(_, inst, tiny)| {
+            let n = if *tiny { schedulers.len() } else { n_roster };
+            makespans(eval, &schedulers[..n], inst)
+        })
+        .collect();
     let mut lines = Vec::new();
-    for s in roster() {
-        for (label, inst, _) in &battery {
-            lines.push(line(&*s, label, inst, paths));
-        }
-    }
-    for s in schedulers::exact_schedulers() {
-        for (label, inst, tiny) in &battery {
-            if *tiny {
-                lines.push(line(&*s, label, inst, paths));
+    for (i, s) in schedulers.iter().enumerate() {
+        for ((label, _, tiny), row) in battery.iter().zip(&rows) {
+            if i < n_roster || *tiny {
+                lines.push(line(&**s, label, row[i]));
             }
         }
     }
@@ -184,7 +224,7 @@ fn golden_path() -> std::path::PathBuf {
 fn makespans_match_golden_bits() {
     assert_matches_golden(
         &golden_path(),
-        &current_lines(EvalPaths::default()),
+        &current_lines(Eval::Fresh(EvalPaths::default())),
         "makespans",
     );
 }
@@ -193,7 +233,7 @@ fn makespans_match_golden_bits() {
 fn large_makespans_match_golden_bits() {
     assert_matches_golden(
         &golden_large_path(),
-        &current_large_lines(EvalPaths::default()),
+        &current_large_lines(Eval::Fresh(EvalPaths::default())),
         "large-instance makespans",
     );
 }
@@ -207,7 +247,7 @@ fn large_makespans_match_golden_bits() {
 fn makespans_match_golden_bits_on_scalar_rows() {
     assert_matches_golden(
         &golden_path(),
-        &current_lines(SCALAR_ROWS),
+        &current_lines(Eval::Fresh(SCALAR_ROWS)),
         "scalar-path makespans",
     );
 }
@@ -216,9 +256,34 @@ fn makespans_match_golden_bits_on_scalar_rows() {
 fn large_makespans_match_golden_bits_on_scalar_rows() {
     assert_matches_golden(
         &golden_large_path(),
-        &current_large_lines(SCALAR_ROWS),
+        &current_large_lines(Eval::Fresh(SCALAR_ROWS)),
         "scalar-path large-instance makespans",
     );
+}
+
+/// Both fixtures through one pinned row per instance, on the default and
+/// the scalar paths: the memoized `makespan_into` calls of a Fig. 2 row
+/// must reproduce the fresh-context bits.
+#[test]
+fn makespans_match_golden_bits_through_pinned_rows() {
+    for (paths, what) in [(EvalPaths::default(), "default"), (SCALAR_ROWS, "scalar")] {
+        assert_matches_golden(
+            &golden_path(),
+            &current_lines(Eval::PinnedRow(paths)),
+            &format!("pinned-row makespans ({what} paths)"),
+        );
+    }
+}
+
+#[test]
+fn large_makespans_match_golden_bits_through_pinned_rows() {
+    for (paths, what) in [(EvalPaths::default(), "default"), (SCALAR_ROWS, "scalar")] {
+        assert_matches_golden(
+            &golden_large_path(),
+            &current_large_lines(Eval::PinnedRow(paths)),
+            &format!("pinned-row large-instance makespans ({what} paths)"),
+        );
+    }
 }
 
 #[test]
@@ -226,12 +291,15 @@ fn large_makespans_match_golden_bits_on_scalar_rows() {
 fn regenerate_golden_large() {
     regenerate(
         &golden_large_path(),
-        &current_large_lines(EvalPaths::default()),
+        &current_large_lines(Eval::Fresh(EvalPaths::default())),
     );
 }
 
 #[test]
 #[ignore = "writes the golden fixture; run with GOLDEN_REGEN=1 when a behavior change is intended"]
 fn regenerate_golden() {
-    regenerate(&golden_path(), &current_lines(EvalPaths::default()));
+    regenerate(
+        &golden_path(),
+        &current_lines(Eval::Fresh(EvalPaths::default())),
+    );
 }
