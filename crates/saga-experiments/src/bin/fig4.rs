@@ -24,14 +24,15 @@
 
 use saga_experiments::engine::{BatchEngine, CellCheckpoint, Progress};
 use saga_experiments::{cli, render, write_results_file};
-use saga_pisa::{pairwise_cells, shard_cells, PairwiseMatrix, PisaConfig};
+use saga_pisa::{pairwise_cells, shard_cells, PairwiseMatrix, PisaConfig, FIG4_SEED};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = cli::flag(&args, "quick");
-    let imax: usize = cli::arg_or(&args, "imax", if quick { 60 } else { 1000 });
-    let restarts: usize = cli::arg_or(&args, "restarts", if quick { 1 } else { 5 });
-    let seed: u64 = cli::arg_or(&args, "seed", 0xF164);
+    let paper = PisaConfig::default();
+    let imax: usize = cli::arg_or(&args, "imax", if quick { 60 } else { paper.i_max });
+    let restarts: usize = cli::arg_or(&args, "restarts", if quick { 1 } else { paper.restarts });
+    let seed: u64 = cli::arg_or(&args, "seed", FIG4_SEED);
     let resume = cli::flag(&args, "resume");
     let shard = cli::shard_arg(&args);
     let ckpt_path = cli::checkpoint_path(&args, shard, "results/fig4_cells.jsonl");
@@ -44,7 +45,7 @@ fn main() {
             i_max: imax,
             restarts,
             seed,
-            ..PisaConfig::default()
+            ..paper
         },
     );
     let total = all_cells.len();
@@ -86,13 +87,7 @@ fn main() {
     }
     let m = PairwiseMatrix::from_cell_results(names, results);
 
-    // assemble: "Worst" row on top, then baseline rows (paper order)
-    let mut row_names = vec!["Worst".to_string()];
-    row_names.extend(m.names.iter().rev().cloned());
-    let mut rows = vec![m.worst_row()];
-    for i in (0..m.names.len()).rev() {
-        rows.push(m.ratios[i].clone());
-    }
+    let (row_names, rows) = m.heatmap_rows();
     println!(
         "{}",
         render::matrix(

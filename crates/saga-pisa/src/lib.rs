@@ -37,7 +37,7 @@ pub mod runner;
 pub mod shard;
 
 pub use annealer::{AnnealScratch, PairTraces, Pisa, PisaConfig, PisaResult};
-pub use pairwise::{pairwise_cells, pairwise_matrix, PairwiseMatrix};
+pub use pairwise::{pairwise_cells, pairwise_matrix, PairwiseMatrix, FIG4_SEED};
 pub use perturb::{GeneralPerturber, Perturber};
 pub use runner::{cell_config, CellKind, SearchCell};
 pub use shard::{shard_cells, ShardSpec};

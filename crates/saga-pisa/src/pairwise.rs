@@ -14,6 +14,11 @@ use crate::PisaResult;
 use saga_core::{Instance, SchedContext};
 use saga_schedulers::Scheduler;
 
+/// The `fig4` binary's default base seed; with [`PisaConfig::default`]'s
+/// budget (1000 iterations, 5 restarts) it is the grid `tests/paper/`
+/// pins.
+pub const FIG4_SEED: u64 = 0xF164;
+
 /// The Fig. 4 result matrix.
 pub struct PairwiseMatrix {
     /// Scheduler names, in both row and column order.
@@ -37,6 +42,17 @@ impl PairwiseMatrix {
                     .fold(f64::NEG_INFINITY, f64::max)
             })
             .collect()
+    }
+
+    /// The heatmap's rows as the paper lays them out: the "Worst" row on
+    /// top, then one row per baseline in reverse roster order. Returns the
+    /// row labels and the rows; the columns are [`names`](Self::names).
+    pub fn heatmap_rows(&self) -> (Vec<String>, Vec<Vec<f64>>) {
+        let mut row_names = vec!["Worst".to_string()];
+        row_names.extend(self.names.iter().rev().cloned());
+        let mut rows = vec![self.worst_row()];
+        rows.extend(self.ratios.iter().rev().cloned());
+        (row_names, rows)
     }
 
     /// Formats a cell the way the paper's heatmaps do: `> 1000` for blowups,
@@ -161,6 +177,9 @@ mod tests {
             witnesses: vec![vec![None, None], vec![None, None]],
         };
         assert_eq!(m.worst_row(), vec![2.0, 3.0]);
+        let (row_names, rows) = m.heatmap_rows();
+        assert_eq!(row_names, vec!["Worst", "b", "a"]);
+        assert_eq!(rows, vec![vec![2.0, 3.0], vec![2.0, 1.0], vec![1.0, 3.0]]);
     }
 
     #[test]
