@@ -1,14 +1,20 @@
 //! Incremental delta-evaluation support: dirty regions and run traces.
 //!
-//! The adversarial annealer mutates one weight, one dependency, or one task
-//! per iteration and then re-evaluates two schedulers from scratch. This
-//! module carries the two pieces of state that let those re-evaluations
-//! reuse the previous run instead:
+//! The adversarial annealer mutates one weight or one dependency per
+//! iteration and then re-evaluates two schedulers. This module carries the
+//! two pieces of state that let those re-evaluations reuse the previous run
+//! instead of starting from scratch:
 //!
-//! * a [`DirtyRegion`] — the set of tasks whose *placement inputs* (execution
-//!   row, predecessor edges) changed since the last evaluation, produced
+//! * a [`DirtyRegion`] — what changed since the last evaluation, produced
 //!   from the perturbation's undo record and accumulated across rejected
-//!   iterations;
+//!   iterations. Only weight edits are described precisely: a task weight
+//!   or dependency weight names its placement-dirty task, and a node
+//!   weight names the one execution column to refresh. Link-weight and
+//!   structural edits (an added or removed dependency) give a full region:
+//!   the kernel re-verifies every table and every scheduler runs from
+//!   scratch. Those edits only occur in searches that start from 3–5-task
+//!   instances, where incremental evaluation measured at parity with a
+//!   full rebuild;
 //! * a [`RunTrace`] — the placement sequence `(task, node, start)` of a
 //!   scheduler's previous run, plus a scheduler-defined auxiliary row (e.g.
 //!   the priority vector whose ties the scheduler broke), recorded by the
@@ -51,7 +57,7 @@ enum Scope {
 /// evaluation. See the [module docs](self).
 ///
 /// `tasks` lists tasks whose *placement inputs* changed: their execution
-/// row (task-weight edit) or their predecessor edge set/costs (dependency
+/// row (task-weight edit) or their predecessor edge costs (dependency-weight
 /// edits target the edge's destination). `edge_tasks` additionally lists
 /// tasks whose adjacent edge *costs* must be refreshed in the kernel's CSR
 /// views without being placement-dirty themselves (the source of an edited
@@ -65,16 +71,11 @@ pub struct DirtyRegion {
     edge_tasks: [TaskId; 2],
     edge_len: u8,
     structural: bool,
-    /// For `Full` regions caused by a *single known network edit*, the
-    /// touched node / link — the kernel then refreshes one execution
-    /// column or one link entry instead of re-verifying every table.
-    /// `refresh_unknown` forces the verify-everything rebuild.
+    /// For `Full` regions caused by a *single known node edit*, the
+    /// touched node — the kernel then refreshes one execution column
+    /// instead of re-verifying every table. `refresh_unknown` forces the
+    /// verify-everything rebuild.
     node_touched: Option<NodeId>,
-    link_touched: Option<(NodeId, NodeId)>,
-    /// For a *single* structural edit, the edge and whether it was added —
-    /// the kernel then splices one CSR entry instead of rebuilding the
-    /// views. `None` with `structural` set means "rebuild from the graph".
-    struct_edit: Option<(TaskId, TaskId, bool)>,
     refresh_unknown: bool,
 }
 
@@ -87,8 +88,6 @@ impl DirtyRegion {
         edge_len: 0,
         structural: false,
         node_touched: None,
-        link_touched: None,
-        struct_edit: None,
         refresh_unknown: false,
     };
 
@@ -106,6 +105,17 @@ impl DirtyRegion {
         }
     }
 
+    /// A dependency was added or removed: a [`full`](Self::full) region
+    /// that reports [`is_structural`](Self::is_structural). The kernel
+    /// re-verifies every table, rederiving the CSR views and topological
+    /// order, and every scheduler runs from scratch.
+    pub fn structural() -> Self {
+        DirtyRegion {
+            structural: true,
+            ..DirtyRegion::full()
+        }
+    }
+
     /// A node's compute speed changed: every task's execution time on that
     /// node (and every average/ranking) moves, so placement replay is off
     /// the table — but the kernel can refresh one execution column instead
@@ -114,17 +124,6 @@ impl DirtyRegion {
         DirtyRegion {
             scope: Scope::Full,
             node_touched: Some(v),
-            ..DirtyRegion::EMPTY
-        }
-    }
-
-    /// A link strength changed: every communication time across that link
-    /// moves (no placement replay), but table refresh is one symmetric
-    /// link-matrix entry plus the mean-inverse-link scalar.
-    pub fn link_weight(u: NodeId, v: NodeId) -> Self {
-        DirtyRegion {
-            scope: Scope::Full,
-            link_touched: Some((u, v)),
             ..DirtyRegion::EMPTY
         }
     }
@@ -140,13 +139,6 @@ impl DirtyRegion {
     #[inline]
     pub fn node_touched(&self) -> Option<NodeId> {
         self.node_touched
-    }
-
-    /// The single link whose strength changed, if that is this region's
-    /// cause.
-    #[inline]
-    pub fn link_touched(&self) -> Option<(NodeId, NodeId)> {
-        self.link_touched
     }
 
     /// A task's compute cost changed: its execution row (and every ranking
@@ -176,43 +168,6 @@ impl DirtyRegion {
         d
     }
 
-    /// The dependency `from → to` was added (`added`) or removed: `to`'s
-    /// predecessor set changed, and the graph's structure (CSR views,
-    /// topological order, ready-set evolution) must be rederived — for this
-    /// single known edit, by splicing one CSR entry.
-    pub fn structural_edit(from: TaskId, to: TaskId, added: bool) -> Self {
-        let mut d = DirtyRegion {
-            scope: Scope::Tasks,
-            structural: true,
-            struct_edit: Some((from, to, added)),
-            ..DirtyRegion::EMPTY
-        };
-        d.tasks[0] = to;
-        d.len = 1;
-        d
-    }
-
-    /// The single structural edit behind this region, if exactly one
-    /// happened since the last evaluation.
-    #[inline]
-    pub fn struct_edit(&self) -> Option<(TaskId, TaskId, bool)> {
-        self.struct_edit
-    }
-
-    /// A structural change into `to` with no splice-able description (e.g.
-    /// a position-restoring revert of a removal): the kernel rebuilds the
-    /// CSR views from the graph.
-    pub fn structural_rebuild(to: TaskId) -> Self {
-        let mut d = DirtyRegion {
-            scope: Scope::Tasks,
-            structural: true,
-            ..DirtyRegion::EMPTY
-        };
-        d.tasks[0] = to;
-        d.len = 1;
-        d
-    }
-
     /// Whether nothing changed.
     #[inline]
     pub fn is_clean(&self) -> bool {
@@ -225,7 +180,8 @@ impl DirtyRegion {
         self.scope == Scope::Full
     }
 
-    /// Whether the dependency structure changed (edges added/removed).
+    /// Whether a dependency was added or removed (see
+    /// [`structural`](Self::structural)).
     #[inline]
     pub fn is_structural(&self) -> bool {
         self.structural
@@ -262,93 +218,64 @@ impl DirtyRegion {
     }
 
     /// Folds `other` into `self`: the result covers every change either
-    /// region covers. Degrades to [`full`](Self::full) on overflow, and a
-    /// merge of two regions with distinct network hints (or a network hint
-    /// with task-level dirt) keeps all the hints it can represent, falling
-    /// back to the unknown full rebuild otherwise.
+    /// region covers. Degrades to [`full`](Self::full) on overflow; a merge
+    /// of two distinct node hints (or of a node hint with more task-level
+    /// dirt than fits) falls back to the unknown full rebuild.
     pub fn merge(&mut self, other: &DirtyRegion) {
         match (self.scope, other.scope) {
             (_, Scope::Clean) => {}
             (Scope::Clean, _) => *self = *other,
             (Scope::Full, _) | (_, Scope::Full) => {
-                // placement replay is gone either way; try to keep refresh
-                // hints usable: same-slot conflicts mean "unknown"
+                // placement replay is gone either way; try to keep the
+                // node hint usable: two different nodes mean "unknown"
                 let mut merged = DirtyRegion {
                     scope: Scope::Full,
                     ..*self
                 };
                 merged.refresh_unknown |= other.refresh_unknown;
-                merged.struct_edit = match (merged.structural, other.structural) {
-                    (true, true) => None,
-                    (true, false) => merged.struct_edit,
-                    (false, true) => other.struct_edit,
-                    (false, false) => None,
-                };
                 merged.structural |= other.structural;
                 match (merged.node_touched, other.node_touched) {
                     (Some(a), Some(b)) if a != b => merged.refresh_unknown = true,
                     (None, b @ Some(_)) => merged.node_touched = b,
                     _ => {}
                 }
-                match (merged.link_touched, other.link_touched) {
-                    (Some(a), Some(b)) if a != b => merged.refresh_unknown = true,
-                    (None, b @ Some(_)) => merged.link_touched = b,
-                    _ => {}
-                }
                 // task-level dirt folds into the task lists (still refreshed
                 // under Full scope — only replay is disabled)
-                for &t in other.tasks() {
-                    if !merged.tasks[..merged.len as usize].contains(&t) {
-                        if merged.len as usize == MAX_DIRTY {
-                            merged.refresh_unknown = true;
-                            break;
-                        }
-                        merged.tasks[merged.len as usize] = t;
-                        merged.len += 1;
-                    }
-                }
-                for &t in &other.edge_tasks[..other.edge_len as usize] {
-                    if !merged.edge_tasks[..merged.edge_len as usize].contains(&t) {
-                        if merged.edge_len as usize == merged.edge_tasks.len() {
-                            merged.refresh_unknown = true;
-                            break;
-                        }
-                        merged.edge_tasks[merged.edge_len as usize] = t;
-                        merged.edge_len += 1;
-                    }
+                if !merged.push_tasks(other) {
+                    merged.refresh_unknown = true;
                 }
                 *self = merged;
             }
             (Scope::Tasks, Scope::Tasks) => {
-                for &t in other.tasks() {
-                    if !self.contains(t) {
-                        if self.len as usize == MAX_DIRTY {
-                            *self = DirtyRegion::full();
-                            return;
-                        }
-                        self.tasks[self.len as usize] = t;
-                        self.len += 1;
-                    }
+                if !self.push_tasks(other) {
+                    *self = DirtyRegion::full();
                 }
-                for &t in &other.edge_tasks[..other.edge_len as usize] {
-                    if !self.edge_tasks[..self.edge_len as usize].contains(&t) {
-                        if self.edge_len as usize == self.edge_tasks.len() {
-                            *self = DirtyRegion::full();
-                            return;
-                        }
-                        self.edge_tasks[self.edge_len as usize] = t;
-                        self.edge_len += 1;
-                    }
-                }
-                self.struct_edit = match (self.structural, other.structural) {
-                    (true, true) => None, // two edits: rebuild from the graph
-                    (true, false) => self.struct_edit,
-                    (false, true) => other.struct_edit,
-                    (false, false) => None,
-                };
-                self.structural |= other.structural;
             }
         }
+    }
+
+    /// Appends `other`'s placement-dirty and edge-touched tasks that `self`
+    /// lacks; `false` when one of the lists overflows.
+    fn push_tasks(&mut self, other: &DirtyRegion) -> bool {
+        for &t in other.tasks() {
+            if !self.contains(t) {
+                if self.len as usize == MAX_DIRTY {
+                    return false;
+                }
+                self.tasks[self.len as usize] = t;
+                self.len += 1;
+            }
+        }
+        for &t in &other.edge_tasks[..other.edge_len as usize] {
+            if !self.edge_tasks[..self.edge_len as usize].contains(&t) {
+                if self.edge_len as usize == self.edge_tasks.len() {
+                    return false;
+                }
+                self.edge_tasks[self.edge_len as usize] = t;
+                self.edge_len += 1;
+            }
+        }
+        true
     }
 }
 
@@ -360,8 +287,8 @@ pub struct RunTrace {
     pub(crate) task: Vec<TaskId>,
     pub(crate) node: Vec<NodeId>,
     pub(crate) start: Vec<f64>,
-    /// Scheduler-defined per-task decision data from the recorded run (e.g.
-    /// ETF's tie-break ranks, CPoP's priorities), bit-compared on replay.
+    /// Scheduler-defined per-task decision data from the recorded run
+    /// (CPoP's priorities), bit-compared on replay.
     aux: Vec<f64>,
     /// Scheduler-defined scalar (CPoP's critical-path length).
     aux_scalar: f64,
@@ -490,11 +417,45 @@ mod tests {
         let mut d = DirtyRegion::task_weight(TaskId(1));
         d.merge(&DirtyRegion::clean());
         assert_eq!(d.tasks(), &[TaskId(1)]);
-        d.merge(&DirtyRegion::structural_edit(TaskId(0), TaskId(3), true));
-        assert!(d.is_structural());
+        d.merge(&DirtyRegion::dep_weight(TaskId(0), TaskId(3)));
+        assert!(!d.is_full() && !d.is_structural());
         assert!(d.contains(TaskId(1)) && d.contains(TaskId(3)));
-        d.merge(&DirtyRegion::full());
-        assert!(d.is_full());
+        d.merge(&DirtyRegion::structural());
+        assert!(d.is_full() && d.is_structural() && d.refresh_unknown());
+    }
+
+    #[test]
+    fn structural_region_is_full() {
+        let d = DirtyRegion::structural();
+        assert!(d.is_full() && d.is_structural() && d.refresh_unknown());
+        assert!(d.tasks().is_empty());
+        let mut clean = DirtyRegion::clean();
+        clean.merge(&d);
+        assert!(clean.is_full() && clean.is_structural());
+        assert!(!DirtyRegion::full().is_structural());
+    }
+
+    #[test]
+    fn node_hint_survives_task_dirt() {
+        let mut d = DirtyRegion::node_weight(NodeId(2));
+        d.merge(&DirtyRegion::task_weight(TaskId(4)));
+        assert!(d.is_full() && !d.refresh_unknown());
+        assert_eq!(d.node_touched(), Some(NodeId(2)));
+        assert!(d.contains(TaskId(4)));
+        // task dirt first, node edit second: same region
+        let mut e = DirtyRegion::dep_weight(TaskId(1), TaskId(4));
+        e.merge(&DirtyRegion::node_weight(NodeId(2)));
+        assert!(e.is_full() && !e.refresh_unknown());
+        assert_eq!(e.node_touched(), Some(NodeId(2)));
+        assert_eq!(
+            e.edge_touched().collect::<Vec<_>>(),
+            vec![TaskId(4), TaskId(1)]
+        );
+        // the same node twice keeps the hint; two nodes lose it
+        e.merge(&DirtyRegion::node_weight(NodeId(2)));
+        assert!(!e.refresh_unknown());
+        e.merge(&DirtyRegion::node_weight(NodeId(0)));
+        assert!(e.refresh_unknown());
     }
 
     #[test]

@@ -511,12 +511,12 @@ impl SchedContext {
     /// [`pin_tables`](Self::pin_tables) for an instance that differs from
     /// the one the current tables were built for *only* by `dirty` — the
     /// annealer's per-iteration entry point. Refreshes exactly the stale
-    /// pieces (a task's execution row, an edge's CSR costs, or — for
-    /// structural edits — the CSR views and topological order) with the
-    /// same expressions the full rebuild uses, so the refreshed tables are
-    /// bit-identical to a full [`pin_tables`]. Falls back to the full
-    /// rebuild for [`DirtyRegion::full`] regions or when the cached tables
-    /// don't line up with the instance's shape.
+    /// pieces (a task's execution row, an edge's CSR costs, or a node's
+    /// execution column) with the same expressions the full rebuild uses,
+    /// so the refreshed tables are bit-identical to a full [`pin_tables`].
+    /// Falls back to the full rebuild for [`DirtyRegion::full`] regions
+    /// (link-weight and structural edits among them) or when the cached
+    /// tables don't line up with the instance's shape.
     ///
     /// The caller is responsible for `dirty` actually covering every change
     /// since the tables were last built (the annealer derives it from the
@@ -562,52 +562,13 @@ impl SchedContext {
                 }
             }));
         }
-        if let Some((u, v)) = dirty.link_touched() {
-            // one (symmetric) link moved: two matrix entries + the mean
-            let nv = self.n_nodes;
-            self.links[u.index() * nv + v.index()] = net.links()[u.index() * nv + v.index()];
-            self.links[v.index() * nv + u.index()] = net.links()[v.index() * nv + u.index()];
-            self.inv_link = net.mean_inverse_link();
-        }
-        if dirty.is_structural() {
-            match dirty.struct_edit() {
-                Some((from, to, true)) => {
-                    let cost = g
-                        .dependency_cost(from, to)
-                        .expect("added edge present in the graph");
-                    self.csr_add_edge(from, to, cost);
-                    // a merged dependency-weight edit still needs its CSR
-                    // costs refreshed (the splice only syncs structure)
-                    for t in dirty.edge_touched() {
-                        self.refresh_adjacent_edge_costs(g, t);
-                    }
-                }
-                Some((from, to, false)) => {
-                    self.csr_remove_edge(from, to);
-                    for t in dirty.edge_touched() {
-                        self.refresh_adjacent_edge_costs(g, t);
-                    }
-                }
-                None => self.rebuild_csr(g),
-            }
-            debug_assert_eq!(
-                self.pred_task.len(),
-                g.dependency_count(),
-                "CSR splice diverged from the graph"
-            );
-            self.rebuild_topo();
-            // the run state's ready set / predecessor counters were derived
-            // from the old structure — force a re-clear even if untouched
-            self.run_clean = false;
-        } else {
-            debug_assert_eq!(
-                self.pred_task.len(),
-                g.dependency_count(),
-                "non-structural dirty region but dependency count changed"
-            );
-            for t in dirty.edge_touched() {
-                self.refresh_adjacent_edge_costs(g, t);
-            }
+        debug_assert_eq!(
+            self.pred_task.len(),
+            g.dependency_count(),
+            "dependency count changed under a region with refresh hints"
+        );
+        for t in dirty.edge_touched() {
+            self.refresh_adjacent_edge_costs(g, t);
         }
         for &t in dirty.tasks() {
             self.refresh_task_row(g, net, t);
@@ -629,74 +590,6 @@ impl SchedContext {
         let row = &mut self.exec[t.index() * nv..(t.index() + 1) * nv];
         for (v, slot) in row.iter_mut().enumerate() {
             *slot = net.exec_time(c, NodeId(v as u32));
-        }
-    }
-
-    /// Splices the dependency `from → to` into the CSR views exactly the
-    /// way `TaskGraph::add_dependency` splices its adjacency lists: pushed
-    /// at the *end* of `from`'s successor row and `to`'s predecessor row.
-    /// Also maintains the cached initial predecessor counts / ready set.
-    fn csr_add_edge(&mut self, from: TaskId, to: TaskId, cost: f64) {
-        let pos = self.succ_off[from.index() + 1] as usize;
-        self.succ_task.insert(pos, to);
-        self.succ_cost.insert(pos, cost);
-        for o in &mut self.succ_off[from.index() + 1..] {
-            *o += 1;
-        }
-        let pos = self.pred_off[to.index() + 1] as usize;
-        self.pred_task.insert(pos, from);
-        self.pred_cost.insert(pos, cost);
-        for o in &mut self.pred_off[to.index() + 1..] {
-            *o += 1;
-        }
-        let d = &mut self.init_preds[to.index()];
-        if *d == 0 {
-            let i = self
-                .init_ready
-                .binary_search(&to)
-                .expect("source task was in the initial ready set");
-            self.init_ready.remove(i);
-        }
-        *d += 1;
-    }
-
-    /// Removes the dependency `from → to` from the CSR views with the same
-    /// `swap_remove` semantics `TaskGraph::remove_dependency_tracked` uses
-    /// on its adjacency lists (the row's last entry moves into the hole),
-    /// so row order keeps mirroring adjacency order bit for bit. Handles
-    /// `pop_dependency` reverts too — popping the last entry *is* a
-    /// swap-remove of the last entry.
-    fn csr_remove_edge(&mut self, from: TaskId, to: TaskId) {
-        let (s, e) = self.succ_range(from);
-        let i = s + self.succ_task[s..e]
-            .iter()
-            .position(|&t| t == to)
-            .expect("removed edge present in CSR");
-        self.succ_task[i] = self.succ_task[e - 1];
-        self.succ_cost[i] = self.succ_cost[e - 1];
-        self.succ_task.remove(e - 1);
-        self.succ_cost.remove(e - 1);
-        for o in &mut self.succ_off[from.index() + 1..] {
-            *o -= 1;
-        }
-        let (s, e) = self.pred_range(to);
-        let i = s + self.pred_task[s..e]
-            .iter()
-            .position(|&t| t == from)
-            .expect("removed edge present in CSR");
-        self.pred_task[i] = self.pred_task[e - 1];
-        self.pred_cost[i] = self.pred_cost[e - 1];
-        self.pred_task.remove(e - 1);
-        self.pred_cost.remove(e - 1);
-        for o in &mut self.pred_off[to.index() + 1..] {
-            *o -= 1;
-        }
-        let d = &mut self.init_preds[to.index()];
-        *d -= 1;
-        if *d == 0 {
-            if let Err(i) = self.init_ready.binary_search(&to) {
-                self.init_ready.insert(i, to);
-            }
         }
     }
 

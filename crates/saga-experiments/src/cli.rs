@@ -1,19 +1,55 @@
 //! Minimal argument parsing shared by the experiment binaries (no external
 //! CLI crate needed for `--flag value` pairs).
 
-/// Returns the value following `--name`, parsed, or `default`.
-pub fn arg_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+/// The raw value following `--name`: `Ok(None)` when the flag is absent,
+/// `Err` when it is the last argument or another flag follows it.
+fn raw_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
     let flag = format!("--{name}");
-    args.windows(2)
-        .find(|w| w[0] == flag)
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(default)
+    let Some(i) = args.iter().position(|a| *a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v)),
+        _ => Err(format!("{flag} needs a value")),
+    }
 }
 
-/// Returns the raw string following `--name`, if present.
+/// Prints `fatal: {msg}` and exits 2, the usage-error exit of every
+/// experiment binary.
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("fatal: {msg}");
+    std::process::exit(2)
+}
+
+/// The value following `--name`, parsed, or `default` when the flag is
+/// absent. `Err` names the flag and the bad value when the value is
+/// missing or does not parse.
+pub fn try_arg_or<T: std::str::FromStr>(
+    args: &[String],
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    match raw_value(args, name)? {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--{name}: cannot parse {v:?}")),
+    }
+}
+
+/// [`try_arg_or`], exiting 2 with a `fatal:` line on an error: a seed or
+/// budget that silently fell back to its default would rerun the default
+/// experiment under the caller's name for it.
+pub fn arg_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    try_arg_or(args, name, default).unwrap_or_else(|e| usage_exit(&e))
+}
+
+/// Returns the raw string following `--name`, if present; exits 2 with a
+/// `fatal:` line when the flag has no value after it.
 pub fn arg_str(args: &[String], name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone())
+    raw_value(args, name)
+        .unwrap_or_else(|e| usage_exit(&e))
+        .map(str::to_string)
 }
 
 /// Parses `--shard i/N` into a [`ShardSpec`](saga_pisa::ShardSpec)
@@ -24,8 +60,7 @@ pub fn shard_arg(args: &[String]) -> saga_pisa::ShardSpec {
     match arg_str(args, "shard") {
         None => saga_pisa::ShardSpec::FULL,
         Some(spec) => saga_pisa::ShardSpec::parse(&spec).unwrap_or_else(|e| {
-            eprintln!("fatal: {e} (expected --shard i/N, e.g. --shard 0/4)");
-            std::process::exit(2);
+            usage_exit(&format!("{e} (expected --shard i/N, e.g. --shard 0/4)"))
         }),
     }
 }
@@ -131,9 +166,34 @@ mod tests {
     }
 
     #[test]
-    fn unparseable_value_falls_back() {
+    fn unparseable_value_is_an_error() {
         let args = v(&["prog", "--instances", "many"]);
-        assert_eq!(arg_or(&args, "instances", 5usize), 5);
+        assert_eq!(
+            try_arg_or(&args, "instances", 5usize),
+            Err("--instances: cannot parse \"many\"".to_string())
+        );
+        let args = v(&["prog", "--seed", "0x2"]);
+        let e = try_arg_or(&args, "seed", 1u64).unwrap_err();
+        assert!(e.contains("--seed") && e.contains("0x2"), "{e}");
+        let args = v(&["prog", "--imax", "6O"]);
+        assert!(try_arg_or(&args, "imax", 1usize).is_err());
+    }
+
+    #[test]
+    fn missing_value_is_an_error() {
+        let args = v(&["prog", "--quick", "--imax"]);
+        assert_eq!(
+            try_arg_or(&args, "imax", 5usize),
+            Err("--imax needs a value".to_string())
+        );
+        // another flag where the value should be
+        let args = v(&["prog", "--imax", "--restarts", "2"]);
+        assert_eq!(
+            try_arg_or(&args, "imax", 5usize),
+            Err("--imax needs a value".to_string())
+        );
+        assert_eq!(try_arg_or(&args, "restarts", 5usize), Ok(2));
+        assert_eq!(try_arg_or(&args, "seed", 5u64), Ok(5));
     }
 
     #[test]

@@ -151,7 +151,7 @@ fn run_flat(
                 cur_ratio = r;
             } else {
                 undo.revert(current);
-                pending = undo.revert_dirty_region();
+                pending = undo.dirty_region();
             }
         } else {
             candidate.clone_from(current);

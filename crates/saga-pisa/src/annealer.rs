@@ -285,9 +285,10 @@ fn run_annealing(
     let mut best_ratio = initial_ratio;
     // Everything that changed in `current` since the objective last saw an
     // instance: empty after an evaluation is accepted (the traces describe
-    // exactly the accepted state), the revert's own dirty region after a
-    // rejection (the traces describe the rejected candidate, one
-    // perturbation away from `current`).
+    // exactly the accepted state), the perturbation's own dirty region
+    // after a rejection (the traces describe the rejected candidate, one
+    // perturbation away from `current`, and a revert dirties what the
+    // perturbation did).
     let mut pending = DirtyRegion::clean();
 
     let mut t = config.t_max;
@@ -312,7 +313,7 @@ fn run_annealing(
                 cur_ratio = r;
             } else {
                 undo.revert(current);
-                pending = undo.revert_dirty_region();
+                pending = undo.dirty_region();
             }
         } else {
             candidate.clone_from(current);

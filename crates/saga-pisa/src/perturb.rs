@@ -64,40 +64,23 @@ pub enum PerturbUndo {
 }
 
 impl PerturbUndo {
-    /// The [`DirtyRegion`](saga_core::DirtyRegion) this perturbation (or
-    /// its revert — the region is symmetric) leaves behind: what an
-    /// incremental re-evaluation must treat as changed. Network edits dirty
-    /// everything (every execution or communication time may have moved);
-    /// graph edits are local — a task's execution row, a dependency's
-    /// destination, or (for structural edits) the destination plus the
-    /// graph's structure.
+    /// The [`DirtyRegion`](saga_core::DirtyRegion) this perturbation, or
+    /// its [`revert`](Self::revert), leaves behind: what an incremental
+    /// re-evaluation must treat as changed. Task- and dependency-weight
+    /// edits are local (a task's execution row, or a dependency's
+    /// destination), and a node-weight edit names the one execution column
+    /// to refresh. Link-weight and structural edits give a full region:
+    /// only searches from 3–5-task starting instances make them, and there
+    /// a full rebuild costs no more than a targeted refresh.
     pub fn dirty_region(&self) -> saga_core::DirtyRegion {
         use saga_core::DirtyRegion;
         match *self {
             PerturbUndo::Nothing => DirtyRegion::clean(),
             PerturbUndo::NodeWeight(v, _) => DirtyRegion::node_weight(v),
-            PerturbUndo::EdgeWeight(u, v, _) => DirtyRegion::link_weight(u, v),
+            PerturbUndo::EdgeWeight(..) => DirtyRegion::full(),
             PerturbUndo::TaskWeight(t, _) => DirtyRegion::task_weight(t),
             PerturbUndo::DepWeight(a, b, _) => DirtyRegion::dep_weight(a, b),
-            PerturbUndo::AddDep(a, b) => DirtyRegion::structural_edit(a, b, true),
-            PerturbUndo::RemoveDep { from, to, .. } => {
-                DirtyRegion::structural_edit(from, to, false)
-            }
-        }
-    }
-
-    /// The [`DirtyRegion`](saga_core::DirtyRegion) left behind by
-    /// [`revert`](Self::revert)ing this perturbation. Weight and network
-    /// edits are symmetric; structural reverts flip direction — popping an
-    /// added edge is a removal, and restoring a removed edge re-inserts it
-    /// at its *original* adjacency positions, which no single splice
-    /// describes, so that case asks for a CSR rebuild.
-    pub fn revert_dirty_region(&self) -> saga_core::DirtyRegion {
-        use saga_core::DirtyRegion;
-        match *self {
-            PerturbUndo::AddDep(a, b) => DirtyRegion::structural_edit(a, b, false),
-            PerturbUndo::RemoveDep { to, .. } => DirtyRegion::structural_rebuild(to),
-            _ => self.dirty_region(),
+            PerturbUndo::AddDep(..) | PerturbUndo::RemoveDep { .. } => DirtyRegion::structural(),
         }
     }
 
@@ -427,6 +410,40 @@ mod tests {
                 assert!((0.0..=1.0).contains(&inst.network.speed(v)));
             }
         }
+    }
+
+    #[test]
+    fn only_weight_edits_give_partial_regions() {
+        let (a, b) = (TaskId(0), TaskId(2));
+        let full = [
+            PerturbUndo::EdgeWeight(NodeId(0), NodeId(1), 0.5),
+            PerturbUndo::AddDep(a, b),
+            PerturbUndo::RemoveDep {
+                from: a,
+                to: b,
+                cost: 0.5,
+                succ_pos: 0,
+                pred_pos: 0,
+            },
+        ];
+        for undo in full {
+            let d = undo.dirty_region();
+            assert!(d.is_full() && d.refresh_unknown(), "{undo:?}");
+            assert!(d.tasks().is_empty(), "{undo:?}");
+        }
+        assert!(PerturbUndo::AddDep(a, b).dirty_region().is_structural());
+        assert!(!PerturbUndo::EdgeWeight(NodeId(0), NodeId(1), 0.5)
+            .dirty_region()
+            .is_structural());
+        let node = PerturbUndo::NodeWeight(NodeId(1), 0.5).dirty_region();
+        assert!(node.is_full() && !node.refresh_unknown());
+        assert_eq!(node.node_touched(), Some(NodeId(1)));
+        assert_eq!(PerturbUndo::TaskWeight(b, 0.5).dirty_region().tasks(), &[b]);
+        assert_eq!(
+            PerturbUndo::DepWeight(a, b, 0.5).dirty_region().tasks(),
+            &[b]
+        );
+        assert!(PerturbUndo::Nothing.dirty_region().is_clean());
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! oracle the sweep must match bit for bit.
 
 use crate::{util, KernelRun};
-use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
+use saga_core::{Instance, NodeId, SchedContext, TaskId};
 
 /// The BIL scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -131,9 +131,8 @@ fn bil_table_pruned(ctx: &SchedContext, out: &mut Vec<f64>, order: &mut Vec<Node
     }
 }
 
-/// BIL's selection loop from whatever partial state `ctx` is in (a clean
-/// context or the end of a replayed prefix). Append-only, so every start
-/// comes from the [`util::FrontierSweep`] cache: `BIM(t, v)` is
+/// BIL's selection loop on a freshly reset context. Append-only, so every
+/// start comes from the [`util::FrontierSweep`] cache: `BIM(t, v)` is
 /// `tail(v).max(ready(t, v)) + BIL(t, v)`, the same floats
 /// `ctx.eft(t, v, false)` composes, scanned in ascending node order with a
 /// strict `<`.
@@ -184,48 +183,6 @@ impl KernelRun for Bil {
         let mut bil = ctx.take_f64();
         bil_table_into(ctx, &mut bil);
         bil_loop(ctx, &bil);
-        ctx.give_f64(bil);
-    }
-
-    fn run_recorded(
-        &self,
-        inst: &Instance,
-        ctx: &mut SchedContext,
-        trace: &mut RunTrace,
-        dirty: &DirtyRegion,
-    ) {
-        ctx.reset(inst);
-        let mut bil = ctx.take_f64();
-        bil_table_into(ctx, &mut bil);
-        ctx.begin_recording();
-        // a ready task's BIM folds its whole BIL row into the selection, so
-        // the replay additionally stops once a task whose BIL row bits
-        // changed since the recorded run sits in the frontier
-        if !dirty.is_full()
-            && trace.matches(ctx.task_count(), ctx.node_count())
-            && trace.aux().len() == bil.len()
-        {
-            let nv = ctx.node_count();
-            let mut changed = ctx.take_tasks();
-            for t in 0..ctx.task_count() {
-                if bil[t * nv..(t + 1) * nv]
-                    .iter()
-                    .zip(&trace.aux()[t * nv..(t + 1) * nv])
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
-                {
-                    changed.push(TaskId(t as u32));
-                }
-            }
-            util::replay_frontier_prefix(ctx, trace, dirty, true, |ctx, _| {
-                changed
-                    .iter()
-                    .any(|&t| !ctx.is_placed(t) && ctx.is_ready(t))
-            });
-            ctx.give_tasks(changed);
-        }
-        bil_loop(ctx, &bil);
-        ctx.take_recording(trace);
-        trace.set_aux(&bil);
         ctx.give_f64(bil);
     }
 }

@@ -10,38 +10,11 @@
 //! case, identical on the paper's instance sizes).
 
 use crate::{util, KernelRun};
-use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext, TaskId};
+use saga_core::{Instance, NodeId, SchedContext, TaskId};
 
 /// The ETF scheduler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Etf;
-
-/// ETF's selection loop from whatever partial state `ctx` is in.
-fn etf_loop(ctx: &mut SchedContext, sweep: &mut util::FrontierSweep, rank: &[f64]) {
-    let n = ctx.task_count();
-    let fused = util::fused_rows_profitable(ctx);
-    while ctx.placed_count() < n {
-        let mut chosen: Option<(TaskId, saga_core::NodeId, f64)> = None;
-        for &t in ctx.ready() {
-            // per-task best node: earliest start, earlier finish on ties
-            let (v, s, _) = if fused {
-                sweep.best_node_est(ctx, t)
-            } else {
-                sweep.best_node(ctx, t, |(s, f), (bs, bf)| s < bs || (s == bs && f < bf))
-            };
-            let better = match chosen {
-                None => true,
-                Some((ct, _, cs)) => s < cs || (s == cs && rank[t.index()] > rank[ct.index()]),
-            };
-            if better {
-                chosen = Some((t, v, s));
-            }
-        }
-        let (t, v, s) = chosen.expect("ready set cannot be empty in a DAG");
-        ctx.place(t, v, s);
-        sweep.note_placed(ctx, t);
-    }
-}
 
 impl KernelRun for Etf {
     fn kernel_name(&self) -> &'static str {
@@ -55,48 +28,30 @@ impl KernelRun for Etf {
         // append-only sweep: every (start, finish) comes from the cached
         // data-ready rows
         let mut sweep = util::FrontierSweep::new(ctx);
-        etf_loop(ctx, &mut sweep, &rank);
-        sweep.release(ctx);
-        ctx.give_f64(rank);
-    }
-
-    fn run_recorded(
-        &self,
-        inst: &Instance,
-        ctx: &mut SchedContext,
-        trace: &mut RunTrace,
-        dirty: &DirtyRegion,
-    ) {
-        ctx.reset(inst);
-        let mut rank = ctx.take_f64();
-        ctx.upward_ranks_into(&mut rank);
-        ctx.begin_recording();
-        // ETF breaks equal-start ties by upward rank, so beyond the generic
-        // frontier rule the replay must also stop once any task whose rank
-        // *bits* changed since the recorded run (the trace's aux row) sits
-        // in the frontier — its tie could now break the other way.
-        if !dirty.is_full()
-            && trace.matches(ctx.task_count(), ctx.node_count())
-            && trace.aux().len() == rank.len()
-        {
-            let mut changed = ctx.take_tasks();
-            for (i, (r, old)) in rank.iter().zip(trace.aux()).enumerate() {
-                if r.to_bits() != old.to_bits() {
-                    changed.push(TaskId(i as u32));
+        let n = ctx.task_count();
+        let fused = util::fused_rows_profitable(ctx);
+        while ctx.placed_count() < n {
+            let mut chosen: Option<(TaskId, NodeId, f64)> = None;
+            for &t in ctx.ready() {
+                // per-task best node: earliest start, earlier finish on ties
+                let (v, s, _) = if fused {
+                    sweep.best_node_est(ctx, t)
+                } else {
+                    sweep.best_node(ctx, t, |(s, f), (bs, bf)| s < bs || (s == bs && f < bf))
+                };
+                let better = match chosen {
+                    None => true,
+                    Some((ct, _, cs)) => s < cs || (s == cs && rank[t.index()] > rank[ct.index()]),
+                };
+                if better {
+                    chosen = Some((t, v, s));
                 }
             }
-            util::replay_frontier_prefix(ctx, trace, dirty, true, |ctx, _| {
-                changed
-                    .iter()
-                    .any(|&t| !ctx.is_placed(t) && ctx.is_ready(t))
-            });
-            ctx.give_tasks(changed);
+            let (t, v, s) = chosen.expect("ready set cannot be empty in a DAG");
+            ctx.place(t, v, s);
+            sweep.note_placed(ctx, t);
         }
-        let mut sweep = util::FrontierSweep::new(ctx);
-        etf_loop(ctx, &mut sweep, &rank);
         sweep.release(ctx);
-        ctx.take_recording(trace);
-        trace.set_aux(&rank);
         ctx.give_f64(rank);
     }
 }

@@ -41,7 +41,7 @@ impl KernelRun for FastestNode {
     ) {
         ctx.reset(inst);
         ctx.begin_recording();
-        crate::util::replay_frontier_prefix(ctx, trace, dirty, false, |_, _| false);
+        crate::util::replay_frontier_prefix(ctx, trace, dirty, false);
         serial_loop(ctx);
         ctx.take_recording(trace);
     }

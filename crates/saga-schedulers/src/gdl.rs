@@ -22,7 +22,7 @@
 //! O(ready × nodes × preds) rescans that made GDL the slowest sweep.
 
 use crate::{util, KernelRun};
-use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext, TaskId};
+use saga_core::{Instance, SchedContext};
 
 /// The GDL (DLS) scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,8 +41,7 @@ fn median(xs: &mut [f64]) -> f64 {
 
 /// Computes GDL's per-task decision inputs — median execution times and
 /// static levels — into `levels` as one concatenated row
-/// (`[sl..., med_exec...]`), which doubles as the incremental trace's aux
-/// row: any bit change in either vector can flip a future selection.
+/// (`[sl..., med_exec...]`).
 fn levels_into(ctx: &mut SchedContext, levels: &mut Vec<f64>) {
     let n = ctx.task_count();
     let mut xs = ctx.take_f64();
@@ -64,8 +63,9 @@ fn levels_into(ctx: &mut SchedContext, levels: &mut Vec<f64>) {
     ctx.give_f64(xs);
 }
 
-/// GDL's selection loop from whatever partial state `ctx` is in.
-fn gdl_loop(ctx: &mut SchedContext, sweep: &mut util::FrontierSweep, levels: &[f64]) {
+/// GDL's selection loop on a freshly reset context.
+fn gdl_loop(ctx: &mut SchedContext, levels: &[f64]) {
+    let mut sweep = util::FrontierSweep::new(ctx);
     let n = ctx.task_count();
     let (sl, med_exec) = levels.split_at(n);
     let nv = ctx.node_count();
@@ -105,6 +105,7 @@ fn gdl_loop(ctx: &mut SchedContext, sweep: &mut util::FrontierSweep, levels: &[f
         ctx.place(t, v, start);
         sweep.note_placed(ctx, t);
     }
+    sweep.release(ctx);
 }
 
 impl KernelRun for Gdl {
@@ -116,52 +117,7 @@ impl KernelRun for Gdl {
         ctx.reset(inst);
         let mut levels = ctx.take_f64();
         levels_into(ctx, &mut levels);
-        let mut sweep = util::FrontierSweep::new(ctx);
-        gdl_loop(ctx, &mut sweep, &levels);
-        sweep.release(ctx);
-        ctx.give_f64(levels);
-    }
-
-    fn run_recorded(
-        &self,
-        inst: &Instance,
-        ctx: &mut SchedContext,
-        trace: &mut RunTrace,
-        dirty: &DirtyRegion,
-    ) {
-        ctx.reset(inst);
-        let mut levels = ctx.take_f64();
-        levels_into(ctx, &mut levels);
-        ctx.begin_recording();
-        // like ETF's rank tie-break, GDL's dynamic level folds in per-task
-        // static data (static level and median execution time): the replay
-        // must additionally stop once a task whose `[sl, med]` bits changed
-        // sits in the frontier
-        if !dirty.is_full()
-            && trace.matches(ctx.task_count(), ctx.node_count())
-            && trace.aux().len() == levels.len()
-        {
-            let n = ctx.task_count();
-            let mut changed = ctx.take_tasks();
-            for i in 0..n {
-                if levels[i].to_bits() != trace.aux()[i].to_bits()
-                    || levels[n + i].to_bits() != trace.aux()[n + i].to_bits()
-                {
-                    changed.push(TaskId(i as u32));
-                }
-            }
-            util::replay_frontier_prefix(ctx, trace, dirty, true, |ctx, _| {
-                changed
-                    .iter()
-                    .any(|&t| !ctx.is_placed(t) && ctx.is_ready(t))
-            });
-            ctx.give_tasks(changed);
-        }
-        let mut sweep = util::FrontierSweep::new(ctx);
-        gdl_loop(ctx, &mut sweep, &levels);
-        sweep.release(ctx);
-        ctx.take_recording(trace);
-        trace.set_aux(&levels);
+        gdl_loop(ctx, &levels);
         ctx.give_f64(levels);
     }
 }

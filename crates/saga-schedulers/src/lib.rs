@@ -154,14 +154,17 @@ pub(crate) trait KernelRun: Send + Sync + 'static {
     fn run(&self, inst: &Instance, ctx: &mut SchedContext);
 
     /// [`run`](KernelRun::run) with placement recording into `trace`.
-    /// Schedulers that support incremental delta-evaluation replay the
-    /// trace's unchanged prefix (per `dirty`, see [`Scheduler::
-    /// makespan_incremental`]) before falling back to their decision loop;
-    /// the default invalidates the trace and runs from scratch (schedulers
-    /// whose structure doesn't fit a single recorded pass, e.g. Duplex's
-    /// best-of-two, stay on this path). Stateful decision loops resume
+    /// HEFT, CPoP, MinMin, MaxMin, FastestNode and WBA replay the trace's
+    /// unchanged prefix (per `dirty`, see [`Scheduler::
+    /// makespan_incremental`]) before falling back to their decision loop:
+    /// they are the Section VII roster, whose weight-only edits on
+    /// workflows of up to ~45 tasks leave long prefixes to replay. The
+    /// default invalidates the trace and runs from scratch. Every other
+    /// scheduler stays on it: the rest anneal only from 3–5-task starting
+    /// instances (the pairwise, metric and ablation grids), where replay
+    /// measured at parity with a full run. Stateful decision loops resume
     /// their state after the replay: WBA advances its RNG one word per
-    /// replayed step and replays only non-structural regions.
+    /// replayed step.
     fn run_recorded(
         &self,
         inst: &Instance,

@@ -11,22 +11,11 @@
 //! path takes the scalar per-node sweep).
 
 use crate::{util, KernelRun};
-use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext};
+use saga_core::{Instance, SchedContext};
 
 /// The MCT scheduler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mct;
-
-fn mct_loop(ctx: &mut SchedContext) {
-    // popping the lowest-id ready task at each step reproduces the
-    // smallest-id-tie-break topological order without materializing it
-    let n = ctx.task_count();
-    while ctx.placed_count() < n {
-        let t = ctx.ready()[0];
-        let (v, s, _) = util::best_eft_node(ctx, t, false);
-        ctx.place(t, v, s);
-    }
-}
 
 impl KernelRun for Mct {
     fn kernel_name(&self) -> &'static str {
@@ -35,21 +24,14 @@ impl KernelRun for Mct {
 
     fn run(&self, inst: &Instance, ctx: &mut SchedContext) {
         ctx.reset(inst);
-        mct_loop(ctx);
-    }
-
-    fn run_recorded(
-        &self,
-        inst: &Instance,
-        ctx: &mut SchedContext,
-        trace: &mut RunTrace,
-        dirty: &DirtyRegion,
-    ) {
-        ctx.reset(inst);
-        ctx.begin_recording();
-        util::replay_frontier_prefix(ctx, trace, dirty, false, |_, _| false);
-        mct_loop(ctx);
-        ctx.take_recording(trace);
+        // popping the lowest-id ready task at each step reproduces the
+        // smallest-id-tie-break topological order without materializing it
+        let n = ctx.task_count();
+        while ctx.placed_count() < n {
+            let t = ctx.ready()[0];
+            let (v, s, _) = util::best_eft_node(ctx, t, false);
+            ctx.place(t, v, s);
+        }
     }
 }
 

@@ -7,30 +7,12 @@
 //! accidentally. Tasks are visited in topological order and appended at the
 //! earliest feasible time. Complexity `O(|T| |V|)`.
 
-use crate::{util, KernelRun};
-use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext};
+use crate::KernelRun;
+use saga_core::{Instance, NodeId, SchedContext};
 
 /// The MET scheduler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Met;
-
-fn met_loop(ctx: &mut SchedContext) {
-    let n = ctx.task_count();
-    while ctx.placed_count() < n {
-        let t = ctx.ready()[0]; // lowest-id ready = topological order
-                                // argmin over nodes of the cached execution time alone
-        let mut best = NodeId(0);
-        let mut best_exec = f64::INFINITY;
-        for (vi, &e) in ctx.exec_row(t).iter().enumerate() {
-            if e < best_exec {
-                best_exec = e;
-                best = NodeId(vi as u32);
-            }
-        }
-        let (s, _) = ctx.eft(t, best, false);
-        ctx.place(t, best, s);
-    }
-}
 
 impl KernelRun for Met {
     fn kernel_name(&self) -> &'static str {
@@ -39,21 +21,22 @@ impl KernelRun for Met {
 
     fn run(&self, inst: &Instance, ctx: &mut SchedContext) {
         ctx.reset(inst);
-        met_loop(ctx);
-    }
-
-    fn run_recorded(
-        &self,
-        inst: &Instance,
-        ctx: &mut SchedContext,
-        trace: &mut RunTrace,
-        dirty: &DirtyRegion,
-    ) {
-        ctx.reset(inst);
-        ctx.begin_recording();
-        util::replay_frontier_prefix(ctx, trace, dirty, false, |_, _| false);
-        met_loop(ctx);
-        ctx.take_recording(trace);
+        let n = ctx.task_count();
+        while ctx.placed_count() < n {
+            // lowest-id ready = topological order; then the argmin over
+            // nodes of the cached execution time alone
+            let t = ctx.ready()[0];
+            let mut best = NodeId(0);
+            let mut best_exec = f64::INFINITY;
+            for (vi, &e) in ctx.exec_row(t).iter().enumerate() {
+                if e < best_exec {
+                    best_exec = e;
+                    best = NodeId(vi as u32);
+                }
+            }
+            let (s, _) = ctx.eft(t, best, false);
+            ctx.place(t, best, s);
+        }
     }
 }
 

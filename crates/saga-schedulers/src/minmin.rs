@@ -71,7 +71,7 @@ pub(crate) fn min_max_run_recorded(
 ) {
     ctx.reset(inst);
     ctx.begin_recording();
-    util::replay_frontier_prefix(ctx, trace, dirty, true, |_, _| false);
+    util::replay_frontier_prefix(ctx, trace, dirty, true);
     let mut sweep = util::FrontierSweep::new(ctx);
     min_max_loop(ctx, &mut sweep, want_max);
     sweep.release(ctx);

@@ -12,16 +12,6 @@ use saga_core::{Instance, SchedContext};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Olb;
 
-fn olb_loop(ctx: &mut SchedContext) {
-    let n = ctx.task_count();
-    while ctx.placed_count() < n {
-        let t = ctx.ready()[0]; // lowest-id ready = topological order
-        let v = util::first_idle_node(ctx);
-        let (s, _) = ctx.eft(t, v, false);
-        ctx.place(t, v, s);
-    }
-}
-
 impl KernelRun for Olb {
     fn kernel_name(&self) -> &'static str {
         "OLB"
@@ -29,21 +19,13 @@ impl KernelRun for Olb {
 
     fn run(&self, inst: &Instance, ctx: &mut SchedContext) {
         ctx.reset(inst);
-        olb_loop(ctx);
-    }
-
-    fn run_recorded(
-        &self,
-        inst: &Instance,
-        ctx: &mut SchedContext,
-        trace: &mut saga_core::RunTrace,
-        dirty: &saga_core::DirtyRegion,
-    ) {
-        ctx.reset(inst);
-        ctx.begin_recording();
-        util::replay_frontier_prefix(ctx, trace, dirty, false, |_, _| false);
-        olb_loop(ctx);
-        ctx.take_recording(trace);
+        let n = ctx.task_count();
+        while ctx.placed_count() < n {
+            let t = ctx.ready()[0]; // lowest-id ready = topological order
+            let v = util::first_idle_node(ctx);
+            let (s, _) = ctx.eft(t, v, false);
+            ctx.place(t, v, s);
+        }
     }
 }
 

@@ -358,21 +358,19 @@ pub fn first_idle_node(ctx: &SchedContext) -> NodeId {
 
 /// Replays the longest trustworthy prefix of `trace` into `ctx` for a
 /// *frontier-scanning* scheduler (MinMin/MaxMin-class selection over the
-/// ready set, or lowest-id-ready topological dispatch): each recorded
-/// placement is re-applied verbatim — skipping the scheduler's EFT and
-/// data-ready scans — until the dirty region reaches the frontier.
+/// ready set, or lowest-id-ready dispatch): each recorded placement is
+/// re-applied verbatim — skipping the scheduler's EFT and data-ready scans
+/// — until the dirty region reaches the frontier.
 ///
 /// The replay stops before position `k` when the recorded task is
 /// placement-dirty or — for `frontier_sensitive` schedulers, whose per-step
-/// selection *compares* values across the ready set (MinMin/MaxMin-class
-/// EFT scans) — when any dirty task sits in the ready frontier;
-/// `extra_stop` lets rank-tie-breaking schedulers add their own condition
-/// (e.g. "a task whose rank bits changed is in the frontier"). Schedulers
-/// that dispatch purely by ready order (lowest-id ready = topological
-/// order: FastestNode, MCT, MET, OLB) pass `frontier_sensitive = false`: a
-/// dirty task's changed *values* cannot influence their selection, only
-/// its changed *readiness* can — so the frontier check is still applied
-/// whenever the dirty region is structural.
+/// selection *compares* values across the ready set (MinMin, MaxMin, WBA)
+/// — when any dirty task sits in the ready frontier. FastestNode dispatches
+/// purely by ready order (lowest-id ready = topological order) and passes
+/// `frontier_sensitive = false`: a dirty task's changed *values* cannot
+/// influence its selection, and a dirty region that replays is never
+/// structural (structural edits give a full region), so readiness is
+/// unchanged too.
 ///
 /// Until the stop point the previous run's frontier evolution and per-step
 /// selections provably coincide with what a full run on the perturbed
@@ -386,16 +384,13 @@ pub(crate) fn replay_frontier_prefix(
     trace: &RunTrace,
     dirty: &DirtyRegion,
     frontier_sensitive: bool,
-    mut extra_stop: impl FnMut(&SchedContext, usize) -> bool,
 ) {
     if dirty.is_full() || !trace.matches(ctx.task_count(), ctx.node_count()) {
         return;
     }
-    let check_frontier = frontier_sensitive || dirty.is_structural();
     for k in 0..trace.len() {
         let t = trace.task(k);
-        if dirty.contains(t) || (check_frontier && dirty.any_in_frontier(ctx)) || extra_stop(ctx, k)
-        {
+        if dirty.contains(t) || (frontier_sensitive && dirty.any_in_frontier(ctx)) {
             break;
         }
         ctx.place(t, trace.node(k), trace.start(k));

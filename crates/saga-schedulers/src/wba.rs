@@ -24,9 +24,10 @@
 //! (integer `gen_range` and `gen::<f64>()` are one word each in the
 //! vendored `StdRng`, pinned by its `one_word_per_draw` test), so after `k`
 //! replayed steps the RNG is advanced by `k` words and the loop resumes
-//! with the stream a full run would have. Structural regions run in full:
-//! an added dependency removes its target from frontiers the recorded run
-//! drew against, which the frontier check on the new run cannot see.
+//! with the stream a full run would have. Only weight edits replay:
+//! structural edits give a full region, and an added dependency would
+//! remove its target from frontiers the recorded run drew against, which
+//! the frontier check on the new run could not see.
 
 use crate::{util, KernelRun};
 use rand::rngs::StdRng;
@@ -152,18 +153,12 @@ impl KernelRun for Wba {
         ctx.begin_recording();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut current = 0.0f64;
-        // A structural edit changes which tasks were ready at each recorded
-        // step, and with it the option list and total weight every draw
-        // was made against; the frontier check only sees the *new*
-        // frontier, so such regions run in full.
-        if !dirty.is_structural() {
-            util::replay_frontier_prefix(ctx, trace, dirty, true, |_, _| false);
-            // the replayed steps are the recorded run's first steps: one
-            // draw each, and the same running-max fold over their finishes
-            for k in 0..ctx.placed_count() {
-                rng.next_u64();
-                current = current.max(ctx.finish_time(trace.task(k)));
-            }
+        util::replay_frontier_prefix(ctx, trace, dirty, true);
+        // the replayed steps are the recorded run's first steps: one draw
+        // each, and the same running-max fold over their finishes
+        for k in 0..ctx.placed_count() {
+            rng.next_u64();
+            current = current.max(ctx.finish_time(trace.task(k)));
         }
         wba_loop(ctx, &mut rng, current);
         ctx.take_recording(trace);

@@ -1,9 +1,11 @@
-//! Property suite for incremental delta-evaluation (PR 5).
+//! Property suite for incremental delta-evaluation.
 //!
-//! The annealer's hot path now re-evaluates schedulers through
+//! The annealer's hot path re-evaluates schedulers through
 //! `Scheduler::makespan_incremental`: the kernel refreshes only the cost
 //! tables a perturbation's [`DirtyRegion`] names, and supporting schedulers
 //! replay the unchanged placement prefix of their recorded previous run.
+//! Link-weight and structural edits give full regions, so they exercise
+//! the full rebuild between incremental steps.
 //! This suite drives the exact protocol the annealing loop uses — perturb →
 //! incremental evaluate → undo → incremental evaluate, with the dirty
 //! region taken from the perturbation undo records — across *all six*
@@ -72,9 +74,9 @@ fn check_all(
 }
 
 /// Drives `iters` rounds of the annealer protocol on `inst` — perturb →
-/// evaluate, and on a coin flip revert → evaluate with the revert's own
-/// region (the annealer's `pending`) — checking every scheduler each time,
-/// on a default context and on a reused `incremental: false` one.
+/// evaluate, and on a coin flip revert → evaluate with the perturbation's
+/// region again (the annealer's `pending`) — checking every scheduler each
+/// time, on a default context and on a reused `incremental: false` one.
 fn roundtrip(
     scheds: &[Box<dyn Scheduler>],
     perturber: &GeneralPerturber,
@@ -120,7 +122,7 @@ fn roundtrip(
                 scheds,
                 &inst,
                 &mut warm,
-                &undo.revert_dirty_region(),
+                &undo.dirty_region(),
                 &mut fresh,
                 &format!("{label} iter {iter} revert"),
             );
@@ -210,7 +212,7 @@ fn rejection_dirt_accumulates_into_next_evaluation() {
         );
         if rng.gen_bool(0.4) {
             undo.revert(&mut inst);
-            pending = undo.revert_dirty_region();
+            pending = undo.dirty_region();
         } else {
             pending = DirtyRegion::clean();
         }

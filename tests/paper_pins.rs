@@ -127,7 +127,13 @@ fn fig4_matches_the_paper_pins() {
     assert_eq!(by_key.len(), cells.len(), "cell keys are unique");
     let bytes: Vec<u8> = by_key
         .values()
-        .flat_map(|r| [r.ratio.to_bits(), r.initial_ratio.to_bits(), r.evaluations as u64])
+        .flat_map(|r| {
+            [
+                r.ratio.to_bits(),
+                r.initial_ratio.to_bits(),
+                r.evaluations as u64,
+            ]
+        })
         .flat_map(u64::to_le_bytes)
         .collect();
     let digest = fnv1a(&bytes);
