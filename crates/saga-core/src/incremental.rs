@@ -73,10 +73,9 @@ pub struct DirtyRegion {
     structural: bool,
     /// For `Full` regions caused by a *single known node edit*, the
     /// touched node — the kernel then refreshes one execution column
-    /// instead of re-verifying every table. `refresh_unknown` forces the
-    /// verify-everything rebuild.
+    /// instead of re-verifying every table. A `Full` region without it
+    /// takes the verify-everything rebuild.
     node_touched: Option<NodeId>,
-    refresh_unknown: bool,
 }
 
 impl DirtyRegion {
@@ -88,7 +87,6 @@ impl DirtyRegion {
         edge_len: 0,
         structural: false,
         node_touched: None,
-        refresh_unknown: false,
     };
 
     /// Nothing changed — the previous evaluation's results still hold.
@@ -100,7 +98,6 @@ impl DirtyRegion {
     pub fn full() -> Self {
         DirtyRegion {
             scope: Scope::Full,
-            refresh_unknown: true,
             ..DirtyRegion::EMPTY
         }
     }
@@ -132,7 +129,7 @@ impl DirtyRegion {
     /// rebuild (no usable refresh hints).
     #[inline]
     pub fn refresh_unknown(&self) -> bool {
-        self.refresh_unknown
+        self.scope == Scope::Full && self.node_touched.is_none()
     }
 
     /// The single node whose speed changed, if that is this region's cause.
@@ -226,23 +223,24 @@ impl DirtyRegion {
             (_, Scope::Clean) => {}
             (Scope::Clean, _) => *self = *other,
             (Scope::Full, _) | (_, Scope::Full) => {
-                // placement replay is gone either way; try to keep the
-                // node hint usable: two different nodes mean "unknown"
+                // placement replay is gone either way; the node hint
+                // survives task-level dirt and the same node's edit, and
+                // anything else leaves an unknown full rebuild
                 let mut merged = DirtyRegion {
                     scope: Scope::Full,
                     ..*self
                 };
-                merged.refresh_unknown |= other.refresh_unknown;
                 merged.structural |= other.structural;
-                match (merged.node_touched, other.node_touched) {
-                    (Some(a), Some(b)) if a != b => merged.refresh_unknown = true,
-                    (None, b @ Some(_)) => merged.node_touched = b,
-                    _ => {}
-                }
+                merged.node_touched = match (self.is_full(), other.is_full()) {
+                    (true, true) if self.node_touched == other.node_touched => self.node_touched,
+                    (true, true) => None,
+                    (true, false) => self.node_touched,
+                    (false, _) => other.node_touched,
+                };
                 // task-level dirt folds into the task lists (still refreshed
                 // under Full scope — only replay is disabled)
                 if !merged.push_tasks(other) {
-                    merged.refresh_unknown = true;
+                    merged.node_touched = None;
                 }
                 *self = merged;
             }

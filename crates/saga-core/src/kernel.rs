@@ -551,16 +551,7 @@ impl SchedContext {
             for t in 0..nt {
                 self.exec[t * nv + v.index()] = net.exec_time(g.cost(TaskId(t as u32)), v);
             }
-            let inv_speed = self.inv_speed;
-            self.avg_exec.clear();
-            self.avg_exec.extend(g.tasks().map(|t| {
-                let c = g.cost(t);
-                if c == 0.0 {
-                    0.0
-                } else {
-                    c * inv_speed
-                }
-            }));
+            self.rebuild_avg_exec(g);
         }
         debug_assert_eq!(
             self.pred_task.len(),
@@ -577,6 +568,21 @@ impl SchedContext {
             self.clear_run_state();
         }
         self.set_pinned(true);
+    }
+
+    /// Recomputes every task's average execution time (HEFT/CPoP ranking
+    /// inputs) — multiplications only, from the cached mean inverse speed.
+    fn rebuild_avg_exec(&mut self, g: &crate::TaskGraph) {
+        let inv_speed = self.inv_speed;
+        self.avg_exec.clear();
+        self.avg_exec.extend(g.tasks().map(|t| {
+            let c = g.cost(t);
+            if c == 0.0 {
+                0.0
+            } else {
+                c * inv_speed
+            }
+        }));
     }
 
     /// Recomputes the cached execution row, cost snapshot and average
@@ -672,18 +678,7 @@ impl SchedContext {
         }
 
         if !avg_ok {
-            // average costs (HEFT/CPoP ranking inputs) — multiplications
-            // only, from the cached mean inverse speed
-            let inv_speed = self.inv_speed;
-            self.avg_exec.clear();
-            self.avg_exec.extend(g.tasks().map(|t| {
-                let c = g.cost(t);
-                if c == 0.0 {
-                    0.0
-                } else {
-                    c * inv_speed
-                }
-            }));
+            self.rebuild_avg_exec(g);
         }
     }
 

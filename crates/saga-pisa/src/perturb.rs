@@ -415,34 +415,35 @@ mod tests {
     #[test]
     fn only_weight_edits_give_partial_regions() {
         let (a, b) = (TaskId(0), TaskId(2));
-        let full = [
-            PerturbUndo::EdgeWeight(NodeId(0), NodeId(1), 0.5),
-            PerturbUndo::AddDep(a, b),
-            PerturbUndo::RemoveDep {
-                from: a,
-                to: b,
-                cost: 0.5,
-                succ_pos: 0,
-                pred_pos: 0,
-            },
-        ];
-        for undo in full {
+        let removed = PerturbUndo::RemoveDep {
+            from: a,
+            to: b,
+            cost: 0.5,
+            succ_pos: 0,
+            pred_pos: 0,
+        };
+        let link = PerturbUndo::EdgeWeight(NodeId(0), NodeId(1), 0.5);
+        for (undo, structural) in [
+            (link, false),
+            (PerturbUndo::AddDep(a, b), true),
+            (removed, true),
+        ] {
             let d = undo.dirty_region();
             assert!(d.is_full() && d.refresh_unknown(), "{undo:?}");
             assert!(d.tasks().is_empty(), "{undo:?}");
+            assert_eq!(d.is_structural(), structural, "{undo:?}");
         }
-        assert!(PerturbUndo::AddDep(a, b).dirty_region().is_structural());
-        assert!(!PerturbUndo::EdgeWeight(NodeId(0), NodeId(1), 0.5)
-            .dirty_region()
-            .is_structural());
         let node = PerturbUndo::NodeWeight(NodeId(1), 0.5).dirty_region();
         assert!(node.is_full() && !node.refresh_unknown());
         assert_eq!(node.node_touched(), Some(NodeId(1)));
-        assert_eq!(PerturbUndo::TaskWeight(b, 0.5).dirty_region().tasks(), &[b]);
-        assert_eq!(
-            PerturbUndo::DepWeight(a, b, 0.5).dirty_region().tasks(),
-            &[b]
-        );
+        for undo in [
+            PerturbUndo::TaskWeight(b, 0.5),
+            PerturbUndo::DepWeight(a, b, 0.5),
+        ] {
+            let d = undo.dirty_region();
+            assert!(!d.is_full() && !d.is_structural(), "{undo:?}");
+            assert_eq!(d.tasks(), &[b], "{undo:?}");
+        }
         assert!(PerturbUndo::Nothing.dirty_region().is_clean());
     }
 
