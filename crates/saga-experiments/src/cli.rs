@@ -24,11 +24,7 @@ fn usage_exit(msg: &str) -> ! {
 /// The value following `--name`, parsed, or `default` when the flag is
 /// absent. `Err` names the flag and the bad value when the value is
 /// missing or does not parse.
-pub fn try_arg_or<T: std::str::FromStr>(
-    args: &[String],
-    name: &str,
-    default: T,
-) -> Result<T, String> {
+fn try_arg_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
     match raw_value(args, name)? {
         None => Ok(default),
         Some(v) => v
@@ -37,9 +33,10 @@ pub fn try_arg_or<T: std::str::FromStr>(
     }
 }
 
-/// [`try_arg_or`], exiting 2 with a `fatal:` line on an error: a seed or
-/// budget that silently fell back to its default would rerun the default
-/// experiment under the caller's name for it.
+/// Returns the value following `--name`, parsed, or `default` when the
+/// flag is absent. A missing or unparseable value exits 2 with a `fatal:`
+/// line: a seed or budget that silently fell back to its default would
+/// rerun the default experiment while the caller believes it ran another.
 pub fn arg_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     try_arg_or(args, name, default).unwrap_or_else(|e| usage_exit(&e))
 }
