@@ -184,7 +184,9 @@ impl DirtyRegion {
         self.structural
     }
 
-    /// The placement-dirty tasks (empty for clean/full regions).
+    /// The placement-dirty tasks: none for a clean region; a full region
+    /// may carry task-level dirt merged into it, which the kernel still
+    /// refreshes.
     #[inline]
     pub fn tasks(&self) -> &[TaskId] {
         &self.tasks[..self.len as usize]
