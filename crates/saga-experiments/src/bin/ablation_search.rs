@@ -26,7 +26,7 @@ fn main() {
     let config = PisaConfig {
         i_max: cli::arg_or(&args, "imax", 1000),
         restarts: cli::arg_or(&args, "restarts", 5),
-        seed: cli::arg_or(&args, "seed", 0xAB1A),
+        seed: cli::seed_arg(&args, 0xAB1A),
         ..PisaConfig::default()
     };
     let trials: usize = cli::arg_or(&args, "trials", 5);

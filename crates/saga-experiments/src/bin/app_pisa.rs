@@ -186,7 +186,7 @@ fn main() {
     let config = PisaConfig {
         i_max: cli::arg_or(&args, "imax", 300),
         restarts: cli::arg_or(&args, "restarts", 2),
-        seed: cli::arg_or(&args, "seed", 0xA551),
+        seed: cli::seed_arg(&args, 0xA551),
         ..PisaConfig::default()
     };
     let ccr_arg: f64 = cli::arg_or(&args, "ccr", 0.0);

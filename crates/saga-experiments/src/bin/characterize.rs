@@ -27,7 +27,7 @@ fn print_profile(label: &str, p: &InstanceProfile) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let samples: usize = cli::arg_or(&args, "samples", 100);
-    let seed: u64 = cli::arg_or(&args, "seed", 0xC0DE);
+    let seed: u64 = cli::seed_arg(&args, 0xC0DE);
 
     println!("Structural profile per dataset (mean over {samples} samples)\n");
     println!(

@@ -28,7 +28,7 @@ use saga_experiments::{cli, render, write_results_file};
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let instances: usize = cli::arg_or(&args, "instances", FIG2_INSTANCES);
-    let seed: u64 = cli::arg_or(&args, "seed", FIG2_SEED);
+    let seed: u64 = cli::seed_arg(&args, FIG2_SEED);
     let resume = cli::flag(&args, "resume");
     let shard = cli::shard_arg(&args);
     let ckpt_path = cli::checkpoint_path(&args, shard, "results/fig2_rows.jsonl");

@@ -32,7 +32,7 @@ fn main() {
     let paper = PisaConfig::default();
     let imax: usize = cli::arg_or(&args, "imax", if quick { 60 } else { paper.i_max });
     let restarts: usize = cli::arg_or(&args, "restarts", if quick { 1 } else { paper.restarts });
-    let seed: u64 = cli::arg_or(&args, "seed", FIG4_SEED);
+    let seed: u64 = cli::seed_arg(&args, FIG4_SEED);
     let resume = cli::flag(&args, "resume");
     let shard = cli::shard_arg(&args);
     let ckpt_path = cli::checkpoint_path(&args, shard, "results/fig4_cells.jsonl");

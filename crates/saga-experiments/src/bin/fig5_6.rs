@@ -66,7 +66,7 @@ fn main() {
     let config = PisaConfig {
         i_max: cli::arg_or(&args, "imax", 1000),
         restarts: cli::arg_or(&args, "restarts", 5),
-        seed: cli::arg_or(&args, "seed", 0xF165),
+        seed: cli::seed_arg(&args, 0xF165),
         ..PisaConfig::default()
     };
     println!("Figs. 5-6: adversarial case studies between HEFT and CPoP\n");

@@ -20,7 +20,7 @@ use saga_schedulers::{Cpop, Heft, Scheduler};
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let instances: usize = cli::arg_or(&args, "instances", 1000);
-    let seed: u64 = cli::arg_or(&args, "seed", 0xF167);
+    let seed: u64 = cli::seed_arg(&args, 0xF167);
 
     let engine = BatchEngine::new();
     let progress = Progress::new("fig7", instances);

@@ -19,7 +19,7 @@ use saga_schedulers::{Cpop, Heft, Scheduler};
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let instances: usize = cli::arg_or(&args, "instances", 1000);
-    let seed: u64 = cli::arg_or(&args, "seed", 0xF168);
+    let seed: u64 = cli::seed_arg(&args, 0xF168);
 
     let engine = BatchEngine::new();
     let progress = Progress::new("fig8", instances);

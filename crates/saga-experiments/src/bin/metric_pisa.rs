@@ -29,7 +29,7 @@ fn main() {
     let config = PisaConfig {
         i_max: cli::arg_or(&args, "imax", if quick { 60 } else { 400 }),
         restarts: cli::arg_or(&args, "restarts", if quick { 1 } else { 3 }),
-        seed: cli::arg_or(&args, "seed", 0x3E71C),
+        seed: cli::seed_arg(&args, 0x3E71C),
         ..PisaConfig::default()
     };
     let objectives = [

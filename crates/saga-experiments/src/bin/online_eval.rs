@@ -24,7 +24,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let workflow = cli::positional(&args).unwrap_or("blast").to_string();
     let instances: usize = cli::arg_or(&args, "instances", 10);
-    let seed: u64 = cli::arg_or(&args, "seed", 0x0411);
+    let seed: u64 = cli::seed_arg(&args, 0x0411);
 
     let spec = saga_datasets::workflows::spec(&workflow)
         .unwrap_or_else(|| panic!("unknown workflow {workflow}"));

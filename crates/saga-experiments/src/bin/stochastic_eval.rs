@@ -25,7 +25,7 @@ fn main() {
     let cv: f64 = cli::arg_or(&args, "cv", 0.3);
     let instances: usize = cli::arg_or(&args, "instances", 25);
     let samples: usize = cli::arg_or(&args, "samples", 100);
-    let seed: u64 = cli::arg_or(&args, "seed", 0x570C);
+    let seed: u64 = cli::seed_arg(&args, 0x570C);
 
     let spec = saga_datasets::workflows::spec(&workflow)
         .unwrap_or_else(|| panic!("unknown workflow {workflow}"));

@@ -41,6 +41,27 @@ pub fn arg_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> 
     try_arg_or(args, name, default).unwrap_or_else(|e| usage_exit(&e))
 }
 
+/// The value following `--seed`, or `default` when the flag is absent. A
+/// seed is written as the binaries' docs write it: decimal, or hex after a
+/// `0x` prefix (`0xF164` and `61796` are the same seed).
+fn try_seed_arg(args: &[String], default: u64) -> Result<u64, String> {
+    let Some(v) = raw_value(args, "seed")? else {
+        return Ok(default);
+    };
+    let seed = match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    };
+    seed.ok_or_else(|| format!("--seed: cannot parse {v:?} (decimal or 0x-prefixed hex)"))
+}
+
+/// Returns the `--seed` value, decimal or `0x`-prefixed hex, or `default`
+/// when the flag is absent; a missing or unparseable value exits 2 like
+/// [`arg_or`].
+pub fn seed_arg(args: &[String], default: u64) -> u64 {
+    try_seed_arg(args, default).unwrap_or_else(|e| usage_exit(&e))
+}
+
 /// Returns the raw string following `--name`, if present; exits 2 with a
 /// `fatal:` line when the flag has no value after it.
 pub fn arg_str(args: &[String], name: &str) -> Option<String> {
@@ -174,6 +195,19 @@ mod tests {
         assert!(e.contains("--seed") && e.contains("0x2"), "{e}");
         let args = v(&["prog", "--imax", "6O"]);
         assert!(try_arg_or(&args, "imax", 1usize).is_err());
+    }
+
+    #[test]
+    fn seeds_parse_as_decimal_or_hex() {
+        let hex = v(&["prog", "--seed", "0xF164"]);
+        let dec = v(&["prog", "--seed", "61796"]);
+        assert_eq!(try_seed_arg(&hex, 1), Ok(0xF164));
+        assert_eq!(try_seed_arg(&dec, 1), Ok(0xF164));
+        assert_eq!(try_seed_arg(&v(&["prog"]), 7), Ok(7));
+        for bad in ["0xZZ", "0x"] {
+            let e = try_seed_arg(&v(&["prog", "--seed", bad]), 1).unwrap_err();
+            assert!(e.starts_with("--seed") && e.contains(bad), "{e}");
+        }
     }
 
     #[test]

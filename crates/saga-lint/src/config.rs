@@ -85,7 +85,6 @@ impl Config {
                         "fused_rows",
                         "fused_rows_profitable",
                         "best_node",
-                        "best_node_eft",
                         "best_node_est",
                         "note_placed",
                     ]),

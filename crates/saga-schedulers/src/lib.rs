@@ -162,9 +162,13 @@ pub(crate) trait KernelRun: Send + Sync + 'static {
     /// default invalidates the trace and runs from scratch. Every other
     /// scheduler stays on it: the rest anneal only from 3–5-task starting
     /// instances (the pairwise, metric and ablation grids), where replay
-    /// measured at parity with a full run. Stateful decision loops resume
-    /// their state after the replay: WBA advances its RNG one word per
-    /// replayed step.
+    /// measured at parity with a full run. Each replay stops where its
+    /// decisions could first differ from a full run's: MinMin and MaxMin
+    /// check every replayed selection against the ready dirty tasks'
+    /// fresh best finishes, WBA and FastestNode stop at the frontier rule
+    /// of [`util::replay_frontier_prefix`], and HEFT and CPoP re-verify
+    /// their priority order. Stateful decision loops resume their state
+    /// after the replay: WBA advances its RNG one word per replayed step.
     fn run_recorded(
         &self,
         inst: &Instance,

@@ -5,33 +5,62 @@
 //! corresponding node. The original formulation targets independent tasks;
 //! as in SAGA we apply it to the ready frontier of the DAG. Complexity
 //! `O(|T|^2 |V|)`.
+//!
+//! Placement is append-only, so each step scans every ready task's row in
+//! one tight loop over the kernel's append-tail row, the task's cached
+//! data-ready row ([`util::FrontierSweep`]) and its execution row; only
+//! the chosen placement's start is recomposed.
+//!
+//! Incremental evaluation replays the recorded run's unchanged prefix and
+//! checks each replayed decision against the dirty tasks that are ready:
+//! a dirty task's fresh best finish is computed from its new inputs, and
+//! the replay continues while that finish provably loses to the recorded
+//! choice under the scan's first-extremum tie-break in ready (task-id)
+//! order. It stops when the recorded task itself is dirty (its recorded
+//! placement used stale inputs) and, on networks wider than
+//! [`util::STACK_NODES`], as soon as a dirty task is ready.
 
 use crate::{util, KernelRun};
-use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext};
+use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
 
 /// The MinMin scheduler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MinMin;
 
+/// The lowest-id node of minimum append finish for a task, from the node
+/// tails, the task's data-ready row and its execution row: `(node,
+/// finish)`. The first node seeds the incumbent and only a strictly
+/// smaller finish displaces it.
+#[inline]
+fn best_finish(tails: &[f64], ready: &[f64], exec: &[f64]) -> (usize, f64) {
+    let nv = tails.len();
+    let (ready, exec) = (&ready[..nv], &exec[..nv]);
+    let mut bv = 0;
+    let mut bf = tails[0].max(ready[0]) + exec[0];
+    for v in 1..nv {
+        let f = tails[v].max(ready[v]) + exec[v];
+        if f < bf {
+            bv = v;
+            bf = f;
+        }
+    }
+    (bv, bf)
+}
+
 /// The shared MinMin/MaxMin selection loop from whatever partial state
-/// `ctx` is in: pick the ready task whose best EFT is extremal and place
-/// it. Append-only, so the [`util::FrontierSweep`] cache answers every
-/// `(start, finish)` from cached data-ready rows.
+/// `ctx` is in: pick the ready task whose best finish is extremal (the
+/// first one in ready order on ties) and place it on its best node.
 fn min_max_loop(ctx: &mut SchedContext, sweep: &mut util::FrontierSweep, want_max: bool) {
     let n = ctx.task_count();
-    let fused = util::fused_rows_profitable(ctx);
+    let nv = ctx.node_count();
     while ctx.placed_count() < n {
-        let mut chosen = None;
+        let tails = ctx.append_tails();
+        let mut chosen: Option<(TaskId, usize, f64)> = None;
         for &t in ctx.ready() {
-            // per-task best node: minimum finish, lower id on ties
-            let (v, s, f) = if fused {
-                sweep.best_node_eft(ctx, t)
-            } else {
-                sweep.best_node(ctx, t, |(_, f), (_, bf)| f < bf)
-            };
+            let (v, f) = best_finish(tails, sweep.row(nv, t), ctx.exec_row(t));
             let better = match chosen {
                 None => true,
-                Some((_, _, _, bf)) => {
+                Some((_, _, bf)) => {
                     if want_max {
                         f > bf
                     } else {
@@ -40,12 +69,60 @@ fn min_max_loop(ctx: &mut SchedContext, sweep: &mut util::FrontierSweep, want_ma
                 }
             };
             if better {
-                chosen = Some((t, v, s, f));
+                chosen = Some((t, v, f));
             }
         }
-        let (t, v, s, _) = chosen.expect("ready set cannot be empty in a DAG");
-        ctx.place(t, v, s);
+        let (t, v, _) = chosen.expect("ready set cannot be empty in a DAG");
+        let start = sweep.start(ctx, t, v);
+        ctx.place(t, NodeId(v as u32), start);
         sweep.note_placed(ctx, t);
+    }
+}
+
+/// Replays the longest prefix of `trace` that a full MinMin/MaxMin run on
+/// the perturbed instance provably repeats (see the [module docs](self)).
+///
+/// Every replayed task is clean, so by induction over the identical prefix
+/// each clean task's inputs, and hence its best finish, are bitwise what
+/// the recorded run scanned: the recorded task `t` was the first extremum
+/// among them. Only ready dirty tasks can change the selection, and each
+/// loses to `t` when its fresh best finish `fd` is strictly worse than
+/// `t`'s finish `f`, or equal with the dirty task later in ready order.
+/// A NaN on either side fails every comparison and stops the replay.
+fn replay_prefix(ctx: &mut SchedContext, trace: &RunTrace, dirty: &DirtyRegion, want_max: bool) {
+    if dirty.is_full() || !trace.matches(ctx.task_count(), ctx.node_count()) {
+        return;
+    }
+    let nv = ctx.node_count();
+    let mut ready = [0.0f64; util::STACK_NODES];
+    for k in 0..trace.len() {
+        let (t, v, start) = (trace.task(k), trace.node(k), trace.start(k));
+        if dirty.contains(t) {
+            return;
+        }
+        let f = start + ctx.exec_row(t)[v.index()];
+        // dirty tasks are never placed here (the replay stops at the first
+        // one), so readiness alone puts them in the frontier
+        for &d in dirty.tasks() {
+            if !ctx.is_ready(d) {
+                continue;
+            }
+            if nv > util::STACK_NODES {
+                return;
+            }
+            ctx.data_ready_times_into(d, &mut ready[..nv]);
+            let (_, fd) = best_finish(ctx.append_tails(), &ready[..nv], ctx.exec_row(d));
+            let loses = match (want_max, d < t) {
+                (false, true) => f < fd,
+                (false, false) => f <= fd,
+                (true, true) => fd < f,
+                (true, false) => fd <= f,
+            };
+            if !loses {
+                return;
+            }
+        }
+        ctx.place(t, v, start);
     }
 }
 
@@ -58,10 +135,8 @@ pub(crate) fn min_max_run(inst: &Instance, ctx: &mut SchedContext, want_max: boo
     sweep.release(ctx);
 }
 
-/// [`min_max_run`] with trace recording and incremental prefix replay.
-/// The selection compares only EFT compositions of *ready* tasks, so the
-/// generic frontier stop rule is exact: until a dirty task is ready (or
-/// about to be placed), every per-step comparison is bitwise unchanged.
+/// [`min_max_run`] with trace recording and the incremental prefix replay
+/// of [`replay_prefix`].
 pub(crate) fn min_max_run_recorded(
     inst: &Instance,
     ctx: &mut SchedContext,
@@ -71,7 +146,7 @@ pub(crate) fn min_max_run_recorded(
 ) {
     ctx.reset(inst);
     ctx.begin_recording();
-    util::replay_frontier_prefix(ctx, trace, dirty, true);
+    replay_prefix(ctx, trace, dirty, want_max);
     let mut sweep = util::FrontierSweep::new(ctx);
     min_max_loop(ctx, &mut sweep, want_max);
     sweep.release(ctx);

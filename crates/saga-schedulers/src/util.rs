@@ -33,10 +33,10 @@ pub(crate) fn fused_rows_profitable(ctx: &SchedContext) -> bool {
 /// once — and every `(start, finish)` the sweep compares is recomposed as
 /// `tail.max(ready) + duration` from that row, the kernel's maintained
 /// append-tail row ([`SchedContext::append_tails`]) and the cached execution
-/// row, division-free and bit-identical to the direct queries. With the row
-/// kernels enabled the recompose is one branchless fused sweep
-/// ([`Self::fused_rows`]); the comparator form ([`Self::best_node`]) is the
-/// scalar fallback.
+/// row, division-free and bit-identical to the direct queries. ETF, ERT and
+/// GDL recompose with one branchless fused sweep ([`Self::fused_rows`])
+/// inside the row kernels' profitability band; MinMin/MaxMin scan the rows
+/// in one scalar loop, and WBA composes finish rows of its own from them.
 pub(crate) struct FrontierSweep {
     /// `drt[t * |V| + v]`, valid for tasks that have entered the ready set.
     drt: Vec<f64>,
@@ -115,9 +115,8 @@ impl FrontierSweep {
 
     /// The best node for `t` under `better((start, finish), (best_start,
     /// best_finish))`, scanning nodes in ascending id order (first win on
-    /// ties) over the cached rows. Shared by the MinMin/MaxMin and ETF
-    /// sweeps, which differ only in this comparator; the scalar fallback of
-    /// [`Self::best_node_eft`] / [`Self::best_node_est`].
+    /// ties) over the cached rows: ETF's scalar fallback of
+    /// [`Self::best_node_est`].
     pub fn best_node(
         &self,
         ctx: &SchedContext,
@@ -137,22 +136,6 @@ impl FrontierSweep {
             }
         }
         best.expect("network has at least one node")
-    }
-
-    /// [`Self::best_node`] under the earliest-finish comparator
-    /// (`f < bf`, lowest node id on ties) as one fused row compose plus the
-    /// lowest-index argmin — bit-identical to the comparator form, which
-    /// wide networks and the `fused_rows: false` reference path still take.
-    pub fn best_node_eft(&self, ctx: &SchedContext, t: TaskId) -> (NodeId, f64, f64) {
-        let nv = ctx.node_count();
-        if !(WIDE_NODES..=STACK_NODES).contains(&nv) {
-            return self.best_node(ctx, t, |(_, f), (_, bf)| f < bf);
-        }
-        let mut starts = [0.0f64; STACK_NODES];
-        let mut finishes = [0.0f64; STACK_NODES];
-        self.fused_rows(ctx, t, &mut starts[..nv], &mut finishes[..nv]);
-        let v = saga_core::argmin_finish(&finishes[..nv]);
-        (v, starts[v.index()], finishes[v.index()])
     }
 
     /// [`Self::best_node`] under the earliest-start comparator
@@ -357,20 +340,22 @@ pub fn first_idle_node(ctx: &SchedContext) -> NodeId {
 }
 
 /// Replays the longest trustworthy prefix of `trace` into `ctx` for a
-/// *frontier-scanning* scheduler (MinMin/MaxMin-class selection over the
-/// ready set, or lowest-id-ready dispatch): each recorded placement is
+/// *frontier-scanning* scheduler (lowest-id-ready dispatch, or a selection
+/// weighed across the whole ready set): each recorded placement is
 /// re-applied verbatim — skipping the scheduler's EFT and data-ready scans
 /// — until the dirty region reaches the frontier.
 ///
 /// The replay stops before position `k` when the recorded task is
-/// placement-dirty or — for `frontier_sensitive` schedulers, whose per-step
-/// selection *compares* values across the ready set (MinMin, MaxMin, WBA)
-/// — when any dirty task sits in the ready frontier. FastestNode dispatches
+/// placement-dirty or — for `frontier_sensitive` schedulers — when any
+/// dirty task sits in the ready frontier. WBA is the one
+/// frontier-sensitive caller: its sampling weighs every ready option, so a
+/// ready dirty task's changed values move the draw. FastestNode dispatches
 /// purely by ready order (lowest-id ready = topological order) and passes
 /// `frontier_sensitive = false`: a dirty task's changed *values* cannot
 /// influence its selection, and a dirty region that replays is never
 /// structural (structural edits give a full region), so readiness is
-/// unchanged too.
+/// unchanged too. MinMin/MaxMin replay on their own: they check each
+/// decision against the ready dirty tasks instead of stopping at the first.
 ///
 /// Until the stop point the previous run's frontier evolution and per-step
 /// selections provably coincide with what a full run on the perturbed

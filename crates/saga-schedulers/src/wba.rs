@@ -11,28 +11,35 @@
 //! The RNG is seeded (default 0xB1) so experiments are reproducible; PISA
 //! perturbs instances, not scheduler seeds.
 //!
-//! Placement is append-only, so every candidate `(start, finish)` comes from
-//! [`util::FrontierSweep`]'s cached data-ready rows, and the current
-//! makespan is a running max over placed finish times (same fold, same
-//! value) instead of an O(|T|) rescan per step — bit-identical decisions
-//! and RNG stream, minus the O(ready × nodes × preds) rescans.
+//! Placement is append-only, so after a placement only the chosen node's
+//! tail moves. Each ready task's finish row over all nodes is composed once,
+//! when the task becomes ready, from [`util::FrontierSweep`]'s cached
+//! data-ready row; after each placement only the placed node's column of
+//! the ready rows is recomposed. The option pass turns the rows into the
+//! step's increases and folds their extremes in four lanes (exact in any
+//! order: an increase is never NaN or `-0.0`). The chosen option's start
+//! is recomposed from the same inputs (same expressions, same bits). The
+//! current makespan is a running max over placed finish times (same fold,
+//! same value) instead of an O(|T|) rescan per step — bit-identical
+//! decisions and RNG stream.
 //!
-//! Incremental evaluation replays the recorded run's unchanged prefix like
-//! MinMin does. The selection weighs options across the whole ready set,
-//! so the replay is frontier-sensitive: it stops once a placement-dirty
-//! task is ready. Each step draws exactly one `next_u64` on every branch
-//! (integer `gen_range` and `gen::<f64>()` are one word each in the
-//! vendored `StdRng`, pinned by its `one_word_per_draw` test), so after `k`
-//! replayed steps the RNG is advanced by `k` words and the loop resumes
-//! with the stream a full run would have. Only weight edits replay:
-//! structural edits give a full region, and an added dependency would
-//! remove its target from frontiers the recorded run drew against, which
-//! the frontier check on the new run could not see.
+//! Incremental evaluation replays the recorded run's unchanged prefix
+//! through [`util::replay_frontier_prefix`]. The selection weighs options
+//! across the whole ready set, so the replay is frontier-sensitive: it
+//! stops once a placement-dirty task is ready. Each step draws exactly one
+//! `next_u64` on every branch (integer `gen_range` and `gen::<f64>()` are
+//! one word each in the vendored `StdRng`, pinned by its
+//! `one_word_per_draw` test), so after `k` replayed steps the RNG is
+//! advanced by `k` words and the loop resumes with the stream a full run
+//! would have. Only weight edits replay: structural edits give a full
+//! region, and an added dependency would remove its target from frontiers
+//! the recorded run drew against, which the frontier check on the new run
+//! could not see.
 
 use crate::{util, KernelRun};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext};
+use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
 
 /// The WBA scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -47,51 +54,76 @@ impl Default for Wba {
     }
 }
 
+/// Composes ready task `t`'s append finish on every node into its row of
+/// `finishes`.
+fn fill_finish_row(
+    ctx: &SchedContext,
+    sweep: &util::FrontierSweep,
+    finishes: &mut [f64],
+    t: TaskId,
+) {
+    let nv = ctx.node_count();
+    let (tails, ready, exec) = (ctx.append_tails(), sweep.row(nv, t), ctx.exec_row(t));
+    for (v, f) in finishes[t.index() * nv..][..nv].iter_mut().enumerate() {
+        *f = tails[v].max(ready[v]) + exec[v];
+    }
+}
+
+/// The smallest and largest of `xs` (`(inf, -inf)` when empty), folded in
+/// four interleaved lanes. The order does not matter for option increases
+/// `max(finish - current, 0.0)`: they are never NaN (`max` gives 0 for a
+/// NaN difference) and never `-0.0` (finishes are never `-0.0`, and a
+/// difference is `-0.0` only when its left side is).
+fn extremes(xs: &[f64]) -> (f64, f64) {
+    let min = |a: f64, b: f64| if b < a { b } else { a };
+    let max = |a: f64, b: f64| if b > a { b } else { a };
+    let mut lo = [f64::INFINITY; 4];
+    let mut hi = [f64::NEG_INFINITY; 4];
+    let chunks = xs.chunks_exact(4);
+    for &x in chunks.remainder() {
+        lo[0] = min(lo[0], x);
+        hi[0] = max(hi[0], x);
+    }
+    for c in chunks {
+        for k in 0..4 {
+            lo[k] = min(lo[k], c[k]);
+            hi[k] = max(hi[k], c[k]);
+        }
+    }
+    (
+        min(min(lo[0], lo[1]), min(lo[2], lo[3])),
+        max(max(hi[0], hi[1]), max(hi[2], hi[3])),
+    )
+}
+
 /// The WBA decision loop from whatever partial state `ctx` is in: `rng`
 /// must sit exactly one draw past its seed per placed task, and `current`
 /// must be the running max over the placed finishes (both hold trivially
-/// on an empty context). Append-only, so every candidate `(start, finish)`
-/// comes from the [`util::FrontierSweep`] cache.
+/// on an empty context). Append-only, so every candidate finish comes from
+/// the ready tasks' finish rows (see the [module docs](self)).
 fn wba_loop(ctx: &mut SchedContext, rng: &mut StdRng, mut current: f64) {
     let n = ctx.task_count();
     let nv = ctx.node_count();
-    let fused = util::fused_rows_profitable(ctx);
-    let mut srow = [0.0f64; util::STACK_NODES];
-    let mut frow = [0.0f64; util::STACK_NODES];
     let mut sweep = util::FrontierSweep::new(ctx);
-    // Per-step options, in pooled parallel buffers. Option `i` is
-    // (ready task `i / nv`, node `i % nv`) — the ready set is stable
-    // while a step's options are built and consumed, so the identity is
-    // recovered from the index instead of storing tuples (which would
-    // need their own, unpooled allocation).
-    let mut starts = ctx.take_f64();
+    // `finishes[t * |V| + v]`, valid for ready tasks
+    let mut finishes = ctx.take_f64();
+    finishes.resize(n * nv, 0.0);
+    for &t in ctx.ready() {
+        fill_finish_row(ctx, &sweep, &mut finishes, t);
+    }
+    // Per-step option increases, in a pooled buffer. Option `i` is (ready
+    // task `i / nv`, node `i % nv`) — the ready set is stable while a
+    // step's options are built and consumed, so the identity is recovered
+    // from the index instead of storing tuples (which would need their
+    // own, unpooled allocation).
     let mut increases = ctx.take_f64();
     while ctx.placed_count() < n {
-        starts.clear();
         increases.clear();
-        let mut i_min = f64::INFINITY;
-        let mut i_max = f64::NEG_INFINITY;
         for &t in ctx.ready() {
-            if fused {
-                // one branchless compose per task; the option loop reads
-                // the finished rows (same bits, same option order, so
-                // the sampling RNG stream is unchanged)
-                sweep.fused_rows(ctx, t, &mut srow[..nv], &mut frow[..nv]);
-            }
-            for v in 0..nv {
-                let (s, f) = if fused {
-                    (srow[v], frow[v])
-                } else {
-                    let s = ctx.append_tails()[v].max(sweep.row(nv, t)[v]);
-                    (s, s + ctx.exec_row(t)[v])
-                };
-                let increase = (f - current).max(0.0);
-                i_min = i_min.min(increase);
-                i_max = i_max.max(increase);
-                starts.push(s);
-                increases.push(increase);
-            }
+            let row = &finishes[t.index() * nv..][..nv];
+            increases.extend(row.iter().map(|&f| (f - current).max(0.0)));
         }
+        let (i_min, i_max) = extremes(&increases);
         // exactly one `next_u64` per step on every branch (see the module
         // docs): the replay in `run_recorded` relies on it
         let chosen = if !i_min.is_finite() || !i_max.is_finite() || i_max == i_min {
@@ -121,12 +153,24 @@ fn wba_loop(ctx: &mut SchedContext, rng: &mut StdRng, mut current: f64) {
                 pick
             }
         };
-        let t = ctx.ready()[chosen / nv];
-        ctx.place(t, saga_core::NodeId((chosen % nv) as u32), starts[chosen]);
+        let (t, v) = (ctx.ready()[chosen / nv], chosen % nv);
+        let start = sweep.start(ctx, t, v);
+        ctx.place(t, NodeId(v as u32), start);
         sweep.note_placed(ctx, t);
+        // only `v`'s tail moved: recompose that column of every ready row,
+        // then the whole rows of the tasks that just became ready
+        let tail = ctx.append_tails()[v];
+        for &r in ctx.ready() {
+            finishes[r.index() * nv + v] = tail.max(sweep.row(nv, r)[v]) + ctx.exec_row(r)[v];
+        }
+        for (s, _) in ctx.succs(t) {
+            if ctx.is_ready(s) {
+                fill_finish_row(ctx, &sweep, &mut finishes, s);
+            }
+        }
         current = current.max(ctx.finish_time(t));
     }
-    ctx.give_f64(starts);
+    ctx.give_f64(finishes);
     ctx.give_f64(increases);
     sweep.release(ctx);
 }

@@ -26,6 +26,15 @@
 //! `tests/paper/`, and update [`FIG2_ROWS_DIGEST`] (or
 //! [`FIG4_CELLS_DIGEST`]) from this suite's failure message.
 //!
+//! **app_pisa** (Section VII: 9 workflows × 5 CCRs, base seed `0xA551`)
+//! has its 45 `app_pisa_<workflow>_ccr<c>.csv` outputs pinned in
+//! `tests/paper/` too, but no test here re-derives them: `app_pisa all`
+//! takes seconds in a release build, so CI's engine smoke runs the release
+//! binary at 4 and at 1 workers and `cmp`s all 45 files. To regenerate
+//! after an intended, reviewed change, run
+//! `cargo run --release -p saga-experiments --bin app_pisa -- all` and copy
+//! `results/app_pisa_*_ccr*.csv` into `tests/paper/`.
+//!
 //! **Infinite fig4 ratios.** 35 of the 210 pinned witnesses have an
 //! infinite ratio (`"ratio":null` in the JSON, `inf` in the CSV). This is a
 //! property of the search space, not a bug: the perturbation operators may
