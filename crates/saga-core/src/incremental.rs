@@ -41,7 +41,7 @@ use crate::{NodeId, SchedContext, TaskId};
 /// Maximum number of placement-dirty tasks tracked exactly; merges that
 /// overflow this degrade to [`DirtyRegion::full`] (a rare multi-reject
 /// pile-up — correct either way, full is just slower).
-const MAX_DIRTY: usize = 4;
+pub const MAX_DIRTY: usize = 4;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scope {
@@ -184,9 +184,9 @@ impl DirtyRegion {
         self.structural
     }
 
-    /// The placement-dirty tasks: none for a clean region; a full region
-    /// may carry task-level dirt merged into it, which the kernel still
-    /// refreshes.
+    /// The placement-dirty tasks, at most [`MAX_DIRTY`]: none for a clean
+    /// region; a full region may carry task-level dirt merged into it,
+    /// which the kernel still refreshes.
     #[inline]
     pub fn tasks(&self) -> &[TaskId] {
         &self.tasks[..self.len as usize]
@@ -284,9 +284,8 @@ impl DirtyRegion {
 /// [module docs](self) for the contract.
 #[derive(Debug, Clone, Default)]
 pub struct RunTrace {
-    pub(crate) task: Vec<TaskId>,
-    pub(crate) node: Vec<NodeId>,
-    pub(crate) start: Vec<f64>,
+    /// The recorded placements `(task, node, start)`, in placement order.
+    pub(crate) placements: Vec<(TaskId, NodeId, f64)>,
     /// Scheduler-defined per-task decision data from the recorded run
     /// (CPoP's priorities), bit-compared on replay.
     aux: Vec<f64>,
@@ -320,37 +319,37 @@ impl RunTrace {
         self.valid
             && self.n_tasks == n_tasks
             && self.n_nodes == n_nodes
-            && self.task.len() == n_tasks
+            && self.placements.len() == n_tasks
     }
 
     /// Number of recorded placements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.task.len()
+        self.placements.len()
     }
 
     /// Whether no placements are recorded.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.task.is_empty()
+        self.placements.is_empty()
     }
 
     /// The task placed at position `k` of the recorded run.
     #[inline]
     pub fn task(&self, k: usize) -> TaskId {
-        self.task[k]
+        self.placements[k].0
     }
 
     /// The node the task at position `k` was placed on.
     #[inline]
     pub fn node(&self, k: usize) -> NodeId {
-        self.node[k]
+        self.placements[k].1
     }
 
     /// The start time of the placement at position `k`.
     #[inline]
     pub fn start(&self, k: usize) -> f64 {
-        self.start[k]
+        self.placements[k].2
     }
 
     /// The recorded run's makespan (set by the incremental entry points).
@@ -481,9 +480,7 @@ mod tests {
     fn trace_shape_gate() {
         let mut t = RunTrace::new();
         assert!(!t.matches(3, 2));
-        t.task = vec![TaskId(0); 3];
-        t.node = vec![NodeId(0); 3];
-        t.start = vec![0.0; 3];
+        t.placements = vec![(TaskId(0), NodeId(0), 0.0); 3];
         t.n_tasks = 3;
         t.n_nodes = 2;
         t.valid = true;

@@ -379,12 +379,11 @@ pub struct SchedContext {
     task_pool: Vec<Vec<TaskId>>,
     node_pool: Vec<Vec<NodeId>>,
     // ---- placement recording (incremental delta-evaluation) ----
-    /// When true, every [`place`](Self::place) appends to the `rec_*`
-    /// buffers; enabled only inside schedulers' incremental entry points.
+    /// When true, every [`place`](Self::place) pushes its `(task, node,
+    /// start)` onto `rec`; enabled only inside schedulers' incremental
+    /// entry points.
     recording: bool,
-    rec_task: Vec<TaskId>,
-    rec_node: Vec<NodeId>,
-    rec_start: Vec<f64>,
+    rec: Vec<(TaskId, NodeId, f64)>,
     /// When true, [`reset`](Self::reset) skips the table rebuild and only
     /// clears the run state — see [`pin_tables`](Self::pin_tables). Only
     /// [`set_pinned`](Self::set_pinned) assigns it.
@@ -614,24 +613,20 @@ impl SchedContext {
         }
     }
 
-    /// Starts recording placements (cleared buffers). Every subsequent
-    /// [`place`](Self::place) appends `(task, node, start)` until
+    /// Starts recording placements (cleared buffer). Every subsequent
+    /// [`place`](Self::place) pushes one `(task, node, start)` entry until
     /// [`take_recording`](Self::take_recording).
     pub fn begin_recording(&mut self) {
-        self.rec_task.clear();
-        self.rec_node.clear();
-        self.rec_start.clear();
+        self.rec.clear();
         self.recording = true;
     }
 
-    /// Stops recording and swaps the recorded placement sequence into
-    /// `trace` (the trace's previous buffers come back for reuse), marking
+    /// Stops recording and swaps the recorded placement vector into
+    /// `trace` (the trace's previous vector comes back for reuse), marking
     /// it valid for the current instance shape.
     pub fn take_recording(&mut self, trace: &mut RunTrace) {
         self.recording = false;
-        std::mem::swap(&mut trace.task, &mut self.rec_task);
-        std::mem::swap(&mut trace.node, &mut self.rec_node);
-        std::mem::swap(&mut trace.start, &mut self.rec_start);
+        std::mem::swap(&mut trace.placements, &mut self.rec);
         trace.n_tasks = self.n_tasks;
         trace.n_nodes = self.n_nodes;
         trace.valid = true;
@@ -1254,6 +1249,53 @@ impl SchedContext {
         );
     }
 
+    /// Checks that the ready queue is strictly ascending by id (debug
+    /// builds only) — the order [`ready`](Self::ready) promises and the
+    /// scan-and-shift upkeep of [`ready_remove`](Self::ready_remove) and
+    /// [`ready_insert`](Self::ready_insert) relies on.
+    #[inline]
+    fn debug_check_ready(&self) {
+        debug_assert!(
+            self.ready.windows(2).all(|w| w[0] < w[1]),
+            "ready queue not strictly ascending: {:?}",
+            self.ready
+        );
+    }
+
+    /// Removes `t` from the ready queue if it is there: a linear scan for
+    /// it, then the tail shifted left by hand. Ready sets are small, so
+    /// this beats a binary search plus a `memmove` call.
+    #[inline]
+    fn ready_remove(&mut self, t: TaskId) {
+        let ready = &mut self.ready;
+        let Some(mut i) = ready.iter().position(|&r| r == t) else {
+            return;
+        };
+        let last = ready.len() - 1;
+        while i < last {
+            ready[i] = ready[i + 1];
+            i += 1;
+        }
+        ready.truncate(last);
+    }
+
+    /// Inserts `t` into the ready queue at its id position: pushed at the
+    /// end, then walked back past the larger ids, each shifted right by
+    /// one. `t` is not in the queue yet (it was placed, or had an unplaced
+    /// predecessor), which [`debug_check_ready`](Self::debug_check_ready)
+    /// confirms.
+    #[inline]
+    fn ready_insert(&mut self, t: TaskId) {
+        let ready = &mut self.ready;
+        ready.push(t);
+        let mut i = ready.len() - 1;
+        while i > 0 && ready[i - 1] > t {
+            ready[i] = ready[i - 1];
+            i -= 1;
+        }
+        ready[i] = t;
+    }
+
     /// Current makespan over placed tasks. Every placed task sits on
     /// exactly one node timeline and `max_finish` is maintained per
     /// placement, so folding the per-node maxima visits `|V|` entries
@@ -1276,49 +1318,46 @@ impl SchedContext {
         debug_assert!(!self.is_placed(t), "task {t} placed twice");
         self.run_clean = false;
         if self.recording {
-            self.rec_task.push(t);
-            self.rec_node.push(v);
-            self.rec_start.push(start);
+            self.rec.push((t, v, start));
         }
         let duration = self.exec_time(t, v);
         let finish = start + duration;
+        let slot = Slot {
+            start,
+            finish,
+            task: t,
+        };
         let timeline = &mut self.timelines[v.index()];
-        let pos = timeline.partition_point(|s| s.start <= start);
-        timeline.insert(
-            pos,
-            Slot {
-                start,
-                finish,
-                task: t,
-            },
-        );
+        if timeline.last().is_none_or(|last| last.start <= start) {
+            // append: the same position `partition_point` finds on a
+            // timeline sorted by start, and the new slot is the tail
+            timeline.push(slot);
+            self.tail_finish[v.index()] = finish;
+        } else {
+            // interior insert: the last slot — and therefore the cached
+            // tail finish — is untouched
+            let pos = timeline.partition_point(|s| s.start <= start);
+            timeline.insert(pos, slot);
+        }
         let mf = &mut self.max_finish[v.index()];
         *mf = mf.max(finish);
-        if pos + 1 == timeline.len() {
-            // inserted at the tail; interior inserts leave the last slot —
-            // and therefore the cached tail finish — untouched
-            self.tail_finish[v.index()] = finish;
-        }
         self.debug_check_tail(v);
         self.finish[t.index()] = finish;
         self.node_of[t.index()] = v;
         self.placed_epoch[t.index()] = self.epoch;
         self.placed_count += 1;
         // ready-queue maintenance: remove t, admit newly ready successors
-        if let Ok(pos) = self.ready.binary_search(&t) {
-            self.ready.remove(pos);
-        }
+        self.ready_remove(t);
         let (s, e) = self.succ_range(t);
         for i in s..e {
             let st = self.succ_task[i];
             let d = &mut self.unplaced_preds[st.index()];
             *d -= 1;
             if *d == 0 && self.placed_epoch[st.index()] != self.epoch {
-                if let Err(pos) = self.ready.binary_search(&st) {
-                    self.ready.insert(pos, st);
-                }
+                self.ready_insert(st);
             }
         }
+        self.debug_check_ready();
     }
 
     /// Convenience: compute the EFT on `v` and place there. Returns the
@@ -1363,18 +1402,15 @@ impl SchedContext {
             let st = self.succ_task[i];
             debug_assert!(!self.is_placed(st), "successor {st} still placed");
             if self.unplaced_preds[st.index()] == 0 {
-                if let Ok(pos) = self.ready.binary_search(&st) {
-                    self.ready.remove(pos);
-                }
+                self.ready_remove(st);
             }
             self.unplaced_preds[st.index()] += 1;
         }
         // t itself becomes ready again (its predecessors are untouched)
         if self.unplaced_preds[t.index()] == 0 {
-            if let Err(pos) = self.ready.binary_search(&t) {
-                self.ready.insert(pos, t);
-            }
+            self.ready_insert(t);
         }
+        self.debug_check_ready();
     }
 
     /// Builds the completed [`Schedule`] from the timelines without

@@ -21,6 +21,7 @@
 //! [`util::STACK_NODES`], as soon as a dirty task is ready.
 
 use crate::{util, KernelRun};
+use saga_core::incremental::MAX_DIRTY;
 use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
 
 /// The MinMin scheduler.
@@ -89,12 +90,17 @@ fn min_max_loop(ctx: &mut SchedContext, sweep: &mut util::FrontierSweep, want_ma
 /// loses to `t` when its fresh best finish `fd` is strictly worse than
 /// `t`'s finish `f`, or equal with the dirty task later in ready order.
 /// A NaN on either side fails every comparison and stops the replay.
+///
+/// A dirty task's data-ready row is computed once, when the task first
+/// shows up ready: all of its predecessors are placed by then and the
+/// replay never places it, so the row cannot change while the replay runs.
 fn replay_prefix(ctx: &mut SchedContext, trace: &RunTrace, dirty: &DirtyRegion, want_max: bool) {
     if dirty.is_full() || !trace.matches(ctx.task_count(), ctx.node_count()) {
         return;
     }
     let nv = ctx.node_count();
-    let mut ready = [0.0f64; util::STACK_NODES];
+    let mut rows = [[0.0f64; util::STACK_NODES]; MAX_DIRTY];
+    let mut cached = [false; MAX_DIRTY];
     for k in 0..trace.len() {
         let (t, v, start) = (trace.task(k), trace.node(k), trace.start(k));
         if dirty.contains(t) {
@@ -103,15 +109,19 @@ fn replay_prefix(ctx: &mut SchedContext, trace: &RunTrace, dirty: &DirtyRegion, 
         let f = start + ctx.exec_row(t)[v.index()];
         // dirty tasks are never placed here (the replay stops at the first
         // one), so readiness alone puts them in the frontier
-        for &d in dirty.tasks() {
+        for (i, &d) in dirty.tasks().iter().enumerate() {
             if !ctx.is_ready(d) {
                 continue;
             }
             if nv > util::STACK_NODES {
                 return;
             }
-            ctx.data_ready_times_into(d, &mut ready[..nv]);
-            let (_, fd) = best_finish(ctx.append_tails(), &ready[..nv], ctx.exec_row(d));
+            let row = &mut rows[i][..nv];
+            if !cached[i] {
+                ctx.data_ready_times_into(d, row);
+                cached[i] = true;
+            }
+            let (_, fd) = best_finish(ctx.append_tails(), row, ctx.exec_row(d));
             let loses = match (want_max, d < t) {
                 (false, true) => f < fd,
                 (false, false) => f <= fd,
