@@ -35,6 +35,17 @@
 //! `cargo run --release -p saga-experiments --bin app_pisa -- all` and copy
 //! `results/app_pisa_*_ccr*.csv` into `tests/paper/`.
 //!
+//! **Six more grids** are pinned the same way, checked by CI alone:
+//! `fig7_makespans.csv`, `fig8_makespans.csv`, `online_blast.csv` and
+//! `stochastic_montage.csv` (cells through `BatchEngine::map_ctx`), and
+//! `metric_pisa.csv` and `ablation_search.csv` (cells through
+//! `BatchEngine::run_cells`), each its binary's output at its defaults.
+//! CI runs the six release binaries at 4 and at 1 workers and `cmp`s each
+//! file. To regenerate after an intended, reviewed change, run
+//! `for b in fig7 fig8 online_eval stochastic_eval metric_pisa
+//! ablation_search; do cargo run --release -p saga-experiments --bin $b;
+//! done` and copy those six files from `results/` into `tests/paper/`.
+//!
 //! **Infinite fig4 ratios.** 35 of the 210 pinned witnesses have an
 //! infinite ratio (`"ratio":null` in the JSON, `inf` in the CSV). This is a
 //! property of the search space, not a bug: the perturbation operators may
