@@ -3,11 +3,11 @@
 //! on the dataset (the paper's color scale tops out the same way); median
 //! and unbounded counts land in the CSV.
 //!
-//! Runs on the batch engine: instances shard across rayon workers with one
-//! warm context per worker and cost tables pinned per instance, so the
-//! default budget now matches the paper's low end (100 instances/dataset;
-//! the paper uses 100–1000). Output is bit-identical for any
-//! `RAYON_NUM_THREADS`.
+//! Runs on the batch engine: instances shard across the engine's workers
+//! with one warm context per worker and cost tables pinned per instance, so
+//! the default budget now matches the paper's low end (100
+//! instances/dataset; the paper uses 100–1000). Output is bit-identical for
+//! any `RAYON_NUM_THREADS`.
 //!
 //! Every instance row is a keyed unit of work
 //! (`fig2/{dataset}#k{k}#s{seed}`) appended to a [`RowCheckpoint`] JSONL as

@@ -7,11 +7,12 @@
 //!    strictly dominates another).
 //!
 //! Runs on the batch engine's `SearchCell` runtime: the 210 ordered pairs
-//! shard across rayon workers with one warm pooled context and annealing
-//! scratch per worker, per-cell derived seeds (output is bit-identical for
-//! any `RAYON_NUM_THREADS`), and a JSONL checkpoint — every finished cell
-//! is flushed to `results/fig4_cells.jsonl`, and `--resume` replays stored
-//! cells so an interrupted paper-scale run continues where it stopped.
+//! shard across the engine's workers with one warm pooled context and
+//! annealing scratch per worker, per-cell derived seeds (output is
+//! bit-identical for any `RAYON_NUM_THREADS`), and a JSONL checkpoint —
+//! every finished cell is flushed to `results/fig4_cells.jsonl`, and
+//! `--resume` replays stored cells so an interrupted paper-scale run
+//! continues where it stopped.
 //!
 //! Usage: `fig4 [--imax N] [--restarts R] [--seed S] [--quick] [--resume]
 //! [--shard i/N] [--checkpoint PATH]`. Defaults match the paper

@@ -6,13 +6,14 @@
 //! rebuilding cost tables and reallocating contexts per run. The engine
 //! factors the common machinery out once:
 //!
-//! * **Sharding** — cells fan out across rayon workers (the vendored rayon
-//!   uses dynamic chunk claiming, so skewed cells — mixed-size datasets,
-//!   pairwise blowup cells — don't straggle on one worker);
+//! * **Sharding** — cells fan out across the engine's workers
+//!   (`crate::workers`), which claim cells one at a time from a shared
+//!   cursor, so skewed cells — mixed-size datasets, pairwise blowup
+//!   cells — don't straggle on one worker;
 //! * **Context reuse** — each worker takes one warm [`SchedContext`] from a
-//!   shared [`ContextPool`] via `map_init` and keeps it for its whole run,
-//!   so cells allocate nothing after warm-up, and the pool keeps the warmth
-//!   across batches;
+//!   shared [`ContextPool`] once and keeps it for its whole run, so cells
+//!   allocate nothing after warm-up, and the pool keeps the warmth across
+//!   batches;
 //! * **Table pinning** — [`BatchEngine::makespans`] evaluates all `k`
 //!   schedulers of a cell under [`SchedContext::with_pinned`], building the
 //!   exec/link cost tables once per instance instead of once per
@@ -30,7 +31,7 @@
 //!   checkpoint record, so stored records replay instead of re-running.
 
 use crate::checkpoint::{Checkpoint, Record};
-use rayon::prelude::*;
+use crate::workers;
 use saga_core::{ContextPool, Instance, SchedContext};
 use saga_pisa::annealer::AnnealScratch;
 use saga_pisa::{PisaResult, SearchCell, ShardSpec};
@@ -54,7 +55,6 @@ pub struct Progress {
     every: usize,
     done: AtomicUsize,
     claims: AtomicUsize,
-    steals: AtomicUsize,
 }
 
 impl Progress {
@@ -66,7 +66,6 @@ impl Progress {
             every: (total / 20).max(1),
             done: AtomicUsize::new(0),
             claims: AtomicUsize::new(0),
-            steals: AtomicUsize::new(0),
         }
     }
 
@@ -83,35 +82,23 @@ impl Progress {
         self.done.load(Ordering::Relaxed)
     }
 
-    /// Folds one parallel run's scheduler counters into this reporter's
-    /// claim/steal totals.
-    pub fn note_worker_stats(&self, stats: &rayon::RunStats) {
-        self.claims
-            .fetch_add(stats.total_claims(), Ordering::Relaxed);
-        self.steals
-            .fetch_add(stats.total_steals(), Ordering::Relaxed);
+    /// Adds `n` worker claims to this reporter's total.
+    pub(crate) fn note_claims(&self, n: usize) {
+        self.claims.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Total chunk claims observed across the runs folded into this
-    /// reporter.
+    /// Total worker claims across the runs that reported to this
+    /// reporter. Workers claim items one at a time, so this counts one
+    /// claim per item.
     pub fn claims(&self) -> usize {
         self.claims.load(Ordering::Relaxed)
     }
 
-    /// Total work steals observed across the runs folded into this
-    /// reporter (0 under the sequential short-circuit).
+    /// Always 0: workers claim items from one shared cursor, so there is
+    /// no other worker's queue to steal from. Kept for `pisa_bench`, which
+    /// still reports it as `engine.steals`.
     pub fn steals(&self) -> usize {
-        self.steals.load(Ordering::Relaxed)
-    }
-}
-
-/// Hands the just-finished parallel run's scheduler counters to `progress`
-/// (claim/steal accumulation).
-/// Advisory: the stats slot is global, so a run issued concurrently from
-/// another thread may take it first — counters are diagnostics, not truth.
-fn observe_workers(progress: Option<&Progress>) {
-    if let (Some(p), Some(stats)) = (progress, rayon::take_last_run_stats()) {
-        p.note_worker_stats(&stats);
+        0
     }
 }
 
@@ -136,7 +123,7 @@ impl BatchEngine {
         T: Send,
         R: Send,
     {
-        cells.into_par_iter().map(f).collect()
+        workers::map_init(workers::count(), cells, || (), |_, cell| f(cell), None)
     }
 
     /// Shards `cells` across workers, handing each worker one warm
@@ -151,10 +138,13 @@ impl BatchEngine {
         T: Send,
         R: Send,
     {
-        cells
-            .into_par_iter()
-            .map_init(|| self.pool.take(), |ctx, cell| f(ctx, cell))
-            .collect()
+        workers::map_init(
+            workers::count(),
+            cells,
+            || self.pool.take(),
+            |ctx, cell| f(ctx, cell),
+            None,
+        )
     }
 
     /// [`map_ctx`](Self::map_ctx) on the calling thread: same pooled
@@ -171,7 +161,7 @@ impl BatchEngine {
     }
 
     /// Runs a grid of adversarial-search cells — the fig4-class workload.
-    /// Cells shard across workers via `map_init`; each worker holds one warm
+    /// Cells shard across workers; each worker holds one warm
     /// [`PooledContext`](saga_core::PooledContext) and one
     /// [`AnnealScratch`] for its whole run, so back-to-back cells (and every
     /// restart within a cell) reuse the same buffers. Results come back in
@@ -221,15 +211,19 @@ impl BatchEngine {
         instances: &[Instance],
         progress: Option<&Progress>,
     ) -> Vec<Vec<f64>> {
-        let rows = self.map_ctx(instances.iter().collect(), |ctx, inst| {
-            let row = pinned_row(ctx, schedulers, inst);
-            if let Some(p) = progress {
-                p.tick();
-            }
-            row
-        });
-        observe_workers(progress);
-        rows
+        workers::map_init(
+            workers::count(),
+            instances,
+            || self.pool.take(),
+            |ctx, inst| {
+                let row = pinned_row(ctx, schedulers, inst);
+                if let Some(p) = progress {
+                    p.tick();
+                }
+                row
+            },
+            progress,
+        )
     }
 
     /// The fused, resumable fig2-class dataset loop: row `k` *generates*
@@ -298,43 +292,42 @@ impl BatchEngine {
                 p.tick();
             }
         };
-        let out = items
-            .par_iter()
-            .map_init(
-                || (self.pool.take(), S::default()),
-                |(ctx, scratch), item| {
-                    let key = key_of(item);
-                    if !shard.contains_key(&key) {
-                        return None;
-                    }
-                    if let Some(stored) = checkpoint.and_then(|c| c.stored(&key)) {
-                        // replayed, not re-recorded: the file already holds
-                        // this line
-                        tick();
-                        return Some(stored);
-                    }
-                    // once a write failed, the run's results can never all
-                    // be returned — don't burn work that would be thrown
-                    // away with the error
-                    if failed.load(Ordering::Relaxed) {
-                        return None;
-                    }
-                    let value = compute(ctx, scratch, item);
-                    if let Some(Err(e)) = checkpoint.map(|c| c.record(&key, value.borrow())) {
-                        // a poisoned slot still holds a coherent Option;
-                        // recover it rather than abort
-                        write_error
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .get_or_insert(e);
-                        failed.store(true, Ordering::Relaxed);
-                    }
+        let out = workers::map_init(
+            workers::count(),
+            items,
+            || (self.pool.take(), S::default()),
+            |(ctx, scratch), item| {
+                let key = key_of(item);
+                if !shard.contains_key(&key) {
+                    return None;
+                }
+                if let Some(stored) = checkpoint.and_then(|c| c.stored(&key)) {
+                    // replayed, not re-recorded: the file already holds
+                    // this line
                     tick();
-                    Some(value)
-                },
-            )
-            .collect();
-        observe_workers(progress);
+                    return Some(stored);
+                }
+                // once a write failed, the run's results can never all
+                // be returned — don't burn work that would be thrown
+                // away with the error
+                if failed.load(Ordering::Relaxed) {
+                    return None;
+                }
+                let value = compute(ctx, scratch, item);
+                if let Some(Err(e)) = checkpoint.map(|c| c.record(&key, value.borrow())) {
+                    // a poisoned slot still holds a coherent Option;
+                    // recover it rather than abort
+                    write_error
+                        .lock()
+                        .unwrap_or_else(|poisoned| poisoned.into_inner())
+                        .get_or_insert(e);
+                    failed.store(true, Ordering::Relaxed);
+                }
+                tick();
+                Some(value)
+            },
+            progress,
+        );
         match write_error
             .into_inner()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -393,22 +386,21 @@ mod tests {
     #[test]
     fn map_ctx_reuses_pooled_contexts_across_batches() {
         let engine = BatchEngine::new();
-        let insts = instances(3);
-        let _: Vec<f64> = engine.map_ctx(insts.iter().collect(), |ctx, inst| {
-            saga_schedulers::Heft.makespan_into(inst, ctx)
-        });
-        assert!(
-            engine.pool.idle() >= 1,
-            "workers must return contexts to the pool"
-        );
-        let before = engine.pool.idle();
-        let _: Vec<f64> = engine.map_ctx(insts.iter().collect(), |ctx, inst| {
-            saga_schedulers::Heft.makespan_into(inst, ctx)
-        });
-        assert!(
-            engine.pool.idle() <= before.max(rayon::current_num_threads()),
-            "second batch must reuse pooled contexts, not mint new ones per cell"
-        );
+        let insts = instances(12);
+        // each worker takes one context, so two batches hold at most one
+        // context per worker unless the second mints instead of reusing
+        let most = workers::count().min(insts.len());
+        for batch in 0..2 {
+            let _: Vec<f64> = engine.map_ctx(insts.iter().collect(), |ctx, inst| {
+                saga_schedulers::Heft.makespan_into(inst, ctx)
+            });
+            let idle = engine.pool.idle();
+            assert!(idle >= 1, "workers must return contexts to the pool");
+            assert!(
+                idle <= most,
+                "batch {batch} left {idle} pooled contexts for {most} workers"
+            );
+        }
     }
 
     fn quick_cells() -> Vec<SearchCell> {
@@ -563,19 +555,11 @@ mod tests {
 
     #[test]
     fn progress_accumulates_scheduler_counters() {
-        let p = Progress::new("test", 4);
-        p.note_worker_stats(&rayon::RunStats {
-            claims: vec![2, 1],
-            steals: vec![0, 1],
-            items: vec![3, 1],
-        });
-        p.note_worker_stats(&rayon::RunStats {
-            claims: vec![1],
-            steals: vec![0],
-            items: vec![4],
-        });
-        assert_eq!(p.claims(), 4);
-        assert_eq!(p.steals(), 1);
+        let p = Progress::new("test", 8);
+        let _ = workers::map_init(2, 0..5, || (), |_, i| i, Some(&p));
+        let _ = workers::map_init(1, 0..3, || (), |_, i| i, Some(&p));
+        assert_eq!(p.claims(), 8, "one claim per item, summed across runs");
+        assert_eq!(p.steals(), 0);
     }
 
     #[test]

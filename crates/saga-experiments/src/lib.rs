@@ -30,6 +30,7 @@ pub mod cli;
 pub mod engine;
 pub mod merge;
 pub mod render;
+mod workers;
 
 /// Evaluates every scheduler on one instance and returns the makespans in
 /// scheduler order. One scheduling context is reused across the sweep.
