@@ -1,4 +1,5 @@
-//! Error types for graph mutation and schedule validation.
+//! Error types for graph mutation, network construction and schedule
+//! validation.
 
 use crate::{NodeId, TaskId};
 use std::fmt;
@@ -43,6 +44,34 @@ impl fmt::Display for GraphError {
 }
 
 impl std::error::Error for GraphError {}
+
+/// Why a link matrix cannot form a [`crate::Network`]
+/// ([`crate::Network::try_from_matrix`]).
+#[derive(Debug, Clone, PartialEq)]
+#[allow(missing_docs)] // variant fields are self-describing
+pub enum NetworkError {
+    /// The matrix does not hold `nodes * nodes` entries.
+    WrongSize { nodes: usize, entries: usize },
+    /// Entry `(row, col)` differs from entry `(col, row)`.
+    Asymmetric { row: usize, col: usize },
+}
+
+impl fmt::Display for NetworkError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetworkError::WrongSize { nodes, entries } => write!(
+                f,
+                "link matrix must be n*n ({nodes} node(s), {entries} entries)"
+            ),
+            NetworkError::Asymmetric { row, col } => write!(
+                f,
+                "link matrix must be symmetric (entry ({row}, {col}) differs from ({col}, {row}))"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for NetworkError {}
 
 /// Violations detected by [`crate::Schedule::verify`].
 ///

@@ -121,14 +121,13 @@ mod dto {
             let n = dto.speeds.len();
             let links: Vec<f64> = dto.links.into_iter().map(dec).collect();
             // JSON has no NaN, so `< 0.0` is the only invalid weight left
-            if links.len() != n * n
-                || dto.speeds.iter().chain(&links).any(|&x| x < 0.0)
-                || (0..n).any(|i| (0..i).any(|j| links[i * n + j] != links[j * n + i]))
-            {
+            if dto.speeds.iter().chain(&links).any(|&x| x < 0.0) {
                 return Err(serde::Error::custom(format!(
-                    "network of {n} node(s) needs n*n symmetric non-negative links"
+                    "network of {n} node(s) needs non-negative speeds and links"
                 )));
             }
+            let network =
+                Network::try_from_matrix(dto.speeds, links).map_err(serde::Error::custom)?;
             let mut graph = TaskGraph::with_capacity(dto.tasks.len());
             for (name, cost) in dto.tasks {
                 graph
@@ -142,7 +141,6 @@ mod dto {
                     .add_dependency(a.into(), b.into(), c)
                     .map_err(serde::Error::custom)?;
             }
-            let network = Network::from_matrix(dto.speeds, links);
             Ok(Instance { network, graph })
         }
     }

@@ -970,6 +970,14 @@ impl SchedContext {
         }
     }
 
+    /// The cached link-strength row of `u` (`node_count()` entries, with
+    /// the infinite self-link at `u`): element `v` is the strength
+    /// [`comm_time`](Self::comm_time) divides by for `u -> v`.
+    #[inline]
+    pub fn link_row(&self, u: NodeId) -> &[f64] {
+        &self.links[u.index() * self.n_nodes..][..self.n_nodes]
+    }
+
     /// The fastest node (lowest id on ties), cached at reset.
     #[inline]
     pub fn fastest_node(&self) -> NodeId {

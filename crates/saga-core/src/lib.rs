@@ -30,7 +30,7 @@ mod seed;
 pub mod stochastic;
 
 pub use builder::ScheduleBuilder;
-pub use error::{GraphError, ScheduleError};
+pub use error::{GraphError, NetworkError, ScheduleError};
 pub use graph::{DepEdge, TaskGraph};
 pub use ids::{NodeId, TaskId};
 pub use incremental::{DirtyRegion, RunTrace};

@@ -8,8 +8,19 @@
 //! Self-links have infinite strength (communication on the same node is
 //! free), and generators may also use infinite strengths to model shared
 //! filesystems (the paper's Chameleon-derived networks).
+//!
+//! An explicit link matrix goes through one size and symmetry check,
+//! [`Network::try_from_matrix`], whether it comes from a generator
+//! ([`Network::from_matrix`], which panics on a bad matrix) or from a
+//! decoded file (the [`Instance`](crate::Instance) decoder, which returns
+//! the error).
 
-use crate::NodeId;
+use crate::{NetworkError, NodeId};
+
+/// Side of the square tiles [`Network::try_from_matrix`] checks symmetry
+/// in: a tile and its mirror are two 32 × 32 blocks of `f64`, 16 KiB
+/// together, which stay in a 32 KiB L1 data cache.
+const SYM_TILE: usize = 32;
 
 /// A complete weighted network of compute nodes.
 ///
@@ -42,20 +53,41 @@ impl Network {
     /// to infinity.
     ///
     /// # Panics
-    /// Panics if the matrix has the wrong size or is not symmetric.
-    pub fn from_matrix(speeds: Vec<f64>, mut links: Vec<f64>) -> Self {
+    /// Panics if the matrix has the wrong size or is not symmetric (see
+    /// [`Self::try_from_matrix`]).
+    pub fn from_matrix(speeds: Vec<f64>, links: Vec<f64>) -> Self {
+        Self::try_from_matrix(speeds, links).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::from_matrix`] for input that may be malformed: an error
+    /// instead of a panic when the matrix does not hold `speeds.len()^2`
+    /// entries or some off-diagonal entry differs (`!=`) from its mirror.
+    /// The symmetry check walks the lower triangle in [`SYM_TILE`]-square
+    /// tiles, so the mirrored reads of a tile stay in cache instead of
+    /// striding down whole columns.
+    pub fn try_from_matrix(speeds: Vec<f64>, mut links: Vec<f64>) -> Result<Self, NetworkError> {
         let n = speeds.len();
-        assert_eq!(links.len(), n * n, "link matrix must be n*n");
-        for i in 0..n {
-            links[i * n + i] = f64::INFINITY;
-            for j in 0..i {
-                assert!(
-                    links[i * n + j] == links[j * n + i],
-                    "link matrix must be symmetric"
-                );
+        if links.len() != n * n {
+            return Err(NetworkError::WrongSize {
+                nodes: n,
+                entries: links.len(),
+            });
+        }
+        for i0 in (0..n).step_by(SYM_TILE) {
+            for j0 in (0..=i0).step_by(SYM_TILE) {
+                for i in i0..(i0 + SYM_TILE).min(n) {
+                    for j in j0..(j0 + SYM_TILE).min(i) {
+                        if links[i * n + j] != links[j * n + i] {
+                            return Err(NetworkError::Asymmetric { row: i, col: j });
+                        }
+                    }
+                }
             }
         }
-        Network { speeds, links }
+        for i in 0..n {
+            links[i * n + i] = f64::INFINITY;
+        }
+        Ok(Network { speeds, links })
     }
 
     /// Number of nodes `|V|`.
@@ -279,5 +311,48 @@ mod tests {
     #[should_panic(expected = "symmetric")]
     fn from_matrix_rejects_asymmetry() {
         Network::from_matrix(vec![1.0, 2.0], vec![0.0, 3.0, 4.0, 0.0]);
+    }
+
+    /// A 40-node matrix whose one asymmetric entry, (33, 17), lies just
+    /// past the first tile edge of the symmetry check.
+    fn asymmetric_past_a_tile_edge() -> (Vec<f64>, Vec<f64>) {
+        let n = 40;
+        let mut links = vec![1.0; n * n];
+        links[33 * n + 17] = 2.0;
+        (vec![1.0; n], links)
+    }
+
+    #[test]
+    #[should_panic(expected = "symmetric")]
+    fn from_matrix_rejects_asymmetry_past_a_tile_edge() {
+        let (speeds, links) = asymmetric_past_a_tile_edge();
+        Network::from_matrix(speeds, links);
+    }
+
+    #[test]
+    fn try_from_matrix_names_the_asymmetric_entry_and_the_wrong_size() {
+        let (speeds, links) = asymmetric_past_a_tile_edge();
+        assert_eq!(
+            Network::try_from_matrix(speeds, links).err(),
+            Some(NetworkError::Asymmetric { row: 33, col: 17 })
+        );
+        assert_eq!(
+            Network::try_from_matrix(vec![1.0, 2.0], vec![0.0; 3]).err(),
+            Some(NetworkError::WrongSize {
+                nodes: 2,
+                entries: 3
+            })
+        );
+        // a symmetric matrix of several tiles passes, diagonal forced
+        let n = 70;
+        let mut links = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                links[i * n + j] = (i + j) as f64;
+            }
+        }
+        let net = Network::try_from_matrix(vec![1.0; n], links).unwrap();
+        assert!(net.link(NodeId(65), NodeId(65)).is_infinite());
+        assert_eq!(net.link(NodeId(65), NodeId(3)), 68.0);
     }
 }

@@ -175,43 +175,29 @@ pub fn sample_edge_fog_cloud(rng: &mut StdRng) -> Network {
     build_edge_fog_cloud(edge, fog, cloud)
 }
 
-/// Deterministic edge/fog/cloud network with explicit tier sizes.
+/// Link strengths between the tiers, indexed `[tier][tier]` in the order
+/// edge, fog, cloud (the diagonal of the whole matrix is forced to
+/// infinity by [`Network::from_matrix`]).
+const TIER_LINKS: [[f64; 3]; 3] = [
+    [60.0, 60.0, 60.0],
+    [60.0, 100.0, 100.0],
+    [60.0, 100.0, f64::INFINITY],
+];
+
+/// Deterministic edge/fog/cloud network with explicit tier sizes. Each
+/// row of the link matrix is three constant runs, one per tier, so rows
+/// are filled a tier block at a time.
 pub fn build_edge_fog_cloud(edge: usize, fog: usize, cloud: usize) -> Network {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Tier {
-        Edge,
-        Fog,
-        Cloud,
-    }
-    let mut tiers = Vec::with_capacity(edge + fog + cloud);
-    let mut speeds = Vec::with_capacity(edge + fog + cloud);
-    for _ in 0..edge {
-        tiers.push(Tier::Edge);
-        speeds.push(1.0);
-    }
-    for _ in 0..fog {
-        tiers.push(Tier::Fog);
-        speeds.push(6.0);
-    }
-    for _ in 0..cloud {
-        tiers.push(Tier::Cloud);
-        speeds.push(50.0);
-    }
-    let n = speeds.len();
-    let mut links = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..n {
-            links[i * n + j] = if i == j {
-                f64::INFINITY
-            } else {
-                match (tiers[i], tiers[j]) {
-                    (Tier::Cloud, Tier::Cloud) => f64::INFINITY,
-                    (Tier::Fog, Tier::Fog)
-                    | (Tier::Fog, Tier::Cloud)
-                    | (Tier::Cloud, Tier::Fog) => 100.0,
-                    _ => 60.0,
-                }
-            };
+    let sizes = [edge, fog, cloud];
+    let n = edge + fog + cloud;
+    let mut speeds = Vec::with_capacity(n);
+    let mut links = Vec::with_capacity(n * n);
+    for (tier, &size) in sizes.iter().enumerate() {
+        speeds.resize(speeds.len() + size, [1.0, 6.0, 50.0][tier]);
+        for _ in 0..size {
+            for (&strength, &block) in TIER_LINKS[tier].iter().zip(&sizes) {
+                links.resize(links.len() + block, strength);
+            }
         }
     }
     Network::from_matrix(speeds, links)
@@ -278,6 +264,31 @@ mod tests {
         assert_eq!(n.link(NodeId(0), NodeId(5)), 60.0);
         // cloud-cloud infinite
         assert!(n.link(NodeId(5), NodeId(6)).is_infinite());
+    }
+
+    #[test]
+    fn tier_blocks_match_the_per_entry_tier_rule() {
+        use saga_core::NodeId;
+        for (edge, fog, cloud) in [(3, 2, 2), (0, 3, 1), (5, 0, 0), (75, 7, 10), (1, 1, 1)] {
+            let n = build_edge_fog_cloud(edge, fog, cloud);
+            let tier = |v: usize| usize::from(v >= edge) + usize::from(v >= edge + fog);
+            for u in 0..n.node_count() {
+                assert_eq!(n.speed(NodeId(u as u32)), [1.0, 6.0, 50.0][tier(u)]);
+                for v in 0..n.node_count() {
+                    let expect = match (tier(u), tier(v)) {
+                        _ if u == v => f64::INFINITY,
+                        (2, 2) => f64::INFINITY,
+                        (1, 1) | (1, 2) | (2, 1) => 100.0,
+                        _ => 60.0,
+                    };
+                    assert_eq!(
+                        n.link(NodeId(u as u32), NodeId(v as u32)).to_bits(),
+                        expect.to_bits(),
+                        "{edge}/{fog}/{cloud}: link {u}-{v}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -245,9 +245,18 @@ impl<R: Record> Checkpoint<R> {
             .file
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        writeln!(file, "{line}")?;
-        file.flush()
+        append_line(&mut *file, line)
     }
+}
+
+/// Appends `line` and its `\n` to `out` in one `write_all`, then flushes:
+/// the file handle is unbuffered, so a separate newline write would be a
+/// second system call, and a failure between the two would leave a record
+/// without its newline.
+fn append_line(out: &mut impl Write, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())?;
+    out.flush()
 }
 
 #[cfg(test)]
@@ -292,5 +301,32 @@ mod tests {
         let ck = RowCheckpoint::open(&path, true).unwrap();
         assert_eq!(ck.loaded(), 3);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A writer that counts its `write` calls and accepts every byte.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_record_line_and_its_newline_go_out_in_one_write() {
+        let mut out = CountingWriter::default();
+        append_line(&mut out, "{\"key\":\"k\"}".to_string()).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(out.bytes, b"{\"key\":\"k\"}\n");
     }
 }

@@ -71,14 +71,16 @@ impl Config {
                     fns: Some(&["run", "run_recorded"]),
                 },
                 // the shared EFT/insertion helpers those entry points call,
-                // including the fused row-kernel sweeps and their scalar
-                // fallbacks
+                // including the fused row-kernel sweeps, their scalar
+                // formulations, and the per-run row scratch they share
+                // (`NodeRows`/`FrontierSweep` `new` and `release`)
                 HotPath {
                     path: "crates/saga-schedulers/src/util.rs",
                     fns: Some(&[
                         "best_eft_node",
                         "best_eft_node_scalar",
-                        "best_est_node",
+                        "new",
+                        "release",
                         "earliest_start_insertion",
                         "first_idle_node",
                         "start",

@@ -84,16 +84,18 @@ impl Cpop {
                 }
             }
         }
+        let mut rows = util::NodeRows::new(ctx);
         while ctx.placed_count() < n {
             let t = select(ctx, &prio);
             if on_path(prio(t), length, tol) {
                 let (s, _) = ctx.eft(t, cp_node, true);
                 ctx.place(t, cp_node, s);
             } else {
-                let (v, s, _) = util::best_eft_node(ctx, t, true);
+                let (v, s, _) = util::best_eft_node(ctx, t, true, &mut rows);
                 ctx.place(t, v, s);
             }
         }
+        rows.release(ctx);
         if let Some((trace, _)) = replay {
             ctx.take_recording(trace);
             trace.set_aux_scalar(length);

@@ -28,8 +28,7 @@ impl KernelRun for Ert {
         let n = ctx.task_count();
         let nv = ctx.node_count();
         let fused = util::fused_rows_profitable(ctx);
-        let mut srow = [0.0f64; util::STACK_NODES];
-        let mut frow = [0.0f64; util::STACK_NODES];
+        let mut rows = util::NodeRows::new(ctx);
         let mut sweep = util::FrontierSweep::new(ctx);
         while ctx.placed_count() < n {
             let mut chosen: Option<(saga_core::TaskId, saga_core::NodeId, f64, f64, f64)> = None;
@@ -38,12 +37,11 @@ impl KernelRun for Ert {
                 if fused {
                     // one branchless compose per task; the selection loop
                     // reads the finished rows instead of recomposing per node
-                    sweep.fused_rows(ctx, t, &mut srow[..nv], &mut frow[..nv]);
+                    sweep.fused_rows(ctx, t, &mut rows);
                 }
-                for v in 0..nv {
-                    let data_ready = ready_row[v];
+                for (v, &data_ready) in ready_row.iter().enumerate() {
                     let (s, f) = if fused {
-                        (srow[v], frow[v])
+                        (rows.starts()[v], rows.finishes()[v])
                     } else {
                         let s = sweep.start(ctx, t, v);
                         (s, s + ctx.exec_row(t)[v])
@@ -62,6 +60,7 @@ impl KernelRun for Ert {
             sweep.note_placed(ctx, t);
         }
         sweep.release(ctx);
+        rows.release(ctx);
     }
 }
 

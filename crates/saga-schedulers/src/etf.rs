@@ -30,12 +30,13 @@ impl KernelRun for Etf {
         let mut sweep = util::FrontierSweep::new(ctx);
         let n = ctx.task_count();
         let fused = util::fused_rows_profitable(ctx);
+        let mut rows = util::NodeRows::new(ctx);
         while ctx.placed_count() < n {
             let mut chosen: Option<(TaskId, NodeId, f64)> = None;
             for &t in ctx.ready() {
                 // per-task best node: earliest start, earlier finish on ties
                 let (v, s, _) = if fused {
-                    sweep.best_node_est(ctx, t)
+                    sweep.best_node_est(ctx, t, &mut rows)
                 } else {
                     sweep.best_node(ctx, t, |(s, f), (bs, bf)| s < bs || (s == bs && f < bf))
                 };
@@ -52,6 +53,7 @@ impl KernelRun for Etf {
             sweep.note_placed(ctx, t);
         }
         sweep.release(ctx);
+        rows.release(ctx);
         ctx.give_f64(rank);
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! A list-scheduling variant whose priorities are re-evaluated after every
 //! placement. The *static level* `SL(t)` is the largest sum of median
-//! execution times along any path from `t` to a sink (no communication).
+//! execution times along any path from `t` to a sink (no communication);
+//! each median is found by selection, not by sorting the execution row.
 //! The *dynamic level* of a (task, node) pair is
 //!
 //! ```text
@@ -19,7 +20,9 @@
 //! so the sweep runs on [`util::FrontierSweep`]'s cached data-ready rows and
 //! tails: `DA` is read from the row computed once per frontier admission and
 //! `TF` is the cached tail — bit-identical values, minus the
-//! O(ready × nodes × preds) rescans that made GDL the slowest sweep.
+//! O(ready × nodes × preds) rescans that made GDL the slowest sweep. From
+//! [`util::WIDE_NODES`] nodes up the starts come from one fused compose
+//! per ready task into a pooled [`util::NodeRows`].
 
 use crate::{util, KernelRun};
 use saga_core::{Instance, SchedContext};
@@ -28,14 +31,24 @@ use saga_core::{Instance, SchedContext};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gdl;
 
-/// Median of a non-empty slice (averaging the middle pair on even lengths).
+/// Median of a non-empty slice (averaging the middle pair on even lengths),
+/// by selection instead of a full sort: `select_nth_unstable_by` puts the
+/// upper middle element at `n / 2` with everything before it no greater,
+/// so on even lengths the lower middle is the maximum of that part. Under
+/// `total_cmp`, a total order in which equal elements have equal bits, both
+/// are bit for bit the elements a sort would put there. Reorders `xs`.
 fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
     let n = xs.len();
+    let (lower, &mut upper, _) = xs.select_nth_unstable_by(n / 2, f64::total_cmp);
     if n % 2 == 1 {
-        xs[n / 2]
+        upper
     } else {
-        0.5 * (xs[n / 2 - 1] + xs[n / 2])
+        let below = lower
+            .iter()
+            .copied()
+            .reduce(|a, b| if b.total_cmp(&a).is_gt() { b } else { a })
+            .expect("an even-length slice has a lower half");
+        0.5 * (below + upper)
     }
 }
 
@@ -73,8 +86,7 @@ fn gdl_loop(ctx: &mut SchedContext, levels: &[f64]) {
     // (`SL - start + delta` is not reassociable), so the row kernels only
     // replace the per-(task, node) start recompose with one fused pass.
     let fused = util::fused_rows_profitable(ctx);
-    let mut srow = [0.0f64; util::STACK_NODES];
-    let mut frow = [0.0f64; util::STACK_NODES];
+    let mut rows = util::NodeRows::new(ctx);
     while ctx.placed_count() < n {
         let mut chosen: Option<(saga_core::TaskId, saga_core::NodeId, f64, f64)> = None;
         for &t in ctx.ready() {
@@ -82,11 +94,11 @@ fn gdl_loop(ctx: &mut SchedContext, levels: &[f64]) {
             let med = med_exec[t.index()];
             let level = sl[t.index()];
             if fused {
-                sweep.fused_rows(ctx, t, &mut srow[..nv], &mut frow[..nv]);
+                sweep.fused_rows(ctx, t, &mut rows);
             }
             for (v, &duration) in ctx.exec_row(t).iter().enumerate() {
                 let start = if fused {
-                    srow[v]
+                    rows.starts()[v]
                 } else {
                     ready_row[v].max(ctx.append_tails()[v])
                 };
@@ -106,6 +118,7 @@ fn gdl_loop(ctx: &mut SchedContext, levels: &[f64]) {
         sweep.note_placed(ctx, t);
     }
     sweep.release(ctx);
+    rows.release(ctx);
 }
 
 impl KernelRun for Gdl {
@@ -141,6 +154,36 @@ mod tests {
         assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
         assert_eq!(median(&mut [5.0]), 5.0);
+    }
+
+    /// The sort-based median the selection replaced.
+    fn median_by_sort(xs: &mut [f64]) -> f64 {
+        xs.sort_by(f64::total_cmp);
+        let n = xs.len();
+        if n % 2 == 1 {
+            xs[n / 2]
+        } else {
+            0.5 * (xs[n / 2 - 1] + xs[n / 2])
+        }
+    }
+
+    #[test]
+    fn median_by_selection_matches_the_sort_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x6D1);
+        // few distinct values, so duplicates are common, with 0 and
+        // infinity among them
+        let pool = [0.0, f64::INFINITY, 0.5, 1.0, 1.0 / 3.0, 2.0, 7.25];
+        for k in 0..2000 {
+            let n = 1 + k % 40;
+            let xs: Vec<f64> = (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect();
+            let (mut a, mut b) = (xs.clone(), xs.clone());
+            assert_eq!(
+                median(&mut a).to_bits(),
+                median_by_sort(&mut b).to_bits(),
+                "row {xs:?}"
+            );
+        }
     }
 
     #[test]

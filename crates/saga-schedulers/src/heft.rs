@@ -41,12 +41,14 @@ impl KernelRun for Heft {
         let mut rank = ctx.take_f64();
         let mut order = ctx.take_tasks();
         priority_order(ctx, &mut rank, &mut order);
+        let mut rows = util::NodeRows::new(ctx);
         // `sort_by` is stable, so equal ranks keep topological order and
         // every predecessor is placed before its successors.
         for &t in &order {
-            let (v, s, _) = util::best_eft_node(ctx, t, true);
+            let (v, s, _) = util::best_eft_node(ctx, t, true, &mut rows);
             ctx.place(t, v, s);
         }
+        rows.release(ctx);
         ctx.give_f64(rank);
         ctx.give_tasks(order);
     }
@@ -80,10 +82,12 @@ impl KernelRun for Heft {
                 k += 1;
             }
         }
+        let mut rows = util::NodeRows::new(ctx);
         for &t in &order[k..] {
-            let (v, s, _) = util::best_eft_node(ctx, t, true);
+            let (v, s, _) = util::best_eft_node(ctx, t, true, &mut rows);
             ctx.place(t, v, s);
         }
+        rows.release(ctx);
         ctx.take_recording(trace);
         ctx.give_f64(rank);
         ctx.give_tasks(order);

@@ -51,6 +51,7 @@ impl KernelRun for Lmt {
         }
         let max_level = level.iter().copied().fold(0.0f64, f64::max);
         let mut tier = ctx.take_tasks();
+        let mut rows = util::NodeRows::new(ctx);
         let mut l = 0.0f64;
         while l <= max_level {
             tier.clear();
@@ -62,11 +63,12 @@ impl KernelRun for Lmt {
                     .then(a.cmp(&c))
             });
             for &t in &tier {
-                let (v, s, _) = util::best_eft_node(ctx, t, false);
+                let (v, s, _) = util::best_eft_node(ctx, t, false, &mut rows);
                 ctx.place(t, v, s);
             }
             l += 1.0;
         }
+        rows.release(ctx);
         ctx.give_f64(level);
         ctx.give_tasks(tier);
     }

@@ -27,11 +27,13 @@ impl KernelRun for Mct {
         // popping the lowest-id ready task at each step reproduces the
         // smallest-id-tie-break topological order without materializing it
         let n = ctx.task_count();
+        let mut rows = util::NodeRows::new(ctx);
         while ctx.placed_count() < n {
             let t = ctx.ready()[0];
-            let (v, s, _) = util::best_eft_node(ctx, t, false);
+            let (v, s, _) = util::best_eft_node(ctx, t, false, &mut rows);
             ctx.place(t, v, s);
         }
+        rows.release(ctx);
     }
 }
 

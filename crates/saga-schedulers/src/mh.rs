@@ -25,10 +25,12 @@ impl KernelRun for Mh {
         let mut order = ctx.take_tasks();
         order.extend_from_slice(ctx.topo_order());
         order.sort_by(|&a, &b| rank[b.index()].total_cmp(&rank[a.index()]));
+        let mut rows = util::NodeRows::new(ctx);
         for &t in &order {
-            let (v, s, _) = util::best_eft_node(ctx, t, false);
+            let (v, s, _) = util::best_eft_node(ctx, t, false, &mut rows);
             ctx.place(t, v, s);
         }
+        rows.release(ctx);
         ctx.give_f64(rank);
         ctx.give_tasks(order);
     }

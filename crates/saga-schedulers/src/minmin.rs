@@ -17,8 +17,8 @@
 //! the replay continues while that finish provably loses to the recorded
 //! choice under the scan's first-extremum tie-break in ready (task-id)
 //! order. It stops when the recorded task itself is dirty (its recorded
-//! placement used stale inputs) and, on networks wider than
-//! [`util::STACK_NODES`], as soon as a dirty task is ready.
+//! placement used stale inputs). Each ready dirty task's data-ready row is
+//! kept in one pooled buffer for the whole replay, at any network width.
 
 use crate::{util, KernelRun};
 use saga_core::incremental::MAX_DIRTY;
@@ -99,12 +99,14 @@ fn replay_prefix(ctx: &mut SchedContext, trace: &RunTrace, dirty: &DirtyRegion, 
         return;
     }
     let nv = ctx.node_count();
-    let mut rows = [[0.0f64; util::STACK_NODES]; MAX_DIRTY];
+    // one pooled row per dirty task: `rows[i * |V|..][..|V|]`
+    let mut rows = ctx.take_f64();
+    rows.resize(MAX_DIRTY * nv, 0.0);
     let mut cached = [false; MAX_DIRTY];
-    for k in 0..trace.len() {
+    'replay: for k in 0..trace.len() {
         let (t, v, start) = (trace.task(k), trace.node(k), trace.start(k));
         if dirty.contains(t) {
-            return;
+            break;
         }
         let f = start + ctx.exec_row(t)[v.index()];
         // dirty tasks are never placed here (the replay stops at the first
@@ -113,10 +115,7 @@ fn replay_prefix(ctx: &mut SchedContext, trace: &RunTrace, dirty: &DirtyRegion, 
             if !ctx.is_ready(d) {
                 continue;
             }
-            if nv > util::STACK_NODES {
-                return;
-            }
-            let row = &mut rows[i][..nv];
+            let row = &mut rows[i * nv..][..nv];
             if !cached[i] {
                 ctx.data_ready_times_into(d, row);
                 cached[i] = true;
@@ -129,11 +128,12 @@ fn replay_prefix(ctx: &mut SchedContext, trace: &RunTrace, dirty: &DirtyRegion, 
                 (true, false) => fd <= f,
             };
             if !loses {
-                return;
+                break 'replay;
             }
         }
         ctx.place(t, v, start);
     }
+    ctx.give_f64(rows);
 }
 
 /// Shared MinMin/MaxMin sweep (`want_max = false` for MinMin, `true` for

@@ -2,12 +2,16 @@
 //!
 //! All helpers operate on the [`SchedContext`] kernel; builder-based callers
 //! reach it through [`ScheduleBuilder::ctx`](saga_core::ScheduleBuilder::ctx).
+//!
+//! Node selection has two formulations with the same bits: the fused rows
+//! (one row pass over all nodes, then an argmin) on networks of at least
+//! [`WIDE_NODES`] nodes, and the scalar per-node comparator loop below
+//! that width or on a context built with `fused_rows: false`. Either way
+//! the per-node scratch is a [`NodeRows`] the scheduler borrows from the
+//! context pool once per run, so no width falls back to per-node
+//! data-ready queries.
 
 use saga_core::{DirtyRegion, NodeId, RunTrace, SchedContext, TaskId};
-
-/// Stack-buffer capacity for per-node scratch in the selection helpers;
-/// networks wider than this fall back to per-node queries.
-pub(crate) const STACK_NODES: usize = 32;
 
 /// Minimum network width for the fused row formulation to pay: below this
 /// the compose stays scalar (see the AVX dispatch gate in `saga-core`) and
@@ -19,12 +23,52 @@ pub(crate) const WIDE_NODES: usize = 8;
 
 /// Whether the selection helpers should take the fused row path on `ctx`:
 /// the context runs the fused rows ([`EvalPaths`](saga_core::EvalPaths))
-/// and its network width lies inside the `[WIDE_NODES, STACK_NODES]` band
-/// where the vectorized compose beats the scalar comparator loop and the
-/// scratch rows fit on the stack.
+/// and its network is at least [`WIDE_NODES`] wide, where the vectorized
+/// compose beats the scalar comparator loop. The band has no upper end:
+/// the rows live in the caller's [`NodeRows`], sized to the network.
 #[inline]
 pub(crate) fn fused_rows_profitable(ctx: &SchedContext) -> bool {
-    ctx.paths().fused_rows && (WIDE_NODES..=STACK_NODES).contains(&ctx.node_count())
+    ctx.paths().fused_rows && ctx.node_count() >= WIDE_NODES
+}
+
+/// Node-axis scratch for the selection helpers: a start row and a finish
+/// row of `|V|` entries each, borrowed from the context pool once per run
+/// ([`Self::new`]) and returned at its end ([`Self::release`]), so a
+/// network of any width costs the run two pool borrows instead of a
+/// per-query allocation or a fixed-capacity stack array.
+pub(crate) struct NodeRows {
+    starts: Vec<f64>,
+    finishes: Vec<f64>,
+}
+
+impl NodeRows {
+    /// Borrows both rows from the context pool, sized to its network.
+    pub fn new(ctx: &mut SchedContext) -> Self {
+        let nv = ctx.node_count();
+        let mut starts = ctx.take_f64();
+        let mut finishes = ctx.take_f64();
+        starts.resize(nv, 0.0);
+        finishes.resize(nv, 0.0);
+        NodeRows { starts, finishes }
+    }
+
+    /// The start row the last fill wrote.
+    #[inline]
+    pub fn starts(&self) -> &[f64] {
+        &self.starts
+    }
+
+    /// The finish row the last fill wrote.
+    #[inline]
+    pub fn finishes(&self) -> &[f64] {
+        &self.finishes
+    }
+
+    /// Returns both rows to the context pool.
+    pub fn release(self, ctx: &mut SchedContext) {
+        ctx.give_f64(self.starts);
+        ctx.give_f64(self.finishes);
+    }
 }
 
 /// Cached data-ready state for *append-only* frontier sweeps (MinMin/MaxMin,
@@ -34,9 +78,10 @@ pub(crate) fn fused_rows_profitable(ctx: &SchedContext) -> bool {
 /// `tail.max(ready) + duration` from that row, the kernel's maintained
 /// append-tail row ([`SchedContext::append_tails`]) and the cached execution
 /// row, division-free and bit-identical to the direct queries. ETF, ERT and
-/// GDL recompose with one branchless fused sweep ([`Self::fused_rows`])
-/// inside the row kernels' profitability band; MinMin/MaxMin scan the rows
-/// in one scalar loop, and WBA composes finish rows of its own from them.
+/// GDL recompose with one branchless fused sweep ([`Self::fused_rows`]) into
+/// their [`NodeRows`] from [`WIDE_NODES`] nodes up; MinMin/MaxMin scan the
+/// rows in one scalar loop, and WBA composes finish rows of its own from
+/// them.
 pub(crate) struct FrontierSweep {
     /// `drt[t * |V| + v]`, valid for tasks that have entered the ready set.
     drt: Vec<f64>,
@@ -90,32 +135,26 @@ impl FrontierSweep {
     }
 
     /// The fused `(start, finish)` rows of ready task `t` over all nodes,
-    /// into caller scratch: the cached data-ready row composed elementwise
-    /// with the kernel's append-tail row and the execution row — the same
+    /// into `rows`: the cached data-ready row composed elementwise with the
+    /// kernel's append-tail row and the execution row — the same
     /// AVX-dispatched compose [`SchedContext::eft_row_append_into`] uses,
     /// minus the data-ready pass the sweep already cached. Element `v` is
     /// bit-identical to [`Self::start`] / `start + duration`.
     #[inline]
-    pub fn fused_rows(
-        &self,
-        ctx: &SchedContext,
-        t: TaskId,
-        starts: &mut [f64],
-        finishes: &mut [f64],
-    ) {
+    pub fn fused_rows(&self, ctx: &SchedContext, t: TaskId, rows: &mut NodeRows) {
         let nv = ctx.node_count();
         saga_core::compose_append_rows_from(
             &self.drt[t.index() * nv..][..nv],
             ctx.append_tails(),
             ctx.exec_row(t),
-            starts,
-            finishes,
+            &mut rows.starts,
+            &mut rows.finishes,
         );
     }
 
     /// The best node for `t` under `better((start, finish), (best_start,
     /// best_finish))`, scanning nodes in ascending id order (first win on
-    /// ties) over the cached rows: ETF's scalar fallback of
+    /// ties) over the cached rows: ETF's scalar formulation of
     /// [`Self::best_node_est`].
     pub fn best_node(
         &self,
@@ -139,18 +178,18 @@ impl FrontierSweep {
     }
 
     /// [`Self::best_node`] under the earliest-start comparator
-    /// (`s < bs || (s == bs && f < bf)`) as one fused row compose plus the
-    /// lexicographic argmin — bit-identical to the comparator form.
-    pub fn best_node_est(&self, ctx: &SchedContext, t: TaskId) -> (NodeId, f64, f64) {
-        let nv = ctx.node_count();
-        if !(WIDE_NODES..=STACK_NODES).contains(&nv) {
-            return self.best_node(ctx, t, |(s, f), (bs, bf)| s < bs || (s == bs && f < bf));
-        }
-        let mut starts = [0.0f64; STACK_NODES];
-        let mut finishes = [0.0f64; STACK_NODES];
-        self.fused_rows(ctx, t, &mut starts[..nv], &mut finishes[..nv]);
-        let v = saga_core::argmin_start_finish(&starts[..nv], &finishes[..nv]);
-        (v, starts[v.index()], finishes[v.index()])
+    /// (`s < bs || (s == bs && f < bf)`) as one fused row compose into
+    /// `rows` plus the lexicographic argmin — bit-identical to the
+    /// comparator form at every width.
+    pub fn best_node_est(
+        &self,
+        ctx: &SchedContext,
+        t: TaskId,
+        rows: &mut NodeRows,
+    ) -> (NodeId, f64, f64) {
+        self.fused_rows(ctx, t, rows);
+        let v = saga_core::argmin_start_finish(&rows.starts, &rows.finishes);
+        (v, rows.starts[v.index()], rows.finishes[v.index()])
     }
 
     /// Returns the buffer to the context pool.
@@ -160,65 +199,66 @@ impl FrontierSweep {
 }
 
 /// The node minimizing the earliest finish time of `t`, with the
-/// corresponding `(start, finish)`. Ties go to the lower node id.
+/// corresponding `(start, finish)`. Ties go to the lower node id. `rows`
+/// is the caller's per-run scratch.
 ///
 /// With the row kernels enabled, append-policy queries are one fused
 /// [`SchedContext::eft_row_append_into`] pass plus the lowest-index argmin,
 /// and insertion-policy queries run the pruned gap-scan loop over the
 /// batched data-ready row; both reproduce the full per-node sweep bit for
 /// bit (a node only wins on a strictly smaller finish, and the true finish
-/// never beats the `data_ready + duration` skip bound). Networks outside
-/// the `[WIDE_NODES, STACK_NODES]` profitability band and the
-/// `fused_rows: false` reference path take the scalar per-node formulation.
-pub fn best_eft_node(ctx: &SchedContext, t: TaskId, insertion: bool) -> (NodeId, f64, f64) {
-    let nv = ctx.node_count();
-    if fused_rows_profitable(ctx) {
-        let mut starts = [0.0f64; STACK_NODES];
-        let mut finishes = [0.0f64; STACK_NODES];
-        if !insertion {
-            ctx.eft_row_append_into(t, &mut starts[..nv], &mut finishes[..nv]);
-            let v = saga_core::argmin_finish(&finishes[..nv]);
-            return (v, starts[v.index()], finishes[v.index()]);
-        }
-        // insertion: the gap scans stay per node (pruned by the incumbent
-        // bound), fed from one batched data-ready row pass
-        ctx.data_ready_times_into(t, &mut starts[..nv]);
-        let exec = ctx.exec_row(t);
-        let (mut best, mut bs, mut bf) = (usize::MAX, 0.0f64, f64::INFINITY);
-        for (v, (&ready, &duration)) in starts[..nv].iter().zip(exec).enumerate() {
-            if best != usize::MAX && ready + duration >= bf {
-                continue;
-            }
-            let s = ctx.earliest_start_insertion(NodeId(v as u32), ready, duration);
-            let f = s + duration;
-            if best == usize::MAX || f < bf {
-                best = v;
-                bs = s;
-                bf = f;
-            }
-        }
-        assert!(best != usize::MAX, "network has at least one node");
-        return (NodeId(best as u32), bs, bf);
+/// never beats the `data_ready + duration` skip bound). Networks narrower
+/// than [`WIDE_NODES`] and the `fused_rows: false` reference path take the
+/// scalar per-node formulation.
+pub(crate) fn best_eft_node(
+    ctx: &SchedContext,
+    t: TaskId,
+    insertion: bool,
+    rows: &mut NodeRows,
+) -> (NodeId, f64, f64) {
+    if !fused_rows_profitable(ctx) {
+        return best_eft_node_scalar(ctx, t, insertion, &mut rows.starts);
     }
-    best_eft_node_scalar(ctx, t, insertion)
+    let (starts, finishes) = (&mut rows.starts, &mut rows.finishes);
+    if !insertion {
+        ctx.eft_row_append_into(t, starts, finishes);
+        let v = saga_core::argmin_finish(finishes);
+        return (v, starts[v.index()], finishes[v.index()]);
+    }
+    // insertion: the gap scans stay per node (pruned by the incumbent
+    // bound), fed from one batched data-ready row pass
+    ctx.data_ready_times_into(t, starts);
+    let exec = ctx.exec_row(t);
+    let (mut best, mut bs, mut bf) = (usize::MAX, 0.0f64, f64::INFINITY);
+    for (v, (&ready, &duration)) in starts.iter().zip(exec).enumerate() {
+        if best != usize::MAX && ready + duration >= bf {
+            continue;
+        }
+        let s = ctx.earliest_start_insertion(NodeId(v as u32), ready, duration);
+        let f = s + duration;
+        if best == usize::MAX || f < bf {
+            best = v;
+            bs = s;
+            bf = f;
+        }
+    }
+    assert!(best != usize::MAX, "network has at least one node");
+    (NodeId(best as u32), bs, bf)
 }
 
-/// The pre-row-kernel formulation of [`best_eft_node`]: per-node queries
-/// (batched data-ready row on narrow networks) with the same skip bound.
-fn best_eft_node_scalar(ctx: &SchedContext, t: TaskId, insertion: bool) -> (NodeId, f64, f64) {
-    let mut ready_buf = [0.0f64; STACK_NODES];
-    let nv = ctx.node_count();
-    let batched = nv <= STACK_NODES;
-    if batched {
-        ctx.data_ready_times_into(t, &mut ready_buf[..nv]);
-    }
+/// The pre-row-kernel formulation of [`best_eft_node`]: per-node
+/// comparator queries over the batched data-ready row (written into
+/// `ready`), with the same skip bound.
+fn best_eft_node_scalar(
+    ctx: &SchedContext,
+    t: TaskId,
+    insertion: bool,
+    ready: &mut [f64],
+) -> (NodeId, f64, f64) {
+    ctx.data_ready_times_into(t, ready);
     let mut best: Option<(NodeId, f64, f64)> = None;
     for v in ctx.nodes() {
-        let ready = if batched {
-            ready_buf[v.index()]
-        } else {
-            ctx.data_ready_time(t, v)
-        };
+        let ready = ready[v.index()];
         let duration = ctx.exec_time(t, v);
         if let Some((_, _, bf)) = best {
             if ready + duration >= bf {
@@ -236,59 +276,6 @@ fn best_eft_node_scalar(ctx: &SchedContext, t: TaskId, insertion: bool) -> (Node
         let better = match best {
             None => true,
             Some((_, _, bf)) => f < bf,
-        };
-        if better {
-            best = Some((v, s, f));
-        }
-    }
-    best.expect("network has at least one node")
-}
-
-/// The node minimizing the earliest *start* time of `t` (ETF's selection rule),
-/// with the corresponding `(start, finish)`. Ties go to the earlier finish.
-///
-/// Like [`best_eft_node`], nodes are pruned when even their data-ready lower
-/// bound starts strictly after the incumbent (a strictly later start can
-/// never win, and an equal one only refines the finish tie-break, which the
-/// bound does not exclude) — the outcome is bit-identical to the full sweep.
-/// Append-policy queries take the fused row pass plus the lexicographic
-/// argmin when the row kernels are enabled.
-pub fn best_est_node(ctx: &SchedContext, t: TaskId, insertion: bool) -> (NodeId, f64, f64) {
-    let nv = ctx.node_count();
-    if !insertion && fused_rows_profitable(ctx) {
-        let mut starts = [0.0f64; STACK_NODES];
-        let mut finishes = [0.0f64; STACK_NODES];
-        ctx.eft_row_append_into(t, &mut starts[..nv], &mut finishes[..nv]);
-        let v = saga_core::argmin_start_finish(&starts[..nv], &finishes[..nv]);
-        return (v, starts[v.index()], finishes[v.index()]);
-    }
-    let mut ready_buf = [0.0f64; STACK_NODES];
-    let batched = nv <= STACK_NODES;
-    if batched {
-        ctx.data_ready_times_into(t, &mut ready_buf[..nv]);
-    }
-    let mut best: Option<(NodeId, f64, f64)> = None;
-    for v in ctx.nodes() {
-        let ready = if batched {
-            ready_buf[v.index()]
-        } else {
-            ctx.data_ready_time(t, v)
-        };
-        if let Some((_, bs, _)) = best {
-            if ready > bs {
-                continue;
-            }
-        }
-        let duration = ctx.exec_time(t, v);
-        let s = if insertion {
-            ctx.earliest_start_insertion(v, ready, duration)
-        } else {
-            ctx.earliest_start_append(v, ready)
-        };
-        let f = s + duration;
-        let better = match best {
-            None => true,
-            Some((_, bs, bf)) => s < bs || (s == bs && f < bf),
         };
         if better {
             best = Some((v, s, f));
@@ -526,23 +513,26 @@ mod tests {
     #[test]
     fn best_eft_node_prefers_faster_node() {
         let inst = fixtures::fig1();
-        let ctx = ctx_for(&inst);
+        let mut ctx = ctx_for(&inst);
+        let mut rows = NodeRows::new(&mut ctx);
         // t1 alone: fastest node (v2, speed 1.5) gives the earliest finish
-        let (v, s, f) = best_eft_node(&ctx, TaskId(0), true);
+        let (v, s, f) = best_eft_node(&ctx, TaskId(0), true, &mut rows);
         assert_eq!(v, NodeId(2));
         assert_eq!(s, 0.0);
         assert!((f - 1.7 / 1.5).abs() < 1e-12);
     }
 
     #[test]
-    fn best_est_node_prefers_earliest_start_then_finish() {
+    fn best_node_est_prefers_earliest_start_then_finish() {
         let inst = fixtures::fig1();
         let mut ctx = ctx_for(&inst);
         ctx.place(TaskId(0), NodeId(0), 0.0); // occupies node 0 until 1.7
                                               // t2's data is ready everywhere at different times; all idle nodes
                                               // can start at data-ready, so the earliest-start winner is the node
                                               // with the cheapest incoming message, ties broken by finish
-        let (v, s, f) = best_est_node(&ctx, TaskId(1), false);
+        let sweep = FrontierSweep::new(&mut ctx);
+        let mut rows = NodeRows::new(&mut ctx);
+        let (v, s, f) = sweep.best_node_est(&ctx, TaskId(1), &mut rows);
         let mut expect: Option<(NodeId, f64, f64)> = None;
         for cand in ctx.nodes() {
             let (cs, cf) = ctx.eft(TaskId(1), cand, false);

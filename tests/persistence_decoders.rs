@@ -487,7 +487,27 @@ fn well_formed_json_of_invalid_instances_is_an_error() {
     let ok =
         r#"{"speeds":[1,2],"links":[null,1,1,null],"tasks":[["a",1],["b",2]],"deps":[[0,1,3]]}"#;
     assert!(Instance::from_json(ok).is_ok());
+    // 40 nodes, asymmetric only at (33, 17): just past the first tile
+    // edge of the network's symmetry check
+    let forty = |entry_33_17: &str| {
+        let n = 40;
+        let links: Vec<&str> = (0..n * n)
+            .map(|k| match (k / n, k % n) {
+                (i, j) if i == j => "null",
+                (33, 17) => entry_33_17,
+                _ => "1",
+            })
+            .collect();
+        format!(
+            r#"{{"speeds":[{}],"links":[{}],"tasks":[],"deps":[]}}"#,
+            vec!["1"; n].join(","),
+            links.join(",")
+        )
+    };
+    assert!(Instance::from_json(&forty("1")).is_ok());
+    let tiled = forty("2");
     for bad in [
+        tiled.as_str(),
         // ragged, asymmetric or negative network
         r#"{"speeds":[1,2],"links":[null,1,1],"tasks":[],"deps":[]}"#,
         r#"{"speeds":[1,2],"links":[null,1,2,null],"tasks":[],"deps":[]}"#,
