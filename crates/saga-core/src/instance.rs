@@ -4,9 +4,12 @@ use crate::{Network, TaskGraph};
 
 /// A scheduling problem instance: the pair `(N, G)` of Section II.
 ///
-/// Its one JSON form is a value tree (`speeds`, `links`, `tasks`, `deps`,
-/// infinite links as `null`) that `Serialize`/`Deserialize` build and read,
-/// so records embedding an instance are parsed once.
+/// Its one JSON form is an object (`speeds`, `links`, `tasks`, `deps`,
+/// infinite links as `null`). `Serialize`/`Deserialize` build and read it
+/// as a value tree, for records that keep the tree (witness files);
+/// [`Instance::read_json`] reads it straight from the text, for records
+/// decoded in one pass (checkpoint lines, [`Instance::from_json`]). Both
+/// decoders end in one validating constructor.
 #[derive(Debug)]
 pub struct Instance {
     /// The compute network `N`.
@@ -63,16 +66,29 @@ impl Instance {
     /// negative weight, a ragged or asymmetric link matrix) — a
     /// hand-edited witness file is a parse error, not a panic.
     pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
+        let mut reader = serde_json::Reader::new(s);
+        let inst = Instance::read_json(&mut reader)?;
+        reader.end()?;
+        Ok(inst)
+    }
+
+    /// Reads the instance whose JSON form comes next in `reader`, straight
+    /// from the text: the decode [`Deserialize`](serde::Deserialize) makes
+    /// from a value tree, without the tree. The first occurrence of a
+    /// field counts; repeated and unknown fields are skipped but must
+    /// still be valid JSON; a missing field or a wrong type is an error.
+    pub fn read_json(reader: &mut serde_json::Reader<'_>) -> Result<Self, serde_json::Error> {
+        dto::read(reader)
     }
 }
 
 mod dto {
-    //! The JSON value form of [`Instance`]: [`InstanceDto`]'s fields, with
-    //! infinite link strengths as `None`.
+    //! The JSON form of [`Instance`]: [`InstanceDto`]'s fields, with
+    //! infinite link strengths as `None`, and its two decoders.
     use super::Instance;
     use crate::{Network, TaskGraph};
     use serde::{Deserialize, Serialize, Value};
+    use serde_json::{required, Error, Reader};
 
     fn enc(x: f64) -> Option<f64> {
         x.is_finite().then_some(x)
@@ -115,33 +131,113 @@ mod dto {
         }
     }
 
+    /// The one validating constructor behind both decoders, with infinite
+    /// link strengths already decoded: it rejects negative weights, a
+    /// ragged or asymmetric link matrix, invalid task costs and invalid
+    /// dependencies, and inserts dependencies in canonical order.
+    fn build(
+        speeds: Vec<f64>,
+        links: Vec<f64>,
+        tasks: Vec<(String, f64)>,
+        mut deps: Vec<(u32, u32, f64)>,
+    ) -> Result<Instance, serde::Error> {
+        let n = speeds.len();
+        // JSON has no NaN, so `< 0.0` is the only invalid weight left
+        if speeds.iter().chain(&links).any(|&x| x < 0.0) {
+            return Err(serde::Error::custom(format!(
+                "network of {n} node(s) needs non-negative speeds and links"
+            )));
+        }
+        let network = Network::try_from_matrix(speeds, links).map_err(serde::Error::custom)?;
+        let mut graph = TaskGraph::with_capacity(tasks.len());
+        for (name, cost) in tasks {
+            graph
+                .try_add_task(name, cost)
+                .map_err(serde::Error::custom)?;
+        }
+        deps.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        for (a, b, c) in deps {
+            graph
+                .add_dependency(a.into(), b.into(), c)
+                .map_err(serde::Error::custom)?;
+        }
+        Ok(Instance { network, graph })
+    }
+
     impl Deserialize for Instance {
         fn from_value(v: &Value) -> Result<Self, serde::Error> {
             let dto = InstanceDto::from_value(v)?;
-            let n = dto.speeds.len();
-            let links: Vec<f64> = dto.links.into_iter().map(dec).collect();
-            // JSON has no NaN, so `< 0.0` is the only invalid weight left
-            if dto.speeds.iter().chain(&links).any(|&x| x < 0.0) {
-                return Err(serde::Error::custom(format!(
-                    "network of {n} node(s) needs non-negative speeds and links"
-                )));
+            let links = dto.links.into_iter().map(dec).collect();
+            build(dto.speeds, links, dto.tasks, dto.deps)
+        }
+    }
+
+    /// [`Instance::read_json`]: [`InstanceDto`]'s fields read from the
+    /// text in [`Deserialize`]'s order of precedence, then [`build`].
+    pub(super) fn read(r: &mut Reader<'_>) -> Result<Instance, Error> {
+        let (mut speeds, mut links, mut tasks, mut deps) = (None, None, None, None);
+        r.begin_object()?;
+        while let Some(field) = r.next_key()? {
+            match &*field {
+                "speeds" if speeds.is_none() => speeds = Some(r.array(|r| r.number_as())?),
+                // `null` is an infinite link, as `dec` reads it
+                "links" if links.is_none() => {
+                    links = Some(r.array(|r| {
+                        if r.take_null()? {
+                            Ok(f64::INFINITY)
+                        } else {
+                            r.number_as()
+                        }
+                    })?)
+                }
+                "tasks" if tasks.is_none() => {
+                    tasks = Some(r.array(|r| {
+                        r.begin_array()?;
+                        let name = element(r, |r| r.string())?.into_owned();
+                        let cost = element(r, |r| r.number_as())?;
+                        end_tuple(r)?;
+                        Ok((name, cost))
+                    })?)
+                }
+                "deps" if deps.is_none() => {
+                    deps = Some(r.array(|r| {
+                        r.begin_array()?;
+                        let from = element(r, |r| r.number_as())?;
+                        let to = element(r, |r| r.number_as())?;
+                        let cost = element(r, |r| r.number_as())?;
+                        end_tuple(r)?;
+                        Ok((from, to, cost))
+                    })?)
+                }
+                _ => r.skip()?,
             }
-            let network =
-                Network::try_from_matrix(dto.speeds, links).map_err(serde::Error::custom)?;
-            let mut graph = TaskGraph::with_capacity(dto.tasks.len());
-            for (name, cost) in dto.tasks {
-                graph
-                    .try_add_task(name, cost)
-                    .map_err(serde::Error::custom)?;
-            }
-            let mut deps = dto.deps;
-            deps.sort_unstable_by_key(|&(a, b, _)| (a, b));
-            for (a, b, c) in deps {
-                graph
-                    .add_dependency(a.into(), b.into(), c)
-                    .map_err(serde::Error::custom)?;
-            }
-            Ok(Instance { network, graph })
+        }
+        Ok(build(
+            required(speeds, "speeds")?,
+            required(links, "links")?,
+            required(tasks, "tasks")?,
+            required(deps, "deps")?,
+        )?)
+    }
+
+    /// The next element of an open tuple array, read by `read`.
+    fn element<'a, T>(
+        r: &mut Reader<'a>,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T, Error>,
+    ) -> Result<T, Error> {
+        if r.next_element()? {
+            read(r)
+        } else {
+            Err(Error::custom("tuple too short"))
+        }
+    }
+
+    /// Closes an open tuple array that must have no further element.
+    fn end_tuple(r: &mut Reader<'_>) -> Result<(), Error> {
+        if r.next_element()? {
+            Err(Error::custom("tuple too long"))
+        } else {
+            Ok(())
         }
     }
 }

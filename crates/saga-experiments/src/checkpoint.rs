@@ -8,18 +8,27 @@
 //! makespan row. Both store floats as `f64::to_bits` hex: replay must be
 //! bit-identical, and JSON float printing would neither round-trip the
 //! last ulp nor encode the unbounded cells' infinities. A cell's witness
-//! instance is embedded in the [`Instance`] JSON value form, so each line
-//! is parsed once: the record and its instance decode from one value tree.
+//! instance is embedded in the [`Instance`] JSON form.
+//!
+//! Lines are written through the value tree (`serde_json::to_string`) and
+//! read back in one pass with `serde_json::Reader`: the record's fields,
+//! and the instance through [`Instance::read_json`], decode straight from
+//! the text, with no tree built. The decoders keep the derived value-tree
+//! decoders' rules: the first occurrence of a field wins, unknown and
+//! repeated fields are skipped but must be valid JSON, and a missing
+//! field, a wrong type or trailing bytes reject the line.
 //!
 //! Torn lines — a crash mid-append, a byte that is not UTF-8 — are
 //! counted and skipped, so a damaged checkpoint only costs re-running the
-//! affected records. `saga-merge` reads its inputs with the same line
-//! splitter, `lines`.
+//! affected records. So is a line that repeats an earlier line's key with
+//! a different record: the first record is kept. `saga-merge` reads its
+//! inputs with the same line splitter, `lines`.
 
 use saga_core::Instance;
 use saga_pisa::PisaResult;
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use serde::Serialize;
+use serde_json::{required, Reader};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
@@ -47,8 +56,9 @@ mod sealed {
         /// What [`Checkpoint::record`](super::Checkpoint::record) takes.
         type Input: ?Sized;
         fn encode(key: &str, value: &Self::Input) -> std::io::Result<String>;
-        /// `None` for a line that is not a well-formed record.
-        fn decode(line: &str) -> Option<(String, Self)>;
+        /// The key and record of one line, read in one pass; an error for
+        /// a line that is not a well-formed record.
+        fn decode(line: &str) -> Result<(String, Self), serde_json::Error>;
     }
 }
 pub(crate) use sealed::Record;
@@ -65,10 +75,16 @@ fn from_hex_bits(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
-/// One [`CellCheckpoint`] line. `ratio` repeats the ratio as a plain float
-/// for human readers; `None` encodes an unbounded cell, mirroring the
-/// witness-library format.
-#[derive(Serialize, Deserialize)]
+/// A hex-bits field: a string that must parse as `f64` bits.
+fn read_hex_bits(r: &mut Reader<'_>) -> Result<f64, serde_json::Error> {
+    let text = r.string()?;
+    from_hex_bits(&text).ok_or_else(|| serde_json::Error::custom(format!("bad hex bits `{text}`")))
+}
+
+/// One [`CellCheckpoint`] line, as written. `ratio` repeats the ratio as a
+/// plain float for human readers; `None` encodes an unbounded cell,
+/// mirroring the witness-library format.
+#[derive(Serialize)]
 struct CellRecord {
     key: String,
     ratio_bits: String,
@@ -93,20 +109,46 @@ impl Record for PisaResult {
         serde_json::to_string(&record).map_err(invalid_data)
     }
 
-    fn decode(line: &str) -> Option<(String, PisaResult)> {
-        let r: CellRecord = serde_json::from_str(line).ok()?;
+    fn decode(line: &str) -> Result<(String, PisaResult), serde_json::Error> {
+        let mut r = Reader::new(line);
+        let (mut key, mut ratio, mut initial_ratio, mut evaluations) = (None, None, None, None);
+        let (mut shown_ratio, mut instance) = (None, None);
+        r.begin_object()?;
+        while let Some(field) = r.next_key()? {
+            match &*field {
+                "key" if key.is_none() => key = Some(r.string()?.into_owned()),
+                "ratio_bits" if ratio.is_none() => ratio = Some(read_hex_bits(&mut r)?),
+                "initial_bits" if initial_ratio.is_none() => {
+                    initial_ratio = Some(read_hex_bits(&mut r)?)
+                }
+                "evaluations" if evaluations.is_none() => evaluations = Some(r.number_as()?),
+                // the human-readable copy: `null` or a number, then unused
+                "ratio" if shown_ratio.is_none() => {
+                    shown_ratio = Some(if r.take_null()? {
+                        None
+                    } else {
+                        Some(r.number()?)
+                    })
+                }
+                "instance" if instance.is_none() => instance = Some(Instance::read_json(&mut r)?),
+                _ => r.skip()?,
+            }
+        }
+        r.end()?;
+        required(shown_ratio, "ratio")?;
         let res = PisaResult {
-            instance: r.instance,
-            ratio: from_hex_bits(&r.ratio_bits)?,
-            initial_ratio: from_hex_bits(&r.initial_bits)?,
-            evaluations: r.evaluations,
+            instance: required(instance, "instance")?,
+            ratio: required(ratio, "ratio_bits")?,
+            initial_ratio: required(initial_ratio, "initial_bits")?,
+            evaluations: required(evaluations, "evaluations")?,
         };
-        Some((r.key, res))
+        Ok((required(key, "key")?, res))
     }
 }
 
-/// One [`RowCheckpoint`] line: the makespans as space-joined hex words.
-#[derive(Serialize, Deserialize)]
+/// One [`RowCheckpoint`] line, as written: the makespans as space-joined
+/// hex words.
+#[derive(Serialize)]
 struct RowRecord {
     key: String,
     bits: String,
@@ -124,14 +166,26 @@ impl Record for Vec<f64> {
         serde_json::to_string(&record).map_err(invalid_data)
     }
 
-    fn decode(line: &str) -> Option<(String, Vec<f64>)> {
-        let r: RowRecord = serde_json::from_str(line).ok()?;
-        let row = r
-            .bits
-            .split_whitespace()
-            .map(from_hex_bits)
-            .collect::<Option<_>>()?;
-        Some((r.key, row))
+    fn decode(line: &str) -> Result<(String, Vec<f64>), serde_json::Error> {
+        let mut r = Reader::new(line);
+        let (mut key, mut row) = (None, None);
+        r.begin_object()?;
+        while let Some(field) = r.next_key()? {
+            match &*field {
+                "key" if key.is_none() => key = Some(r.string()?.into_owned()),
+                "bits" if row.is_none() => {
+                    let bits = r.string()?;
+                    let words = bits.split_whitespace().map(from_hex_bits);
+                    row = Some(words.collect::<Option<Vec<_>>>().ok_or_else(|| {
+                        serde_json::Error::custom(format!("bad hex bits in `{bits}`"))
+                    })?)
+                }
+                _ => r.skip()?,
+            }
+        }
+        r.end()?;
+        let row = required(row, "bits")?;
+        Ok((required(key, "key")?, row))
     }
 }
 
@@ -164,7 +218,10 @@ impl<R: Record> Checkpoint<R> {
     ///
     /// Malformed resume lines are counted ([`skipped`](Self::skipped)) and
     /// reported on stderr — a corrupted checkpoint is visible instead of
-    /// quietly recomputing its records.
+    /// quietly recomputing its records. So is a line whose key an earlier
+    /// line already holds with a different record: the first record is
+    /// kept, as `saga-merge` refuses such a pair. A byte-identical repeat
+    /// of a line is dropped silently.
     pub fn open(path: &Path, resume: bool) -> io::Result<Self> {
         let bytes = if resume {
             match std::fs::read(path) {
@@ -174,23 +231,51 @@ impl<R: Record> Checkpoint<R> {
         } else {
             Vec::new()
         };
-        let mut done = BTreeMap::new();
+        let mut done: BTreeMap<String, (R, &str)> = BTreeMap::new();
         let mut skipped = 0usize;
         for (lineno, line) in lines(&bytes) {
-            if let Some((key, value)) = line.and_then(R::decode) {
-                done.insert(key, value);
-            } else {
+            let Some(line) = line else {
                 skipped += 1;
                 eprintln!(
-                    "[checkpoint] skipping malformed line {lineno} of {}",
+                    "[checkpoint] skipping line {lineno} of {}: not UTF-8",
                     path.display()
                 );
+                continue;
+            };
+            match R::decode(line) {
+                Ok((key, value)) => match done.entry(key) {
+                    Entry::Vacant(slot) => {
+                        slot.insert((value, line));
+                    }
+                    // a byte-identical repeat (a doubled append) is harmless
+                    Entry::Occupied(first) if first.get().1 == line => {}
+                    Entry::Occupied(first) => {
+                        skipped += 1;
+                        eprintln!(
+                            "[checkpoint] skipping line {lineno} of {}: key `{}` already has \
+                             a different record; the first is kept",
+                            path.display(),
+                            first.key()
+                        );
+                    }
+                },
+                Err(e) => {
+                    skipped += 1;
+                    eprintln!(
+                        "[checkpoint] skipping malformed line {lineno} of {}: {e}",
+                        path.display()
+                    );
+                }
             }
         }
+        let done = done
+            .into_iter()
+            .map(|(key, (value, _))| (key, value))
+            .collect();
         if skipped > 0 {
             eprintln!(
-                "[checkpoint] {skipped} corrupted/unparseable line(s) skipped in {} — \
-                 the affected records will re-run",
+                "[checkpoint] {skipped} malformed or conflicting line(s) skipped in {} — \
+                 keys left without a record will re-run",
                 path.display()
             );
         }
@@ -221,10 +306,17 @@ impl<R: Record> Checkpoint<R> {
         self.done.len()
     }
 
-    /// Number of malformed/unparseable lines skipped while loading for
-    /// resume (0 for a fresh run).
+    /// Number of lines skipped while loading for resume: malformed or
+    /// unparseable lines, and later records for a key already loaded with
+    /// a different one (0 for a fresh run).
     pub fn skipped(&self) -> usize {
         self.skipped
+    }
+
+    /// The key and record of one checkpoint line, as [`open`](Self::open)
+    /// decodes it; `None` for a line it would skip as malformed.
+    pub fn decode_line(line: &str) -> Option<(String, R)> {
+        R::decode(line).ok()
     }
 
     /// The stored record for `key`, if the checkpoint has it.
@@ -300,6 +392,28 @@ mod tests {
         drop(ck);
         let ck = RowCheckpoint::open(&path, true).unwrap();
         assert_eq!(ck.loaded(), 3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_later_different_record_under_a_loaded_key_is_skipped_and_the_first_kept() {
+        let path =
+            std::env::temp_dir().join(format!("saga_rowckpt_dup_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let ck = RowCheckpoint::open(&path, false).unwrap();
+        ck.record("k", &[1.0]).unwrap();
+        ck.record("other", &[3.0]).unwrap();
+        ck.record("k", &[2.0]).unwrap();
+        ck.record("k", &[1.0]).unwrap(); // a byte-identical repeat of the first
+        drop(ck);
+        let ck = RowCheckpoint::open(&path, true).unwrap();
+        assert_eq!((ck.loaded(), ck.skipped()), (2, 1));
+        assert_eq!(
+            ck.stored("k").unwrap(),
+            vec![1.0],
+            "the first record is kept"
+        );
+        assert_eq!(ck.stored("other").unwrap(), vec![3.0]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -19,7 +19,8 @@
 //!   checkpoints' own line reader (`checkpoint::lines`), so a torn line —
 //!   a crash mid-append on some host, a byte that is not UTF-8 — is
 //!   counted and skipped here as on resume. Only the parse differs: merge
-//!   reads just the `"key"` field and never decodes a record.
+//!   decodes just the `"key"` field and never a record; the rest of the
+//!   line must still be valid JSON.
 //! * **Canonical output** — records are written sorted by key. Checkpoint
 //!   files append in completion order, which varies with thread count and
 //!   scheduling, so byte-identity between a merged N-host run and a 1-host
@@ -94,10 +95,21 @@ impl fmt::Display for MergeError {
 impl std::error::Error for MergeError {}
 
 /// The checkpoint key of one JSONL line, if the line is a well-formed
-/// object with a string `"key"` field.
+/// JSON object whose first `"key"` field is a string. Only the key is
+/// decoded; the rest of the line is checked and skipped.
 fn line_key(line: &str) -> Option<String> {
-    let value: serde_json::Value = serde_json::from_str(line).ok()?;
-    Some(value.get("key")?.as_str()?.to_string())
+    let mut r = serde_json::Reader::new(line);
+    let mut key = None;
+    r.begin_object().ok()?;
+    while let Some(field) = r.next_key().ok()? {
+        if field == "key" && key.is_none() {
+            key = Some(r.string().ok()?.into_owned());
+        } else {
+            r.skip().ok()?;
+        }
+    }
+    r.end().ok()?;
+    key
 }
 
 /// Unions checkpoint JSONL `inputs` into `out` (canonical key-sorted order,
@@ -247,6 +259,28 @@ mod tests {
             "bad JSON, missing key, and the tear all count"
         );
         let _ = std::fs::remove_file(a);
+    }
+
+    #[test]
+    fn line_key_reads_the_first_key_and_validates_the_rest() {
+        assert_eq!(
+            line_key(r#"{"v":[1,{"x":null}],"key":"a"}"#).as_deref(),
+            Some("a")
+        );
+        assert_eq!(line_key(r#"{"key":"a","key":"b"}"#).as_deref(), Some("a"));
+        assert_eq!(line_key(r#"{"k\u0065y":"\u0061"}"#).as_deref(), Some("a"));
+        for torn in [
+            r#"{"key":1,"key":"a"}"#,
+            r#"{"key":"a","v":1.2.3}"#,
+            r#"{"key":"a","v":"\x"}"#,
+            r#"{"key":"a","v":[1,]}"#,
+            r#"{"key":"a"} x"#,
+            r#"{"key":"a""#,
+            r#"["key","a"]"#,
+            r#"{"v":1}"#,
+        ] {
+            assert_eq!(line_key(torn), None, "{torn}");
+        }
     }
 
     #[test]

@@ -1,22 +1,41 @@
-//! The persistence decoders against hostile input, and the record bytes
-//! against a pinned format.
+//! The persistence decoders against hostile input, the one-pass decoders
+//! against the value tree, and the record bytes against a pinned format.
 //!
-//! Four decoders read files a crash, a disk fault or a hand edit can damage:
-//! `CellCheckpoint::open` and `RowCheckpoint::open` with resume on,
-//! `WitnessLibrary::from_jsonl` (plus `WitnessRecord::instance`), and the
-//! `Instance` JSON value/text decoders. Random bytes and mutated valid lines
-//! go through each one: nothing may panic, every checkpoint line that does
-//! not decode must be counted in `skipped()`, and every encoded record must
-//! decode to a bit-identical result. The pin test holds the encoders to
-//! lines written by the previous encoder, byte for byte.
+//! Five decoders read files a crash, a disk fault or a hand edit can
+//! damage:
+//! - `CellCheckpoint::open` and `RowCheckpoint::open` with resume on, which
+//!   decode each line in one pass with `serde_json::Reader`
+//!   (`Checkpoint::decode_line`);
+//! - `Instance::from_json`, which reads an instance's text in one pass too;
+//! - the `Instance` value-tree decoder (`Deserialize`);
+//! - `WitnessLibrary::from_jsonl` (plus `WitnessRecord::instance`), which
+//!   keeps the value tree.
+//!
+//! Random bytes and mutated valid lines go through each one: nothing may
+//! panic, every checkpoint line that does not decode, or that repeats a
+//! loaded key with a different record, must be counted in `skipped()`, and
+//! every encoded record must decode to a bit-identical result. The
+//! one-pass decoders must give what the value tree gives, bit for bit and
+//! line by line. The oracle is a derived decode of the record's fields
+//! from `serde_json::from_str`, the decoder the one-pass ones replaced. It
+//! runs on freshly written `fig4`, `app_pisa blast` and `fig2`
+//! checkpoints, on valid rewrites of records (fields shuffled, repeated or
+//! unknown, keys and names `\u`-escaped), on lines with an invalid
+//! skipped value or trailing bytes, and on every mutated line. The pin
+//! test holds the encoders to lines written by the previous encoder, byte
+//! for byte.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga::core::{Instance, Network, NodeId, TaskGraph, TaskId};
 use saga::pisa::library::{WitnessLibrary, WitnessRecord};
-use saga::pisa::PisaResult;
-use saga_experiments::engine::{CellCheckpoint, RowCheckpoint};
+use saga::pisa::{cell_config, pairwise_cells, PisaConfig, PisaResult, SearchCell, ShardSpec};
+use saga_experiments::benchmarking;
+use saga_experiments::engine::{BatchEngine, CellCheckpoint, RowCheckpoint};
+use serde_json::Value;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -138,7 +157,10 @@ fn instance_bits(inst: &Instance) -> InstanceBits {
     )
 }
 
-fn result_bits(r: &PisaResult) -> (InstanceBits, u64, u64, usize) {
+/// A cell result as exact bit patterns.
+type ResultBits = (InstanceBits, u64, u64, usize);
+
+fn result_bits(r: &PisaResult) -> ResultBits {
     (
         instance_bits(&r.instance),
         r.ratio.to_bits(),
@@ -290,27 +312,44 @@ fn file_lines(bytes: &[u8]) -> Vec<&[u8]> {
         .collect()
 }
 
-/// Opens `bytes` as a checkpoint with resume on; it must succeed, and its
-/// skipped count must equal the number of lines that fail to load on their
-/// own. Returns the opened checkpoint.
+/// Opens `bytes` as a checkpoint with resume on; it must succeed. `agree`
+/// checks one line against the value-tree oracle and gives its key if it
+/// decodes. Each line must load alone exactly when it decodes; the whole
+/// file must load one record per key and count in `skipped()` every line
+/// that does not decode or repeats a loaded key with different text.
+/// Returns the opened checkpoint.
 fn open_counts_every_rejected_line<C>(
     tag: &str,
     bytes: &[u8],
     open: impl Fn(&std::path::Path) -> std::io::Result<C>,
     counts: impl Fn(&C) -> (usize, usize),
+    agree: impl Fn(&str) -> Option<String>,
 ) -> C {
     let path = tmp_path(tag);
     let single = tmp_path(&format!("{tag}_line"));
+    let mut first_line: BTreeMap<String, &[u8]> = BTreeMap::new();
     let mut rejected = 0;
     for line in file_lines(bytes) {
         std::fs::write(&single, line).unwrap();
-        let (loaded, skipped) = counts(&open(&single).unwrap());
-        assert_eq!(loaded + skipped, 1, "one line either loads or is skipped");
-        rejected += skipped;
+        let alone = counts(&open(&single).unwrap());
+        match std::str::from_utf8(line).ok().and_then(&agree) {
+            Some(key) => {
+                assert_eq!(alone, (1, 0), "a line that decodes loads");
+                rejected += usize::from(*first_line.entry(key).or_insert(line) != line);
+            }
+            None => {
+                assert_eq!(alone, (0, 1), "a line that does not decode is skipped");
+                rejected += 1;
+            }
+        }
     }
     std::fs::write(&path, bytes).unwrap();
     let ck = open(&path).unwrap();
-    assert_eq!(counts(&ck).1, rejected, "every rejected line is counted");
+    assert_eq!(
+        counts(&ck),
+        (first_line.len(), rejected),
+        "one record per key, and every rejected or conflicting line counted"
+    );
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&single);
     ck
@@ -346,6 +385,7 @@ fn open_cells(bytes: &[u8], tag: &str) -> CellCheckpoint {
         bytes,
         |p| CellCheckpoint::open(p, true),
         |ck| (ck.loaded(), ck.skipped()),
+        |line| cell_decoders_agree(line).map(|(key, _)| key),
     )
 }
 
@@ -355,12 +395,352 @@ fn open_rows(bytes: &[u8], tag: &str) -> RowCheckpoint {
         bytes,
         |p| RowCheckpoint::open(p, true),
         |ck| (ck.loaded(), ck.skipped()),
+        |line| row_decoders_agree(line).map(|(key, _)| key),
     )
 }
 
-/// Every decoder an instance-bearing line reaches; none may panic.
+/// The lines of the row checkpoint `record` writes for `rows`.
+fn row_lines(tag: &str, rows: &[(String, Vec<f64>)]) -> Vec<Vec<u8>> {
+    written_lines(tag, |path| {
+        let ck = RowCheckpoint::open(path, false).unwrap();
+        for (key, row) in rows {
+            ck.record(key, row).unwrap();
+        }
+    })
+    .into_iter()
+    .map(String::into_bytes)
+    .collect()
+}
+
+/// The lines of the checkpoint `write` fills at a fresh path.
+fn written_lines(tag: &str, write: impl FnOnce(&std::path::Path)) -> Vec<String> {
+    let path = tmp_path(tag);
+    let _ = std::fs::remove_file(&path);
+    write(&path);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    text.lines().map(str::to_string).collect()
+}
+
+fn from_hex_bits(s: &str) -> Option<f64> {
+    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
+}
+
+/// A cell-checkpoint line's fields as the derived value-tree decoder reads
+/// them: the oracle of the one-pass decoder.
+#[derive(serde::Deserialize)]
+struct OracleCell {
+    key: String,
+    ratio_bits: String,
+    initial_bits: String,
+    evaluations: usize,
+    #[allow(dead_code)] // type-checked, not used
+    ratio: Option<f64>,
+    instance: Instance,
+}
+
+/// A row-checkpoint line's fields as the derived value-tree decoder reads
+/// them.
+#[derive(serde::Deserialize)]
+struct OracleRow {
+    key: String,
+    bits: String,
+}
+
+/// A cell line through both decoders, which must agree bit for bit;
+/// returns the key and result they give.
+fn cell_decoders_agree(line: &str) -> Option<(String, ResultBits)> {
+    let oracle = || {
+        let r: OracleCell = serde_json::from_str(line).ok()?;
+        let res = PisaResult {
+            instance: r.instance,
+            ratio: from_hex_bits(&r.ratio_bits)?,
+            initial_ratio: from_hex_bits(&r.initial_bits)?,
+            evaluations: r.evaluations,
+        };
+        Some((r.key, result_bits(&res)))
+    };
+    let want = oracle();
+    let got = CellCheckpoint::decode_line(line).map(|(key, r)| (key, result_bits(&r)));
+    assert_eq!(
+        got, want,
+        "one-pass and value-tree decodes differ on {line:?}"
+    );
+    want
+}
+
+/// A row line through both decoders, which must agree bit for bit.
+fn row_decoders_agree(line: &str) -> Option<(String, Vec<u64>)> {
+    let bits = |row: Vec<f64>| row.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+    let oracle = || {
+        let r: OracleRow = serde_json::from_str(line).ok()?;
+        let row = r
+            .bits
+            .split_whitespace()
+            .map(from_hex_bits)
+            .collect::<Option<_>>()?;
+        Some((r.key, bits(row)))
+    };
+    let want = oracle();
+    let got = RowCheckpoint::decode_line(line).map(|(key, row)| (key, bits(row)));
+    assert_eq!(
+        got, want,
+        "one-pass and value-tree decodes differ on {line:?}"
+    );
+    want
+}
+
+/// Instance text through `Instance::from_json` and through the value
+/// decoder, which must agree bit for bit.
+fn instance_decoders_agree(text: &str) -> Option<InstanceBits> {
+    let want = serde_json::from_str::<Instance>(text)
+        .ok()
+        .map(|i| instance_bits(&i));
+    let got = Instance::from_json(text).ok().map(|i| instance_bits(&i));
+    assert_eq!(
+        got, want,
+        "one-pass and value-tree decodes differ on {text:?}"
+    );
+    want
+}
+
+/// Keys no record format knows.
+const UNKNOWN_KEYS: &[&str] = &[
+    "extra",
+    "Key",
+    "keys",
+    "instance_",
+    "",
+    " ratio",
+    "\u{1}",
+    "🚀",
+];
+
+fn random_name(rng: &mut StdRng) -> String {
+    (0..rng.gen_range(0..6))
+        .map(|_| NAME_CHARS[rng.gen_range(0..NAME_CHARS.len())])
+        .collect()
+}
+
+/// A random valid JSON value at most `depth` containers deep.
+fn junk(rng: &mut StdRng, depth: usize) -> Value {
+    match rng.gen_range(0..if depth == 0 { 5 } else { 7 }) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.gen()),
+        2 => {
+            Value::Number(weight(rng.gen_range(0..8), rng.gen()) * [1.0, -1.0][rng.gen_range(0..2)])
+        }
+        3 => Value::Number(rng.gen_range(0..5) as f64),
+        4 => Value::String(random_name(rng)),
+        5 => Value::Array(
+            (0..rng.gen_range(0..4))
+                .map(|_| junk(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Value::Object(
+            (0..rng.gen_range(0..4))
+                .map(|_| (random_name(rng), junk(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// `v` with one change that keeps its JSON type, or random JSON.
+fn altered(v: &Value, rng: &mut StdRng) -> Value {
+    match v {
+        Value::Number(x) => Value::Number(if *x == 0.0 { 1.0 } else { 0.0 }),
+        Value::String(s) => Value::String(format!("{s}x")),
+        Value::Array(items) if !items.is_empty() => Value::Array(items[1..].to_vec()),
+        Value::Object(fields) if !fields.is_empty() => Value::Object(fields[1..].to_vec()),
+        _ => junk(rng, 2),
+    }
+}
+
+/// A rewrite of a record's value tree that must decode as the record
+/// does: at every level, object fields shuffled, unknown fields inserted
+/// anywhere, and fields repeated after their first occurrence with other
+/// values.
+fn rewrite(v: &Value, rng: &mut StdRng) -> Value {
+    match v {
+        Value::Object(fields) => {
+            let mut out: Vec<(String, Value)> = fields
+                .iter()
+                .map(|(k, x)| (k.clone(), rewrite(x, rng)))
+                .collect();
+            for i in (1..out.len()).rev() {
+                out.swap(i, rng.gen_range(0..=i));
+            }
+            for _ in 0..rng.gen_range(0..3) {
+                let key = UNKNOWN_KEYS[rng.gen_range(0..UNKNOWN_KEYS.len())].to_string();
+                out.insert(rng.gen_range(0..=out.len()), (key, junk(rng, 3)));
+            }
+            for _ in 0..rng.gen_range(1..4) {
+                if out.is_empty() {
+                    break;
+                }
+                let i = rng.gen_range(0..out.len());
+                let value = if rng.gen() {
+                    altered(&out[i].1, rng)
+                } else {
+                    junk(rng, 2)
+                };
+                let repeat = (out[i].0.clone(), value);
+                out.insert(rng.gen_range(i + 1..=out.len()), repeat);
+            }
+            Value::Object(out)
+        }
+        Value::Array(items) => Value::Array(items.iter().map(|x| rewrite(x, rng)).collect()),
+        other => other.clone(),
+    }
+}
+
+/// `v` as JSON text with random blanks between tokens, and random
+/// characters of every string, keys included, as `\u` escapes (surrogate
+/// pairs above the BMP, hex digits of either case).
+fn escaped_text(v: &Value, rng: &mut StdRng) -> String {
+    fn blank(rng: &mut StdRng, out: &mut String) {
+        for _ in 0..rng.gen_range(0..2) {
+            out.push([' ', '\t'][rng.gen_range(0..2)]);
+        }
+    }
+    fn string(s: &str, rng: &mut StdRng, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            if matches!(c, '"' | '\\') || c < ' ' || rng.gen_range(0..3) == 0 {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    if rng.gen() {
+                        write!(out, "\\u{unit:04x}").unwrap();
+                    } else {
+                        write!(out, "\\u{unit:04X}").unwrap();
+                    }
+                }
+            } else {
+                out.push(c);
+            }
+        }
+        out.push('"');
+    }
+    fn value(v: &Value, rng: &mut StdRng, out: &mut String) {
+        match v {
+            Value::String(s) => string(s, rng, out),
+            Value::Array(items) => {
+                out.push('[');
+                for (i, x) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    blank(rng, out);
+                    value(x, rng, out);
+                    blank(rng, out);
+                }
+                out.push(']');
+            }
+            Value::Object(fields) => {
+                out.push('{');
+                for (i, (k, x)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    blank(rng, out);
+                    string(k, rng, out);
+                    blank(rng, out);
+                    out.push(':');
+                    blank(rng, out);
+                    value(x, rng, out);
+                    blank(rng, out);
+                }
+                out.push('}');
+            }
+            other => write!(out, "{other}").unwrap(),
+        }
+    }
+    let mut out = String::new();
+    value(v, rng, &mut out);
+    out
+}
+
+/// Values that are not JSON, each for its own reason.
+fn invalid_values() -> Vec<String> {
+    let mut bad: Vec<String> = [
+        "1.2.3",
+        "--1",
+        "-",
+        "1e",
+        "1e+",
+        "+1",
+        ".5",
+        "01.e",
+        "0x1",
+        "\"\\x\"",
+        "\"\\ud800\"",
+        "\"\\u12\"",
+        "\"\\ud800\\u0041\"",
+        "\"open",
+        "[1,]",
+        "[1 2]",
+        "[,]",
+        "{\"a\"}",
+        "{\"a\":1,}",
+        "{1:2}",
+        "[}",
+        "{]",
+        "nul",
+        "tru",
+        "falsy",
+        "inf",
+        "NaN",
+    ]
+    .map(str::to_string)
+    .to_vec();
+    // one container past the nesting limit, counting the record's own
+    bad.push(format!("{}{}", "[".repeat(128), "]".repeat(128)));
+    bad
+}
+
+/// What may not follow a record on its line.
+const TRAILING: &[&str] = &[" x", "}", ",", "{}", "0", "]", "\"\"", " null"];
+
+/// `text`, a record that `agree` decodes, checked against the value tree
+/// with its variants: `rewrites` valid rewrites must decode to the same
+/// record, and an invalid value in an unknown or a repeated field, or
+/// trailing bytes, must make both decoders reject it.
+fn assert_variants_agree<T: PartialEq + std::fmt::Debug>(
+    text: &str,
+    agree: impl Fn(&str) -> Option<T>,
+    rewrites: usize,
+    rng: &mut StdRng,
+) {
+    let want = agree(text);
+    assert!(want.is_some(), "a written record decodes: {text:?}");
+    let tree: Value = serde_json::from_str(text).unwrap();
+    for _ in 0..rewrites {
+        let variant = escaped_text(&rewrite(&tree, rng), rng);
+        assert_eq!(
+            agree(&variant),
+            want,
+            "a valid rewrite decodes as the record"
+        );
+    }
+    let (open, body) = text.split_at(1);
+    let (body, close) = body.split_at(body.len() - 1);
+    let known = &tree.as_object().unwrap()[0].0;
+    for bad in invalid_values() {
+        for variant in [
+            format!("{open}\"extra\":{bad},{body}{close}"),
+            format!("{open}{body},\"{known}\":{bad}{close}"),
+        ] {
+            assert_eq!(agree(&variant), None, "{variant:?}");
+        }
+    }
+    for tail in TRAILING {
+        assert_eq!(agree(&format!("{text}{tail}")), None, "{text:?} + {tail:?}");
+    }
+}
+
+/// Every decoder an instance-bearing line reaches; none may panic, and
+/// `Instance::from_json` must agree with the value decoder.
 fn decode_instance_everywhere(text: &str) {
-    let _ = Instance::from_json(text);
+    instance_decoders_agree(text);
     if let Ok(v) = serde_json::from_str::<serde_json::Value>(text) {
         let _ = serde_json::from_value::<Instance>(&v);
         if let Some(inst) = v.get("instance") {
@@ -398,13 +778,18 @@ proptest! {
         let lines = cell_lines("cell_round_trip_encode", &results);
         prop_assert_eq!(lines.len(), results.len());
         let ck = open_cells(&join_lines(&lines), "cell_round_trip");
-        prop_assert_eq!(ck.skipped(), 0);
-        // a later record under a repeated key wins, as on replay
-        let last: std::collections::BTreeMap<_, _> =
-            results.iter().map(|(k, r)| (k.clone(), r)).collect();
-        prop_assert_eq!(ck.loaded(), last.len());
-        for (key, r) in last {
-            prop_assert_eq!(result_bits(&ck.stored(&key).unwrap()), result_bits(r));
+        // the first record under a repeated key is kept, and a later,
+        // different one is skipped
+        let mut first = BTreeMap::new();
+        let mut conflicts = 0;
+        for ((key, r), line) in results.iter().zip(&lines) {
+            let (_, kept) = first.entry(key).or_insert((r, line));
+            conflicts += usize::from(*kept != line);
+        }
+        prop_assert_eq!(ck.skipped(), conflicts);
+        prop_assert_eq!(ck.loaded(), first.len());
+        for (key, (r, _)) in first {
+            prop_assert_eq!(result_bits(&ck.stored(key).unwrap()), result_bits(r));
         }
     }
 
@@ -441,16 +826,8 @@ proptest! {
         let cell_file = mutated_file(&cells, seed, 12);
         open_cells(&cell_file, "cell_mutated");
 
-        let row_path = tmp_path("row_encode");
-        let ck = RowCheckpoint::open(&row_path, false).unwrap();
-        for (key, row) in &rows {
-            ck.record(key, row).unwrap();
-        }
-        drop(ck);
-        let row_bytes = std::fs::read(&row_path).unwrap();
-        let _ = std::fs::remove_file(&row_path);
-        let row_lines: Vec<Vec<u8>> = file_lines(&row_bytes).into_iter().map(<[u8]>::to_vec).collect();
-        open_rows(&mutated_file(&row_lines, seed ^ 1, 12), "row_mutated");
+        let rows = row_lines("row_mutated_encode", &rows);
+        open_rows(&mutated_file(&rows, seed ^ 1, 12), "row_mutated");
 
         // the same mutations through the witness and instance decoders
         let witness_lines: Vec<Vec<u8>> = results
@@ -470,6 +847,26 @@ proptest! {
     }
 
     #[test]
+    fn rewritten_records_decode_as_the_value_tree_does(
+        results in proptest::collection::vec((arb_key(), arb_result()), 1..4),
+        rows in proptest::collection::vec((arb_key(), arb_weights(5)), 1..4),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for line in cell_lines("cell_rewrite_encode", &results) {
+            let line = String::from_utf8(line).unwrap();
+            assert_variants_agree(&line, cell_decoders_agree, 4, &mut rng);
+        }
+        for line in row_lines("row_rewrite_encode", &rows) {
+            let line = String::from_utf8(line).unwrap();
+            assert_variants_agree(&line, row_decoders_agree, 4, &mut rng);
+        }
+        for (_, r) in &results {
+            assert_variants_agree(&r.instance.to_json(), instance_decoders_agree, 4, &mut rng);
+        }
+    }
+
+    #[test]
     fn random_bytes_never_panic_and_every_line_is_counted(seed in any::<u64>(), len in 0usize..600) {
         let bytes = random_file(seed, len);
         open_cells(&bytes, "cell_random");
@@ -478,6 +875,86 @@ proptest! {
         decode_instance_everywhere(&text);
         for line in file_lines(&bytes) {
             decode_instance_everywhere(&String::from_utf8_lossy(line));
+        }
+    }
+}
+
+/// Fresh checkpoints of three paper binaries, written by their grids:
+/// every line, and variants of every tenth, decode on the one-pass path
+/// exactly as on the value tree. `fig2` runs at its defaults; `fig4` and
+/// `app_pisa blast` run their default grids (cells, seeds, keys) on the
+/// budgets of CI's quick runs (`fig4 --quick`, `app_pisa blast --imax 20
+/// --restarts 1`), which change the instances' weights but not their
+/// shapes, and keep the debug build's run short.
+#[test]
+fn paper_checkpoints_decode_as_the_value_tree_does() {
+    let engine = BatchEngine::new();
+    let cell_run = |tag: &str, cells: &[SearchCell]| {
+        written_lines(tag, |path| {
+            let ck = CellCheckpoint::open(path, false).unwrap();
+            engine.run_cells(cells, None, Some(&ck)).unwrap();
+        })
+    };
+    let schedulers = saga::schedulers::benchmark_schedulers();
+    let fig4_config = PisaConfig {
+        i_max: 60,
+        restarts: 1,
+        seed: saga::pisa::FIG4_SEED,
+        ..PisaConfig::default()
+    };
+    let fig4 = cell_run("fig4_cells", &pairwise_cells(&schedulers, fig4_config));
+    // every CCR, then every (baseline, target) pair, as `app_pisa` builds it
+    let app_config = PisaConfig {
+        i_max: 20,
+        restarts: 1,
+        seed: 0xA551,
+        ..PisaConfig::default()
+    };
+    let names: Vec<String> = saga::schedulers::app_specific_schedulers()
+        .iter()
+        .map(|s| s.name().to_string())
+        .collect();
+    let mut cells = Vec::new();
+    for ccr in saga::datasets::ccr::PAPER_CCRS {
+        for baseline in &names {
+            for target in names.iter().filter(|&t| t != baseline) {
+                let config = cell_config(app_config, cells.len() as u64);
+                cells.push(SearchCell::app("blast", ccr, target, baseline, config));
+            }
+        }
+    }
+    let blast = cell_run("blast_cells", &cells);
+    // `fig2`
+    let fig2 = written_lines("fig2_rows", |path| {
+        let ck = RowCheckpoint::open(path, false).unwrap();
+        benchmarking::fig2_rows(
+            &engine,
+            &schedulers,
+            &saga::datasets::all_generators(),
+            benchmarking::FIG2_INSTANCES,
+            benchmarking::FIG2_SEED,
+            ShardSpec::FULL,
+            None,
+            Some(&ck),
+        )
+        .unwrap();
+    });
+    assert_eq!((fig4.len(), blast.len(), fig2.len()), (210, 150, 1600));
+
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    for (i, line) in fig4.iter().chain(&blast).enumerate() {
+        assert!(cell_decoders_agree(line).is_some(), "{line}");
+        if i % 10 == 0 {
+            assert_variants_agree(line, cell_decoders_agree, 2, &mut rng);
+            let instance = serde_json::from_str::<Value>(line).unwrap();
+            let text = serde_json::to_string_pretty(instance.get("instance").unwrap()).unwrap();
+            assert_variants_agree(&text, instance_decoders_agree, 2, &mut rng);
+        }
+    }
+    for (i, line) in fig2.iter().enumerate() {
+        assert!(row_decoders_agree(line).is_some(), "{line}");
+        if i % 10 == 0 {
+            assert_variants_agree(line, row_decoders_agree, 2, &mut rng);
         }
     }
 }
