@@ -45,7 +45,7 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// Why a link matrix cannot form a [`crate::Network`]
+/// Why speeds and a link matrix cannot form a [`crate::Network`]
 /// ([`crate::Network::try_from_matrix`]).
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // variant fields are self-describing
@@ -54,6 +54,8 @@ pub enum NetworkError {
     WrongSize { nodes: usize, entries: usize },
     /// Entry `(row, col)` differs from entry `(col, row)`.
     Asymmetric { row: usize, col: usize },
+    /// A speed or link strength is negative or NaN.
+    InvalidWeight { value: f64 },
 }
 
 impl fmt::Display for NetworkError {
@@ -66,6 +68,10 @@ impl fmt::Display for NetworkError {
             NetworkError::Asymmetric { row, col } => write!(
                 f,
                 "link matrix must be symmetric (entry ({row}, {col}) differs from ({col}, {row}))"
+            ),
+            NetworkError::InvalidWeight { value } => write!(
+                f,
+                "network weight {value} is invalid (speeds and links must be >= 0)"
             ),
         }
     }

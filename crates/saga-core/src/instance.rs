@@ -132,8 +132,9 @@ mod dto {
     }
 
     /// The one validating constructor behind both decoders, with infinite
-    /// link strengths already decoded: it rejects negative weights, a
-    /// ragged or asymmetric link matrix, invalid task costs and invalid
+    /// link strengths already decoded: it rejects what
+    /// [`Network::try_from_matrix`] rejects (a negative weight, a ragged or
+    /// asymmetric link matrix), invalid task costs and invalid
     /// dependencies, and inserts dependencies in canonical order.
     fn build(
         speeds: Vec<f64>,
@@ -141,13 +142,6 @@ mod dto {
         tasks: Vec<(String, f64)>,
         mut deps: Vec<(u32, u32, f64)>,
     ) -> Result<Instance, serde::Error> {
-        let n = speeds.len();
-        // JSON has no NaN, so `< 0.0` is the only invalid weight left
-        if speeds.iter().chain(&links).any(|&x| x < 0.0) {
-            return Err(serde::Error::custom(format!(
-                "network of {n} node(s) needs non-negative speeds and links"
-            )));
-        }
         let network = Network::try_from_matrix(speeds, links).map_err(serde::Error::custom)?;
         let mut graph = TaskGraph::with_capacity(tasks.len());
         for (name, cost) in tasks {

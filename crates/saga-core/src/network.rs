@@ -9,11 +9,13 @@
 //! free), and generators may also use infinite strengths to model shared
 //! filesystems (the paper's Chameleon-derived networks).
 //!
-//! An explicit link matrix goes through one size and symmetry check,
-//! [`Network::try_from_matrix`], whether it comes from a generator
-//! ([`Network::from_matrix`], which panics on a bad matrix) or from a
-//! decoded file (the [`Instance`](crate::Instance) decoder, which returns
-//! the error).
+//! Every speed and link strength, through every constructor and setter,
+//! passes one rule, [`weight`]: non-negative and not NaN, with `-0.0`
+//! stored as `+0.0`. An explicit link matrix goes through one size and
+//! symmetry check, [`Network::try_from_matrix`], whether it comes from a
+//! generator ([`Network::from_matrix`], which panics on a bad matrix) or
+//! from a decoded file (the [`Instance`](crate::Instance) decoder, which
+//! returns the error).
 
 use crate::{NetworkError, NodeId};
 
@@ -21,6 +23,34 @@ use crate::{NetworkError, NodeId};
 /// in: a tile and its mirror are two 32 × 32 blocks of `f64`, 16 KiB
 /// together, which stay in a 32 KiB L1 data cache.
 const SYM_TILE: usize = 32;
+
+/// The one rule for a network weight, a node speed or a link strength:
+/// the value to store, or `None` for a negative or NaN weight. Zero and
+/// infinity are legal. `-0.0` passes `>= 0.0` but divides into `-inf`,
+/// which would give a negative execution or communication time, so it is
+/// stored as `+0.0`, the zero it means, rather than refused: a file that
+/// writes `-0` still decodes, to the instance it describes.
+fn weight(x: f64) -> Option<f64> {
+    // `-0.0 + 0.0` is `+0.0`; every other accepted value is unchanged
+    (x >= 0.0).then_some(x + 0.0)
+}
+
+/// [`weight`] over every entry of `xs`, in place. A `+0.0`, positive or
+/// `+inf` weight is stored unchanged, and these are exactly the bit
+/// patterns up to `+inf`'s, so one integer compare per entry clears a
+/// matrix of them in a loop that vectorizes: the IoT generators build a
+/// matrix of up to 142² entries per instance, and the per-entry rule
+/// alone made `fig2`'s instance generation a third slower.
+fn weights(xs: &mut [f64]) -> Result<(), NetworkError> {
+    let as_is = f64::INFINITY.to_bits();
+    if xs.iter().fold(true, |ok, x| ok & (x.to_bits() <= as_is)) {
+        return Ok(());
+    }
+    for x in xs {
+        *x = weight(*x).ok_or(NetworkError::InvalidWeight { value: *x })?;
+    }
+    Ok(())
+}
 
 /// A complete weighted network of compute nodes.
 ///
@@ -36,16 +66,16 @@ pub struct Network {
 impl Network {
     /// Builds a network with the given node speeds and a uniform strength for
     /// every (non-self) link.
+    ///
+    /// # Panics
+    /// Panics on a negative or NaN speed or strength (see [`weight`]).
     pub fn complete(speeds: &[f64], link_strength: f64) -> Self {
         let n = speeds.len();
         let mut links = vec![link_strength; n * n];
         for i in 0..n {
             links[i * n + i] = f64::INFINITY;
         }
-        Network {
-            speeds: speeds.to_vec(),
-            links,
-        }
+        Self::try_from_matrix(speeds.to_vec(), links).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds a network from node speeds and an explicit symmetric link
@@ -53,19 +83,25 @@ impl Network {
     /// to infinity.
     ///
     /// # Panics
-    /// Panics if the matrix has the wrong size or is not symmetric (see
-    /// [`Self::try_from_matrix`]).
+    /// Panics if the matrix has the wrong size, is not symmetric or holds
+    /// an invalid weight (see [`Self::try_from_matrix`]).
     pub fn from_matrix(speeds: Vec<f64>, links: Vec<f64>) -> Self {
         Self::try_from_matrix(speeds, links).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Self::from_matrix`] for input that may be malformed: an error
     /// instead of a panic when the matrix does not hold `speeds.len()^2`
-    /// entries or some off-diagonal entry differs (`!=`) from its mirror.
-    /// The symmetry check walks the lower triangle in [`SYM_TILE`]-square
-    /// tiles, so the mirrored reads of a tile stay in cache instead of
-    /// striding down whole columns.
-    pub fn try_from_matrix(speeds: Vec<f64>, mut links: Vec<f64>) -> Result<Self, NetworkError> {
+    /// entries, some off-diagonal entry differs (`!=`) from its mirror, or
+    /// a speed or entry breaks the [`weight`] rule. The symmetry check
+    /// walks the lower triangle in [`SYM_TILE`]-square tiles, so the
+    /// mirrored reads of a tile stay in cache instead of striding down
+    /// whole columns.
+    pub fn try_from_matrix(
+        mut speeds: Vec<f64>,
+        mut links: Vec<f64>,
+    ) -> Result<Self, NetworkError> {
+        weights(&mut speeds)?;
+        weights(&mut links)?;
         let n = speeds.len();
         if links.len() != n * n {
             return Err(NetworkError::WrongSize {
@@ -108,8 +144,13 @@ impl Network {
     }
 
     /// Sets the compute speed `s(v)`.
+    ///
+    /// # Panics
+    /// Panics on a negative or NaN speed (see [`weight`]).
     pub fn set_speed(&mut self, v: NodeId, speed: f64) {
-        assert!(speed >= 0.0 && !speed.is_nan(), "speed must be >= 0");
+        let Some(speed) = weight(speed) else {
+            panic!("speed must be >= 0, got {speed}")
+        };
         self.speeds[v.index()] = speed;
     }
 
@@ -122,13 +163,12 @@ impl Network {
     /// Sets the (symmetric) communication strength between two distinct nodes.
     ///
     /// # Panics
-    /// Panics on a self-link or a negative/NaN strength.
+    /// Panics on a self-link or a negative or NaN strength (see [`weight`]).
     pub fn set_link(&mut self, u: NodeId, v: NodeId, strength: f64) {
         assert!(u != v, "self-links are fixed at infinite strength");
-        assert!(
-            strength >= 0.0 && !strength.is_nan(),
-            "strength must be >= 0"
-        );
+        let Some(strength) = weight(strength) else {
+            panic!("strength must be >= 0, got {strength}")
+        };
         let n = self.speeds.len();
         self.links[u.index() * n + v.index()] = strength;
         self.links[v.index() * n + u.index()] = strength;
@@ -298,6 +338,45 @@ mod tests {
         assert_eq!(m.mean_inverse_link(), 0.0);
         // single-node network has no links
         assert_eq!(Network::complete(&[1.0], 1.0).mean_inverse_link(), 0.0);
+    }
+
+    #[test]
+    fn every_entry_point_stores_negative_zero_as_positive_zero() {
+        let is_pos_zero = |x: f64| x.to_bits() == 0;
+        let mut net = Network::complete(&[-0.0, 1.0], -0.0);
+        assert!(is_pos_zero(net.speed(NodeId(0))));
+        assert!(is_pos_zero(net.link(NodeId(0), NodeId(1))));
+        net.set_speed(NodeId(1), -0.0);
+        net.set_link(NodeId(1), NodeId(0), -0.0);
+        assert!(is_pos_zero(net.speed(NodeId(1))));
+        assert!(is_pos_zero(net.link(NodeId(0), NodeId(1))));
+        let net = Network::try_from_matrix(vec![-0.0, 2.0], vec![-0.0, -0.0, -0.0, -0.0]).unwrap();
+        assert!(is_pos_zero(net.speed(NodeId(0))));
+        assert!(is_pos_zero(net.link(NodeId(1), NodeId(0))));
+        // so no time comes out negative
+        assert_eq!(net.exec_time(1.0, NodeId(0)), f64::INFINITY);
+        assert_eq!(net.comm_time(1.0, NodeId(0), NodeId(1)), f64::INFINITY);
+    }
+
+    #[test]
+    fn every_entry_point_refuses_negative_and_nan_weights() {
+        for bad in [-1.0, -f64::MIN_POSITIVE, f64::NEG_INFINITY, f64::NAN] {
+            let refused =
+                |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+            assert!(refused(&|| drop(Network::complete(&[1.0, bad], 1.0))));
+            assert!(refused(&|| drop(Network::complete(&[1.0, 1.0], bad))));
+            let net = Network::complete(&[1.0, 1.0], 1.0);
+            assert!(refused(&|| net.clone().set_speed(NodeId(0), bad)));
+            assert!(refused(&|| net.clone().set_link(NodeId(0), NodeId(1), bad)));
+            assert!(matches!(
+                Network::try_from_matrix(vec![bad, 1.0], vec![0.0; 4]),
+                Err(NetworkError::InvalidWeight { .. })
+            ));
+            assert!(matches!(
+                Network::try_from_matrix(vec![1.0, 1.0], vec![0.0, bad, bad, 0.0]),
+                Err(NetworkError::InvalidWeight { .. })
+            ));
+        }
     }
 
     #[test]

@@ -2,18 +2,21 @@
 //! scheduler on every instance of a dataset and report makespan ratios
 //! against the best baseline on each instance.
 //!
-//! [`benchmark_dataset_engine`] shards the grid across the
-//! [`BatchEngine`](crate::engine::BatchEngine) with generation fused into
-//! each cell. Instance `k` always comes from the stream
-//! `derive_seed(seed, k)` ([`dataset_instances`] draws the same ones up
-//! front), so the `RatioStats` are bit-identical at any thread count.
+//! [`BatchEngine::dataset_makespans_sharded`] shards a dataset's grid
+//! across the engine's workers with generation fused into each row.
+//! Instance `k` always comes from the stream `derive_seed(seed, k)`
+//! ([`dataset_instances`] draws the same ones up front), so the
+//! [`RatioStats`] are bit-identical at any thread count.
 //!
-//! Fig. 2 is the same reduction over every dataset: [`fig2_rows`] computes
-//! (or replays) the keyed rows and [`fig2_matrices`] reduces them to the
-//! max and median matrices the `fig2` binary renders. The binary and the
+//! Fig. 2 is that reduction over every dataset: [`fig2_rows`] computes
+//! (or replays) the keyed rows and [`fig2_output`] reduces them to the max
+//! and median matrices and renders them. The `fig2` binary and the
 //! paper-scale pin in `tests/paper_pins.rs` share both calls.
 
 use crate::engine::{BatchEngine, Progress, RowCheckpoint};
+use crate::grids::{index, names};
+use crate::render::matrix;
+use crate::Output;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use saga_core::Instance;
@@ -36,10 +39,6 @@ pub struct RatioStats {
     pub max: f64,
     /// Median ratio.
     pub median: f64,
-    /// Mean ratio (infinite ratios excluded; count reported separately).
-    pub mean_finite: f64,
-    /// Number of instances with an unbounded ratio.
-    pub unbounded: usize,
 }
 
 /// Converts one instance's makespan row into ratios against the row's best:
@@ -53,7 +52,8 @@ pub fn ratios_of(makespans: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Draws the same `count` instances [`benchmark_dataset_engine`] does:
+/// Draws the same `count` instances
+/// [`BatchEngine::dataset_makespans_sharded`] does:
 /// instance `k` comes from its own stream `derive_seed(seed, k)`, so up-front
 /// generation and the engine's sharded generation sample identical
 /// instances regardless of who generates them (and in what order).
@@ -64,38 +64,6 @@ pub fn dataset_instances(gen: &DatasetGenerator, count: usize, seed: u64) -> Vec
             gen.sample(&mut rng)
         })
         .collect()
-}
-
-/// Benchmarks `schedulers` on `count` fresh instances of `gen`, returning
-/// one [`RatioStats`] per scheduler (in scheduler order). Generation *and*
-/// evaluation fuse into per-instance rows
-/// ([`BatchEngine::dataset_makespans_sharded`], whole grid, no checkpoint)
-/// that shard across workers with pinned cost tables. Output is
-/// independent of `RAYON_NUM_THREADS`.
-pub fn benchmark_dataset_engine(
-    engine: &BatchEngine,
-    schedulers: &[Box<dyn Scheduler>],
-    gen: &DatasetGenerator,
-    count: usize,
-    seed: u64,
-    progress: Option<&Progress>,
-) -> Vec<RatioStats> {
-    let no_key = |_: usize| String::new();
-    // without a checkpoint no write can fail, and the full shard computes
-    // every row
-    let rows = engine
-        .dataset_makespans_sharded(
-            schedulers,
-            gen,
-            count,
-            seed,
-            &no_key,
-            ShardSpec::FULL,
-            progress,
-            None,
-        )
-        .unwrap_or_default();
-    dataset_stats(&rows, schedulers.len())
 }
 
 /// One dataset's makespan rows reduced to one [`RatioStats`] per scheduler
@@ -143,21 +111,42 @@ pub fn fig2_rows(
         .collect()
 }
 
-/// Fig. 2's two matrices from [`fig2_rows`], `(max, median)`, each
-/// `[dataset][scheduler]`: every dataset reduced by [`dataset_stats`].
-pub fn fig2_matrices(
-    rows: &[Vec<Option<Vec<f64>>>],
-    schedulers: usize,
-) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    rows.iter()
+/// Fig. 2's output from the full grid's [`fig2_rows`] over the benchmark
+/// roster and every dataset generator: each dataset reduced by
+/// [`dataset_stats`] to its max and median ratios, the two
+/// `[dataset][scheduler]` matrices as CSVs, and a report with both
+/// matrices and the paper's two takeaways, checked.
+pub fn fig2_output(rows: &[Vec<Option<Vec<f64>>>]) -> Output {
+    let scheds = names(&saga_schedulers::benchmark_schedulers());
+    let datasets: Vec<String> = saga_datasets::all_generators()
+        .iter()
+        .map(|g| g.name.to_string())
+        .collect();
+    let (max, median): (Vec<Vec<f64>>, Vec<Vec<f64>>) = rows
+        .iter()
         .map(|dataset| {
-            let stats = dataset_stats(dataset, schedulers);
-            (
-                stats.iter().map(|s| s.max).collect(),
-                stats.iter().map(|s| s.median).collect(),
-            )
+            let stats = dataset_stats(dataset, scheds.len());
+            stats.iter().map(|s| (s.max, s.median)).unzip()
         })
-        .unzip()
+        .unzip();
+    let instances = rows.first().map_or(0, Vec::len);
+    let title =
+        format!("Fig. 2: max makespan ratio per (dataset, scheduler), {instances} instances");
+    let (max_text, max_csv) = matrix(&title, "fig2_max_ratios.csv", &datasets, &scheds, &max);
+    let title = "Fig. 2 (median makespan ratio)";
+    let (med_text, med_csv) = matrix(title, "fig2_median_ratios.csv", &datasets, &scheds, &median);
+    let (fastest, heft) = (index(&scheds, "FastestNode"), index(&scheds, "HEFT"));
+    let report = format!(
+        "{max_text}{med_text}\
+         check: FastestNode max ratio > 2 on some dataset: {}\n\
+         check: HEFT median ratio stays below 1.35 on every dataset: {}\n",
+        max.iter().any(|row| row[fastest] > 2.0),
+        median.iter().all(|row| row[heft] < 1.35),
+    );
+    Output {
+        files: vec![max_csv, med_csv],
+        report,
+    }
 }
 
 /// Summarizes a ratio sample.
@@ -165,19 +154,9 @@ pub fn summarize(ratios: &[f64]) -> RatioStats {
     assert!(!ratios.is_empty());
     let mut sorted: Vec<f64> = ratios.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let max = *sorted.last().unwrap();
-    let median = sorted[sorted.len() / 2];
-    let finite: Vec<f64> = sorted.iter().copied().filter(|r| r.is_finite()).collect();
-    let mean_finite = if finite.is_empty() {
-        f64::INFINITY
-    } else {
-        finite.iter().sum::<f64>() / finite.len() as f64
-    };
     RatioStats {
-        max,
-        median,
-        mean_finite,
-        unbounded: ratios.len() - finite.len(),
+        max: sorted[sorted.len() - 1],
+        median: sorted[sorted.len() / 2],
     }
 }
 
@@ -203,9 +182,7 @@ mod tests {
     fn summarize_computes_order_statistics() {
         let s = summarize(&[1.0, 3.0, 2.0, f64::INFINITY]);
         assert!(s.max.is_infinite());
-        assert_eq!(s.unbounded, 1);
         assert_eq!(s.median, 3.0); // index 2 of sorted [1,2,3,inf]
-        assert!((s.mean_finite - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -226,18 +203,6 @@ mod tests {
                 a.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),
                 b.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),
             );
-        }
-    }
-
-    #[test]
-    fn benchmark_dataset_runs_end_to_end() {
-        let gen = saga_datasets::by_name("in_trees").unwrap();
-        let scheds = benchmark_schedulers();
-        let engine = crate::engine::BatchEngine::new();
-        let stats = benchmark_dataset_engine(&engine, &scheds, &gen, 3, 11, None);
-        assert_eq!(stats.len(), scheds.len());
-        for s in stats {
-            assert!(s.max >= 1.0 - 1e-9);
         }
     }
 }

@@ -2,59 +2,22 @@
 //! join messages, weak link between the two fastest nodes) on which CPoP
 //! performs poorly against HEFT.
 //!
-//! Runs on the batch engine: each instance is a cell with its own derived
-//! seed — generation and both scheduler runs (under one pinned table build)
-//! shard across workers, with order-preserving collection, so the CSV is
-//! bit-identical for any `RAYON_NUM_THREADS`.
+//! The grid is `grids::ForkJoin::fig8`, bit-identical for any
+//! `RAYON_NUM_THREADS`.
 //!
 //! Usage: `fig8 [--instances N] [--seed S]`.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use saga_datasets::families::cpop_weak_instance;
-use saga_experiments::engine::{derive_seed, BatchEngine, Progress};
-use saga_experiments::{cli, render, write_results_file};
-use saga_schedulers::{Cpop, Heft, Scheduler};
+use saga_experiments::cli;
+use saga_experiments::engine::BatchEngine;
+use saga_experiments::grids::ForkJoin;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let instances: usize = cli::arg_or(&args, "instances", 1000);
-    let seed: u64 = cli::seed_arg(&args, 0xF168);
-
-    let engine = BatchEngine::new();
-    let progress = Progress::new("fig8", instances);
-    let pairs: Vec<(f64, f64)> = engine.map_ctx((0..instances).collect(), |ctx, k| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(seed, k as u64));
-        let inst = cpop_weak_instance(&mut rng);
-        let row = ctx.with_pinned(&inst, |ctx| {
-            (
-                Heft.makespan_into(&inst, ctx),
-                Cpop.makespan_into(&inst, ctx),
-            )
-        });
-        progress.tick();
-        row
-    });
-    let heft: Vec<f64> = pairs.iter().map(|&(h, _)| h).collect();
-    let cpop: Vec<f64> = pairs.iter().map(|&(_, c)| c).collect();
-    println!("Fig. 8: makespans on the CPoP-weak wide fork-join family ({instances} instances)\n");
-    println!("{}", render::five_number_summary("CPoP", &cpop));
-    println!("{}", render::five_number_summary("HEFT", &heft));
-    let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-    println!(
-        "\nmean makespan: CPoP {:.3}, HEFT {:.3} (ratio {:.3})",
-        mean(&cpop),
-        mean(&heft),
-        mean(&cpop) / mean(&heft)
-    );
-    println!(
-        "check: CPoP clearly worse on this family: {}",
-        mean(&cpop) > 1.1 * mean(&heft)
-    );
-    let mut csv = String::from("instance,heft,cpop\n");
-    for i in 0..instances {
-        csv.push_str(&format!("{i},{},{}\n", heft[i], cpop[i]));
-    }
-    let path = write_results_file("fig8_makespans.csv", &csv);
-    eprintln!("wrote {}", path.display());
+    let d = ForkJoin::fig8();
+    let grid = ForkJoin {
+        instances: cli::arg_or(&args, "instances", d.instances),
+        seed: cli::seed_arg(&args, d.seed),
+        ..d
+    };
+    grid.run(&BatchEngine::new()).emit();
 }

@@ -71,7 +71,13 @@ fn hex_bits(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
+/// The `f64` whose bits are the hex word `s`, which must be exactly the 16
+/// hex digits [`hex_bits`] writes: `from_str_radix` alone would also take a
+/// sign and a short word.
 fn from_hex_bits(s: &str) -> Option<f64> {
+    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 

@@ -1,5 +1,13 @@
 //! Minimal argument parsing shared by the experiment binaries (no external
-//! CLI crate needed for `--flag value` pairs).
+//! CLI crate needed for `--flag value` pairs), and the grid binaries' one
+//! checkpointed run path ([`run_grid`]).
+
+use crate::checkpoint::{Checkpoint, Record};
+use crate::engine::{BatchEngine, Progress};
+use crate::grids::CellGrid;
+use crate::Output;
+use saga_pisa::PisaConfig;
+use std::path::Path;
 
 /// The raw value following `--name`: `Ok(None)` when the flag is absent,
 /// `Err` when it is the last argument or another flag follows it.
@@ -62,6 +70,24 @@ pub fn seed_arg(args: &[String], default: u64) -> u64 {
     try_seed_arg(args, default).unwrap_or_else(|e| usage_exit(&e))
 }
 
+/// `config` with the budget flags of every annealing binary applied:
+/// `--imax`, `--restarts` and `--seed`. With `quick`, the CI smoke budget
+/// of 60 iterations and 1 restart replaces `config`'s before the flags
+/// apply.
+pub fn pisa_config(args: &[String], config: PisaConfig, quick: bool) -> PisaConfig {
+    let (i_max, restarts) = if quick {
+        (60, 1)
+    } else {
+        (config.i_max, config.restarts)
+    };
+    PisaConfig {
+        i_max: arg_or(args, "imax", i_max),
+        restarts: arg_or(args, "restarts", restarts),
+        seed: seed_arg(args, config.seed),
+        ..config
+    }
+}
+
 /// Returns the raw string following `--name`, if present; exits 2 with a
 /// `fatal:` line when the flag has no value after it.
 pub fn arg_str(args: &[String], name: &str) -> Option<String> {
@@ -97,30 +123,61 @@ pub fn checkpoint_path(
     }
 }
 
-/// What a grid binary was doing when its checkpoint failed, for
-/// [`checkpoint_or_exit`].
-pub enum CheckpointOp<'a> {
-    /// Opening (and, with `--resume`, reading) the checkpoint at this path.
-    Open(&'a std::path::Path),
-    /// Appending a record during the run.
-    Write,
-}
-
-/// The grid binaries' one exit path for checkpoint errors: unwraps
-/// `result`, or prints a `fatal:` line for `op` and exits 1.
-pub fn checkpoint_or_exit<T>(result: std::io::Result<T>, op: CheckpointOp<'_>) -> T {
+/// The grid binaries' exit path for a checkpoint write error: unwraps the
+/// run's `result`, or prints a `fatal:` line and exits 1.
+pub fn written_or_exit<T>(result: std::io::Result<T>) -> T {
     result.unwrap_or_else(|e| {
-        match op {
-            CheckpointOp::Open(path) => {
-                eprintln!("fatal: cannot open checkpoint {}: {e}", path.display())
-            }
-            CheckpointOp::Write => eprintln!(
-                "fatal: checkpoint write failed: {e} — records written before the failure \
-                 are flushed; re-run with --resume after freeing space"
-            ),
-        }
+        eprintln!(
+            "fatal: checkpoint write failed: {e} — records written before the failure \
+             are flushed; re-run with --resume after freeing space"
+        );
         std::process::exit(1)
     })
+}
+
+/// Opens the checkpoint at `path` (reading it back with `resume`), or
+/// prints a `fatal:` line and exits 1; says how many of its records,
+/// `what`, resume.
+pub fn open_checkpoint<R: Record>(path: &Path, resume: bool, what: &str) -> Checkpoint<R> {
+    let checkpoint = Checkpoint::open(path, resume).unwrap_or_else(|e| {
+        eprintln!("fatal: cannot open checkpoint {}: {e}", path.display());
+        std::process::exit(1)
+    });
+    if resume && checkpoint.loaded() > 0 {
+        eprintln!(
+            "resuming: {} {what} already in {}",
+            checkpoint.loaded(),
+            path.display()
+        );
+    }
+    checkpoint
+}
+
+/// The grid binaries' one run path: runs this `--shard`'s cells of `grid`
+/// against its checkpoint (`--checkpoint`, or the grid's own file with the
+/// shard's suffix, replayed with `--resume`), exits 1 on a checkpoint
+/// error, and renders the results. A partial shard renders nothing, since
+/// its output is the checkpoint: it says so and returns `None`.
+pub fn run_grid(args: &[String], engine: &BatchEngine, grid: &dyn CellGrid) -> Option<Output> {
+    let shard = shard_arg(args);
+    let base = format!("results/{}_cells.jsonl", grid.name().replace('/', "_"));
+    let path = checkpoint_path(args, shard, &base);
+    let checkpoint = open_checkpoint(&path, flag(args, "resume"), "cells");
+    let cells = grid.cells();
+    let total = cells.len();
+    let cells = saga_pisa::shard_cells(cells, shard);
+    let progress = Progress::new(grid.name(), cells.len());
+    let results = written_or_exit(engine.run_cells(&cells, Some(&progress), Some(&checkpoint)));
+    if !shard.is_full() {
+        eprintln!(
+            "shard {shard} complete: {} of {total} cells in {} — merge all shards with \
+             saga-merge, then render with --resume",
+            results.len(),
+            path.display()
+        );
+        return None;
+    }
+    Some(grid.render(engine, &results))
 }
 
 /// The value-less switches: every other `--name` takes the argument after it.

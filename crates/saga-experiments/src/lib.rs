@@ -2,24 +2,32 @@
 //!
 //! Regeneration harnesses for every table and figure of the PISA paper.
 //! Each binary prints the same rows/series the paper reports (text heatmaps
-//! instead of matplotlib) and writes CSVs under `results/`:
+//! instead of matplotlib) and writes CSVs under `results/`. A binary whose
+//! output is pinned in `tests/paper/` is a thin shell over one library call
+//! that returns the text of its files ([`Output`]); `tests/paper_pins.rs`
+//! makes the same call.
 //!
-//! | binary     | reproduces                                               |
-//! |------------|----------------------------------------------------------|
-//! | `table1`   | Table I — scheduler inventory                            |
-//! | `table2`   | Table II — dataset inventory (with sampled statistics)   |
-//! | `fig2`     | Fig. 2 — benchmarking 15 schedulers on 16 datasets       |
-//! | `fig3`     | Fig. 3 — the HEFT/CPoP network-alteration example        |
-//! | `fig4`     | Fig. 4 — PISA pairwise heatmap                           |
-//! | `fig5_6`   | Figs. 5–6 — HEFT vs CPoP adversarial case studies        |
-//! | `fig7`     | Fig. 7 — family where HEFT performs poorly               |
-//! | `fig8`     | Fig. 8 — family where CPoP performs poorly               |
-//! | `app_pisa` | Figs. 10–19 — application-specific PISA per workflow     |
+//! | binary            | reproduces                                        | library call |
+//! |-------------------|---------------------------------------------------|--------------|
+//! | `table1`          | Table I — scheduler inventory                     | |
+//! | `table2`          | Table II — dataset inventory (sampled statistics) | |
+//! | `fig2`            | Fig. 2 — benchmarking 15 schedulers on 16 datasets | [`benchmarking::fig2_rows`] → [`benchmarking::fig2_output`] |
+//! | `fig3`            | Fig. 3 — the HEFT/CPoP network-alteration example | |
+//! | `fig4`            | Fig. 4 — PISA pairwise heatmap and witnesses      | [`grids::Fig4`] |
+//! | `fig5_6`          | Figs. 5–6 — HEFT vs CPoP adversarial case studies | |
+//! | `fig7`            | Fig. 7 — family where HEFT performs poorly        | [`grids::ForkJoin::fig7`] |
+//! | `fig8`            | Fig. 8 — family where CPoP performs poorly        | [`grids::ForkJoin::fig8`] |
+//! | `app_pisa`        | Figs. 10–19 — application-specific PISA per workflow | [`grids::AppPisa`] |
+//! | `metric_pisa`     | future work: other performance metrics            | [`grids::MetricPisa`] |
+//! | `ablation_search` | future work: other meta-heuristics                | [`grids::AblationSearch`] |
+//! | `online_eval`     | future work: online scheduling                    | [`grids::OnlineEval`] |
+//! | `stochastic_eval` | future work: stochastic instances                 | [`grids::StochasticEval`] |
 //!
-//! Budgets are CLI-tunable (`--instances`, `--imax`, `--restarts`) because
-//! the paper's full budgets take CPU-hours; defaults are sized to finish in
-//! minutes while preserving every qualitative claim. EXPERIMENTS.md records
-//! paper-vs-measured values.
+//! `characterize` and `evaluate_library` read `fig4`'s witnesses, and
+//! `saga-merge` merges shard checkpoints. Budgets are CLI-tunable
+//! (`--instances`, `--imax`, `--restarts`) because the paper's full budgets
+//! take CPU-hours; defaults are sized to finish in seconds while preserving
+//! every qualitative claim.
 
 use saga_core::Instance;
 use saga_schedulers::Scheduler;
@@ -28,6 +36,7 @@ pub mod benchmarking;
 mod checkpoint;
 pub mod cli;
 pub mod engine;
+pub mod grids;
 pub mod merge;
 pub mod render;
 mod workers;
@@ -42,25 +51,38 @@ pub fn makespans(schedulers: &[Box<dyn Scheduler>], inst: &Instance) -> Vec<f64>
         .collect()
 }
 
-/// Writes `content` to `results/<name>` (creating the directory), returning
-/// the path. The fallible variant for callers that can report the error in
-/// their own way; the binaries use [`write_results_file`].
-pub fn try_write_results_file(name: &str, content: &str) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join(name);
-    std::fs::write(&path, content)?;
-    Ok(path)
+/// What one pinned grid produces: the text of each file it writes under
+/// `results/`, and the report it prints.
+#[derive(Debug, Default)]
+pub struct Output {
+    /// `(file name under results/, contents)`, in write order.
+    pub files: Vec<(String, String)>,
+    /// The text for stdout.
+    pub report: String,
+}
+
+impl Output {
+    /// Prints the report and writes every file through
+    /// [`write_results_file`], naming each on stderr.
+    pub fn emit(&self) {
+        print!("{}", self.report);
+        for (name, text) in &self.files {
+            eprintln!("wrote {}", write_results_file(name, text).display());
+        }
+    }
 }
 
 /// Writes `content` to `results/<name>` (creating the directory), returning
 /// the path. Failures are fatal — experiments must not silently drop data —
 /// but exit cleanly with the path and cause instead of a panic backtrace.
 pub fn write_results_file(name: &str, content: &str) -> std::path::PathBuf {
-    try_write_results_file(name, content).unwrap_or_else(|e| {
+    let path = std::path::Path::new("results").join(name);
+    let written = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, content));
+    if let Err(e) = written {
         eprintln!("fatal: cannot write results/{name}: {e}");
         std::process::exit(1);
-    })
+    }
+    path
 }
 
 #[cfg(test)]

@@ -5,17 +5,17 @@ pub fn cell(r: f64) -> String {
     saga_pisa::PairwiseMatrix::format_cell(r)
 }
 
-/// Renders a labelled matrix as an aligned text table. `rows[i][j]` pairs
+/// A labelled matrix rendered twice: as report text (the title, an aligned
+/// table and a blank line), and as the CSV file `name`. `rows[i][j]` pairs
 /// with `row_names[i]` and `col_names[j]`.
 pub fn matrix(
     title: &str,
+    name: &str,
     row_names: &[String],
     col_names: &[String],
     rows: &[Vec<f64>],
-) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
+) -> (String, (String, String)) {
+    let mut out = format!("{title}\n");
     let rw = row_names.iter().map(|s| s.len()).max().unwrap_or(4).max(4);
     let cw = col_names.iter().map(|s| s.len()).max().unwrap_or(6).max(6) + 1;
     out.push_str(&format!("{:>rw$} ", ""));
@@ -23,20 +23,23 @@ pub fn matrix(
         out.push_str(&format!("{c:>cw$}"));
     }
     out.push('\n');
-    for (name, row) in row_names.iter().zip(rows) {
-        out.push_str(&format!("{name:>rw$} "));
+    for (label, row) in row_names.iter().zip(rows) {
+        out.push_str(&format!("{label:>rw$} "));
         for &v in row {
             out.push_str(&format!("{:>cw$}", cell(v)));
         }
         out.push('\n');
     }
-    out
+    out.push('\n');
+    (
+        out,
+        (name.to_string(), matrix_csv(row_names, col_names, rows)),
+    )
 }
 
-/// Serializes a labelled matrix to CSV (`inf` for unbounded cells).
-pub fn matrix_csv(row_names: &[String], col_names: &[String], rows: &[Vec<f64>]) -> String {
-    let mut out = String::new();
-    out.push_str("baseline");
+/// A labelled matrix as CSV (`inf` for unbounded cells).
+fn matrix_csv(row_names: &[String], col_names: &[String], rows: &[Vec<f64>]) -> String {
+    let mut out = String::from("baseline");
     for c in col_names {
         out.push(',');
         out.push_str(c);
@@ -81,10 +84,12 @@ mod tests {
     fn matrix_renders_all_cells() {
         let rows = vec![vec![1.0, 2.5], vec![f64::INFINITY, 1.0]];
         let names = vec!["A".to_string(), "B".to_string()];
-        let s = matrix("T", &names, &names, &rows);
+        let (s, (name, csv)) = matrix("T", "t.csv", &names, &names, &rows);
         assert!(s.contains("2.50"));
         assert!(s.contains("> 1000"));
-        assert_eq!(s.lines().count(), 4); // title + header + 2 rows
+        assert_eq!(s.lines().count(), 5); // title + header + 2 rows + blank
+        assert_eq!(name, "t.csv");
+        assert_eq!(csv, "baseline,A,B\nA,1.000000,2.500000\nB,inf,1.000000\n");
     }
 
     #[test]

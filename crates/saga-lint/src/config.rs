@@ -52,6 +52,7 @@ impl Config {
                 "crates/saga-pisa/src/",
                 "crates/saga-experiments/src/engine.rs",
                 "crates/saga-experiments/src/checkpoint.rs",
+                "crates/saga-experiments/src/grids.rs",
             ],
             hot_paths: vec![
                 // the kernel and the incremental path must stay

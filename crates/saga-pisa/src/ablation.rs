@@ -10,11 +10,10 @@
 //! * [`Strategy::RandomWalk`] — accept every perturbation (best-so-far is
 //!   still tracked, so this is random search through instance space).
 
-use crate::annealer::{AnnealScratch, PairTraces, Pisa, PisaConfig, PisaResult};
+use crate::annealer::{AnnealScratch, Pisa, PisaConfig, PisaResult};
 use crate::perturb::Perturber;
 use rand::rngs::StdRng;
-use rand::Rng;
-use saga_core::{DirtyRegion, Instance};
+use saga_core::Instance;
 use saga_schedulers::Scheduler;
 
 /// An adversarial-search acceptance strategy.
@@ -44,10 +43,23 @@ impl Strategy {
             Strategy::RandomWalk => "random-walk",
         }
     }
+
+    /// Whether a step from ratio `cur` to `candidate` (no better than the
+    /// run's best) is kept at temperature `t`. Only annealing draws from
+    /// `rng`.
+    pub(crate) fn accepts(self, cur: f64, candidate: f64, t: f64, rng: &mut StdRng) -> bool {
+        match self {
+            Strategy::Annealing => crate::annealer::accept(cur, candidate, t, rng),
+            Strategy::HillClimb => candidate > cur,
+            Strategy::RandomWalk => true,
+        }
+    }
 }
 
 /// Runs the adversarial search with the chosen `strategy`, using the same
-/// restart/iteration budget as [`Pisa::run`] so results are comparable.
+/// restart/iteration budget as [`Pisa::run`] so results are comparable:
+/// every strategy steps through the annealing loop, which cools on the
+/// same schedule whatever the acceptance rule.
 pub fn search(
     target: &dyn Scheduler,
     baseline: &dyn Scheduler,
@@ -56,123 +68,14 @@ pub fn search(
     strategy: Strategy,
     init: &dyn Fn(&mut StdRng) -> Instance,
 ) -> PisaResult {
-    let mut ctx = saga_core::SchedContext::new();
-    let mut scratch = AnnealScratch::default();
-    search_in(
-        target,
-        baseline,
-        perturber,
-        config,
-        strategy,
-        init,
-        &mut ctx,
-        &mut scratch,
-    )
-}
-
-/// [`search`] borrowing the scheduling context and scratch instances from
-/// the caller — the batch-runner entry point (one warm context per worker,
-/// reused across every cell and restart).
-#[allow(clippy::too_many_arguments)] // mirrors `search` plus the two borrows
-pub fn search_in(
-    target: &dyn Scheduler,
-    baseline: &dyn Scheduler,
-    perturber: &dyn Perturber,
-    config: PisaConfig,
-    strategy: Strategy,
-    init: &dyn Fn(&mut StdRng) -> Instance,
-    ctx: &mut saga_core::SchedContext,
-    scratch: &mut AnnealScratch,
-) -> PisaResult {
     let pisa = Pisa {
         target,
         baseline,
         perturber,
         config,
     };
-    if strategy == Strategy::Annealing {
-        return pisa.run_in(ctx, scratch, init);
-    }
-    let mut traces = std::mem::take(&mut scratch.traces);
-    let res = crate::annealer::best_over_restarts(config, init, scratch, |start, rng, scratch| {
-        run_flat(&pisa, start, rng, strategy, ctx, &mut traces, scratch)
-    });
-    scratch.traces = traces;
-    res
-}
-
-/// Temperature-free search loop, budget-matched to the annealing run (which
-/// stops when `T` crosses `T_min` or at `I_max`, whichever comes first).
-/// Returns `(best ratio, initial ratio, evaluations)`; the best instance is
-/// left in `scratch.best`.
-fn run_flat(
-    pisa: &Pisa<'_>,
-    start: &Instance,
-    rng: &mut StdRng,
-    strategy: Strategy,
-    ctx: &mut saga_core::SchedContext,
-    traces: &mut PairTraces,
-    scratch: &mut AnnealScratch,
-) -> (f64, f64, usize) {
-    let cfg = &pisa.config;
-    let natural = ((cfg.t_min / cfg.t_max).ln() / cfg.alpha.ln()).ceil() as usize;
-    let iters = natural.min(cfg.i_max);
-    let initial_ratio = pisa.ratio_incremental(start, ctx, traces, &DirtyRegion::full());
-    let mut evaluations = 1;
-    crate::annealer::fill(&mut scratch.current, start);
-    crate::annealer::fill(&mut scratch.candidate, start);
-    crate::annealer::fill(&mut scratch.best, start);
-    let current = scratch.current.as_mut().expect("filled above");
-    let candidate = scratch.candidate.as_mut().expect("filled above");
-    let best = scratch.best.as_mut().expect("filled above");
-    let mut cur_ratio = initial_ratio;
-    let mut best_ratio = initial_ratio;
-    // dirt accumulated since the traces' last evaluation — same protocol
-    // as the annealing loop's (see `run_annealing`)
-    let mut pending = DirtyRegion::clean();
-    for _ in 0..iters {
-        let accepts = |r: f64, cur: f64| match strategy {
-            Strategy::HillClimb => r > cur,
-            Strategy::RandomWalk => true,
-            Strategy::Annealing => unreachable!("handled by Pisa::run_in"),
-        };
-        // in-place fast path with bitwise undo, mirroring the annealer's
-        if let Some(undo) = pisa.perturber.perturb_undoable(current, rng) {
-            let mut dirty = undo.dirty_region();
-            dirty.merge(&pending);
-            let r = pisa.ratio_incremental(current, ctx, traces, &dirty);
-            evaluations += 1;
-            pending = DirtyRegion::clean();
-            if r > best_ratio {
-                best.clone_from(current);
-                best_ratio = r;
-            }
-            if accepts(r, cur_ratio) {
-                cur_ratio = r;
-            } else {
-                undo.revert(current);
-                pending = undo.dirty_region();
-            }
-        } else {
-            candidate.clone_from(current);
-            pisa.perturber.perturb(candidate, rng);
-            let r = pisa.ratio_incremental(candidate, ctx, traces, &DirtyRegion::full());
-            evaluations += 1;
-            if r > best_ratio {
-                best.clone_from(candidate);
-                best_ratio = r;
-            }
-            if accepts(r, cur_ratio) {
-                std::mem::swap(current, candidate);
-                cur_ratio = r;
-                pending = DirtyRegion::clean();
-            } else {
-                pending = DirtyRegion::full();
-            }
-        }
-    }
-    let _ = (cur_ratio, rng.gen::<u8>()); // keep rng streams distinct per restart
-    (best_ratio, initial_ratio, evaluations)
+    let mut ctx = saga_core::SchedContext::new();
+    pisa.run_with(strategy, &mut ctx, &mut AnnealScratch::default(), init)
 }
 
 #[cfg(test)]

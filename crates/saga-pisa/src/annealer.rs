@@ -1,5 +1,6 @@
 //! The simulated-annealing core of PISA (the paper's Algorithm 1).
 
+use crate::ablation::Strategy;
 use crate::makespan_ratio;
 use crate::perturb::Perturber;
 use rand::rngs::StdRng;
@@ -77,15 +78,14 @@ pub struct PairTraces {
     pub baseline: RunTrace,
 }
 
-/// Reusable instance slots for the annealing loop. A search keeps four
-/// persistent instances (current, candidate, per-run best, cross-restart
-/// best) plus the pair's two run traces; borrowing them from the caller
+/// Reusable instance slots for the annealing loop. A search keeps three
+/// persistent instances (current, per-run best, cross-restart best) plus
+/// the pair's two run traces; borrowing them from the caller
 /// lets a batch runner amortize the buffers across every restart of every
 /// cell a worker executes, instead of reallocating them per run.
 #[derive(Debug, Default)]
 pub struct AnnealScratch {
     pub(crate) current: Option<Instance>,
-    pub(crate) candidate: Option<Instance>,
     pub(crate) best: Option<Instance>,
     pub(crate) best_overall: Option<Instance>,
     pub(crate) traces: PairTraces,
@@ -181,8 +181,20 @@ impl Pisa<'_> {
         scratch: &mut AnnealScratch,
         init: &dyn Fn(&mut StdRng) -> Instance,
     ) -> PisaResult {
+        self.run_with(Strategy::Annealing, ctx, scratch, init)
+    }
+
+    /// [`run_in`](Self::run_in) under `strategy`'s acceptance rule.
+    pub(crate) fn run_with(
+        &self,
+        strategy: Strategy,
+        ctx: &mut SchedContext,
+        scratch: &mut AnnealScratch,
+        init: &dyn Fn(&mut StdRng) -> Instance,
+    ) -> PisaResult {
         let mut traces = std::mem::take(&mut scratch.traces);
-        let res = maximize_in(
+        let res = maximize_with(
+            strategy,
             &mut |inst, dirty| self.ratio_incremental(inst, ctx, &mut traces, dirty),
             self.perturber,
             self.config,
@@ -215,35 +227,38 @@ pub fn maximize_in(
     init: &dyn Fn(&mut StdRng) -> Instance,
     scratch: &mut AnnealScratch,
 ) -> PisaResult {
-    best_over_restarts(config, init, scratch, |start, rng, scratch| {
-        run_annealing(objective, perturber, config, start, rng, scratch)
-    })
+    maximize_with(
+        Strategy::Annealing,
+        objective,
+        perturber,
+        config,
+        init,
+        scratch,
+    )
 }
 
-/// The shared restart loop: restart `k` seeds its RNG with `seed + k`,
-/// draws a start from `init`, and runs `one_run` (which must return
-/// `(best ratio, initial ratio, evaluations)` and leave its best instance
-/// in `scratch.best`). Strictly-better ratios win (ties keep the earlier
-/// restart); the winner's instance is kept in `scratch.best_overall` and
-/// cloned out exactly once. Both the annealer and the ablation strategies
-/// run through here, so their restart accounting cannot diverge.
-pub(crate) fn best_over_restarts(
+/// [`maximize_in`] under `strategy`'s acceptance rule: the restart loop.
+/// Restart `k` seeds its RNG with `seed + k`, draws a start from `init`
+/// and runs [`run_annealing`]. Strictly better ratios win (ties keep the
+/// earlier restart); the winner's instance is kept in
+/// `scratch.best_overall` and cloned out exactly once.
+pub(crate) fn maximize_with(
+    strategy: Strategy,
+    objective: &mut dyn FnMut(&Instance, &DirtyRegion) -> f64,
+    perturber: &dyn Perturber,
     config: PisaConfig,
     init: &dyn Fn(&mut StdRng) -> Instance,
     scratch: &mut AnnealScratch,
-    mut one_run: impl FnMut(&Instance, &mut StdRng, &mut AnnealScratch) -> (f64, f64, usize),
 ) -> PisaResult {
     let mut best: Option<(f64, f64, usize)> = None;
     for k in 0..config.restarts {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(k as u64));
         let start = init(&mut rng);
-        let (ratio, initial_ratio, evaluations) = one_run(&start, &mut rng, scratch);
-        let better = match best {
-            None => true,
-            Some((best_ratio, _, _)) => ratio > best_ratio,
-        };
-        if better {
-            best = Some((ratio, initial_ratio, evaluations));
+        let run = run_annealing(
+            objective, perturber, config, strategy, &start, &mut rng, scratch,
+        );
+        if best.is_none_or(|(best_ratio, _, _)| run.0 > best_ratio) {
+            best = Some(run);
             std::mem::swap(&mut scratch.best, &mut scratch.best_overall);
         }
     }
@@ -260,15 +275,20 @@ pub(crate) fn best_over_restarts(
     }
 }
 
-/// The annealing loop proper: one run from `start`, using the scratch's
-/// persistent instances (`current`, `candidate`, `best`) with buffer-reusing
-/// `clone_from` / swaps, so a run's steady state performs no instance
-/// allocation at all. Returns `(best ratio, initial ratio, evaluations)`;
-/// the best instance is left in `scratch.best`.
+/// The annealing loop proper: one run from `start`, perturbing the
+/// scratch's `current` instance in place and reverting a rejected step
+/// through its undo record, with the best kept by a buffer-reusing
+/// `clone_from`, so a run's steady state performs no instance allocation
+/// at all. A step that beats the run's best is always kept; any other goes
+/// to `strategy`'s acceptance rule. Every strategy cools on the same
+/// schedule, so all stop after the same number of steps. Returns
+/// `(best ratio, initial ratio, evaluations)`; the best instance is left
+/// in `scratch.best`.
 fn run_annealing(
     objective: &mut dyn FnMut(&Instance, &DirtyRegion) -> f64,
     perturber: &dyn Perturber,
     config: PisaConfig,
+    strategy: Strategy,
     start: &Instance,
     rng: &mut StdRng,
     scratch: &mut AnnealScratch,
@@ -276,10 +296,8 @@ fn run_annealing(
     let initial_ratio = objective(start, &DirtyRegion::full());
     let mut evaluations = 1;
     fill(&mut scratch.current, start);
-    fill(&mut scratch.candidate, start);
     fill(&mut scratch.best, start);
     let current = scratch.current.as_mut().expect("filled above");
-    let candidate = scratch.candidate.as_mut().expect("filled above");
     let best = scratch.best.as_mut().expect("filled above");
     let mut cur_ratio = initial_ratio;
     let mut best_ratio = initial_ratio;
@@ -294,46 +312,25 @@ fn run_annealing(
     let mut t = config.t_max;
     let mut iter = 0;
     while t > config.t_min && iter < config.i_max {
-        // In-place fast path: perturb the current instance directly and
-        // revert on rejection — no per-iteration instance copy. The revert
-        // is bitwise, and a reverted/kept `current` holds exactly the bits
-        // the clone-based fallback would, so both paths are value-identical
-        // (the golden PISA-cell fixture pins this).
-        if let Some(undo) = perturber.perturb_undoable(current, rng) {
-            let mut dirty = undo.dirty_region();
-            dirty.merge(&pending);
-            let r = objective(current, &dirty);
-            evaluations += 1;
-            pending = DirtyRegion::clean();
-            if r > best_ratio {
-                best.clone_from(current);
-                best_ratio = r;
-                cur_ratio = r;
-            } else if accept(cur_ratio, r, t, rng) {
-                cur_ratio = r;
-            } else {
-                undo.revert(current);
-                pending = undo.dirty_region();
-            }
+        // perturb the current instance in place and revert on rejection:
+        // no per-iteration instance copy, and the revert is bitwise
+        let undo = perturber
+            .perturb_undoable(current, rng)
+            .expect(UNDO_CONTRACT);
+        let mut dirty = undo.dirty_region();
+        dirty.merge(&pending);
+        let r = objective(current, &dirty);
+        evaluations += 1;
+        pending = DirtyRegion::clean();
+        if r > best_ratio {
+            best.clone_from(current);
+            best_ratio = r;
+            cur_ratio = r;
+        } else if strategy.accepts(cur_ratio, r, t, rng) {
+            cur_ratio = r;
         } else {
-            candidate.clone_from(current);
-            perturber.perturb(candidate, rng);
-            // an opaque perturbation: nothing is known about what moved
-            let r = objective(candidate, &DirtyRegion::full());
-            evaluations += 1;
-            if r > best_ratio {
-                best.clone_from(candidate);
-                best_ratio = r;
-                std::mem::swap(current, candidate);
-                cur_ratio = r;
-                pending = DirtyRegion::clean();
-            } else if accept(cur_ratio, r, t, rng) {
-                std::mem::swap(current, candidate);
-                cur_ratio = r;
-                pending = DirtyRegion::clean();
-            } else {
-                pending = DirtyRegion::full();
-            }
+            undo.revert(current);
+            pending = undo.dirty_region();
         }
         t *= config.alpha;
         iter += 1;
@@ -341,9 +338,13 @@ fn run_annealing(
     (best_ratio, initial_ratio, evaluations)
 }
 
+/// The panic message for a [`Perturber`] that breaks its contract.
+const UNDO_CONTRACT: &str =
+    "Perturber::perturb_undoable must return Some: the search reverts rejected steps through it";
+
 /// Metropolis acceptance for a maximization over ratios; handles the
 /// infinite ratios that zero-weight instances produce.
-fn accept(cur: f64, candidate: f64, t: f64, rng: &mut StdRng) -> bool {
+pub(crate) fn accept(cur: f64, candidate: f64, t: f64, rng: &mut StdRng) -> bool {
     if candidate >= cur {
         return true;
     }

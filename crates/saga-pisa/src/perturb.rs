@@ -14,19 +14,16 @@ use saga_core::{Instance, NodeId, TaskId};
 
 /// A mutation strategy over problem instances.
 pub trait Perturber: Send + Sync {
-    /// Mutates `inst` in place using `rng`.
-    fn perturb(&self, inst: &mut Instance, rng: &mut StdRng);
+    /// Mutates `inst` in place using `rng` and returns the record
+    /// [`PerturbUndo::revert`] restores `inst` from, bitwise: the annealer
+    /// mutates its current instance in place and undoes a rejected step.
+    /// The result must be `Some`; the annealer and the ablation searches
+    /// panic on `None`.
+    fn perturb_undoable(&self, inst: &mut Instance, rng: &mut StdRng) -> Option<PerturbUndo>;
 
-    /// Like [`perturb`](Self::perturb), but returns a record that
-    /// [`PerturbUndo::revert`] can use to restore `inst` bitwise — letting
-    /// the annealer mutate its current instance in place and undo on
-    /// rejection instead of cloning a candidate every iteration. Returns
-    /// `None` when the perturber does not support undo (the annealer then
-    /// falls back to the clone-based path). The RNG consumption must be
-    /// identical to `perturb`'s.
-    fn perturb_undoable(&self, inst: &mut Instance, rng: &mut StdRng) -> Option<PerturbUndo> {
-        let _ = (inst, rng);
-        None
+    /// Mutates `inst` in place using `rng`, dropping the undo record.
+    fn perturb(&self, inst: &mut Instance, rng: &mut StdRng) {
+        self.perturb_undoable(inst, rng);
     }
 }
 
@@ -359,10 +356,6 @@ impl GeneralPerturber {
 }
 
 impl Perturber for GeneralPerturber {
-    fn perturb(&self, inst: &mut Instance, rng: &mut StdRng) {
-        self.step(inst, rng);
-    }
-
     fn perturb_undoable(&self, inst: &mut Instance, rng: &mut StdRng) -> Option<PerturbUndo> {
         Some(self.step(inst, rng))
     }

@@ -19,7 +19,7 @@
 //! [`pairwise_matrix`](crate::pairwise_matrix) and the golden suites run
 //! cells in order on a single context. Both go through [`SearchCell::run`].
 
-use crate::ablation::{self, Strategy};
+use crate::ablation::Strategy;
 use crate::annealer::{AnnealScratch, Pisa, PisaConfig, PisaResult};
 use crate::app_specific::AppSpecific;
 use crate::constraints;
@@ -232,16 +232,16 @@ impl SearchCell {
                 strategy,
                 target,
                 baseline,
-            } => ablation::search_in(
-                &*resolve(target),
-                &*resolve(baseline),
-                &GeneralPerturber::default(),
-                self.config,
-                *strategy,
-                &|rng| initial_instance(rng),
-                ctx,
-                scratch,
-            ),
+            } => {
+                let (t, b) = (resolve(target), resolve(baseline));
+                let pisa = Pisa {
+                    target: &*t,
+                    baseline: &*b,
+                    perturber: &GeneralPerturber::default(),
+                    config: self.config,
+                };
+                pisa.run_with(*strategy, ctx, scratch, &|rng| initial_instance(rng))
+            }
         }
     }
 }

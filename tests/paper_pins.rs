@@ -1,50 +1,43 @@
-//! Paper-scale pins: the outputs of the `fig2` and `fig4` binaries at
-//! their defaults, regenerated through the same calls the binaries make
-//! and compared byte for byte against `tests/paper/`.
+//! Paper-scale pins: every pinned file in `tests/paper/` but 40, from the
+//! one library call its binary makes, at the binary's defaults, compared
+//! byte for byte. [`PINS`] is the table of (files → call); each call
+//! returns the text of its binary's files (`saga_experiments::Output`):
 //!
-//! **fig2** (100 instances of each of the 16 datasets, base seed `0xF162`,
-//! the 15 benchmark schedulers) goes through `benchmarking::fig2_rows` →
-//! `benchmarking::fig2_matrices` → `render::matrix_csv`. The CSVs round
-//! every ratio to 6 decimal places, so the suite also pins one FNV-1a
-//! digest over the bits of every makespan in every row, in key order
-//! (dataset in roster order, then instance index): any moved bit in any of
-//! the 1600 × 15 makespans fails it.
+//! | grid | binary | call | pinned files |
+//! |---|---|---|---|
+//! | Fig. 2 | `fig2` | `benchmarking::fig2_rows` → `fig2_output` | `fig2_max_ratios.csv`, `fig2_median_ratios.csv` |
+//! | Fig. 4 | `fig4` | `grids::Fig4` | `fig4_pairwise.csv`, `fig4_witnesses.jsonl` |
+//! | Section VII, genome | `app_pisa genome` | `grids::AppPisa` | 5 × `app_pisa_genome_ccr<c>.csv` |
+//! | Fig. 7 | `fig7` | `grids::ForkJoin::fig7` | `fig7_makespans.csv` |
+//! | Fig. 8 | `fig8` | `grids::ForkJoin::fig8` | `fig8_makespans.csv` |
+//! | online scheduling | `online_eval` | `grids::OnlineEval` | `online_blast.csv` |
+//! | stochastic instances | `stochastic_eval` | `grids::StochasticEval` | `stochastic_montage.csv` |
+//! | other metrics | `metric_pisa` | `grids::MetricPisa` | `metric_pisa.csv` |
+//! | other meta-heuristics | `ablation_search` | `grids::AblationSearch` | `ablation_search.csv` |
 //!
-//! **fig4** (the 210 ordered pairs of the 15 benchmark schedulers, 5
-//! restarts × 1000 iterations, base seed `FIG4_SEED`) goes through
-//! `pairwise_cells` → `BatchEngine::run_cells` →
-//! `PairwiseMatrix::heatmap_rows` → `render::matrix_csv`, and
-//! `WitnessLibrary::from_matrix` → `to_jsonl` for the witnesses. Its digest
-//! covers every cell's ratio bits, initial-ratio bits and evaluation count,
-//! cells in `SearchCell::key` order.
+//! The other eight Section VII workflows' 40 CSVs come from the same call;
+//! CI's engine smoke runs `app_pisa all` and `cmp`s all 45.
+//! [`only_the_other_workflows_app_pisa_csvs_are_left_to_ci`] checks that
+//! the table lists every other file in `tests/paper/`.
+//!
+//! The CSVs round every number to 6 decimal places, so two grids also pin
+//! an FNV-1a digest of the numbers behind them: **fig2** (100 instances of
+//! each of the 16 datasets, base seed `0xF162`) over the bits of every
+//! makespan in every row, in key order (dataset in roster order, then
+//! instance index), so any moved bit in any of the 1600 × 15 makespans
+//! fails it; **fig4** (the 210 ordered pairs of the 15 benchmark
+//! schedulers, 5 restarts × 1000 iterations, base seed `FIG4_SEED`) over
+//! every cell's ratio bits, initial-ratio bits and evaluation count, cells
+//! in `SearchCell::key` order.
 //!
 //! The pins were recorded from the release binaries. To regenerate after
-//! an intended, reviewed change, run
-//! `cargo run --release -p saga-experiments --bin fig2` (or `--bin fig4`),
-//! copy `results/fig2_max_ratios.csv` and `results/fig2_median_ratios.csv`
-//! (or `results/fig4_pairwise.csv` and `results/fig4_witnesses.jsonl`) into
-//! `tests/paper/`, and update [`FIG2_ROWS_DIGEST`] (or
-//! [`FIG4_CELLS_DIGEST`]) from this suite's failure message.
-//!
-//! **app_pisa** (Section VII: 9 workflows × 5 CCRs, base seed `0xA551`)
-//! has its 45 `app_pisa_<workflow>_ccr<c>.csv` outputs pinned in
-//! `tests/paper/` too, but no test here re-derives them: `app_pisa all`
-//! takes seconds in a release build, so CI's engine smoke runs the release
-//! binary at 4 and at 1 workers and `cmp`s all 45 files. To regenerate
-//! after an intended, reviewed change, run
-//! `cargo run --release -p saga-experiments --bin app_pisa -- all` and copy
-//! `results/app_pisa_*_ccr*.csv` into `tests/paper/`.
-//!
-//! **Six more grids** are pinned the same way, checked by CI alone:
-//! `fig7_makespans.csv`, `fig8_makespans.csv`, `online_blast.csv` and
-//! `stochastic_montage.csv` (cells through `BatchEngine::map_ctx`), and
-//! `metric_pisa.csv` and `ablation_search.csv` (cells through
-//! `BatchEngine::run_cells`), each its binary's output at its defaults.
-//! CI runs the six release binaries at 4 and at 1 workers and `cmp`s each
-//! file. To regenerate after an intended, reviewed change, run
-//! `for b in fig7 fig8 online_eval stochastic_eval metric_pisa
+//! an intended, reviewed change, run the binaries at their defaults
+//! (`for b in fig2 fig4 fig7 fig8 online_eval stochastic_eval metric_pisa
 //! ablation_search; do cargo run --release -p saga-experiments --bin $b;
-//! done` and copy those six files from `results/` into `tests/paper/`.
+//! done` and `cargo run --release -p saga-experiments --bin app_pisa --
+//! all`), copy the changed files from `results/` into `tests/paper/`, and
+//! update [`FIG2_ROWS_DIGEST`] and [`FIG4_CELLS_DIGEST`] from this suite's
+//! failure message.
 //!
 //! **Infinite fig4 ratios.** 35 of the 210 pinned witnesses have an
 //! infinite ratio (`"ratio":null` in the JSON, `inf` in the CSV). This is a
@@ -59,11 +52,14 @@
 
 use saga::core::{fnv1a, NodeId};
 use saga::pisa::library::WitnessLibrary;
-use saga::pisa::{pairwise_cells, PairwiseMatrix, PisaConfig, SearchCell, ShardSpec, FIG4_SEED};
+use saga::pisa::{PisaResult, SearchCell, ShardSpec};
 use saga_experiments::benchmarking::{self, FIG2_INSTANCES, FIG2_SEED};
 use saga_experiments::engine::BatchEngine;
-use saga_experiments::render;
-use std::collections::BTreeMap;
+use saga_experiments::grids::{
+    AblationSearch, AppPisa, CellGrid, Fig4, ForkJoin, MetricPisa, OnlineEval, StochasticEval,
+};
+use saga_experiments::Output;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// FNV-1a over the little-endian bits of every fig2 makespan, in key order.
 const FIG2_ROWS_DIGEST: u64 = 0x7175_40e0_bf8b_be47;
@@ -72,25 +68,87 @@ const FIG2_ROWS_DIGEST: u64 = 0x7175_40e0_bf8b_be47;
 /// evaluation count (each a little-endian `u64`), in key order.
 const FIG4_CELLS_DIGEST: u64 = 0xb7eb_5632_1dd3_e1ab;
 
-fn pin(name: &str) -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/paper")
-        .join(name);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read pin {}: {e}", path.display()))
+/// A grid's output and the digest of the numbers behind it, if it has one.
+type Pinned = (Output, Option<u64>);
+
+/// One pinned grid: the files it writes, its binary's library call at the
+/// binary's defaults, and its pinned digest.
+struct Pin {
+    grid: &'static str,
+    files: &'static [&'static str],
+    call: fn(&BatchEngine) -> Pinned,
+    digest: Option<u64>,
 }
 
-#[test]
-fn fig2_matches_the_paper_pins() {
-    let schedulers = saga::schedulers::benchmark_schedulers();
-    let sched_names: Vec<String> = schedulers.iter().map(|s| s.name().to_string()).collect();
-    let generators = saga::datasets::all_generators();
-    let dataset_names: Vec<String> = generators.iter().map(|g| g.name.to_string()).collect();
+/// Every pinned grid.
+const PINS: [Pin; 9] = [
+    Pin {
+        grid: "fig2",
+        files: &["fig2_max_ratios.csv", "fig2_median_ratios.csv"],
+        call: fig2,
+        digest: Some(FIG2_ROWS_DIGEST),
+    },
+    Pin {
+        grid: "fig4",
+        files: &["fig4_pairwise.csv", "fig4_witnesses.jsonl"],
+        call: |e| cells(e, &Fig4::default()),
+        digest: Some(FIG4_CELLS_DIGEST),
+    },
+    Pin {
+        grid: "app_pisa genome",
+        files: &[
+            "app_pisa_genome_ccr0.2.csv",
+            "app_pisa_genome_ccr0.5.csv",
+            "app_pisa_genome_ccr1.csv",
+            "app_pisa_genome_ccr2.csv",
+            "app_pisa_genome_ccr5.csv",
+        ],
+        call: |e| cells(e, &AppPisa::new("genome")),
+        digest: None,
+    },
+    Pin {
+        grid: "fig7",
+        files: &["fig7_makespans.csv"],
+        call: |e| (ForkJoin::fig7().run(e), None),
+        digest: None,
+    },
+    Pin {
+        grid: "fig8",
+        files: &["fig8_makespans.csv"],
+        call: |e| (ForkJoin::fig8().run(e), None),
+        digest: None,
+    },
+    Pin {
+        grid: "online_eval",
+        files: &["online_blast.csv"],
+        call: |e| (OnlineEval::default().run(e), None),
+        digest: None,
+    },
+    Pin {
+        grid: "stochastic_eval",
+        files: &["stochastic_montage.csv"],
+        call: |e| (StochasticEval::default().run(e), None),
+        digest: None,
+    },
+    Pin {
+        grid: "metric_pisa",
+        files: &["metric_pisa.csv"],
+        call: |e| cells(e, &MetricPisa::default()),
+        digest: None,
+    },
+    Pin {
+        grid: "ablation_search",
+        files: &["ablation_search.csv"],
+        call: |e| cells(e, &AblationSearch::default()),
+        digest: None,
+    },
+];
 
+fn fig2(engine: &BatchEngine) -> Pinned {
     let rows = benchmarking::fig2_rows(
-        &BatchEngine::new(),
-        &schedulers,
-        &generators,
+        engine,
+        &saga::schedulers::benchmark_schedulers(),
+        &saga::datasets::all_generators(),
         FIG2_INSTANCES,
         FIG2_SEED,
         ShardSpec::FULL,
@@ -98,53 +156,25 @@ fn fig2_matches_the_paper_pins() {
         None,
     )
     .expect("no checkpoint, so no write can fail");
-
     let bytes: Vec<u8> = rows
         .iter()
         .flatten()
         .flat_map(|row| row.as_ref().expect("the full shard computes every row"))
         .flat_map(|m| m.to_bits().to_le_bytes())
         .collect();
-    assert_eq!(
-        bytes.len(),
-        generators.len() * FIG2_INSTANCES * schedulers.len() * 8
-    );
-    let digest = fnv1a(&bytes);
-    assert_eq!(
-        digest, FIG2_ROWS_DIGEST,
-        "fig2 row digest moved: now {digest:#018x}"
-    );
-
-    let (max, median) = benchmarking::fig2_matrices(&rows, schedulers.len());
-    assert_eq!(
-        render::matrix_csv(&dataset_names, &sched_names, &max),
-        pin("fig2_max_ratios.csv"),
-        "fig2_max_ratios.csv differs from its pin"
-    );
-    assert_eq!(
-        render::matrix_csv(&dataset_names, &sched_names, &median),
-        pin("fig2_median_ratios.csv"),
-        "fig2_median_ratios.csv differs from its pin"
-    );
+    (benchmarking::fig2_output(&rows), Some(fnv1a(&bytes)))
 }
 
-#[test]
-fn fig4_matches_the_paper_pins() {
-    let schedulers = saga::schedulers::benchmark_schedulers();
-    let names: Vec<String> = schedulers.iter().map(|s| s.name().to_string()).collect();
-    let cells = pairwise_cells(
-        &schedulers,
-        PisaConfig {
-            seed: FIG4_SEED,
-            ..PisaConfig::default()
-        },
-    );
-    let results = BatchEngine::new()
-        .run_cells(&cells, None, None)
-        .expect("no checkpoint, so no write can fail");
-
-    let by_key: BTreeMap<String, _> = cells.iter().map(SearchCell::key).zip(&results).collect();
-    assert_eq!(by_key.len(), cells.len(), "cell keys are unique");
+/// A cell grid's output, and the digest of its results in key order.
+fn cells(engine: &BatchEngine, grid: &dyn CellGrid) -> Pinned {
+    let (results, output) = grid.run(engine);
+    let by_key: BTreeMap<String, &PisaResult> = grid
+        .cells()
+        .iter()
+        .map(SearchCell::key)
+        .zip(&results)
+        .collect();
+    assert_eq!(by_key.len(), results.len(), "cell keys are unique");
     let bytes: Vec<u8> = by_key
         .values()
         .flat_map(|r| {
@@ -156,24 +186,96 @@ fn fig4_matches_the_paper_pins() {
         })
         .flat_map(u64::to_le_bytes)
         .collect();
-    let digest = fnv1a(&bytes);
-    assert_eq!(
-        digest, FIG4_CELLS_DIGEST,
-        "fig4 cell digest moved: now {digest:#018x}"
-    );
+    (output, Some(fnv1a(&bytes)))
+}
 
-    let m = PairwiseMatrix::from_cell_results(names, results);
-    let (row_names, rows) = m.heatmap_rows();
-    assert_eq!(
-        render::matrix_csv(&row_names, &m.names, &rows),
-        pin("fig4_pairwise.csv"),
-        "fig4_pairwise.csv differs from its pin"
-    );
-    assert_eq!(
-        WitnessLibrary::from_matrix(&m).to_jsonl(),
-        pin("fig4_witnesses.jsonl"),
-        "fig4_witnesses.jsonl differs from its pin"
-    );
+fn pin_dir() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/paper")
+}
+
+fn pin(name: &str) -> String {
+    let path = pin_dir().join(name);
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read pin {}: {e}", path.display()))
+}
+
+/// Runs `grid`'s call and compares its files, and its digest, with the
+/// pins.
+fn check(grid: &str) {
+    let pin_row = PINS.iter().find(|p| p.grid == grid).expect("a row of PINS");
+    let (output, digest) = (pin_row.call)(&BatchEngine::new());
+    if let Some(want) = pin_row.digest {
+        let digest = digest.expect("the call computes a digest");
+        assert_eq!(digest, want, "{grid} digest moved: now {digest:#018x}");
+    }
+    let names: Vec<&str> = output.files.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(names, pin_row.files, "{grid} writes other files");
+    for (name, text) in &output.files {
+        // not assert_eq: a whole witness file in the failure message would
+        // bury the file name
+        assert!(*text == pin(name), "{name} ({grid}) differs from its pin");
+    }
+}
+
+#[test]
+fn fig2_matches_the_paper_pins() {
+    check("fig2");
+}
+
+#[test]
+fn fig4_matches_the_paper_pins() {
+    check("fig4");
+}
+
+#[test]
+fn app_pisa_genome_matches_the_paper_pins() {
+    check("app_pisa genome");
+}
+
+#[test]
+fn fig7_and_fig8_match_the_paper_pins() {
+    check("fig7");
+    check("fig8");
+}
+
+#[test]
+fn online_and_stochastic_eval_match_the_paper_pins() {
+    check("online_eval");
+    check("stochastic_eval");
+}
+
+#[test]
+fn metric_pisa_and_ablation_search_match_the_paper_pins() {
+    check("metric_pisa");
+    check("ablation_search");
+}
+
+#[test]
+fn only_the_other_workflows_app_pisa_csvs_are_left_to_ci() {
+    let listed: BTreeSet<&str> = PINS.iter().flat_map(|p| p.files.iter().copied()).collect();
+    let left: Vec<String> = std::fs::read_dir(pin_dir())
+        .expect("tests/paper exists")
+        .map(|entry| {
+            entry
+                .expect("a readable entry")
+                .file_name()
+                .into_string()
+                .expect("UTF-8")
+        })
+        .filter(|name| !listed.contains(name.as_str()))
+        .collect();
+    assert_eq!(left.len(), 40, "pins no row of PINS lists: {left:?}");
+    let other_workflows = saga::datasets::workflows::WORKFLOW_NAMES
+        .iter()
+        .filter(|&&wf| wf != "genome");
+    for wf in other_workflows {
+        let prefix = format!("app_pisa_{wf}_ccr");
+        assert_eq!(
+            left.iter().filter(|name| name.starts_with(&prefix)).count(),
+            5,
+            "{prefix}*.csv"
+        );
+    }
 }
 
 #[test]

@@ -30,9 +30,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga::core::{Instance, Network, NodeId, TaskGraph, TaskId};
 use saga::pisa::library::{WitnessLibrary, WitnessRecord};
-use saga::pisa::{cell_config, pairwise_cells, PisaConfig, PisaResult, SearchCell, ShardSpec};
+use saga::pisa::{PisaConfig, PisaResult, SearchCell, ShardSpec};
 use saga_experiments::benchmarking;
 use saga_experiments::engine::{BatchEngine, CellCheckpoint, RowCheckpoint};
+use saga_experiments::grids::{AppPisa, CellGrid, Fig4};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -422,8 +423,13 @@ fn written_lines(tag: &str, write: impl FnOnce(&std::path::Path)) -> Vec<String>
     text.lines().map(str::to_string).collect()
 }
 
+/// A hex word's `f64`: exactly 16 hex digits, as the encoders write them.
 fn from_hex_bits(s: &str) -> Option<f64> {
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
+    let digits = s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit());
+    u64::from_str_radix(s, 16)
+        .ok()
+        .filter(|_| digits)
+        .map(f64::from_bits)
 }
 
 /// A cell-checkpoint line's fields as the derived value-tree decoder reads
@@ -895,41 +901,24 @@ fn paper_checkpoints_decode_as_the_value_tree_does() {
             engine.run_cells(cells, None, Some(&ck)).unwrap();
         })
     };
-    let schedulers = saga::schedulers::benchmark_schedulers();
-    let fig4_config = PisaConfig {
-        i_max: 60,
+    let quick = |config: PisaConfig, i_max| PisaConfig {
+        i_max,
         restarts: 1,
-        seed: saga::pisa::FIG4_SEED,
-        ..PisaConfig::default()
+        ..config
     };
-    let fig4 = cell_run("fig4_cells", &pairwise_cells(&schedulers, fig4_config));
-    // every CCR, then every (baseline, target) pair, as `app_pisa` builds it
-    let app_config = PisaConfig {
-        i_max: 20,
-        restarts: 1,
-        seed: 0xA551,
-        ..PisaConfig::default()
+    let fig4 = Fig4 {
+        config: quick(Fig4::default().config, 60),
     };
-    let names: Vec<String> = saga::schedulers::app_specific_schedulers()
-        .iter()
-        .map(|s| s.name().to_string())
-        .collect();
-    let mut cells = Vec::new();
-    for ccr in saga::datasets::ccr::PAPER_CCRS {
-        for baseline in &names {
-            for target in names.iter().filter(|&t| t != baseline) {
-                let config = cell_config(app_config, cells.len() as u64);
-                cells.push(SearchCell::app("blast", ccr, target, baseline, config));
-            }
-        }
-    }
-    let blast = cell_run("blast_cells", &cells);
+    let fig4 = cell_run("fig4_cells", &fig4.cells());
+    let mut blast = AppPisa::new("blast");
+    blast.config = quick(blast.config, 20);
+    let blast = cell_run("blast_cells", &blast.cells());
     // `fig2`
     let fig2 = written_lines("fig2_rows", |path| {
         let ck = RowCheckpoint::open(path, false).unwrap();
         benchmarking::fig2_rows(
             &engine,
-            &schedulers,
+            &saga::schedulers::benchmark_schedulers(),
             &saga::datasets::all_generators(),
             benchmarking::FIG2_INSTANCES,
             benchmarking::FIG2_SEED,
@@ -1018,6 +1007,94 @@ fn well_formed_json_of_invalid_instances_is_an_error() {
     assert!(Instance::from_json(&deep).is_err());
     let cells = open_cells(deep.as_bytes(), "cell_deep");
     assert_eq!((cells.loaded(), cells.skipped()), (0, 1));
+}
+
+/// The `-0.0` finding's instance: links of `-0` decode, stored as `+0.0`,
+/// and every scheduler `by_name` knows gives it a schedule
+/// `Schedule::verify` accepts. A `-0.0` link used to divide into `-inf`,
+/// and 12 of the 15 benchmark schedulers then started `b` on the other node
+/// before `a` finished. The same holds for a `-0` speed.
+#[test]
+fn negative_zero_weights_decode_as_zero_and_schedule_validly() {
+    let found =
+        r#"{"speeds":[1,1],"links":[null,-0,-0,null],"tasks":[["a",1],["b",1]],"deps":[[0,1,1]]}"#;
+    let speed =
+        r#"{"speeds":[-0,1],"links":[null,1,1,null],"tasks":[["a",1],["b",1]],"deps":[[0,1,1]]}"#;
+    let roster: Vec<_> = saga::schedulers::benchmark_schedulers()
+        .into_iter()
+        .chain(saga::schedulers::exact_schedulers())
+        .chain(saga::schedulers::historical_schedulers())
+        .collect();
+    assert_eq!(roster.len(), 20);
+    for text in [found, speed] {
+        let bits = instance_decoders_agree(text).expect("a `-0` weight decodes");
+        assert!(
+            bits.0
+                .iter()
+                .chain(&bits.1)
+                .all(|&x| x != (-0.0f64).to_bits()),
+            "no `-0.0` weight is stored: {text}"
+        );
+        let inst = Instance::from_json(text).unwrap();
+        for s in &roster {
+            assert!(saga::schedulers::by_name(s.name()).is_some());
+            let schedule = s.schedule(&inst);
+            assert!(
+                schedule.verify(&inst).is_ok(),
+                "{}: {:?} on {text}",
+                s.name(),
+                schedule.verify(&inst)
+            );
+        }
+    }
+}
+
+/// A hex word is exactly the 16 hex digits the encoders write: a sign or a
+/// short word is a malformed line, not a float.
+#[test]
+fn hex_words_of_other_shapes_are_malformed() {
+    let row = |bits: &str| format!(r#"{{"key":"k","bits":"{bits}"}}"#);
+    assert_eq!(
+        row_decoders_agree(&row("3FF0000000000000 3ff0000000000000")),
+        Some(("k".to_string(), vec![1.0f64.to_bits(); 2]))
+    );
+    let cell = |ratio_bits: &str| {
+        PINNED_CELL_LINE.replace(
+            r#""ratio_bits":"7ff0000000000000""#,
+            &format!(r#""ratio_bits":"{ratio_bits}""#),
+        )
+    };
+    assert!(cell_decoders_agree(&cell("7ff0000000000000")).is_some());
+    for bad in [
+        "+3ff0000000000000",
+        "3ff0",
+        "03ff0000000000000",
+        "-3ff000000000000",
+        "3ff000000000000g",
+    ] {
+        assert_eq!(row_decoders_agree(&row(bad)), None, "{bad:?}");
+        assert_eq!(
+            row_decoders_agree(&row(&format!("3ff0000000000000 {bad}"))),
+            None,
+            "{bad:?}"
+        );
+        assert_eq!(cell_decoders_agree(&cell(bad)), None, "{bad:?}");
+    }
+}
+
+/// An evaluation count past `usize::MAX` is malformed, not saturated.
+#[test]
+fn evaluation_counts_past_usize_max_are_malformed() {
+    let line = |evaluations: &str| {
+        PINNED_CELL_LINE.replace(
+            r#""evaluations":1234"#,
+            &format!(r#""evaluations":{evaluations}"#),
+        )
+    };
+    assert!(cell_decoders_agree(&line("4294967295")).is_some());
+    for bad in ["18446744073709551616", "1e20", "-1", "1.5"] {
+        assert_eq!(cell_decoders_agree(&line(bad)), None, "{bad}");
+    }
 }
 
 /// A cell-checkpoint line and a witness line written by the encoders

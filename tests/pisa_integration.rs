@@ -2,9 +2,10 @@
 //! real schedulers, the pairwise driver, and the Section VII
 //! application-specific variant.
 
+use saga::core::Instance;
 use saga::pisa::annealer::{Pisa, PisaConfig};
 use saga::pisa::app_specific::AppSpecific;
-use saga::pisa::perturb::{initial_instance, GeneralPerturber};
+use saga::pisa::perturb::{initial_instance, GeneralPerturber, PerturbUndo};
 use saga::pisa::{pairwise_matrix, Perturber};
 use saga::schedulers::Scheduler;
 
@@ -117,4 +118,30 @@ fn perturber_composes_with_all_schedulers() {
                 .unwrap_or_else(|e| panic!("{} invalid at step {step}: {e}", s.name()));
         }
     }
+}
+
+/// A third-party perturber that breaks the `Some` contract of
+/// `Perturber::perturb_undoable`.
+struct NoUndo;
+
+impl Perturber for NoUndo {
+    fn perturb_undoable(
+        &self,
+        _: &mut Instance,
+        _: &mut rand::rngs::StdRng,
+    ) -> Option<PerturbUndo> {
+        None
+    }
+}
+
+#[test]
+#[should_panic(expected = "perturb_undoable must return Some")]
+fn a_perturber_without_an_undo_record_is_refused() {
+    let pisa = Pisa {
+        target: &saga::schedulers::Heft,
+        baseline: &saga::schedulers::Cpop,
+        perturber: &NoUndo,
+        config: quick(1),
+    };
+    pisa.run(&|rng| initial_instance(rng));
 }
