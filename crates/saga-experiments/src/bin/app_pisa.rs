@@ -24,7 +24,7 @@ use saga_experiments::grids::AppPisa;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let workflow = cli::positional(&args).unwrap_or("srasearch");
+    let workflow = cli::workflow_arg(&args, "srasearch", &["all"]);
     let workflows = match workflow {
         "all" => saga_datasets::workflows::WORKFLOW_NAMES.to_vec(),
         wf => vec![wf],

@@ -15,7 +15,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let d = OnlineEval::default();
     let grid = OnlineEval {
-        workflow: cli::positional(&args).unwrap_or(&d.workflow).to_string(),
+        workflow: cli::workflow_arg(&args, &d.workflow, &[]).to_string(),
         instances: cli::arg_or(&args, "instances", d.instances),
         seed: cli::seed_arg(&args, d.seed),
     };

@@ -18,7 +18,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let d = StochasticEval::default();
     let grid = StochasticEval {
-        workflow: cli::positional(&args).unwrap_or(&d.workflow).to_string(),
+        workflow: cli::workflow_arg(&args, &d.workflow, &[]).to_string(),
         cv: cli::arg_or(&args, "cv", d.cv),
         instances: cli::arg_or(&args, "instances", d.instances),
         samples: cli::arg_or(&args, "samples", d.samples),

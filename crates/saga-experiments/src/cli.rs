@@ -50,14 +50,18 @@ pub fn arg_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> 
 }
 
 /// The value following `--seed`, or `default` when the flag is absent. A
-/// seed is written as the binaries' docs write it: decimal, or hex after a
-/// `0x` prefix (`0xF164` and `61796` are the same seed).
+/// seed is written as the binaries' docs write it: decimal, or hex digits
+/// after a `0x` prefix (`0xF164` and `61796` are the same seed).
 fn try_seed_arg(args: &[String], default: u64) -> Result<u64, String> {
     let Some(v) = raw_value(args, "seed")? else {
         return Ok(default);
     };
     let seed = match v.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        // `from_str_radix` takes a leading sign, which a hex seed has not
+        Some(hex) if hex.bytes().all(|b| b.is_ascii_hexdigit()) => {
+            u64::from_str_radix(hex, 16).ok()
+        }
+        Some(_) => None,
         None => v.parse().ok(),
     };
     seed.ok_or_else(|| format!("--seed: cannot parse {v:?} (decimal or 0x-prefixed hex)"))
@@ -68,6 +72,32 @@ fn try_seed_arg(args: &[String], default: u64) -> Result<u64, String> {
 /// [`arg_or`].
 pub fn seed_arg(args: &[String], default: u64) -> u64 {
     try_seed_arg(args, default).unwrap_or_else(|e| usage_exit(&e))
+}
+
+/// `Ok` when `name` is one of [`WORKFLOW_NAMES`] or of `also`, else the
+/// usage error naming them all.
+///
+/// [`WORKFLOW_NAMES`]: saga_datasets::workflows::WORKFLOW_NAMES
+fn try_workflow(name: &str, also: &[&str]) -> Result<(), String> {
+    let names = saga_datasets::workflows::WORKFLOW_NAMES;
+    if names.contains(&name) || also.contains(&name) {
+        return Ok(());
+    }
+    let valid: Vec<&str> = names.iter().chain(also).copied().collect();
+    Err(format!(
+        "unknown workflow {name:?} (one of {})",
+        valid.join(", ")
+    ))
+}
+
+/// The positional workflow argument, or `default` when there is none. A
+/// name that is neither a workflow nor one of `also` exits 2 with a
+/// `fatal:` line naming the valid ones, before any grid runs or any
+/// checkpoint is opened.
+pub fn workflow_arg<'a>(args: &'a [String], default: &'a str, also: &[&str]) -> &'a str {
+    let name = positional(args).unwrap_or(default);
+    try_workflow(name, also).unwrap_or_else(|e| usage_exit(&e));
+    name
 }
 
 /// `config` with the budget flags of every annealing binary applied:
@@ -261,10 +291,30 @@ mod tests {
         assert_eq!(try_seed_arg(&hex, 1), Ok(0xF164));
         assert_eq!(try_seed_arg(&dec, 1), Ok(0xF164));
         assert_eq!(try_seed_arg(&v(&["prog"]), 7), Ok(7));
-        for bad in ["0xZZ", "0x"] {
+        for bad in ["0xZZ", "0x", "0x+F167", "0x-1"] {
             let e = try_seed_arg(&v(&["prog", "--seed", bad]), 1).unwrap_err();
             assert!(e.starts_with("--seed") && e.contains(bad), "{e}");
         }
+    }
+
+    #[test]
+    fn unknown_workflows_are_usage_errors() {
+        assert_eq!(try_workflow("blast", &[]), Ok(()));
+        assert_eq!(try_workflow("all", &["all"]), Ok(()));
+        for (bad, also) in [
+            ("nosuch", &["all"][..]),
+            ("all", &[]),
+            ("", &[]),
+            ("Blast", &[]),
+        ] {
+            let e = try_workflow(bad, also).unwrap_err();
+            assert!(e.starts_with(&format!("unknown workflow {bad:?}")), "{e}");
+            assert!(e.contains("blast, bwa") && e.contains("srasearch"), "{e}");
+            assert_eq!(e.ends_with(", all)"), !also.is_empty(), "{e}");
+        }
+        let args = v(&["prog", "--imax", "2", "montage"]);
+        assert_eq!(workflow_arg(&args, "blast", &[]), "montage");
+        assert_eq!(workflow_arg(&v(&["prog"]), "blast", &[]), "blast");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::ablation::Strategy;
 use crate::makespan_ratio;
-use crate::perturb::Perturber;
+use crate::perturb::{PerturbUndo, Perturber};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext};
@@ -61,8 +61,10 @@ pub struct PisaResult {
     /// Ratio of the initial instance of the best restart (for "how much did
     /// annealing help" diagnostics).
     pub initial_ratio: f64,
-    /// Candidate evaluations performed by the winning restart (initial
-    /// evaluation included).
+    /// Annealing steps of the winning restart, its initial evaluation
+    /// included: the length of its cooling schedule plus one. Steps whose
+    /// outcome was already decided count too, though they skip the
+    /// objective (see [`maximize_in`]).
     pub evaluations: usize,
 }
 
@@ -158,8 +160,9 @@ impl Pisa<'_> {
         makespan_ratio(a, b)
     }
 
-    /// Runs all restarts from initial instances produced by `init` and
-    /// returns the best result.
+    /// Runs the restarts from initial instances produced by `init` and
+    /// returns the best result (none runs after one reaches +∞; see
+    /// [`maximize_in`]).
     ///
     /// Acceptance follows the standard Metropolis rule for
     /// maximization, `exp(-(r_cur - r') / T)` — see DESIGN.md for why the
@@ -220,6 +223,13 @@ impl Pisa<'_> {
 /// [`DirtyRegion::full`]) — incremental objectives like
 /// [`Pisa::ratio_incremental`] reuse their recorded runs through it, and
 /// plain objectives simply ignore it.
+///
+/// The objective must be a pure function of the instance: the search
+/// skips calls whose result it already knows. A step that leaves the
+/// instance unchanged ([`PerturbUndo::Nothing`]) takes the current
+/// instance's ratio, and once a restart's best is +∞ its remaining steps
+/// and all later restarts are skipped, since only a strictly larger ratio
+/// replaces a best. The result is the same as evaluating every step.
 pub fn maximize_in(
     objective: &mut dyn FnMut(&Instance, &DirtyRegion) -> f64,
     perturber: &dyn Perturber,
@@ -240,8 +250,9 @@ pub fn maximize_in(
 /// [`maximize_in`] under `strategy`'s acceptance rule: the restart loop.
 /// Restart `k` seeds its RNG with `seed + k`, draws a start from `init`
 /// and runs [`run_annealing`]. Strictly better ratios win (ties keep the
-/// earlier restart); the winner's instance is kept in
-/// `scratch.best_overall` and cloned out exactly once.
+/// earlier restart), so no restart runs after one reaches +∞; the
+/// winner's instance is kept in `scratch.best_overall` and cloned out
+/// exactly once.
 pub(crate) fn maximize_with(
     strategy: Strategy,
     objective: &mut dyn FnMut(&Instance, &DirtyRegion) -> f64,
@@ -252,6 +263,9 @@ pub(crate) fn maximize_with(
 ) -> PisaResult {
     let mut best: Option<(f64, f64, usize)> = None;
     for k in 0..config.restarts {
+        if best.is_some_and(|(best_ratio, _, _)| best_ratio == f64::INFINITY) {
+            break;
+        }
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(k as u64));
         let start = init(&mut rng);
         let run = run_annealing(
@@ -282,8 +296,14 @@ pub(crate) fn maximize_with(
 /// at all. A step that beats the run's best is always kept; any other goes
 /// to `strategy`'s acceptance rule. Every strategy cools on the same
 /// schedule, so all stop after the same number of steps. Returns
-/// `(best ratio, initial ratio, evaluations)`; the best instance is left
-/// in `scratch.best`.
+/// `(best ratio, initial ratio, steps)`, the initial evaluation counted as
+/// a step; the best instance is left in `scratch.best`.
+///
+/// Two kinds of step skip the objective, since their outcome is already
+/// decided. Once the best is +∞ no ratio can beat it (a step must be
+/// strictly better), so the rest of the schedule is only counted. A step
+/// whose perturbation left the instance unchanged ([`PerturbUndo::Nothing`])
+/// scores `cur_ratio`, the objective's value on that same instance.
 fn run_annealing(
     objective: &mut dyn FnMut(&Instance, &DirtyRegion) -> f64,
     perturber: &dyn Perturber,
@@ -294,7 +314,6 @@ fn run_annealing(
     scratch: &mut AnnealScratch,
 ) -> (f64, f64, usize) {
     let initial_ratio = objective(start, &DirtyRegion::full());
-    let mut evaluations = 1;
     fill(&mut scratch.current, start);
     fill(&mut scratch.best, start);
     let current = scratch.current.as_mut().expect("filled above");
@@ -306,53 +325,56 @@ fn run_annealing(
     // exactly the accepted state), the perturbation's own dirty region
     // after a rejection (the traces describe the rejected candidate, one
     // perturbation away from `current`, and a revert dirties what the
-    // perturbation did).
+    // perturbation did). A step that skips the objective leaves it as it
+    // was: the traces still describe the last evaluated instance.
     let mut pending = DirtyRegion::clean();
 
     let mut t = config.t_max;
     let mut iter = 0;
     while t > config.t_min && iter < config.i_max {
-        // perturb the current instance in place and revert on rejection:
-        // no per-iteration instance copy, and the revert is bitwise
-        let undo = perturber
-            .perturb_undoable(current, rng)
-            .expect(UNDO_CONTRACT);
-        let mut dirty = undo.dirty_region();
-        dirty.merge(&pending);
-        let r = objective(current, &dirty);
-        evaluations += 1;
-        pending = DirtyRegion::clean();
-        if r > best_ratio {
-            best.clone_from(current);
-            best_ratio = r;
-            cur_ratio = r;
-        } else if strategy.accepts(cur_ratio, r, t, rng) {
-            cur_ratio = r;
-        } else {
-            undo.revert(current);
-            pending = undo.dirty_region();
+        if best_ratio < f64::INFINITY {
+            // perturb the current instance in place and revert on
+            // rejection: no per-iteration instance copy, and the revert is
+            // bitwise
+            let undo = perturber
+                .perturb_undoable(current, rng)
+                .expect(UNDO_CONTRACT);
+            let r = if let PerturbUndo::Nothing = undo {
+                cur_ratio
+            } else {
+                let mut dirty = undo.dirty_region();
+                dirty.merge(&pending);
+                pending = DirtyRegion::clean();
+                objective(current, &dirty)
+            };
+            if r > best_ratio {
+                best.clone_from(current);
+                best_ratio = r;
+                cur_ratio = r;
+            } else if strategy.accepts(cur_ratio, r, t, rng) {
+                cur_ratio = r;
+            } else {
+                undo.revert(current);
+                pending.merge(&undo.dirty_region());
+            }
         }
         t *= config.alpha;
         iter += 1;
     }
-    (best_ratio, initial_ratio, evaluations)
+    (best_ratio, initial_ratio, iter + 1)
 }
 
 /// The panic message for a [`Perturber`] that breaks its contract.
 const UNDO_CONTRACT: &str =
     "Perturber::perturb_undoable must return Some: the search reverts rejected steps through it";
 
-/// Metropolis acceptance for a maximization over ratios; handles the
-/// infinite ratios that zero-weight instances produce.
+/// Metropolis acceptance for a maximization over ratios. No infinite ratio
+/// reaches it from the annealer: an infinite candidate beats any finite
+/// best, and once the best is +∞ the run stops stepping. Called with an
+/// infinite `cur` anyway, it still never steps down, since `exp(-∞)` is 0.
 pub(crate) fn accept(cur: f64, candidate: f64, t: f64, rng: &mut StdRng) -> bool {
     if candidate >= cur {
         return true;
-    }
-    if candidate.is_infinite() {
-        return true; // cur must be infinite too (>= case), defensive
-    }
-    if cur.is_infinite() {
-        return false; // never step down from an unbounded ratio
     }
     let p = (-(cur - candidate) / t).exp();
     rng.gen::<f64>() < p

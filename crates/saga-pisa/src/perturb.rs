@@ -32,7 +32,9 @@ pub trait Perturber: Send + Sync {
 /// *bitwise*, including adjacency-list order.
 #[derive(Debug, Clone, Copy)]
 pub enum PerturbUndo {
-    /// No operator was applicable; the instance is unchanged.
+    /// The instance is unchanged: no operator was applicable, or a weight
+    /// nudge clamped back to the weight's own bits. The annealer scores
+    /// such a step without calling its objective.
     Nothing,
     /// A node speed was nudged; holds the node and its previous speed.
     NodeWeight(NodeId, f64),
@@ -230,9 +232,12 @@ impl GeneralPerturber {
     }
 
     /// Applies `op` if applicable, returning how to revert it (`None` when
-    /// the operator cannot apply). The single source of truth for operator
-    /// semantics — the plain and undoable perturbation paths both run this,
-    /// so their mutations and RNG consumption cannot diverge.
+    /// the operator cannot apply, [`PerturbUndo::Nothing`] when a nudge
+    /// clamped the weight back to its own bits: the step is taken, with
+    /// the same draws, and does not fall through). The single source of
+    /// truth for operator semantics — the plain and undoable perturbation
+    /// paths both run this, so their mutations and RNG consumption cannot
+    /// diverge.
     fn apply_undoable(&self, op: Op, inst: &mut Instance, rng: &mut StdRng) -> Option<PerturbUndo> {
         match op {
             Op::NodeWeight => {
@@ -244,7 +249,11 @@ impl GeneralPerturber {
                 let old = inst.network.speed(v);
                 let w = self.node_range.nudge(rng, old);
                 inst.network.set_speed(v, w);
-                Some(PerturbUndo::NodeWeight(v, old))
+                Some(nudged(
+                    old,
+                    inst.network.speed(v),
+                    PerturbUndo::NodeWeight(v, old),
+                ))
             }
             Op::EdgeWeight => {
                 let n = inst.network.node_count();
@@ -264,7 +273,11 @@ impl GeneralPerturber {
                     return None;
                 }
                 inst.network.set_link(u, v, self.link_range.nudge(rng, cur));
-                Some(PerturbUndo::EdgeWeight(u, v, cur))
+                Some(nudged(
+                    cur,
+                    inst.network.link(u, v),
+                    PerturbUndo::EdgeWeight(u, v, cur),
+                ))
             }
             Op::TaskWeight => {
                 let n = inst.graph.task_count();
@@ -275,7 +288,7 @@ impl GeneralPerturber {
                 let old = inst.graph.cost(t);
                 let w = self.task_range.nudge(rng, old);
                 inst.graph.set_cost(t, w).expect("in-range cost");
-                Some(PerturbUndo::TaskWeight(t, old))
+                Some(nudged(old, w, PerturbUndo::TaskWeight(t, old)))
             }
             Op::DepWeight => {
                 let n = inst.graph.dependency_count();
@@ -290,7 +303,7 @@ impl GeneralPerturber {
                 inst.graph
                     .set_dependency_cost(a, b, w)
                     .expect("in-range cost");
-                Some(PerturbUndo::DepWeight(a, b, cur))
+                Some(nudged(cur, w, PerturbUndo::DepWeight(a, b, cur)))
             }
             Op::AddDep => {
                 let n = inst.graph.task_count();
@@ -358,6 +371,18 @@ impl GeneralPerturber {
 impl Perturber for GeneralPerturber {
     fn perturb_undoable(&self, inst: &mut Instance, rng: &mut StdRng) -> Option<PerturbUndo> {
         Some(self.step(inst, rng))
+    }
+}
+
+/// `undo`, or [`PerturbUndo::Nothing`] when the nudged weight was stored
+/// with the `old` weight's bits (a nudge clamped to the bound it sat on).
+/// The graph stores a cost as given; the network stores `-0.0` as `+0.0`,
+/// so its callers pass the weight read back.
+fn nudged(old: f64, stored: f64, undo: PerturbUndo) -> PerturbUndo {
+    if stored.to_bits() == old.to_bits() {
+        PerturbUndo::Nothing
+    } else {
+        undo
     }
 }
 
@@ -553,6 +578,55 @@ mod tests {
             let c = inst.graph.cost(t);
             assert!((5.0..=600.0).contains(&c), "cost {c}");
         }
+    }
+
+    #[test]
+    fn a_clamped_nudge_is_nothing_after_the_same_draws() {
+        use saga_core::{Network, TaskGraph};
+        // every task cost sits on the range's top bound, so a task nudge
+        // up clamps back to it; node nudges never clamp from 0.5
+        let p = GeneralPerturber {
+            edge_weights: false,
+            dependency_weights: false,
+            add_dependency: false,
+            remove_dependency: false,
+            ..GeneralPerturber::default()
+        };
+        let net = Network::complete(&[0.5, 0.5], 0.5);
+        let mut inst = Instance::new(net, TaskGraph::chain(&[1.0; 3], &[0.5; 2]));
+        let before = inst.to_json();
+        let mut clamped = 0;
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut mirror = rng.clone();
+            let undo = p.perturb_undoable(&mut inst, &mut rng).unwrap();
+            // the draws of a step: the operator (node, task), then its
+            // target and its nudge
+            let task_op = mirror.gen_range(0..2usize) == 1;
+            let target = mirror.gen_range(0..if task_op { 3u32 } else { 2 });
+            let w =
+                (if task_op { 1.0 } else { 0.5 } + mirror.gen_range(-0.1..=0.1f64)).clamp(0.0, 1.0);
+            assert_eq!(rng.gen::<u64>(), mirror.gen::<u64>(), "seed {seed}");
+            match undo {
+                PerturbUndo::Nothing => {
+                    assert!(task_op && w == 1.0, "seed {seed}");
+                    // no fall-through to the node operator
+                    assert_eq!(inst.to_json(), before, "seed {seed}");
+                    clamped += 1;
+                }
+                PerturbUndo::TaskWeight(t, old) => {
+                    assert!(task_op && w < 1.0 && old == 1.0, "seed {seed}");
+                    assert_eq!((t.0, inst.graph.cost(t)), (target, w));
+                }
+                PerturbUndo::NodeWeight(v, old) => {
+                    assert!(!task_op && old == 0.5, "seed {seed}");
+                    assert_eq!((v.0, inst.network.speed(v)), (target, w));
+                }
+                other => panic!("seed {seed}: {other:?}"),
+            }
+            undo.revert(&mut inst);
+        }
+        assert!(clamped > 20, "{clamped} clamped nudges in 200 steps");
     }
 
     #[test]
