@@ -8,6 +8,20 @@
 
 use crate::{GraphError, TaskId};
 
+/// The one rule for a task or dependency cost, the network's weight rule
+/// (`network.rs`) with infinity refused too: finite and
+/// non-negative, or [`GraphError::InvalidCost`]. `-0.0` passes `>= 0.0`
+/// and is stored as `+0.0`, the zero it means, so no cost carries a sign
+/// that a later division could turn into `-inf`.
+fn checked_cost(cost: f64) -> Result<f64, GraphError> {
+    if cost.is_finite() && cost >= 0.0 {
+        // `-0.0 + 0.0` is `+0.0`; every other accepted value is unchanged
+        Ok(cost + 0.0)
+    } else {
+        Err(GraphError::InvalidCost { value: cost })
+    }
+}
+
 /// A weighted dependency edge.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DepEdge {
@@ -92,8 +106,8 @@ impl TaskGraph {
     /// Adds a task with compute cost `cost` and returns its id.
     ///
     /// # Panics
-    /// Panics if `cost` is negative or NaN; use [`TaskGraph::try_add_task`]
-    /// for a fallible variant.
+    /// Panics if `cost` is negative, infinite or NaN; use
+    /// [`TaskGraph::try_add_task`] for a fallible variant.
     pub fn add_task(&mut self, name: impl Into<String>, cost: f64) -> TaskId {
         self.try_add_task(name, cost).expect("invalid task cost")
     }
@@ -104,9 +118,7 @@ impl TaskGraph {
         name: impl Into<String>,
         cost: f64,
     ) -> Result<TaskId, GraphError> {
-        if !cost.is_finite() || cost < 0.0 {
-            return Err(GraphError::InvalidCost { value: cost });
-        }
+        let cost = checked_cost(cost)?;
         let id = TaskId(self.names.len() as u32);
         self.names.push(name.into());
         self.costs.push(cost);
@@ -145,9 +157,7 @@ impl TaskGraph {
 
     /// Sets the compute cost `c(t)`.
     pub fn set_cost(&mut self, t: TaskId, cost: f64) -> Result<(), GraphError> {
-        if !cost.is_finite() || cost < 0.0 {
-            return Err(GraphError::InvalidCost { value: cost });
-        }
+        let cost = checked_cost(cost)?;
         if t.index() >= self.costs.len() {
             return Err(GraphError::NoSuchTask { task: t });
         }
@@ -190,9 +200,7 @@ impl TaskGraph {
         to: TaskId,
         cost: f64,
     ) -> Result<(), GraphError> {
-        if !cost.is_finite() || cost < 0.0 {
-            return Err(GraphError::InvalidCost { value: cost });
-        }
+        let cost = checked_cost(cost)?;
         if from == to {
             return Err(GraphError::SelfLoop { task: from });
         }
@@ -249,7 +257,8 @@ impl TaskGraph {
     /// re-inserts the edge and swaps it back to its recorded positions, so
     /// the adjacency lists are bitwise identical to before the removal
     /// (`swap_remove` moved the last element into the hole; pushing and
-    /// swapping back inverts that exactly).
+    /// swapping back inverts that exactly). `cost` is stored as given, not
+    /// through the cost rule: it is the removed edge's own bits.
     ///
     /// # Panics
     /// Panics if the recorded positions are out of range for the lists'
@@ -305,9 +314,7 @@ impl TaskGraph {
         to: TaskId,
         cost: f64,
     ) -> Result<(), GraphError> {
-        if !cost.is_finite() || cost < 0.0 {
-            return Err(GraphError::InvalidCost { value: cost });
-        }
+        let cost = checked_cost(cost)?;
         let Some(e) = self.succs[from.index()].iter_mut().find(|e| e.task == to) else {
             return Err(GraphError::NoSuchDependency { from, to });
         };
@@ -517,6 +524,72 @@ mod tests {
         assert_eq!(g.add_dependency(a, b, 1.0), Ok(()));
         assert!(g.set_dependency_cost(a, b, -3.0).is_err());
         assert!(g.set_cost(a, f64::NAN).is_err());
+    }
+
+    /// The costs every entry point must refuse, with `InvalidCost`.
+    const BAD_COSTS: [f64; 5] = [
+        -1.0,
+        -f64::MIN_POSITIVE,
+        f64::NEG_INFINITY,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+
+    /// Whether `r` is the `InvalidCost` error for `bad` (compared by
+    /// bits, so NaN matches itself).
+    fn refused(r: Result<(), GraphError>, bad: f64) -> bool {
+        matches!(r, Err(GraphError::InvalidCost { value }) if value.to_bits() == bad.to_bits())
+    }
+
+    #[test]
+    fn try_add_task_refuses_bad_costs_and_stores_negative_zero_as_zero() {
+        let mut g = TaskGraph::new();
+        for bad in BAD_COSTS {
+            assert!(refused(g.try_add_task("x", bad).map(drop), bad));
+        }
+        assert_eq!(g.task_count(), 0, "a refused task is not added");
+        let t = g.try_add_task("z", -0.0).unwrap();
+        assert_eq!(g.cost(t).to_bits(), 0);
+    }
+
+    #[test]
+    fn set_cost_refuses_bad_costs_and_stores_negative_zero_as_zero() {
+        let (mut g, [a, ..]) = diamond();
+        let before = g.cost(a).to_bits();
+        for bad in BAD_COSTS {
+            assert!(refused(g.set_cost(a, bad), bad));
+            assert_eq!(g.cost(a).to_bits(), before, "a refused cost is not stored");
+        }
+        g.set_cost(a, -0.0).unwrap();
+        assert_eq!(g.cost(a).to_bits(), 0);
+    }
+
+    #[test]
+    fn add_dependency_refuses_bad_costs_and_stores_negative_zero_as_zero() {
+        let mut g = TaskGraph::new();
+        let a = g.add_task("a", 1.0);
+        let b = g.add_task("b", 1.0);
+        for bad in BAD_COSTS {
+            assert!(refused(g.add_dependency(a, b, bad), bad));
+            assert_eq!(g.dependency_count(), 0, "a refused edge is not added");
+        }
+        g.add_dependency(a, b, -0.0).unwrap();
+        assert_eq!(g.dependency_cost(a, b).map(f64::to_bits), Some(0));
+        assert_eq!(g.predecessors(b)[0].cost.to_bits(), 0);
+    }
+
+    #[test]
+    fn set_dependency_cost_refuses_bad_costs_and_stores_negative_zero_as_zero() {
+        let (mut g, [a, b, ..]) = diamond();
+        let before = g.dependency_cost(a, b).map(f64::to_bits);
+        for bad in BAD_COSTS {
+            assert!(refused(g.set_dependency_cost(a, b, bad), bad));
+            assert_eq!(g.dependency_cost(a, b).map(f64::to_bits), before);
+        }
+        g.set_dependency_cost(a, b, -0.0).unwrap();
+        assert_eq!(g.dependency_cost(a, b).map(f64::to_bits), Some(0));
+        let pred = g.predecessors(b).iter().find(|e| e.task == a).unwrap();
+        assert_eq!(pred.cost.to_bits(), 0);
     }
 
     #[test]

@@ -331,6 +331,10 @@ pub struct SchedContext {
     avg_exec: Vec<f64>,
     /// Mean inverse link strength (the average-communication multiplier).
     inv_link: f64,
+    /// The one strength of every off-diagonal link, when they all have the
+    /// same bits (`+inf` on a one-node network); `None` selects the general
+    /// data-ready fold.
+    uniform_link: Option<f64>,
     /// Mean inverse node speed (cached so speed-preserving rebuilds skip
     /// the divisions).
     inv_speed: f64,
@@ -658,7 +662,7 @@ impl SchedContext {
         if !links_same {
             self.links.clear();
             self.links.extend_from_slice(net.links());
-            self.inv_link = net.mean_inverse_link();
+            (self.inv_link, self.uniform_link) = crate::network::link_pass(&self.links, nv);
         }
         if !speeds_same {
             self.speed_snap.clear();
@@ -978,6 +982,15 @@ impl SchedContext {
         &self.links[u.index() * self.n_nodes..][..self.n_nodes]
     }
 
+    /// The one strength of every link, if all links have the same bits
+    /// (`+inf` on a one-node network, which has none): the networks on
+    /// which [`data_ready_times_into`](Self::data_ready_times_into) takes
+    /// its O(preds + nodes) fold.
+    #[inline]
+    pub fn uniform_link(&self) -> Option<f64> {
+        self.uniform_link
+    }
+
     /// The fastest node (lowest id on ties), cached at reset.
     #[inline]
     pub fn fastest_node(&self) -> NodeId {
@@ -1096,8 +1109,15 @@ impl SchedContext {
     /// loads each `finish`/`node_of`/link row once instead of once per node;
     /// per node the arrivals fold in the same predecessor order, so the
     /// results are bit-identical to the per-node query.
+    ///
+    /// On a network whose links all have one strength the row costs
+    /// O(preds + nodes) instead (see `data_ready_times_uniform`).
     pub fn data_ready_times_into(&self, t: TaskId, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.n_nodes);
+        if let Some(link) = self.uniform_link {
+            self.data_ready_times_uniform(t, link, out);
+            return;
+        }
         out.fill(0.0);
         let (s, e) = self.pred_range(t);
         for i in s..e {
@@ -1127,6 +1147,53 @@ impl SchedContext {
             let row = &self.links[pn * self.n_nodes..][..self.n_nodes];
             fold_arrivals(out, row, f, cost);
             out[pn] = keep.max(f);
+        }
+    }
+
+    /// [`data_ready_times_into`](Self::data_ready_times_into) when every
+    /// link has strength `link`. A predecessor's data reaches every node
+    /// but its own at the same time, its remote arrival `f + cost / link`
+    /// (`f` for an empty message), and its own node at its finish `f`. So
+    /// every node gets the best remote arrival `b1`, except the node `b1`
+    /// came from, which gets the best remote arrival from any other node;
+    /// then each node hosting predecessors is raised to their finishes.
+    /// That is the same set of values per node as the general fold's, and
+    /// `max` of non-NaN values that are never `-0.0` is exact in any order,
+    /// so the row is bit-identical.
+    fn data_ready_times_uniform(&self, t: TaskId, link: f64, out: &mut [f64]) {
+        let (s, e) = self.pred_range(t);
+        // best remote arrival, its node (`usize::MAX`: none above 0 yet),
+        // and the best remote arrival from any other node
+        let (mut b1, mut n1, mut b2) = (0.0f64, usize::MAX, 0.0f64);
+        for i in s..e {
+            let p = self.pred_task[i].index();
+            debug_assert!(
+                self.is_placed(self.pred_task[i]),
+                "predecessor {} unplaced",
+                self.pred_task[i]
+            );
+            let f = self.finish[p];
+            let cost = self.pred_cost[i];
+            let r = if cost == 0.0 { f } else { f + cost / link };
+            let pn = self.node_of[p].index();
+            if r > b1 {
+                if pn != n1 {
+                    b2 = b1;
+                    n1 = pn;
+                }
+                b1 = r;
+            } else if pn != n1 {
+                b2 = b2.max(r);
+            }
+        }
+        out.fill(b1);
+        if let Some(own) = out.get_mut(n1) {
+            *own = b2;
+        }
+        for i in s..e {
+            let p = self.pred_task[i].index();
+            let pn = self.node_of[p].index();
+            out[pn] = out[pn].max(self.finish[p]);
         }
     }
 

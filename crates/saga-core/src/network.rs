@@ -52,6 +52,49 @@ fn weights(xs: &mut [f64]) -> Result<(), NetworkError> {
     Ok(())
 }
 
+/// One walk over the off-diagonal entries of the `n x n` row-major link
+/// matrix `links`, in row-major order: the mean of `1 / s(u, v)` over
+/// ordered pairs `u != v` ([`Network::mean_inverse_link`]; 0 for `n <= 1`)
+/// and the one strength every off-diagonal entry holds, if they all have
+/// the same bits (`None` otherwise; `+inf` for `n <= 1`, which has no
+/// links, so any strength describes it). The diagonal is never read.
+///
+/// The mean is the plain sequential sum of the per-entry inverses; an
+/// entry with the bits of the one before it reuses that entry's inverse
+/// instead of dividing again, which gives the same summands. So a run of
+/// equal strengths (every row of a CCR-homogenized network, the tiers of
+/// an IoT network) costs one division, and the first change of bits is
+/// also where uniformity fails.
+pub(crate) fn link_pass(links: &[f64], n: usize) -> (f64, Option<f64>) {
+    if n <= 1 {
+        return (0.0, Some(f64::INFINITY));
+    }
+    let inverse = |s: f64| {
+        if s == 0.0 {
+            f64::INFINITY
+        } else if s.is_infinite() {
+            0.0
+        } else {
+            1.0 / s
+        }
+    };
+    let first = links[1];
+    let (mut bits, mut inv) = (first.to_bits(), inverse(first));
+    let mut uniform = true;
+    let mut total = 0.0;
+    for (i, row) in links[..n * n].chunks_exact(n).enumerate() {
+        for &s in row[..i].iter().chain(&row[i + 1..]) {
+            if s.to_bits() != bits {
+                bits = s.to_bits();
+                inv = inverse(s);
+                uniform = false;
+            }
+            total += inv;
+        }
+    }
+    (total / (n * (n - 1)) as f64, uniform.then_some(first))
+}
+
 /// A complete weighted network of compute nodes.
 ///
 /// Link strengths are stored as a dense row-major `n x n` symmetric matrix;
@@ -226,26 +269,7 @@ impl Network {
     /// size into an average communication time. Returns 0 for a single-node
     /// network (all communication is local).
     pub fn mean_inverse_link(&self) -> f64 {
-        let n = self.speeds.len();
-        if n <= 1 {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    let s = self.links[i * n + j];
-                    total += if s == 0.0 {
-                        f64::INFINITY
-                    } else if s.is_infinite() {
-                        0.0
-                    } else {
-                        1.0 / s
-                    };
-                }
-            }
-        }
-        total / (n * (n - 1)) as f64
+        link_pass(&self.links, self.speeds.len()).0
     }
 
     /// All node speeds as a slice.
@@ -338,6 +362,102 @@ mod tests {
         assert_eq!(m.mean_inverse_link(), 0.0);
         // single-node network has no links
         assert_eq!(Network::complete(&[1.0], 1.0).mean_inverse_link(), 0.0);
+    }
+
+    /// The mean inverse link as a per-entry loop computed it before
+    /// [`link_pass`]: one division per off-diagonal entry, summed in
+    /// row-major order.
+    fn mean_inverse_link_per_entry(links: &[f64], n: usize) -> f64 {
+        if n <= 1 {
+            return 0.0;
+        }
+        let mut total = 0.0;
+        for i in 0..n {
+            for j in 0..n {
+                if i != j {
+                    let s = links[i * n + j];
+                    total += if s == 0.0 {
+                        f64::INFINITY
+                    } else if s.is_infinite() {
+                        0.0
+                    } else {
+                        1.0 / s
+                    };
+                }
+            }
+        }
+        total / (n * (n - 1)) as f64
+    }
+
+    #[test]
+    fn link_pass_matches_the_per_entry_loop_on_runs_zeros_and_infinities() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x11AC);
+        let palette = [0.0, f64::INFINITY, 0.3, 1.7, 1e-300, 0.1];
+        for case in 0..400 {
+            let n = 1 + case % 13;
+            // runs: each entry repeats the one before it with probability
+            // `stay`, else draws from the palette or at random
+            let stay = [0.0, 0.5, 0.95][case % 3];
+            let mut links = Vec::with_capacity(n * n);
+            let mut cur = 1.0;
+            for _ in 0..n * n {
+                if !rng.gen_bool(stay) {
+                    cur = if rng.gen_bool(0.5) {
+                        palette[rng.gen_range(0..palette.len())]
+                    } else {
+                        rng.gen_range(0.0..4.0)
+                    };
+                }
+                links.push(cur);
+            }
+            let (mean, uniform) = link_pass(&links, n);
+            assert_eq!(
+                mean.to_bits(),
+                mean_inverse_link_per_entry(&links, n).to_bits(),
+                "case {case}: {links:?}"
+            );
+            let off: Vec<u64> = (0..n * n)
+                .filter(|k| k / n != k % n)
+                .map(|k| links[k].to_bits())
+                .collect();
+            let all_same = off.windows(2).all(|w| w[0] == w[1]);
+            assert_eq!(
+                uniform.map(f64::to_bits),
+                match off.first() {
+                    None => Some(f64::INFINITY.to_bits()),
+                    Some(&first) => all_same.then_some(first),
+                },
+                "case {case}: {links:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn link_pass_ignores_the_diagonal_and_sees_one_differing_link() {
+        for n in 2..7 {
+            for strength in [0.5, 0.0, f64::INFINITY] {
+                let mut links = vec![strength; n * n];
+                for i in 0..n {
+                    // the diagonal holds anything: it is never read
+                    links[i * n + i] = [7.0, f64::NAN, 0.0][i % 3];
+                }
+                let (_, uniform) = link_pass(&links, n);
+                assert_eq!(uniform.map(f64::to_bits), Some(strength.to_bits()));
+                for (i, j) in [(0, 1), (n - 1, 0), (n / 2, n - 1 - n / 2)] {
+                    if i == j {
+                        continue;
+                    }
+                    let mut one_off = links.clone();
+                    one_off[i * n + j] = 0.25;
+                    assert_eq!(link_pass(&one_off, n).1, None, "n {n}: ({i}, {j})");
+                }
+            }
+        }
+        // a single node has no links; two nodes have two, one pair
+        assert_eq!(link_pass(&[f64::NAN], 1), (0.0, Some(f64::INFINITY)));
+        let net = Network::complete(&[1.0, 2.0], 0.25);
+        assert_eq!(link_pass(net.links(), 2), (4.0, Some(0.25)));
     }
 
     #[test]

@@ -30,6 +30,7 @@ use serde::Serialize;
 use serde_json::{required, Reader};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::{self, Write};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -202,7 +203,11 @@ impl Record for Vec<f64> {
 /// seed, so changing `--imax`/`--restarts`/`--seed` makes old lines
 /// unmatchable rather than silently wrong.
 pub struct Checkpoint<R> {
-    done: BTreeMap<String, R>,
+    /// Each loaded record not yet handed over by [`take`](Self::take),
+    /// with the byte span of its line in the file as opened (what `open`
+    /// compares a repeated key's line against).
+    done: Mutex<BTreeMap<String, (R, Range<usize>)>>,
+    loaded: usize,
     file: Mutex<std::fs::File>,
     skipped: usize,
 }
@@ -237,7 +242,7 @@ impl<R: Record> Checkpoint<R> {
         } else {
             Vec::new()
         };
-        let mut done: BTreeMap<String, (R, &str)> = BTreeMap::new();
+        let mut done: BTreeMap<String, (R, Range<usize>)> = BTreeMap::new();
         let mut skipped = 0usize;
         for (lineno, line) in lines(&bytes) {
             let Some(line) = line else {
@@ -251,10 +256,12 @@ impl<R: Record> Checkpoint<R> {
             match R::decode(line) {
                 Ok((key, value)) => match done.entry(key) {
                     Entry::Vacant(slot) => {
-                        slot.insert((value, line));
+                        // `line` is a slice of `bytes`
+                        let start = line.as_ptr() as usize - bytes.as_ptr() as usize;
+                        slot.insert((value, start..start + line.len()));
                     }
                     // a byte-identical repeat (a doubled append) is harmless
-                    Entry::Occupied(first) if first.get().1 == line => {}
+                    Entry::Occupied(first) if bytes[first.get().1.clone()] == *line.as_bytes() => {}
                     Entry::Occupied(first) => {
                         skipped += 1;
                         eprintln!(
@@ -274,10 +281,6 @@ impl<R: Record> Checkpoint<R> {
                 }
             }
         }
-        let done = done
-            .into_iter()
-            .map(|(key, (value, _))| (key, value))
-            .collect();
         if skipped > 0 {
             eprintln!(
                 "[checkpoint] {skipped} malformed or conflicting line(s) skipped in {} — \
@@ -301,15 +304,17 @@ impl<R: Record> Checkpoint<R> {
             writeln!(file)?;
         }
         Ok(Checkpoint {
-            done,
+            loaded: done.len(),
+            done: Mutex::new(done),
             file: Mutex::new(file),
             skipped,
         })
     }
 
-    /// Number of records loaded from the file for replay.
+    /// Number of records loaded from the file for replay, handed over by
+    /// [`take`](Self::take) or not.
     pub fn loaded(&self) -> usize {
-        self.done.len()
+        self.loaded
     }
 
     /// Number of lines skipped while loading for resume: malformed or
@@ -325,9 +330,28 @@ impl<R: Record> Checkpoint<R> {
         R::decode(line).ok()
     }
 
-    /// The stored record for `key`, if the checkpoint has it.
+    /// A copy of the stored record for `key`, if the checkpoint still has
+    /// it; the record stays for a later [`take`](Self::take).
     pub fn stored(&self, key: &str) -> Option<R> {
-        self.done.get(key).cloned()
+        self.records().get(key).map(|(record, _)| record.clone())
+    }
+
+    /// Hands over the stored record for `key` for replay, without copying
+    /// it. A key is handed over once: afterwards `take` and
+    /// [`stored`](Self::stored) return `None` for it, so replaying the same
+    /// key a second time on this checkpoint computes its record again (and
+    /// [`record`](Self::record) appends the line again, a byte-identical
+    /// repeat for a deterministic record, which `open` drops).
+    pub fn take(&self, key: &str) -> Option<R> {
+        self.records().remove(key).map(|(record, _)| record)
+    }
+
+    /// The records not yet handed over. A poisoned lock still guards a
+    /// whole map: a panicking holder was between complete map operations.
+    fn records(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, (R, Range<usize>)>> {
+        self.done
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     /// Appends one finished record and flushes, so an interruption loses
@@ -420,6 +444,28 @@ mod tests {
             "the first record is kept"
         );
         assert_eq!(ck.stored("other").unwrap(), vec![3.0]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn take_hands_a_record_over_once() {
+        let path =
+            std::env::temp_dir().join(format!("saga_rowckpt_take_{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let ck = RowCheckpoint::open(&path, false).unwrap();
+        ck.record("k", &[1.0, f64::INFINITY]).unwrap();
+        ck.record("other", &[3.0]).unwrap();
+        drop(ck);
+        let ck = RowCheckpoint::open(&path, true).unwrap();
+        // `stored` copies and leaves the record in place
+        assert_eq!(ck.stored("k"), Some(vec![1.0, f64::INFINITY]));
+        assert_eq!(ck.take("k"), Some(vec![1.0, f64::INFINITY]));
+        // handed over: neither lookup finds it again, the count stays
+        assert_eq!(ck.take("k"), None);
+        assert_eq!(ck.stored("k"), None);
+        assert_eq!(ck.loaded(), 2);
+        assert_eq!(ck.take("other"), Some(vec![3.0]));
+        assert_eq!(ck.take("never"), None);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -288,7 +288,11 @@ impl GeneralPerturber {
                 let old = inst.graph.cost(t);
                 let w = self.task_range.nudge(rng, old);
                 inst.graph.set_cost(t, w).expect("in-range cost");
-                Some(nudged(old, w, PerturbUndo::TaskWeight(t, old)))
+                Some(nudged(
+                    old,
+                    inst.graph.cost(t),
+                    PerturbUndo::TaskWeight(t, old),
+                ))
             }
             Op::DepWeight => {
                 let n = inst.graph.dependency_count();
@@ -303,7 +307,8 @@ impl GeneralPerturber {
                 inst.graph
                     .set_dependency_cost(a, b, w)
                     .expect("in-range cost");
-                Some(nudged(cur, w, PerturbUndo::DepWeight(a, b, cur)))
+                let stored = inst.graph.dependency_cost(a, b).expect("edge present");
+                Some(nudged(cur, stored, PerturbUndo::DepWeight(a, b, cur)))
             }
             Op::AddDep => {
                 let n = inst.graph.task_count();
@@ -376,8 +381,8 @@ impl Perturber for GeneralPerturber {
 
 /// `undo`, or [`PerturbUndo::Nothing`] when the nudged weight was stored
 /// with the `old` weight's bits (a nudge clamped to the bound it sat on).
-/// The graph stores a cost as given; the network stores `-0.0` as `+0.0`,
-/// so its callers pass the weight read back.
+/// The graph and the network store a `-0.0` weight as `+0.0`, so callers
+/// pass the weight read back.
 fn nudged(old: f64, stored: f64, undo: PerturbUndo) -> PerturbUndo {
     if stored.to_bits() == old.to_bits() {
         PerturbUndo::Nothing

@@ -4,46 +4,48 @@
 //! fastest compute node. No communication is ever paid (all data stays
 //! local), which is exactly why PISA finds instances where it beats
 //! sophisticated schedulers that over-parallelize.
+//!
+//! Only [`Scheduler::schedule_into`] places tasks. The makespan entry
+//! points, which the annealer calls, sum the execution times on the
+//! fastest node in topological order instead: the same additions, so the
+//! same bits, without a placement.
 
-use crate::KernelRun;
-use saga_core::{Instance, SchedContext};
+use crate::Scheduler;
+use saga_core::{Instance, SchedContext, Schedule};
 
 /// The FastestNode baseline scheduler.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FastestNode;
 
-fn serial_loop(ctx: &mut SchedContext) {
-    let v = ctx.fastest_node();
-    let n = ctx.task_count();
-    while ctx.placed_count() < n {
-        let t = ctx.ready()[0]; // lowest-id ready = topological order
-        let (s, _) = ctx.eft(t, v, false);
-        ctx.place(t, v, s);
-    }
-}
-
-impl KernelRun for FastestNode {
-    fn kernel_name(&self) -> &'static str {
+impl Scheduler for FastestNode {
+    fn name(&self) -> &'static str {
         "FastestNode"
     }
 
-    fn run(&self, inst: &Instance, ctx: &mut SchedContext) {
+    fn schedule_into(&self, inst: &Instance, ctx: &mut SchedContext) -> Schedule {
         ctx.reset(inst);
-        serial_loop(ctx);
+        let v = ctx.fastest_node();
+        let n = ctx.task_count();
+        while ctx.placed_count() < n {
+            let t = ctx.ready()[0]; // lowest-id ready = topological order
+            let (s, _) = ctx.eft(t, v, false);
+            ctx.place(t, v, s);
+        }
+        ctx.snapshot_schedule()
     }
 
-    fn run_recorded(
-        &self,
-        inst: &Instance,
-        ctx: &mut SchedContext,
-        trace: &mut saga_core::RunTrace,
-        dirty: &saga_core::DirtyRegion,
-    ) {
+    /// The placement loop's makespan without placing: each task starts
+    /// when the one before it in topological order finishes (its inputs
+    /// are all local and finished by then), so the makespan is the sum
+    /// `m = m + exec(t, fastest)` in that order, the same additions the
+    /// loop makes. The trait's incremental entry points come here too,
+    /// since there is no placement left to replay.
+    fn makespan_into(&self, inst: &Instance, ctx: &mut SchedContext) -> f64 {
         ctx.reset(inst);
-        ctx.begin_recording();
-        crate::util::replay_frontier_prefix(ctx, trace, dirty, false);
-        serial_loop(ctx);
-        ctx.take_recording(trace);
+        let v = ctx.fastest_node();
+        ctx.topo_order()
+            .iter()
+            .fold(0.0, |m, &t| m + ctx.exec_time(t, v))
     }
 }
 

@@ -154,21 +154,22 @@ pub(crate) trait KernelRun: Send + Sync + 'static {
     fn run(&self, inst: &Instance, ctx: &mut SchedContext);
 
     /// [`run`](KernelRun::run) with placement recording into `trace`.
-    /// HEFT, CPoP, MinMin, MaxMin, FastestNode and WBA replay the trace's
-    /// unchanged prefix (per `dirty`, see [`Scheduler::
-    /// makespan_incremental`]) before falling back to their decision loop:
-    /// they are the Section VII roster, whose weight-only edits on
-    /// workflows of up to ~45 tasks leave long prefixes to replay. The
-    /// default invalidates the trace and runs from scratch. Every other
-    /// scheduler stays on it: the rest anneal only from 3–5-task starting
-    /// instances (the pairwise, metric and ablation grids), where replay
-    /// measured at parity with a full run. Each replay stops where its
-    /// decisions could first differ from a full run's: MinMin and MaxMin
-    /// check every replayed selection against the ready dirty tasks'
-    /// fresh best finishes, WBA and FastestNode stop at the frontier rule
-    /// of [`util::replay_frontier_prefix`], and HEFT and CPoP re-verify
-    /// their priority order. Stateful decision loops resume their state
-    /// after the replay: WBA advances its RNG one word per replayed step.
+    /// HEFT, CPoP, MinMin, MaxMin and WBA replay the trace's unchanged
+    /// prefix (per `dirty`, see [`Scheduler::makespan_incremental`])
+    /// before falling back to their decision loop: they are the Section
+    /// VII roster, whose weight-only edits on workflows of up to ~45 tasks
+    /// leave long prefixes to replay. (The roster's sixth, FastestNode, is
+    /// not a `KernelRun`: its makespan is one sum with nothing to replay.)
+    /// The default invalidates the trace and runs from scratch. Every
+    /// other scheduler stays on it: the rest anneal only from 3–5-task
+    /// starting instances (the pairwise, metric and ablation grids), where
+    /// replay measured at parity with a full run. Each replay stops where
+    /// its decisions could first differ from a full run's: MinMin and
+    /// MaxMin check every replayed selection against the ready dirty
+    /// tasks' fresh best finishes, WBA stops at the frontier rule of
+    /// [`util::replay_frontier_prefix`], and HEFT and CPoP re-verify their
+    /// priority order. Stateful decision loops resume their state after
+    /// the replay: WBA advances its RNG one word per replayed step.
     fn run_recorded(
         &self,
         inst: &Instance,

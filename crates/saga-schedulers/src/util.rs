@@ -327,21 +327,15 @@ pub fn first_idle_node(ctx: &SchedContext) -> NodeId {
 }
 
 /// Replays the longest trustworthy prefix of `trace` into `ctx` for a
-/// *frontier-scanning* scheduler (lowest-id-ready dispatch, or a selection
-/// weighed across the whole ready set): each recorded placement is
-/// re-applied verbatim — skipping the scheduler's EFT and data-ready scans
-/// — until the dirty region reaches the frontier.
+/// *frontier-scanning* scheduler, one whose selection is weighed across
+/// the whole ready set (WBA): each recorded placement is re-applied
+/// verbatim — skipping the scheduler's EFT and data-ready scans — until
+/// the dirty region reaches the frontier.
 ///
 /// The replay stops before position `k` when the recorded task is
-/// placement-dirty or — for `frontier_sensitive` schedulers — when any
-/// dirty task sits in the ready frontier. WBA is the one
-/// frontier-sensitive caller: its sampling weighs every ready option, so a
-/// ready dirty task's changed values move the draw. FastestNode dispatches
-/// purely by ready order (lowest-id ready = topological order) and passes
-/// `frontier_sensitive = false`: a dirty task's changed *values* cannot
-/// influence its selection, and a dirty region that replays is never
-/// structural (structural edits give a full region), so readiness is
-/// unchanged too. MinMin/MaxMin replay on their own: they check each
+/// placement-dirty or when any dirty task sits in the ready frontier: a
+/// ready dirty task's changed values move a selection that weighs every
+/// ready option. MinMin/MaxMin replay on their own: they check each
 /// decision against the ready dirty tasks instead of stopping at the first.
 ///
 /// Until the stop point the previous run's frontier evolution and per-step
@@ -355,14 +349,13 @@ pub(crate) fn replay_frontier_prefix(
     ctx: &mut SchedContext,
     trace: &RunTrace,
     dirty: &DirtyRegion,
-    frontier_sensitive: bool,
 ) {
     if dirty.is_full() || !trace.matches(ctx.task_count(), ctx.node_count()) {
         return;
     }
     for k in 0..trace.len() {
         let t = trace.task(k);
-        if dirty.contains(t) || (frontier_sensitive && dirty.any_in_frontier(ctx)) {
+        if dirty.contains(t) || dirty.any_in_frontier(ctx) {
             break;
         }
         ctx.place(t, trace.node(k), trace.start(k));

@@ -197,7 +197,7 @@ impl KernelRun for Wba {
         ctx.begin_recording();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut current = 0.0f64;
-        util::replay_frontier_prefix(ctx, trace, dirty, true);
+        util::replay_frontier_prefix(ctx, trace, dirty);
         // the replayed steps are the recorded run's first steps: one draw
         // each, and the same running-max fold over their finishes
         for k in 0..ctx.placed_count() {

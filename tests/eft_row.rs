@@ -24,6 +24,40 @@ use rand::{Rng, SeedableRng};
 use saga::core::{Instance, Network, NodeId, SchedContext, TaskGraph, TaskId};
 use saga::schedulers::Scheduler;
 
+/// [`random_instance_with_zeros`] on a network whose links all have
+/// strength `link`, the shape `set_homogeneous_ccr` gives every Section VII
+/// instance.
+fn single_strength(seed: u64, tasks: usize, nodes: usize, link: f64) -> Instance {
+    let inst = random_instance_with_zeros(seed, tasks, nodes, 0.25);
+    let speeds = inst.network.speeds().to_vec();
+    Instance::new(Network::complete(&speeds, link), inst.graph)
+}
+
+/// Asserts `data_ready_times_into` bit-identical to the per-node
+/// `data_ready_time` for every task whose predecessors are all placed
+/// (placed tasks included), and returns how many tasks it checked.
+fn check_ready_rows(ctx: &SchedContext, label: &str) -> usize {
+    let mut row = vec![f64::NAN; ctx.node_count()];
+    let mut checked = 0;
+    for t in ctx.tasks() {
+        if !ctx.preds(t).all(|(p, _)| ctx.is_placed(p)) {
+            continue;
+        }
+        checked += 1;
+        ctx.data_ready_times_into(t, &mut row);
+        for v in ctx.nodes() {
+            let want = ctx.data_ready_time(t, v);
+            assert_eq!(
+                row[v.index()].to_bits(),
+                want.to_bits(),
+                "{label}: data ready({t}, {v}) diverged: row {} vs query {want}",
+                row[v.index()],
+            );
+        }
+    }
+    checked
+}
+
 /// A seeded random DAG like the shared fixture, but with a fraction of
 /// zero-cost tasks and zero-cost messages — the boundary shapes whose slots
 /// can finish before their neighbours and whose messages arrive everywhere
@@ -189,4 +223,130 @@ fn fused_rows_match_on_boundary_shapes() {
     let mut fresh = SchedContext::new();
     fresh.reset(&inst);
     check_rows(&fresh, "empty");
+}
+
+#[test]
+fn single_strength_rows_match_per_node_queries_on_scheduler_states() {
+    let scheds = saga::schedulers::benchmark_schedulers();
+    for link in [0.7, f64::INFINITY, 0.0] {
+        for seed in [5u64, 41] {
+            for (tasks, nodes) in [(10usize, 1usize), (14, 2), (20, 3), (30, 6), (36, 10)] {
+                let inst = single_strength(seed, tasks, nodes, link);
+                for s in &scheds {
+                    for (num, den) in [(1usize, 4usize), (1, 2), (3, 4), (1, 1)] {
+                        let ctx = half_placed(&inst, s.as_ref(), num, den);
+                        let label = format!(
+                            "{} link {link} seed {seed} {tasks}t/{nodes}v {num}/{den}",
+                            s.name()
+                        );
+                        let want = if nodes == 1 { f64::INFINITY } else { link };
+                        assert_eq!(
+                            ctx.uniform_link().map(f64::to_bits),
+                            Some(want.to_bits()),
+                            "{label}: single-strength fold not selected"
+                        );
+                        assert!(check_ready_rows(&ctx, &label) > 0);
+                        check_rows(&ctx, &label);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Hand-placed states for the cases the single-strength fold splits on:
+/// the node the best arrival comes from, a tie for it, predecessors sharing
+/// a node, and empty messages.
+#[test]
+fn single_strength_rows_match_on_hand_built_states() {
+    // sinks `x` (preds a, b), `y` (a, c), `z` (a, b, c, d), `w` (d, e,
+    // zero-cost edges), `n` (no preds)
+    let mut g = TaskGraph::new();
+    let [a, b, c, d, e] = ["a", "b", "c", "d", "e"].map(|n| g.add_task(n, 1.0));
+    let [x, y, z, w, _n] = ["x", "y", "z", "w", "n"].map(|n| g.add_task(n, 1.0));
+    for (p, s, cost) in [
+        (a, x, 2.0),
+        (b, x, 0.5),
+        (a, y, 1.0),
+        (c, y, 1.0),
+        (a, z, 3.0),
+        (b, z, 1.0),
+        (c, z, 0.25),
+        (d, z, 4.0),
+        (d, w, 0.0),
+        (e, w, 0.0),
+    ] {
+        g.add_dependency(p, s, cost).unwrap();
+    }
+    let speeds = [1.0, 1.0, 1.0, 1.0];
+    let placements: [&[(TaskId, u32, f64)]; 5] = [
+        // best arrival from node 0 (a: 1 + 2), the next best from node 1
+        // (b: 1 + 0.5): node 0 must get b's arrival, not its own a's
+        &[
+            (a, 0, 0.0),
+            (b, 1, 0.0),
+            (c, 2, 0.0),
+            (d, 0, 1.0),
+            (e, 3, 5.0),
+        ],
+        // a tie for the best arrival on two nodes (a and c both reach
+        // every other node at 2 for y)
+        &[
+            (a, 0, 0.0),
+            (b, 0, 1.0),
+            (c, 1, 0.0),
+            (d, 2, 0.0),
+            (e, 2, 1.0),
+        ],
+        // several predecessors on one node, one elsewhere
+        &[
+            (a, 1, 0.0),
+            (b, 1, 1.0),
+            (c, 1, 2.0),
+            (d, 3, 0.0),
+            (e, 1, 3.0),
+        ],
+        // every predecessor on one node
+        &[
+            (a, 2, 0.0),
+            (b, 2, 1.0),
+            (c, 2, 2.0),
+            (d, 2, 3.0),
+            (e, 2, 4.0),
+        ],
+        // the best remote arrival lands below a local finish
+        &[
+            (a, 0, 6.0),
+            (b, 1, 0.0),
+            (c, 3, 0.0),
+            (d, 1, 1.0),
+            (e, 0, 0.0),
+        ],
+    ];
+    for link in [1.0, 0.5, f64::INFINITY, 0.0] {
+        let inst = Instance::new(Network::complete(&speeds, link), g.clone());
+        for (k, placed) in placements.iter().enumerate() {
+            let mut ctx = SchedContext::new();
+            ctx.reset(&inst);
+            assert_eq!(ctx.uniform_link().map(f64::to_bits), Some(link.to_bits()));
+            for &(t, v, start) in placed.iter() {
+                ctx.place(t, NodeId(v), start);
+            }
+            // x, y, z, w and the predecessor-free n
+            let label = format!("hand state {k}, link {link}");
+            assert_eq!(check_ready_rows(&ctx, &label), 10, "{label}");
+        }
+    }
+    // the first state, worked by hand at strength 1: x's row is the best
+    // arrival everywhere but at node 0, where a is local and b's arrival
+    // is the best from elsewhere
+    let inst = Instance::new(Network::complete(&speeds, 1.0), g);
+    let mut ctx = SchedContext::new();
+    ctx.reset(&inst);
+    for &(t, v, start) in placements[0] {
+        ctx.place(t, NodeId(v), start);
+    }
+    let mut row = [0.0; 4];
+    ctx.data_ready_times_into(x, &mut row);
+    assert_eq!(row, [1.5, 3.0, 3.0, 3.0]);
 }
