@@ -59,54 +59,14 @@ fn bits_eq_costs(g: &crate::TaskGraph, snap: &[f64]) -> bool {
             .all(|(t, s)| g.cost(t).to_bits() == s.to_bits())
 }
 
-/// Whether this process may run the 4-wide AVX instantiations of the
-/// node-axis kernels; detected once. (Only the *width* changes with the
-/// answer: both instantiations compile the same elementwise loop, and IEEE
-/// `f64` add/div are exactly rounded at any width, so results are
-/// bit-identical either way.)
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn wide_kernels() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
-}
-
 /// The data-ready arrivals fold over one sender's link row:
-/// `out[v] = max(out[v], f + cost / row[v])` for every node `v`. The
-/// explicit-width entry points below instantiate exactly this loop, so both
-/// paths fold identical expressions in identical order.
-#[inline(always)]
-fn fold_arrivals_elementwise(out: &mut [f64], row: &[f64], f: f64, cost: f64) {
+/// `out[v] = max(out[v], f + cost / row[v])` for every node `v`.
+#[inline]
+fn fold_arrivals(out: &mut [f64], row: &[f64], f: f64, cost: f64) {
     for (r, &link) in out.iter_mut().zip(row) {
         let arrival = f + cost / link;
         *r = r.max(arrival);
     }
-}
-
-/// [`fold_arrivals_elementwise`] compiled with AVX enabled: the
-/// autovectorizer emits 4-lane `f64` add/div/max over the row instead of
-/// the baseline 2-lane SSE.
-///
-/// # Safety
-/// The caller must have verified AVX support (see [`wide_kernels`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn fold_arrivals_avx(out: &mut [f64], row: &[f64], f: f64, cost: f64) {
-    fold_arrivals_elementwise(out, row, f, cost);
-}
-
-/// Runtime-dispatched arrivals fold: 4-wide AVX when the CPU has it, the
-/// portable loop otherwise. Bit-identical across the two (exactly-rounded
-/// elementwise IEEE ops; no reassociation, no FMA contraction).
-#[inline]
-fn fold_arrivals(out: &mut [f64], row: &[f64], f: f64, cost: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if wide_kernels() {
-        // SAFETY: gated on runtime AVX detection above
-        unsafe { fold_arrivals_avx(out, row, f, cost) };
-        return;
-    }
-    fold_arrivals_elementwise(out, row, f, cost);
 }
 
 /// Which evaluation paths a [`SchedContext`] runs: each `false` field
@@ -152,10 +112,9 @@ impl EvalPaths {
 
 /// The append-start/finish compose over one task's rows:
 /// `starts[v] = tails[v].max(starts[v])` (the data-ready row folded with
-/// the per-node append tail) and `finishes[v] = starts[v] + exec[v]`. The
-/// explicit-width entry points below instantiate exactly this loop.
-#[inline(always)]
-fn compose_rows_elementwise(starts: &mut [f64], finishes: &mut [f64], tails: &[f64], exec: &[f64]) {
+/// the per-node append tail) and `finishes[v] = starts[v] + exec[v]`.
+#[inline]
+fn compose_append_rows(starts: &mut [f64], finishes: &mut [f64], tails: &[f64], exec: &[f64]) {
     for ((s, f), (&tail, &d)) in starts
         .iter_mut()
         .zip(finishes.iter_mut())
@@ -167,42 +126,14 @@ fn compose_rows_elementwise(starts: &mut [f64], finishes: &mut [f64], tails: &[f
     }
 }
 
-/// [`compose_rows_elementwise`] compiled with AVX enabled (4-lane `f64`
-/// max/add instead of the baseline 2-lane SSE).
-///
-/// # Safety
-/// The caller must have verified AVX support (see [`wide_kernels`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn compose_rows_avx(starts: &mut [f64], finishes: &mut [f64], tails: &[f64], exec: &[f64]) {
-    compose_rows_elementwise(starts, finishes, tails, exec);
-}
-
-/// Runtime-dispatched append compose: 4-wide AVX when the CPU has it and
-/// the row is wide enough to amortize the outlined call (a
-/// `#[target_feature]` instantiation cannot inline into non-AVX callers),
-/// the portable loop otherwise. Bit-identical across the two
-/// (exactly-rounded elementwise IEEE max/add; no reassociation, no FMA
-/// contraction). Public for callers that cache their own data-ready rows
-/// (the schedulers' frontier sweeps) and compose them against
+/// The append compose for callers whose data-ready row lives in a cache
+/// they must not clobber (the schedulers' frontier sweeps): reads `ready`
+/// instead of composing `starts` in place, with the same elementwise
+/// expressions as the in-place compose [`SchedContext::eft_row_append_into`]
+/// runs, so the same bits. The callers compose against
 /// [`SchedContext::append_tails`] themselves.
 #[inline]
-pub fn compose_append_rows(starts: &mut [f64], finishes: &mut [f64], tails: &[f64], exec: &[f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if starts.len() >= 8 && wide_kernels() {
-        // SAFETY: gated on runtime AVX detection above
-        unsafe { compose_rows_avx(starts, finishes, tails, exec) };
-        return;
-    }
-    compose_rows_elementwise(starts, finishes, tails, exec);
-}
-
-/// The copy-free variant of [`compose_append_rows`] for callers whose
-/// data-ready row lives in a cache they must not clobber (the frontier
-/// sweeps): reads `ready` instead of composing `starts` in place. Same
-/// elementwise expressions, same bits.
-#[inline(always)]
-fn compose_rows_from_elementwise(
+pub fn compose_append_rows_from(
     ready: &[f64],
     tails: &[f64],
     exec: &[f64],
@@ -218,41 +149,6 @@ fn compose_rows_from_elementwise(
         *s = start;
         *f = start + d;
     }
-}
-
-/// [`compose_rows_from_elementwise`] compiled with AVX enabled.
-///
-/// # Safety
-/// The caller must have verified AVX support (see [`wide_kernels`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn compose_rows_from_avx(
-    ready: &[f64],
-    tails: &[f64],
-    exec: &[f64],
-    starts: &mut [f64],
-    finishes: &mut [f64],
-) {
-    compose_rows_from_elementwise(ready, tails, exec, starts, finishes);
-}
-
-/// Runtime-dispatched copy-free append compose; dispatch rule and
-/// bit-identity exactly as [`compose_append_rows`].
-#[inline]
-pub fn compose_append_rows_from(
-    ready: &[f64],
-    tails: &[f64],
-    exec: &[f64],
-    starts: &mut [f64],
-    finishes: &mut [f64],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if starts.len() >= 8 && wide_kernels() {
-        // SAFETY: gated on runtime AVX detection above
-        unsafe { compose_rows_from_avx(ready, tails, exec, starts, finishes) };
-        return;
-    }
-    compose_rows_from_elementwise(ready, tails, exec, starts, finishes);
 }
 
 /// Lowest-index argmin over a finish row — the tie-break every roster
@@ -363,8 +259,9 @@ pub struct SchedContext {
     max_finish: Vec<f64>,
     /// Finish time of the *last* slot on each node's timeline (0 when
     /// empty) — `timelines[v].last()` hoisted into a dense row so the
-    /// append-start compose in [`eft_row_into`](Self::eft_row_into) is a
-    /// branchless elementwise fold instead of a per-node `Option` match.
+    /// append-start compose in
+    /// [`eft_row_append_into`](Self::eft_row_append_into) is a branchless
+    /// elementwise fold instead of a per-node `Option` match.
     /// Distinct from `max_finish` (see above); reconciled against the
     /// timelines by a debug assertion after every mutation.
     tail_finish: Vec<f64>,
@@ -526,6 +423,13 @@ impl SchedContext {
     /// perturbation undo records); the golden suites pin the equivalence.
     /// A context on the `incremental: false` reference path widens `dirty`
     /// to [`DirtyRegion::full`] ([`EvalPaths::widen`]).
+    ///
+    /// These hints and `rebuild_tables`' snapshot diff are two refresh
+    /// mechanisms for one table set, and both stay because each measured a
+    /// win over the other alone (`pisa_bench` `items_per_s`, 8 alternating
+    /// pairs, 2-vCPU Xeon). Ignoring the hints and letting the snapshot
+    /// diff find the change read `app` ×0.942 (1 of 8 pairs won) and `fig4`
+    /// ×0.926 (2 of 8): the hints skip the diff's scan of every weight.
     pub fn pin_tables_dirty(&mut self, inst: &Instance, dirty: &DirtyRegion) {
         let dirty = &self.paths.widen(dirty);
         let g = &inst.graph;
@@ -643,6 +547,13 @@ impl SchedContext {
     /// identical to the cached one (the adversarial annealer's weight
     /// perturbations leave it untouched two times out of three), only the
     /// edge costs are refreshed and the Kahn rebuild is skipped.
+    ///
+    /// The weight snapshots serve every caller without a dirty region:
+    /// `reset` for a new instance and the full-region fallback of
+    /// [`pin_tables_dirty`](Self::pin_tables_dirty), which link and
+    /// structural edits take. Dropping them (a full rebuild on every call
+    /// here, the dirty hints kept) read `fig4` `items_per_s` ×0.936 (2 of
+    /// 8 alternating `pisa_bench` pairs won, 2-vCPU Xeon).
     fn rebuild_tables(&mut self, inst: &Instance) {
         let g = &inst.graph;
         let net = &inst.network;
@@ -848,53 +759,15 @@ impl SchedContext {
     }
 
     /// Kahn's algorithm with smallest-id tie-breaking, matching
-    /// `TaskGraph::topological_order` exactly. For graphs of at most 64
-    /// tasks (every Section-VI/VII annealing instance) the frontier is a
-    /// u64 bitmask — pop-smallest is `trailing_zeros`, admission is a bit
-    /// set — which makes the per-perturbation structural rebuild a handful
-    /// of ALU ops; larger graphs use a binary min-heap over task ids. Both
-    /// frontiers pop tasks in ascending id order, so the emitted order is
-    /// the same deterministic smallest-id Kahn order in all cases.
+    /// `TaskGraph::topological_order` exactly: the frontier is a binary
+    /// min-heap over task ids, seeded from the cached initial predecessor
+    /// counts and ready set that `rebuild_csr` just built.
     fn rebuild_topo(&mut self) {
         use std::cmp::Reverse;
-        let nt = self.n_tasks;
-        if nt <= 64 {
-            self.indeg_scratch.clear();
-            self.indeg_scratch.extend_from_slice(&self.init_preds);
-            let mut frontier: u64 = 0;
-            for &t in &self.init_ready {
-                frontier |= 1u64 << t.index();
-            }
-            self.topo.clear();
-            while frontier != 0 {
-                let ti = frontier.trailing_zeros() as usize;
-                frontier &= frontier - 1;
-                let t = TaskId(ti as u32);
-                self.topo.push(t);
-                let (s, e) = self.succ_range(t);
-                for i in s..e {
-                    let st = self.succ_task[i];
-                    let d = &mut self.indeg_scratch[st.index()];
-                    *d -= 1;
-                    if *d == 0 {
-                        frontier |= 1u64 << st.index();
-                    }
-                }
-            }
-            debug_assert_eq!(self.topo.len(), nt, "graph must be acyclic");
-            return;
-        }
-        self.indeg_scratch.clear();
-        for t in 0..nt {
-            self.indeg_scratch
-                .push(self.pred_off[t + 1] - self.pred_off[t]);
-        }
+        self.indeg_scratch.clone_from(&self.init_preds);
         self.frontier_heap.clear();
-        for t in 0..nt {
-            if self.indeg_scratch[t] == 0 {
-                self.frontier_heap.push(Reverse(TaskId(t as u32)));
-            }
-        }
+        self.frontier_heap
+            .extend(self.init_ready.iter().map(|&t| Reverse(t)));
         self.topo.clear();
         while let Some(Reverse(t)) = self.frontier_heap.pop() {
             self.topo.push(t);
@@ -908,7 +781,7 @@ impl SchedContext {
                 }
             }
         }
-        debug_assert_eq!(self.topo.len(), nt, "graph must be acyclic");
+        debug_assert_eq!(self.topo.len(), self.n_tasks, "graph must be acyclic");
     }
 
     #[inline]
@@ -1208,11 +1081,22 @@ impl SchedContext {
 
     /// Earliest start on `v` at or after `ready`, allowed to fill an idle
     /// gap between already-placed tasks (HEFT's insertion policy).
+    ///
+    /// The gap before slot `s` takes the task when it starts no later than
+    /// `s.start` and ends by `s.start`, up to [`TIME_EPS`](crate::TIME_EPS)
+    /// of rounding. A task starting later than `s` would run inside it,
+    /// however short the task is (a subnormal cost on a slow node lasts
+    /// less than the tolerance). An end of `+inf` (a finite sum can
+    /// overflow) is by `s.start` only when `s` starts at `+inf` too, as
+    /// [`Schedule::verify`](crate::Schedule::verify) reads it, though the
+    /// tolerance sum may overflow to `+inf` as well.
     pub fn earliest_start_insertion(&self, v: NodeId, ready: f64, duration: f64) -> f64 {
         let slots = &self.timelines[v.index()];
         if duration.is_infinite() {
-            // only the tail can host a never-ending task
-            return self.earliest_start_append(v, ready);
+            // a never-ending task fits no gap: it starts after every slot
+            // ends, which is after the last slot only when no
+            // zero-duration boundary task sits last
+            return ready.max(self.max_finish[v.index()]);
         }
         // Data arriving at or after every slot's finish: the scan's candidate
         // never rises above `ready` and both the early gap-return and the
@@ -1225,7 +1109,10 @@ impl SchedContext {
         }
         let mut candidate = ready;
         for s in slots {
-            if candidate + duration <= s.start + crate::schedule::TIME_EPS * s.start.abs().max(1.0)
+            let end = candidate + duration;
+            if candidate <= s.start
+                && end <= s.start + crate::schedule::TIME_EPS * s.start.abs().max(1.0)
+                && (end < f64::INFINITY || s.start == f64::INFINITY)
             {
                 return candidate;
             }
@@ -1259,49 +1146,12 @@ impl SchedContext {
         &self.tail_finish
     }
 
-    /// [`eft`](Self::eft) for every node at once, into `starts`/`finishes`
-    /// (length `node_count()`): one [`data_ready_times_into`] row pass, then
+    /// [`eft`](Self::eft) without insertion for every node at once, into
+    /// `starts`/`finishes` (length `node_count()`): one
+    /// [`data_ready_times_into`](Self::data_ready_times_into) row pass, then
     /// a branchless elementwise compose of the maintained append-tail row
-    /// and the cached execution row. With `insertion`, nodes whose gap
-    /// search could beat the append tail (data ready before the node's max
-    /// finish — the same early-out [`earliest_start_insertion`] gates on)
-    /// fall back to the scalar gap scan; every other node's answer is
-    /// already exact in the row. Bit-identical to the per-node query on
-    /// every path.
-    ///
-    /// [`data_ready_times_into`]: Self::data_ready_times_into
-    /// [`earliest_start_insertion`]: Self::earliest_start_insertion
-    pub fn eft_row_into(
-        &self,
-        t: TaskId,
-        starts: &mut [f64],
-        finishes: &mut [f64],
-        insertion: bool,
-    ) {
-        if !insertion {
-            self.eft_row_append_into(t, starts, finishes);
-            return;
-        }
-        debug_assert_eq!(finishes.len(), self.n_nodes);
-        self.data_ready_times_into(t, starts);
-        let exec = &self.exec[t.index() * self.n_nodes..(t.index() + 1) * self.n_nodes];
-        for (v, s) in starts.iter_mut().enumerate() {
-            let ready = *s;
-            // `ready >= max_finish` (and the empty timeline, where the max
-            // finish is 0): every branch of the scalar query answers
-            // `ready`, which the row already holds.
-            if ready < self.max_finish[v] {
-                *s = self.earliest_start_insertion(NodeId(v as u32), ready, exec[v]);
-            }
-        }
-        for ((f, &s), &d) in finishes.iter_mut().zip(starts.iter()).zip(exec) {
-            *f = s + d;
-        }
-    }
-
-    /// The append-only fast variant of [`eft_row_into`](Self::eft_row_into)
-    /// (no insertion fallback, fully branchless): the data-ready row pass
-    /// followed by the AVX-dispatched tail/exec compose.
+    /// and the cached execution row. Bit-identical to the per-node
+    /// `eft(t, v, false)`.
     #[inline]
     pub fn eft_row_append_into(&self, t: TaskId, starts: &mut [f64], finishes: &mut [f64]) {
         debug_assert_eq!(finishes.len(), self.n_nodes);
@@ -1769,17 +1619,16 @@ mod tests {
         ctx.reset(&inst);
         ctx.place(TaskId(0), NodeId(0), 2.0);
         ctx.place(TaskId(1), NodeId(0), 2.0); // zero-duration boundary task
-        let nv = ctx.node_count();
         let (mut starts, mut finishes) = ([0.0f64; 2], [0.0f64; 2]);
         for t in [TaskId(2), TaskId(3)] {
-            for insertion in [false, true] {
-                ctx.eft_row_into(t, &mut starts[..nv], &mut finishes[..nv], insertion);
-                for v in ctx.nodes() {
-                    let (s, f) = ctx.eft(t, v, insertion);
-                    assert_eq!(s.to_bits(), starts[v.index()].to_bits(), "{t} on {v}");
-                    assert_eq!(f.to_bits(), finishes[v.index()].to_bits(), "{t} on {v}");
-                }
+            ctx.eft_row_append_into(t, &mut starts, &mut finishes);
+            for v in ctx.nodes() {
+                let (s, f) = ctx.eft(t, v, false);
+                assert_eq!(s.to_bits(), starts[v.index()].to_bits(), "{t} on {v}");
+                assert_eq!(f.to_bits(), finishes[v.index()].to_bits(), "{t} on {v}");
             }
+            assert_eq!(argmin_finish(&finishes), NodeId(1), "{t}");
+            assert_eq!(argmin_start_finish(&starts, &finishes), NodeId(1), "{t}");
         }
         assert_eq!(ctx.append_tails(), &[2.0, 0.0]);
     }

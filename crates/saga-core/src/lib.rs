@@ -10,6 +10,7 @@
 //! Everything downstream (`saga-schedulers`, `saga-datasets`, `saga-pisa`)
 //! builds on this crate; it has no dependencies beyond `rand` and `serde`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod builder;
@@ -36,8 +37,7 @@ pub use ids::{NodeId, TaskId};
 pub use incremental::{DirtyRegion, RunTrace};
 pub use instance::Instance;
 pub use kernel::{
-    argmin_finish, argmin_start_finish, compose_append_rows, compose_append_rows_from, EvalPaths,
-    SchedContext,
+    argmin_finish, argmin_start_finish, compose_append_rows_from, EvalPaths, SchedContext,
 };
 pub use network::Network;
 pub use pool::{ContextPool, PooledContext};

@@ -120,6 +120,16 @@ impl Schedule {
     /// 3. tasks on one node do not overlap;
     /// 4. for every dependency `(t, t')`,
     ///    `r + c(t)/s(v) + c(t,t')/s(v,v') <= r'`.
+    ///
+    /// Comparisons allow [`TIME_EPS`] of relative rounding, and `+inf` is a
+    /// time like any other: a task on a zero-speed node, or one whose
+    /// finite cost or start overflows, finishes at `+inf`, and the
+    /// schedule's makespan is then `+inf`. Such a schedule is valid when
+    /// every time that must follow an infinite one is infinite too: a
+    /// task with an infinite expected finish must record an infinite
+    /// finish, and the next task on its node, or a successor whose data
+    /// arrives at `+inf`, must start at `+inf`. A NaN or negative start
+    /// is always an error.
     pub fn verify(&self, inst: &Instance) -> Result<(), ScheduleError> {
         let g = &inst.graph;
         let n = &inst.network;

@@ -20,7 +20,7 @@ fn main() {
     let d = AblationSearch::default();
     let grid = AblationSearch {
         config: cli::pisa_config(&args, d.config, false),
-        trials: cli::arg_or(&args, "trials", d.trials),
+        trials: cli::count_arg(&args, "trials", d.trials),
     };
     if let Some(output) = cli::run_grid(&args, &BatchEngine::new(), &grid) {
         output.emit();

@@ -36,7 +36,7 @@ fn main() {
     let d = AppPisa::new(workflow);
     let ccr: f64 = cli::arg_or(&args, "ccr", 0.0);
     let ccrs = if ccr > 0.0 { vec![ccr] } else { d.ccrs };
-    let instances = cli::arg_or(&args, "instances", d.instances);
+    let instances = cli::count_arg(&args, "instances", d.instances);
     let config = cli::pisa_config(&args, d.config, false);
     let engine = BatchEngine::new();
     for workflow in workflows {

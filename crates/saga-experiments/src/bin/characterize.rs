@@ -26,7 +26,7 @@ fn print_profile(label: &str, p: &InstanceProfile) {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let samples: usize = cli::arg_or(&args, "samples", 100);
+    let samples = cli::count_arg(&args, "samples", 100);
     let seed: u64 = cli::seed_arg(&args, 0xC0DE);
 
     println!("Structural profile per dataset (mean over {samples} samples)\n");

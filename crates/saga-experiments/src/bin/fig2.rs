@@ -22,7 +22,7 @@ use saga_experiments::engine::{BatchEngine, Progress, RowCheckpoint};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let instances: usize = cli::arg_or(&args, "instances", FIG2_INSTANCES);
+    let instances = cli::count_arg(&args, "instances", FIG2_INSTANCES);
     let seed: u64 = cli::seed_arg(&args, FIG2_SEED);
     let shard = cli::shard_arg(&args);
     let path = cli::checkpoint_path(&args, shard, "results/fig2_rows.jsonl");

@@ -65,7 +65,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let config = PisaConfig {
         i_max: cli::arg_or(&args, "imax", 1000),
-        restarts: cli::arg_or(&args, "restarts", 5),
+        restarts: cli::count_arg(&args, "restarts", 5),
         seed: cli::seed_arg(&args, 0xF165),
         ..PisaConfig::default()
     };

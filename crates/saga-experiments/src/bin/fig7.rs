@@ -16,7 +16,7 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let d = ForkJoin::fig7();
     let grid = ForkJoin {
-        instances: cli::arg_or(&args, "instances", d.instances),
+        instances: cli::count_arg(&args, "instances", d.instances),
         seed: cli::seed_arg(&args, d.seed),
         ..d
     };

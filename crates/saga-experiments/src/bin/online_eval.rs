@@ -16,7 +16,7 @@ fn main() {
     let d = OnlineEval::default();
     let grid = OnlineEval {
         workflow: cli::workflow_arg(&args, &d.workflow, &[]).to_string(),
-        instances: cli::arg_or(&args, "instances", d.instances),
+        instances: cli::count_arg(&args, "instances", d.instances),
         seed: cli::seed_arg(&args, d.seed),
     };
     grid.run(&BatchEngine::new()).emit();

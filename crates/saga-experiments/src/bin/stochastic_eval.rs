@@ -20,8 +20,8 @@ fn main() {
     let grid = StochasticEval {
         workflow: cli::workflow_arg(&args, &d.workflow, &[]).to_string(),
         cv: cli::arg_or(&args, "cv", d.cv),
-        instances: cli::arg_or(&args, "instances", d.instances),
-        samples: cli::arg_or(&args, "samples", d.samples),
+        instances: cli::count_arg(&args, "instances", d.instances),
+        samples: cli::count_arg(&args, "samples", d.samples),
         seed: cli::seed_arg(&args, d.seed),
     };
     grid.run(&BatchEngine::new()).emit();

@@ -18,7 +18,7 @@ use saga_schedulers::util::fixtures;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let reps: usize = cli::arg_or(&args, "reps", 20);
+    let reps = cli::count_arg(&args, "reps", 20);
 
     println!("Table I: Schedulers implemented in SAGA-rs\n");
     println!(

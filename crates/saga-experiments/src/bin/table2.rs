@@ -16,7 +16,7 @@ use saga_experiments::engine::{derive_seed, BatchEngine};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let samples: usize = cli::arg_or(&args, "samples", 100);
+    let samples = cli::count_arg(&args, "samples", 100);
     let seed: u64 = cli::seed_arg(&args, 2024);
 
     println!("Table II: Datasets available in SAGA-rs ({samples} samples each)\n");

@@ -49,6 +49,26 @@ pub fn arg_or<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> 
     try_arg_or(args, name, default).unwrap_or_else(|e| usage_exit(&e))
 }
 
+/// [`try_arg_or`] for a count that must be at least 1: a zero count is an
+/// error like an unparseable one.
+fn try_count_arg(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    match try_arg_or(args, name, default)? {
+        0 => Err(format!("--{name}: must be at least 1, got 0")),
+        n => Ok(n),
+    }
+}
+
+/// Returns the count following `--name` (`--instances`, `--restarts`,
+/// `--samples`, `--reps`, `--trials`), or `default` when the flag is
+/// absent. Zero, like a missing or unparseable value, exits 2 with a
+/// `fatal:` line before any grid runs or any checkpoint is opened: no
+/// experiment has a meaning with zero instances, restarts, samples,
+/// repetitions or trials, and each would otherwise panic mid-run or print
+/// a table of `NaN`s.
+pub fn count_arg(args: &[String], name: &str, default: usize) -> usize {
+    try_count_arg(args, name, default).unwrap_or_else(|e| usage_exit(&e))
+}
+
 /// The value following `--seed`, or `default` when the flag is absent. A
 /// seed is written as the binaries' docs write it: decimal, or hex digits
 /// after a `0x` prefix (`0xF164` and `61796` are the same seed).
@@ -101,9 +121,10 @@ pub fn workflow_arg<'a>(args: &'a [String], default: &'a str, also: &[&str]) -> 
 }
 
 /// `config` with the budget flags of every annealing binary applied:
-/// `--imax`, `--restarts` and `--seed`. With `quick`, the CI smoke budget
-/// of 60 iterations and 1 restart replaces `config`'s before the flags
-/// apply.
+/// `--imax`, `--restarts` (a [`count_arg`]) and `--seed`. With `quick`,
+/// the CI smoke budget of 60 iterations and 1 restart replaces `config`'s
+/// before the flags apply. `--imax 0` is valid: a budget of no steps
+/// still runs each restart's initial evaluation.
 pub fn pisa_config(args: &[String], config: PisaConfig, quick: bool) -> PisaConfig {
     let (i_max, restarts) = if quick {
         (60, 1)
@@ -112,7 +133,7 @@ pub fn pisa_config(args: &[String], config: PisaConfig, quick: bool) -> PisaConf
     };
     PisaConfig {
         i_max: arg_or(args, "imax", i_max),
-        restarts: arg_or(args, "restarts", restarts),
+        restarts: count_arg(args, "restarts", restarts),
         seed: seed_arg(args, config.seed),
         ..config
     }
@@ -315,6 +336,25 @@ mod tests {
         let args = v(&["prog", "--imax", "2", "montage"]);
         assert_eq!(workflow_arg(&args, "blast", &[]), "montage");
         assert_eq!(workflow_arg(&v(&["prog"]), "blast", &[]), "blast");
+    }
+
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        for name in ["instances", "restarts", "samples", "reps", "trials"] {
+            let e = try_count_arg(&v(&["prog", &format!("--{name}"), "0"]), name, 5).unwrap_err();
+            assert_eq!(e, format!("--{name}: must be at least 1, got 0"));
+            assert_eq!(
+                try_count_arg(&v(&["prog", &format!("--{name}"), "1"]), name, 5),
+                Ok(1)
+            );
+            assert_eq!(try_count_arg(&v(&["prog"]), name, 5), Ok(5));
+            let e = try_count_arg(&v(&["prog", &format!("--{name}"), "-1"]), name, 5).unwrap_err();
+            assert!(e.contains("cannot parse"), "{e}");
+        }
+        // a budget of no annealing steps still runs
+        let args = v(&["prog", "--imax", "0", "--restarts", "2"]);
+        let config = pisa_config(&args, PisaConfig::default(), false);
+        assert_eq!((config.i_max, config.restarts), (0, 2));
     }
 
     #[test]

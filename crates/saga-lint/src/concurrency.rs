@@ -738,7 +738,7 @@ mod tests {
                    /// # Safety\n\
                    unsafe fn kern(x: &mut [f64]) {}\n\
                    fn gated(x: &mut [f64]) {\n\
-                   if wide_kernels() {\n\
+                   if std::arch::is_x86_feature_detected!(\"avx\") {\n\
                    // SAFETY: gated on runtime AVX detection above\n\
                    unsafe { kern(x) };\n\
                    }\n\

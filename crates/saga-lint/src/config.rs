@@ -108,7 +108,7 @@ impl Config {
                 "crates/saga-pisa/src/library.rs",
             ],
             registry_doc: "ARCHITECTURE.md",
-            feature_gates: vec!["wide_kernels", "is_x86_feature_detected"],
+            feature_gates: vec!["is_x86_feature_detected"],
             skip: vec!["crates/saga-lint/tests/fixtures/", "/target/"],
         }
     }

@@ -36,6 +36,7 @@
 //! See ARCHITECTURE.md → "Machine-checked invariants" for the contract and
 //! `cargo run -p saga-lint` for the CI gate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod concurrency;

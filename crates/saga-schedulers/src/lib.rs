@@ -8,6 +8,7 @@
 //! (`BruteForce` and the SMT-substitute `BnbSearch`) are excluded from those
 //! experiments exactly as in the paper.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext, Schedule};

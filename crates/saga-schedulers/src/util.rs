@@ -13,18 +13,20 @@
 
 use saga_core::{DirtyRegion, NodeId, RunTrace, SchedContext, TaskId};
 
-/// Minimum network width for the fused row formulation to pay: below this
-/// the compose stays scalar (see the AVX dispatch gate in `saga-core`) and
+/// Minimum network width for the fused row formulation to pay. Below it,
 /// materializing row buffers loses to the register-resident comparator
-/// loops, so narrow networks keep the scalar per-node path — the same code
-/// a context on the `fused_rows: false` reference path takes everywhere.
-/// Bit-identical either way.
+/// loops: the fused rows measured 6–8% slower at 4 nodes. Above it they
+/// win: with the scalar loops at every width, `pisa_bench` read `fig2`
+/// `items_per_s` ×0.958 (0 of 8 alternating pairs won) and `app` ×0.993
+/// on a 2-vCPU Xeon. So narrow networks keep the scalar per-node path —
+/// the same code a context on the `fused_rows: false` reference path takes
+/// everywhere. Bit-identical either way.
 pub(crate) const WIDE_NODES: usize = 8;
 
 /// Whether the selection helpers should take the fused row path on `ctx`:
 /// the context runs the fused rows ([`EvalPaths`](saga_core::EvalPaths))
-/// and its network is at least [`WIDE_NODES`] wide, where the vectorized
-/// compose beats the scalar comparator loop. The band has no upper end:
+/// and its network is at least [`WIDE_NODES`] wide, where the row compose
+/// beats the scalar comparator loop. The band has no upper end:
 /// the rows live in the caller's [`NodeRows`], sized to the network.
 #[inline]
 pub(crate) fn fused_rows_profitable(ctx: &SchedContext) -> bool {
@@ -137,7 +139,7 @@ impl FrontierSweep {
     /// The fused `(start, finish)` rows of ready task `t` over all nodes,
     /// into `rows`: the cached data-ready row composed elementwise with the
     /// kernel's append-tail row and the execution row — the same
-    /// AVX-dispatched compose [`SchedContext::eft_row_append_into`] uses,
+    /// elementwise compose [`SchedContext::eft_row_append_into`] runs,
     /// minus the data-ready pass the sweep already cached. Element `v` is
     /// bit-identical to [`Self::start`] / `start + duration`.
     #[inline]

@@ -1,14 +1,15 @@
 //! Property suite for the fused EFT row kernels (PR 8).
 //!
-//! Every scheduler hot loop now answers "what is `t`'s (start, finish) on
-//! each node?" through [`SchedContext::eft_row_into`] (or its append-only
-//! fast variant) plus the lowest-index argmin helpers, instead of one
-//! `ctx.eft` query per node. The contract is bitwise: on any reachable
-//! partial state, the fused row must reproduce the per-node queries bit for
-//! bit, and the argmin helpers must pick exactly the node the Option-based
-//! comparator loops picked — including insertion-policy gap cells, interior
-//! idle gaps, and zero-duration boundary tasks whose finish precedes the
-//! node's max finish.
+//! The schedulers' append-policy selections answer "what is `t`'s (start,
+//! finish) on each node?" through [`SchedContext::eft_row_append_into`]
+//! plus the lowest-index argmin helpers, instead of one
+//! `ctx.eft(t, v, false)` query per node. The contract is bitwise: on any reachable partial state, the
+//! fused row must reproduce the per-node queries bit for bit, and the
+//! argmin helpers must pick exactly the node the Option-based comparator
+//! loops picked — including interior idle gaps and zero-duration boundary
+//! tasks whose finish precedes the node's max finish. (The per-node
+//! insertion query `eft(t, v, true)` has no row form; `kernel_state.rs`
+//! checks it against a naive model.)
 //!
 //! Half-placed states are generated from the schedulers themselves: each
 //! roster scheduler's final schedule is replayed for the first half of the
@@ -118,56 +119,52 @@ fn check_rows(ctx: &SchedContext, label: &str) {
     let mut starts = vec![0.0f64; nv];
     let mut finishes = vec![0.0f64; nv];
     for &t in ctx.ready() {
-        for insertion in [false, true] {
-            ctx.eft_row_into(t, &mut starts, &mut finishes, insertion);
-            // the row vs the per-node queries, element by element
-            let mut exp_eft: Option<(NodeId, f64, f64)> = None;
-            let mut exp_est: Option<(NodeId, f64, f64)> = None;
-            for v in ctx.nodes() {
-                let (es, ef) = ctx.eft(t, v, insertion);
-                assert_eq!(
-                    starts[v.index()].to_bits(),
-                    es.to_bits(),
-                    "{label}: start({t}, {v}, insertion={insertion}) diverged: \
-                     row {} vs query {es}",
-                    starts[v.index()],
-                );
-                assert_eq!(
-                    finishes[v.index()].to_bits(),
-                    ef.to_bits(),
-                    "{label}: finish({t}, {v}, insertion={insertion}) diverged: \
-                     row {} vs query {ef}",
-                    finishes[v.index()],
-                );
-                let take_eft = match exp_eft {
-                    None => true,
-                    Some((_, _, bf)) => ef < bf,
-                };
-                if take_eft {
-                    exp_eft = Some((v, es, ef));
-                }
-                let take_est = match exp_est {
-                    None => true,
-                    Some((_, bs, bf)) => es < bs || (es == bs && ef < bf),
-                };
-                if take_est {
-                    exp_est = Some((v, es, ef));
-                }
+        ctx.eft_row_append_into(t, &mut starts, &mut finishes);
+        // the row vs the per-node queries, element by element
+        let mut exp_eft: Option<(NodeId, f64, f64)> = None;
+        let mut exp_est: Option<(NodeId, f64, f64)> = None;
+        for v in ctx.nodes() {
+            let (es, ef) = ctx.eft(t, v, false);
+            assert_eq!(
+                starts[v.index()].to_bits(),
+                es.to_bits(),
+                "{label}: start({t}, {v}) diverged: row {} vs query {es}",
+                starts[v.index()],
+            );
+            assert_eq!(
+                finishes[v.index()].to_bits(),
+                ef.to_bits(),
+                "{label}: finish({t}, {v}) diverged: row {} vs query {ef}",
+                finishes[v.index()],
+            );
+            let take_eft = match exp_eft {
+                None => true,
+                Some((_, _, bf)) => ef < bf,
+            };
+            if take_eft {
+                exp_eft = Some((v, es, ef));
             }
-            // the argmin helpers vs the Option-based comparator loops
-            let (ev, _, _) = exp_eft.unwrap();
-            assert_eq!(
-                saga::core::argmin_finish(&finishes),
-                ev,
-                "{label}: argmin_finish({t}, insertion={insertion}) diverged"
-            );
-            let (sv, _, _) = exp_est.unwrap();
-            assert_eq!(
-                saga::core::argmin_start_finish(&starts, &finishes),
-                sv,
-                "{label}: argmin_start_finish({t}, insertion={insertion}) diverged"
-            );
+            let take_est = match exp_est {
+                None => true,
+                Some((_, bs, bf)) => es < bs || (es == bs && ef < bf),
+            };
+            if take_est {
+                exp_est = Some((v, es, ef));
+            }
         }
+        // the argmin helpers vs the Option-based comparator loops
+        let (ev, _, _) = exp_eft.unwrap();
+        assert_eq!(
+            saga::core::argmin_finish(&finishes),
+            ev,
+            "{label}: argmin_finish({t}) diverged"
+        );
+        let (sv, _, _) = exp_est.unwrap();
+        assert_eq!(
+            saga::core::argmin_start_finish(&starts, &finishes),
+            sv,
+            "{label}: argmin_start_finish({t}) diverged"
+        );
     }
 }
 
@@ -198,8 +195,8 @@ fn fused_rows_match_per_node_queries_on_scheduler_states() {
 #[test]
 fn fused_rows_match_on_boundary_shapes() {
     // a hand-built state with a zero-duration task sitting at the tail of a
-    // timeline while finishing before the slot beneath it: the insertion
-    // gate must key on the max finish, not the tail finish
+    // timeline while finishing before the slot beneath it: the append
+    // compose must key on the tail finish, not the max finish
     let mut g = TaskGraph::new();
     let a = g.add_task("a", 1.0);
     let z = g.add_task("z", 0.0);
@@ -215,8 +212,8 @@ fn fused_rows_match_on_boundary_shapes() {
                                   // sorted after `a`: the tail finish (2.0)
                                   // is *smaller* than the max finish (3.0)
     assert_eq!(ctx.append_tails(), &[2.0, 0.0]);
-    // b and c are both ready (c's predecessors are placed); b can slide
-    // into node 0's leading idle gap [0, 2), c cannot start before its data
+    // b and c are both ready (c's predecessors are placed); the append
+    // query reads node 0's tail finish 2, below its max finish 3
     check_rows(&ctx, "boundary");
 
     // an empty state: every timeline empty, tails all zero

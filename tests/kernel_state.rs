@@ -25,10 +25,16 @@
 //!   the model's node, start and finish bits, and each node's task order
 //!   equals the model's slots under the schedule's (start, finish, id)
 //!   sort.
+//!
+//! A second test checks the cached topological order: on one reused
+//! context, `topo_order()` must equal `TaskGraph::topological_order()` for
+//! every dataset generator's graphs, for disjoint unions of them grown
+//! past 96 tasks, and after random add- and remove-dependency edits on
+//! graphs of 64 tasks and of more.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use saga::core::{Instance, NodeId, SchedContext, TaskId, TIME_EPS};
+use saga::core::{Instance, NodeId, SchedContext, TaskGraph, TaskId, TIME_EPS};
 use saga::schedulers::util::fixtures;
 
 /// One slot of the reference timeline: `(start, finish, task)`.
@@ -96,14 +102,18 @@ impl Model {
         let tl = &self.timelines[v.index()];
         let max_finish = tl.iter().map(|s| s.1).fold(0.0, f64::max);
         if duration.is_infinite() {
-            return tl.last().map_or(ready, |s| s.1.max(ready));
+            return ready.max(max_finish);
         }
         if !tl.is_empty() && ready >= max_finish {
             return ready;
         }
         let mut candidate = ready;
         for s in tl {
-            if candidate + duration <= s.0 + TIME_EPS * s.0.abs().max(1.0) {
+            let end = candidate + duration;
+            if candidate <= s.0
+                && end <= s.0 + TIME_EPS * s.0.abs().max(1.0)
+                && (end < f64::INFINITY || s.0 == f64::INFINITY)
+            {
                 return candidate;
             }
             candidate = candidate.max(s.1);
@@ -236,5 +246,78 @@ fn run_state_matches_a_naive_model() {
             }
         }
         walk(&inst, &mut rng, 3);
+    }
+}
+
+/// `g` and `h` side by side in one graph, `h`'s task ids shifted past
+/// `g`'s: how the topology test reaches beyond 64 tasks with the
+/// generators' own shapes.
+fn disjoint_union(g: &TaskGraph, h: &TaskGraph) -> TaskGraph {
+    let mut u = g.clone();
+    let base = g.task_count() as u32;
+    for t in h.tasks() {
+        u.add_task(h.name(t), h.cost(t));
+    }
+    for (a, b, cost) in h.dependencies() {
+        u.add_dependency(TaskId(a.0 + base), TaskId(b.0 + base), cost)
+            .unwrap();
+    }
+    u
+}
+
+/// Asserts the kernel's cached order equals the graph's own after a
+/// `reset` of the one reused context.
+fn check_topo(ctx: &mut SchedContext, inst: &Instance, label: &str) {
+    ctx.reset(inst);
+    assert_eq!(
+        ctx.topo_order(),
+        &inst.graph.topological_order()[..],
+        "{label}: {} tasks",
+        inst.graph.task_count()
+    );
+}
+
+#[test]
+fn topo_order_matches_the_graph_on_a_reused_context() {
+    let mut rng = StdRng::seed_from_u64(0x70F0);
+    let mut ctx = SchedContext::new();
+    for gen in saga::datasets::all_generators() {
+        // grow a graph from the generator's samples until it passes 64
+        // tasks, checking every size on the way
+        let mut inst = gen.sample(&mut rng);
+        check_topo(&mut ctx, &inst, gen.name);
+        while inst.graph.task_count() <= 96 {
+            let more = gen.sample(&mut rng);
+            inst.graph = disjoint_union(&inst.graph, &more.graph);
+            check_topo(&mut ctx, &inst, gen.name);
+        }
+        // random structural edits on either side of 64 tasks: the first
+        // 64 tasks alone, then the whole graph
+        let mut small = inst.clone();
+        small.graph = TaskGraph::with_capacity(64);
+        for t in inst.graph.tasks().take(64) {
+            small.graph.add_task(inst.graph.name(t), inst.graph.cost(t));
+        }
+        for (a, b, cost) in inst.graph.dependencies() {
+            if a.index() < 64 && b.index() < 64 {
+                small.graph.add_dependency(a, b, cost).unwrap();
+            }
+        }
+        for target in [&mut small, &mut inst] {
+            let n = target.graph.task_count() as u32;
+            for edit in 0..40 {
+                let (a, b) = (TaskId(rng.gen_range(0..n)), TaskId(rng.gen_range(0..n)));
+                let g = &mut target.graph;
+                // removals keep the graph from filling up; an add that would
+                // close a cycle is refused and leaves it unchanged
+                let changed = if g.has_dependency(a, b) {
+                    g.remove_dependency(a, b).is_ok()
+                } else {
+                    g.add_dependency(a, b, rng.gen_range(0.0..=1.0)).is_ok()
+                };
+                let label = format!("{} edit {edit} ({a} -> {b}, applied: {changed})", gen.name);
+                check_topo(&mut ctx, target, &label);
+            }
+        }
     }
 }
