@@ -30,7 +30,7 @@
 //! statically).
 
 use crate::incremental::{DirtyRegion, RunTrace};
-use crate::{Assignment, Instance, NodeId, Schedule, TaskId};
+use crate::{later, Assignment, Instance, NodeId, Schedule, TaskId};
 use std::any::TypeId;
 
 /// Sets `v` to `n` copies of `value`, preferring an in-place fill (a memset
@@ -65,7 +65,7 @@ fn bits_eq_costs(g: &crate::TaskGraph, snap: &[f64]) -> bool {
 fn fold_arrivals(out: &mut [f64], row: &[f64], f: f64, cost: f64) {
     for (r, &link) in out.iter_mut().zip(row) {
         let arrival = f + cost / link;
-        *r = r.max(arrival);
+        *r = later(*r, arrival);
     }
 }
 
@@ -111,8 +111,8 @@ impl EvalPaths {
 }
 
 /// The append-start/finish compose over one task's rows:
-/// `starts[v] = tails[v].max(starts[v])` (the data-ready row folded with
-/// the per-node append tail) and `finishes[v] = starts[v] + exec[v]`.
+/// `starts[v] = later(tails[v], starts[v])` (the data-ready row folded
+/// with the node's max finish) and `finishes[v] = starts[v] + exec[v]`.
 #[inline]
 fn compose_append_rows(starts: &mut [f64], finishes: &mut [f64], tails: &[f64], exec: &[f64]) {
     for ((s, f), (&tail, &d)) in starts
@@ -120,7 +120,7 @@ fn compose_append_rows(starts: &mut [f64], finishes: &mut [f64], tails: &[f64], 
         .zip(finishes.iter_mut())
         .zip(tails.iter().zip(exec))
     {
-        let start = tail.max(*s);
+        let start = later(tail, *s);
         *s = start;
         *f = start + d;
     }
@@ -145,7 +145,7 @@ pub fn compose_append_rows_from(
         .zip(finishes.iter_mut())
         .zip(ready.iter().zip(tails).zip(exec))
     {
-        let start = tail.max(r);
+        let start = later(tail, r);
         *s = start;
         *f = start + d;
     }
@@ -252,19 +252,13 @@ pub struct SchedContext {
     placed_epoch: Vec<u32>,
     epoch: u32,
     placed_count: usize,
-    /// Largest finish time on each node's timeline (0 when empty). Not the
-    /// last slot's finish: a zero-duration task placed on an earlier slot's
-    /// boundary can sit at the end of the slot vector with an *earlier*
-    /// finish.
+    /// Largest finish time on each node's timeline (0 when empty): where
+    /// an append placement may start, and the row
+    /// [`append_tails`](Self::append_tails) hands to the append composes.
+    /// Not the last slot's finish: a zero-duration task placed on an
+    /// earlier slot's boundary can sit at the end of the slot vector with
+    /// an *earlier* finish.
     max_finish: Vec<f64>,
-    /// Finish time of the *last* slot on each node's timeline (0 when
-    /// empty) — `timelines[v].last()` hoisted into a dense row so the
-    /// append-start compose in
-    /// [`eft_row_append_into`](Self::eft_row_append_into) is a branchless
-    /// elementwise fold instead of a per-node `Option` match.
-    /// Distinct from `max_finish` (see above); reconciled against the
-    /// timelines by a debug assertion after every mutation.
-    tail_finish: Vec<f64>,
     /// Number of unplaced predecessors per task.
     unplaced_preds: Vec<u32>,
     /// Unplaced tasks whose predecessors are all placed, ascending by id.
@@ -741,7 +735,6 @@ impl SchedContext {
             tl.clear();
         }
         set_all(&mut self.max_finish, nv, 0.0);
-        set_all(&mut self.tail_finish, nv, 0.0);
         if self.placed_epoch.len() != nt || self.epoch == u32::MAX {
             set_all(&mut self.placed_epoch, nt, 0);
             self.epoch = 1;
@@ -972,7 +965,7 @@ impl SchedContext {
                 self.pred_task[i]
             );
             let arrival = self.finish[p] + self.comm_time(self.pred_cost[i], self.node_of[p], v);
-            ready = ready.max(arrival);
+            ready = later(ready, arrival);
         }
         ready
     }
@@ -1006,7 +999,7 @@ impl SchedContext {
             if cost == 0.0 {
                 // empty message: arrives at `f` everywhere
                 for r in out.iter_mut() {
-                    *r = r.max(f);
+                    *r = later(*r, f);
                 }
                 continue;
             }
@@ -1019,7 +1012,7 @@ impl SchedContext {
             let keep = out[pn];
             let row = &self.links[pn * self.n_nodes..][..self.n_nodes];
             fold_arrivals(out, row, f, cost);
-            out[pn] = keep.max(f);
+            out[pn] = later(keep, f);
         }
     }
 
@@ -1056,7 +1049,7 @@ impl SchedContext {
                 }
                 b1 = r;
             } else if pn != n1 {
-                b2 = b2.max(r);
+                b2 = later(b2, r);
             }
         }
         out.fill(b1);
@@ -1066,17 +1059,16 @@ impl SchedContext {
         for i in s..e {
             let p = self.pred_task[i].index();
             let pn = self.node_of[p].index();
-            out[pn] = out[pn].max(self.finish[p]);
+            out[pn] = later(out[pn], self.finish[p]);
         }
     }
 
-    /// Earliest start on `v` at or after `ready` considering only the tail
-    /// of the timeline (no insertion).
+    /// Earliest start on `v` at or after `ready` after every slot on the
+    /// node (no insertion): the later of `ready` and the node's max finish.
+    /// An empty timeline's max finish is `0.0`, which folds away against
+    /// any data-ready time.
     pub fn earliest_start_append(&self, v: NodeId, ready: f64) -> f64 {
-        match self.timelines[v.index()].last() {
-            Some(slot) => slot.finish.max(ready),
-            None => ready,
-        }
+        later(self.max_finish[v.index()], ready)
     }
 
     /// Earliest start on `v` at or after `ready`, allowed to fill an idle
@@ -1096,7 +1088,7 @@ impl SchedContext {
             // a never-ending task fits no gap: it starts after every slot
             // ends, which is after the last slot only when no
             // zero-duration boundary task sits last
-            return ready.max(self.max_finish[v.index()]);
+            return later(ready, self.max_finish[v.index()]);
         }
         // Data arriving at or after every slot's finish: the scan's candidate
         // never rises above `ready` and both the early gap-return and the
@@ -1111,12 +1103,12 @@ impl SchedContext {
         for s in slots {
             let end = candidate + duration;
             if candidate <= s.start
-                && end <= s.start + crate::schedule::TIME_EPS * s.start.abs().max(1.0)
+                && end <= s.start + crate::schedule::TIME_EPS * later(s.start.abs(), 1.0)
                 && (end < f64::INFINITY || s.start == f64::INFINITY)
             {
                 return candidate;
             }
-            candidate = candidate.max(s.finish);
+            candidate = later(candidate, s.finish);
         }
         candidate
     }
@@ -1134,22 +1126,23 @@ impl SchedContext {
         (start, start + duration)
     }
 
-    /// Finish time of the last slot on each node's timeline (`0.0` for an
-    /// empty timeline), maintained alongside the timelines by
-    /// [`place`](Self::place)/[`unplace`](Self::unplace). Composing
-    /// `append_tails()[v].max(ready)` reproduces
-    /// [`earliest_start_append`](Self::earliest_start_append) bit for bit:
-    /// finish times are never negative, so the empty-timeline `0.0` folds
-    /// away against any data-ready time.
+    /// The max finish time on each node's timeline (`0.0` for an empty
+    /// timeline), maintained by [`place`](Self::place)/
+    /// [`unplace`](Self::unplace). Composing `later(append_tails()[v],
+    /// ready)` reproduces
+    /// [`earliest_start_append`](Self::earliest_start_append) bit for bit.
+    /// In an append-only state this is also the last slot's finish; after
+    /// an insertion a zero-duration task can sit last with an earlier
+    /// finish, and an append placement must still start after every slot.
     #[inline]
     pub fn append_tails(&self) -> &[f64] {
-        &self.tail_finish
+        &self.max_finish
     }
 
     /// [`eft`](Self::eft) without insertion for every node at once, into
     /// `starts`/`finishes` (length `node_count()`): one
     /// [`data_ready_times_into`](Self::data_ready_times_into) row pass, then
-    /// a branchless elementwise compose of the maintained append-tail row
+    /// a branchless elementwise compose of the maintained max-finish row
     /// and the cached execution row. Bit-identical to the per-node
     /// `eft(t, v, false)`.
     #[inline]
@@ -1157,21 +1150,7 @@ impl SchedContext {
         debug_assert_eq!(finishes.len(), self.n_nodes);
         self.data_ready_times_into(t, starts);
         let exec = &self.exec[t.index() * self.n_nodes..(t.index() + 1) * self.n_nodes];
-        compose_append_rows(starts, finishes, &self.tail_finish, exec);
-    }
-
-    /// Reconciles the cached tail-finish row of `v` against its timeline
-    /// (debug builds only) — the invariant every row compose relies on.
-    #[inline]
-    fn debug_check_tail(&self, v: NodeId) {
-        debug_assert_eq!(
-            self.tail_finish[v.index()].to_bits(),
-            self.timelines[v.index()]
-                .last()
-                .map_or(0.0, |s| s.finish)
-                .to_bits(),
-            "cached tail finish diverged from timeline {v}"
-        );
+        compose_append_rows(starts, finishes, &self.max_finish, exec);
     }
 
     /// Checks that the ready queue is strictly ascending by id (debug
@@ -1225,10 +1204,10 @@ impl SchedContext {
     /// exactly one node timeline and `max_finish` is maintained per
     /// placement, so folding the per-node maxima visits `|V|` entries
     /// instead of scanning (and epoch-filtering) every task's finish slot —
-    /// same value set under the same `f64::max` fold from `0.0`, so the
+    /// same value set under the same [`later`] fold from `0.0`, so the
     /// result is bit-identical.
     pub fn current_makespan(&self) -> f64 {
-        self.max_finish.iter().copied().fold(0.0, f64::max)
+        self.max_finish.iter().copied().fold(0.0, later)
     }
 
     // ---- mutation ----
@@ -1255,18 +1234,14 @@ impl SchedContext {
         let timeline = &mut self.timelines[v.index()];
         if timeline.last().is_none_or(|last| last.start <= start) {
             // append: the same position `partition_point` finds on a
-            // timeline sorted by start, and the new slot is the tail
+            // timeline sorted by start
             timeline.push(slot);
-            self.tail_finish[v.index()] = finish;
         } else {
-            // interior insert: the last slot — and therefore the cached
-            // tail finish — is untouched
             let pos = timeline.partition_point(|s| s.start <= start);
             timeline.insert(pos, slot);
         }
         let mf = &mut self.max_finish[v.index()];
-        *mf = mf.max(finish);
-        self.debug_check_tail(v);
+        *mf = later(*mf, finish);
         self.finish[t.index()] = finish;
         self.node_of[t.index()] = v;
         self.placed_epoch[t.index()] = self.epoch;
@@ -1316,9 +1291,7 @@ impl SchedContext {
             .position(|s| s.task == t)
             .expect("placed task missing from its timeline");
         timeline.remove(pos);
-        self.max_finish[v.index()] = timeline.iter().map(|s| s.finish).fold(0.0, f64::max);
-        self.tail_finish[v.index()] = timeline.last().map_or(0.0, |s| s.finish);
-        self.debug_check_tail(v);
+        self.max_finish[v.index()] = timeline.iter().map(|s| s.finish).fold(0.0, later);
         self.placed_epoch[t.index()] = 0;
         self.finish[t.index()] = f64::NAN;
         self.placed_count -= 1;
@@ -1377,7 +1350,10 @@ impl SchedContext {
             let mut best = 0.0f64;
             let (s, e) = self.succ_range(t);
             for i in s..e {
-                best = best.max(self.avg_comm(self.succ_cost[i]) + out[self.succ_task[i].index()]);
+                best = later(
+                    best,
+                    self.avg_comm(self.succ_cost[i]) + out[self.succ_task[i].index()],
+                );
             }
             out[t.index()] = self.avg_exec[t.index()] + best;
         }
@@ -1394,7 +1370,7 @@ impl SchedContext {
                 let via =
                     out[t.index()] + self.avg_exec[t.index()] + self.avg_comm(self.succ_cost[i]);
                 let r = &mut out[self.succ_task[i].index()];
-                *r = r.max(via);
+                *r = later(*r, via);
             }
         }
     }
@@ -1587,6 +1563,37 @@ mod tests {
     }
 
     #[test]
+    fn append_queries_after_an_insertion_start_after_every_slot() {
+        // A at [2, 3], then a zero-duration Z at [2, 2] sorts last on node
+        // 0: the last slot finishes at 2, inside A. Append queries must
+        // answer from the max finish 3, or the tasks they place overlap A.
+        let mut g = TaskGraph::new();
+        let a = g.add_task("a", 1.0);
+        let z = g.add_task("z", 0.0);
+        let b = g.add_task("b", 2.0);
+        let c = g.add_task("c", 0.5);
+        let d = g.add_task("d", 1.5);
+        g.add_dependency(a, c, 0.2).unwrap();
+        g.add_dependency(z, c, 0.0).unwrap();
+        g.add_dependency(b, d, 1.0).unwrap();
+        let inst = Instance::new(Network::complete(&[1.0, 0.5], 1.0), g);
+        let mut ctx = SchedContext::new();
+        ctx.reset(&inst);
+        ctx.place(a, NodeId(0), 2.0);
+        ctx.place(z, NodeId(0), 2.0);
+        assert_eq!(ctx.earliest_start_append(NodeId(0), 0.0), 3.0);
+        assert_eq!(ctx.append_tails(), &[3.0, 0.0]);
+        // the rest append on node 0, as an append-only scheduler would
+        // place them there
+        for t in [b, c, d] {
+            let (start, _) = ctx.eft(t, NodeId(0), false);
+            assert!(start >= 3.0, "{t} starts at {start}, inside a");
+            ctx.place(t, NodeId(0), start);
+        }
+        ctx.snapshot_schedule().verify(&inst).unwrap();
+    }
+
+    #[test]
     fn pinned_tables_survive_reset_and_unpin_rebuilds() {
         let inst = diamond_instance();
         let mut ctx = SchedContext::new();
@@ -1606,9 +1613,10 @@ mod tests {
 
     #[test]
     fn eft_rows_match_per_node_queries_bit_for_bit() {
-        // Includes a zero-duration boundary task so the row path sees the
-        // max_finish-vs-tail split (the timeline's last slot finishes at 2
-        // while the max finish is 3 — see the test above).
+        // Includes a zero-duration boundary task that sits last on its
+        // timeline (the last slot finishes at 2 while the max finish is 3 —
+        // see the test above): rows and per-node queries both start after
+        // the max finish.
         let mut g = TaskGraph::new();
         g.add_task("a", 1.0);
         g.add_task("z", 0.0);
@@ -1630,7 +1638,7 @@ mod tests {
             assert_eq!(argmin_finish(&finishes), NodeId(1), "{t}");
             assert_eq!(argmin_start_finish(&starts, &finishes), NodeId(1), "{t}");
         }
-        assert_eq!(ctx.append_tails(), &[2.0, 0.0]);
+        assert_eq!(ctx.append_tails(), &[3.0, 0.0]);
     }
 
     #[test]

@@ -29,6 +29,7 @@ pub mod ranking;
 mod schedule;
 mod seed;
 pub mod stochastic;
+mod time;
 
 pub use builder::ScheduleBuilder;
 pub use error::{GraphError, NetworkError, ScheduleError};
@@ -43,3 +44,4 @@ pub use network::Network;
 pub use pool::{ContextPool, PooledContext};
 pub use schedule::{Assignment, Schedule, TIME_EPS};
 pub use seed::{derive_seed, fnv1a};
+pub use time::{earlier, later};

@@ -4,7 +4,7 @@
 //! over all nodes, average communication time over all (ordered, distinct)
 //! node pairs, upward rank, downward rank, and the critical path they induce.
 
-use crate::{Instance, TaskId};
+use crate::{later, Instance, TaskId};
 
 /// Precomputed average costs for an instance.
 ///
@@ -67,7 +67,7 @@ pub fn upward_rank_with(inst: &Instance, avg: &AverageCosts) -> Vec<f64> {
     for &t in order.iter().rev() {
         let mut best = 0.0f64;
         for e in inst.graph.successors(t) {
-            best = best.max(avg.comm(e.cost) + rank[e.task.index()]);
+            best = later(best, avg.comm(e.cost) + rank[e.task.index()]);
         }
         rank[t.index()] = avg.exec[t.index()] + best;
     }
@@ -90,7 +90,7 @@ pub fn downward_rank_with(inst: &Instance, avg: &AverageCosts) -> Vec<f64> {
         for e in inst.graph.successors(t) {
             let via = rank[t.index()] + avg.exec[t.index()] + avg.comm(e.cost);
             let r = &mut rank[e.task.index()];
-            *r = r.max(via);
+            *r = later(*r, via);
         }
     }
     rank
@@ -125,7 +125,7 @@ pub fn critical_path(inst: &Instance) -> CriticalPath {
             length = l;
         }
     }
-    let tol = 1e-9 * length.abs().max(1.0);
+    let tol = 1e-9 * later(length.abs(), 1.0);
     let is_cp = |i: usize| {
         (up[i] + down[i] - length).abs() <= tol
             || (up[i] + down[i]).is_infinite() && length.is_infinite()

@@ -15,7 +15,7 @@
 //!   reality deviates from the means.
 
 use crate::dist::{clipped_gaussian, standard_normal};
-use crate::{Assignment, Instance, NodeId, Schedule, TaskId};
+use crate::{later, Assignment, Instance, NodeId, Schedule, TaskId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -77,6 +77,10 @@ impl Dist {
 
     /// A relative-jitter helper: `ClippedGaussian(mean, cv * mean)` clipped
     /// to `[(1 - 3cv) * mean, (1 + 3cv) * mean]` (never below 0).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "`inf * 0.0` is NaN for a `+inf` mean at `cv = 1/3`, and the clamp maps it to 0"
+    )]
     pub fn jitter(mean: f64, cv: f64) -> Dist {
         Dist::ClippedGaussian {
             mean,
@@ -170,6 +174,10 @@ impl StochasticInstance {
     }
 
     /// Draws a concrete instance.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a sample over a `+inf` template weight can be NaN (`inf + inf * z` for a negative normal draw `z`), and the clamp maps it to 0"
+    )]
     pub fn realize<R: Rng + ?Sized>(&self, rng: &mut R) -> Instance {
         let mut inst = self.template.clone();
         for (t, d) in self.template.graph.tasks().zip(&self.task_costs) {
@@ -194,6 +202,10 @@ impl StochasticInstance {
     }
 
     /// The deterministic mean-weight instance (what a static scheduler sees).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a `Dist` is caller data: the mean of a uniform over `-inf..=inf` is NaN (`0.5 * (-inf + inf)`), and the clamp maps it to 0"
+    )]
     pub fn expected_instance(&self) -> Instance {
         let mut inst = self.template.clone();
         for (t, d) in self.template.graph.tasks().zip(&self.task_costs) {
@@ -256,14 +268,14 @@ pub fn simulate_fixed(plan: &Schedule, realized: &Instance) -> Schedule {
                         Some(f) => {
                             let from = plan.assignment(e.task).node;
                             let arrive = f + n.comm_time(e.cost, from, NodeId(v as u32));
-                            data_ready = data_ready.max(arrive);
+                            data_ready = later(data_ready, arrive);
                         }
                     }
                 }
                 if !ready {
                     break;
                 }
-                let start = node_free[v].max(data_ready);
+                let start = later(node_free[v], data_ready);
                 let fin = start + n.exec_time(g.cost(t), NodeId(v as u32));
                 node_free[v] = fin;
                 finish[t.index()] = Some(fin);

@@ -50,14 +50,14 @@
 //! The selection loop is an append-only frontier sweep. Once a task is
 //! ready its predecessors are all placed, so its data-ready row never
 //! changes: [`util::FrontierSweep`] computes each row once, and every
-//! `BIM(t, v)` is `tail(v).max(ready(t, v)) + BIL(t, v)` over the kernel's
+//! `BIM(t, v)` is `later(tail(v), ready(t, v)) + BIL(t, v)` over the kernel's
 //! append-tail row. These are the floats the per-node `ctx.eft(t, v,
 //! false)` query composes, without re-folding the task's predecessors for
 //! every node at every step. The tests keep that per-node loop as the
 //! oracle the sweep must match bit for bit.
 
 use crate::{util, KernelRun};
-use saga_core::{Instance, NodeId, SchedContext, TaskId};
+use saga_core::{earlier, later, Instance, NodeId, SchedContext, TaskId};
 
 /// The BIL scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -104,10 +104,10 @@ fn bil_table_plain(ctx: &SchedContext, out: &mut Vec<f64>) {
                     if v2 != v {
                         let candidate =
                             out[st.index() * nv + v2.index()] + ctx.comm_time(cost, v, v2);
-                        best = best.min(candidate);
+                        best = earlier(best, candidate);
                     }
                 }
-                level = level.max(best);
+                level = later(level, best);
             }
             out[t.index() * nv + v.index()] = ctx.exec_time(t, v) + level;
         }
@@ -189,9 +189,9 @@ fn bil_table_pruned(
                     if l >= best {
                         break;
                     }
-                    best = best.min(l + ctx.comm_time(cost, v, v2));
+                    best = earlier(best, l + ctx.comm_time(cost, v, v2));
                 }
-                level = level.max(best);
+                level = later(level, best);
             }
             out[t.index() * nv + v.index()] = ctx.exec_time(t, v) + level;
         }
@@ -207,7 +207,7 @@ fn bil_table_pruned(
 
 /// BIL's selection loop on a freshly reset context. Append-only, so every
 /// start comes from the [`util::FrontierSweep`] cache: `BIM(t, v)` is
-/// `tail(v).max(ready(t, v)) + BIL(t, v)`, the same floats
+/// `later(tail(v), ready(t, v)) + BIL(t, v)`, the same floats
 /// `ctx.eft(t, v, false)` composes, scanned in ascending node order with a
 /// strict `<`.
 fn bil_loop(ctx: &mut SchedContext, bil: &[f64]) {
@@ -223,15 +223,15 @@ fn bil_loop(ctx: &mut SchedContext, bil: &[f64]) {
             let ready = sweep.row(nv, t);
             let levels = &bil[t.index() * nv..][..nv];
             // (v, bim) of the first node with the smallest BIM
-            let mut best = (0, tails[0].max(ready[0]) + levels[0]);
+            let mut best = (0, later(tails[0], ready[0]) + levels[0]);
             for v in 1..nv {
-                let bim = tails[v].max(ready[v]) + levels[v];
+                let bim = later(tails[v], ready[v]) + levels[v];
                 if bim < best.1 {
                     best = (v, bim);
                 }
             }
             let (v, bim) = best;
-            let (v, s) = (NodeId(v as u32), tails[v].max(ready[v]));
+            let (v, s) = (NodeId(v as u32), later(tails[v], ready[v]));
             let better = match chosen {
                 None => true,
                 Some((ct, _, _, cb)) => bim > cb || (bim == cb && t < ct),

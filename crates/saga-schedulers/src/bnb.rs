@@ -11,7 +11,7 @@
 
 use crate::Scheduler;
 use saga_core::Instance;
-use saga_core::{SchedContext, Schedule, TaskId};
+use saga_core::{later, SchedContext, Schedule, TaskId};
 
 /// The (1+eps)-optimal binary-search scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -59,7 +59,7 @@ impl Oracle {
             for v in 0..ctx.node_count() as u32 {
                 let v = saga_core::NodeId(v);
                 let (s, f) = ctx.eft(t, v, false);
-                if f > self.bound + 1e-12 * self.bound.abs().max(1.0) {
+                if f > self.bound + 1e-12 * later(self.bound.abs(), 1.0) {
                     continue;
                 }
                 ctx.place(t, v, s);
@@ -78,6 +78,10 @@ impl BnbSearch {
     /// A safe lower bound on the optimal makespan: the larger of (a) the
     /// critical path executed entirely on the fastest node with free
     /// communication and (b) the total work spread over all node speeds.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the bound is NaN when a summed cost and a speed are both `+inf`: `inf / inf` in `cp` or `area`"
+    )]
     fn lower_bound(inst: &Instance) -> f64 {
         let fastest = inst.network.speed(inst.network.fastest_node());
         if fastest == 0.0 {
@@ -89,11 +93,11 @@ impl BnbSearch {
         for &t in order.iter().rev() {
             let mut best = 0.0f64;
             for e in inst.graph.successors(t) {
-                best = best.max(chain[e.task.index()]);
+                best = later(best, chain[e.task.index()]);
             }
             chain[t.index()] = inst.graph.cost(t) + best;
         }
-        let cp = chain.iter().fold(0.0f64, |a, &b| a.max(b)) / fastest;
+        let cp = chain.iter().copied().fold(0.0f64, later) / fastest;
         let total_speed: f64 = inst.network.speeds().iter().sum();
         let area = if total_speed > 0.0 {
             inst.graph.total_cost() / total_speed
@@ -109,6 +113,10 @@ impl Scheduler for BnbSearch {
         "BnB"
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the bound is NaN when a summed cost and a speed are both `+inf`: `inf / inf` in `cp` or `area`"
+    )]
     fn schedule_into(&self, inst: &Instance, ctx: &mut SchedContext) -> Schedule {
         // initial upper bound: best of the fast heuristics
         let mut best = crate::Heft.schedule_into(inst, ctx);

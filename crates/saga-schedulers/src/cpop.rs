@@ -10,7 +10,7 @@
 //! takes the scalar per-node sweep). Complexity `O(|T|^2 |V|)`.
 
 use crate::{util, KernelRun};
-use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext, TaskId};
+use saga_core::{later, DirtyRegion, Instance, RunTrace, SchedContext, TaskId};
 
 /// The CPoP scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -61,7 +61,7 @@ impl Cpop {
         let length = up
             .iter()
             .fold(0.0f64, |acc, &l| if l > acc { l } else { acc });
-        let tol = 1e-9 * length.abs().max(1.0);
+        let tol = 1e-9 * later(length.abs(), 1.0);
         let cp_node = ctx.fastest_node();
         let prio = |t: TaskId| up[t.index()];
 
@@ -70,7 +70,7 @@ impl Cpop {
             ctx.begin_recording();
             if !dirty.is_full() && trace.matches(n, ctx.node_count()) && trace.aux().len() == n {
                 let old_length = trace.aux_scalar();
-                let old_tol = 1e-9 * old_length.abs().max(1.0);
+                let old_tol = 1e-9 * later(old_length.abs(), 1.0);
                 for k in 0..n {
                     let t = select(ctx, &prio);
                     if t != trace.task(k)

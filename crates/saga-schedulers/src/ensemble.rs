@@ -66,7 +66,7 @@ impl Scheduler for Ensemble {
         self.members
             .iter()
             .map(|m| m.makespan_into(inst, ctx))
-            .fold(f64::INFINITY, f64::min)
+            .fold(f64::INFINITY, saga_core::earlier)
     }
 }
 

@@ -117,7 +117,10 @@ mod tests {
             let s = Etf.schedule(&inst);
             s.verify(&inst).unwrap();
             let nnodes = inst.network.node_count() as f64;
-            let lb = (inst.graph.total_cost() / nnodes).max(ranking::critical_path(&inst).length);
+            let lb = saga_core::later(
+                inst.graph.total_cost() / nnodes,
+                ranking::critical_path(&inst).length,
+            );
             assert!(
                 s.makespan() <= (2.0 - 1.0 / nnodes) * lb + 1e-9,
                 "seed {seed}: {} > (2-1/n) * {lb}",

@@ -25,7 +25,7 @@
 //! per ready task into a pooled [`util::NodeRows`].
 
 use crate::{util, KernelRun};
-use saga_core::{Instance, SchedContext};
+use saga_core::{later, Instance, SchedContext};
 
 /// The GDL (DLS) scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -69,7 +69,7 @@ fn levels_into(ctx: &mut SchedContext, levels: &mut Vec<f64>) {
     for &t in ctx.topo_order().iter().rev() {
         let mut best = 0.0f64;
         for (s, _) in ctx.succs(t) {
-            best = best.max(levels[s.index()]);
+            best = later(best, levels[s.index()]);
         }
         levels[t.index()] = levels[n + t.index()] + best;
     }
@@ -100,7 +100,7 @@ fn gdl_loop(ctx: &mut SchedContext, levels: &[f64]) {
                 let start = if fused {
                     rows.starts()[v]
                 } else {
-                    ready_row[v].max(ctx.append_tails()[v])
+                    later(ready_row[v], ctx.append_tails()[v])
                 };
                 let delta = med - duration;
                 let dl = level - start + delta;

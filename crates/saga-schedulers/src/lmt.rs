@@ -8,7 +8,7 @@
 //! each is assigned to the node minimizing its completion time.
 
 use crate::{util, KernelRun};
-use saga_core::{Instance, SchedContext};
+use saga_core::{later, Instance, SchedContext};
 
 /// The Levelized Min Time scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -46,10 +46,10 @@ impl KernelRun for Lmt {
             let lt = level[t.index()];
             for (s, _) in ctx.succs(t) {
                 let l = &mut level[s.index()];
-                *l = l.max(lt + 1.0);
+                *l = later(*l, lt + 1.0);
             }
         }
-        let max_level = level.iter().copied().fold(0.0f64, f64::max);
+        let max_level = level.iter().copied().fold(0.0f64, later);
         let mut tier = ctx.take_tasks();
         let mut rows = util::NodeRows::new(ctx);
         let mut l = 0.0f64;

@@ -22,7 +22,7 @@
 
 use crate::{util, KernelRun};
 use saga_core::incremental::MAX_DIRTY;
-use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
+use saga_core::{later, DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
 
 /// The MinMin scheduler.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,9 +37,9 @@ fn best_finish(tails: &[f64], ready: &[f64], exec: &[f64]) -> (usize, f64) {
     let nv = tails.len();
     let (ready, exec) = (&ready[..nv], &exec[..nv]);
     let mut bv = 0;
-    let mut bf = tails[0].max(ready[0]) + exec[0];
+    let mut bf = later(tails[0], ready[0]) + exec[0];
     for v in 1..nv {
-        let f = tails[v].max(ready[v]) + exec[v];
+        let f = later(tails[v], ready[v]) + exec[v];
         if f < bf {
             bv = v;
             bf = f;

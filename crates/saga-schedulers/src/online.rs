@@ -15,7 +15,7 @@
 //! not knowing the future.
 
 use crate::{util, Scheduler};
-use saga_core::{Instance, NodeId, Schedule, ScheduleBuilder, TaskId};
+use saga_core::{later, Instance, NodeId, Schedule, ScheduleBuilder, TaskId};
 
 /// Release times per task (indexed by [`TaskId`]), making an [`Instance`]
 /// an online problem.
@@ -52,6 +52,10 @@ impl ReleaseTimes {
 
     /// Validates a schedule against the release constraint
     /// (`start >= release` for every task, on top of `Schedule::verify`).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "release times are caller data, not model weights: `staggered` gives NaN for an infinite stagger (`0 * inf` at depth 0)"
+    )]
     pub fn verify(&self, inst: &Instance, sched: &Schedule) -> Result<(), String> {
         sched.verify(inst).map_err(|e| e.to_string())?;
         for t in inst.graph.tasks() {
@@ -143,6 +147,10 @@ impl OnlinePolicy for OnlineOlb {
 
 /// Runs the online event loop: placement decisions see only released tasks,
 /// and every start respects `max(release, data-ready, node-available)`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "release times are caller data, not model weights: `staggered` gives NaN for an infinite stagger (`0 * inf` at depth 0)"
+)]
 pub fn simulate_online(
     inst: &Instance,
     releases: &ReleaseTimes,
@@ -170,7 +178,7 @@ pub fn simulate_online(
         let min_start = |t: TaskId, v: NodeId| -> f64 {
             let data = b.data_ready_time(t, v);
             let avail = b.earliest_start_append(v, 0.0);
-            data.max(avail).max(releases.0[t.index()])
+            later(data, avail).max(releases.0[t.index()])
         };
         let (t, v, start) = policy.choose(&b, &visible, &min_start);
         debug_assert!(start >= releases.0[t.index()]);

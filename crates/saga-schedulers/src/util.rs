@@ -11,7 +11,7 @@
 //! context pool once per run, so no width falls back to per-node
 //! data-ready queries.
 
-use saga_core::{DirtyRegion, NodeId, RunTrace, SchedContext, TaskId};
+use saga_core::{later, DirtyRegion, NodeId, RunTrace, SchedContext, TaskId};
 
 /// Minimum network width for the fused row formulation to pay. Below it,
 /// materializing row buffers loses to the register-resident comparator
@@ -77,7 +77,7 @@ impl NodeRows {
 /// ETF, ERT, GDL, WBA, FLB): a ready task's data-ready times never change
 /// (its predecessors are all placed), so each task's row is computed exactly
 /// once — and every `(start, finish)` the sweep compares is recomposed as
-/// `tail.max(ready) + duration` from that row, the kernel's maintained
+/// `later(tail, ready) + duration` from that row, the kernel's maintained
 /// append-tail row ([`SchedContext::append_tails`]) and the cached execution
 /// row, division-free and bit-identical to the direct queries. ETF, ERT and
 /// GDL recompose with one branchless fused sweep ([`Self::fused_rows`]) into
@@ -115,7 +115,10 @@ impl FrontierSweep {
     /// `ctx.earliest_start_append(v, ctx.data_ready_time(t, v))`.
     #[inline]
     pub fn start(&self, ctx: &SchedContext, t: TaskId, v: usize) -> f64 {
-        ctx.append_tails()[v].max(self.drt[t.index() * ctx.node_count() + v])
+        later(
+            ctx.append_tails()[v],
+            self.drt[t.index() * ctx.node_count() + v],
+        )
     }
 
     /// The cached data-ready row of a ready task — element `v` is identical

@@ -16,12 +16,20 @@
 //! when the task becomes ready, from [`util::FrontierSweep`]'s cached
 //! data-ready row; after each placement only the placed node's column of
 //! the ready rows is recomposed. The option pass turns the rows into the
-//! step's increases and folds their extremes in four lanes (exact in any
-//! order: an increase is never NaN or `-0.0`). The chosen option's start
-//! is recomposed from the same inputs (same expressions, same bits). The
-//! current makespan is a running max over placed finish times (same fold,
-//! same value) instead of an O(|T|) rescan per step — bit-identical
-//! decisions and RNG stream.
+//! step's increases, `f - current` when a finish `f` passes the current
+//! makespan and `0` otherwise, and folds their extremes in four lanes
+//! (exact in any order: an increase is never NaN or `-0.0`, even when `f`
+//! and `current` are both `+inf`). The chosen option's start is recomposed
+//! from the same inputs (same expressions, same bits). The current makespan
+//! is a running max over placed finish times (same fold, same value)
+//! instead of an O(|T|) rescan per step — bit-identical decisions and RNG
+//! stream.
+//!
+//! When `I_min` and `I_max` are finite and differ, every increase lies
+//! between them and so is finite: the weight of an option is `I_max - I`
+//! as it stands, and the total is their plain sum. Otherwise (an infinite
+//! increase on a zero-speed network, or all increases equal) the step
+//! draws uniformly among the options.
 //!
 //! Incremental evaluation replays the recorded run's unchanged prefix
 //! through [`util::replay_frontier_prefix`]. The selection weighs options
@@ -39,7 +47,7 @@
 use crate::{util, KernelRun};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use saga_core::{DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
+use saga_core::{earlier, later, DirtyRegion, Instance, NodeId, RunTrace, SchedContext, TaskId};
 
 /// The WBA scheduler.
 #[derive(Debug, Clone, Copy)]
@@ -65,34 +73,30 @@ fn fill_finish_row(
     let nv = ctx.node_count();
     let (tails, ready, exec) = (ctx.append_tails(), sweep.row(nv, t), ctx.exec_row(t));
     for (v, f) in finishes[t.index() * nv..][..nv].iter_mut().enumerate() {
-        *f = tails[v].max(ready[v]) + exec[v];
+        *f = later(tails[v], ready[v]) + exec[v];
     }
 }
 
 /// The smallest and largest of `xs` (`(inf, -inf)` when empty), folded in
 /// four interleaved lanes. The order does not matter for option increases
-/// `max(finish - current, 0.0)`: they are never NaN (`max` gives 0 for a
-/// NaN difference) and never `-0.0` (finishes are never `-0.0`, and a
-/// difference is `-0.0` only when its left side is).
+/// (see the [module docs](self)): they are never NaN and never `-0.0`.
 fn extremes(xs: &[f64]) -> (f64, f64) {
-    let min = |a: f64, b: f64| if b < a { b } else { a };
-    let max = |a: f64, b: f64| if b > a { b } else { a };
     let mut lo = [f64::INFINITY; 4];
     let mut hi = [f64::NEG_INFINITY; 4];
     let chunks = xs.chunks_exact(4);
     for &x in chunks.remainder() {
-        lo[0] = min(lo[0], x);
-        hi[0] = max(hi[0], x);
+        lo[0] = earlier(lo[0], x);
+        hi[0] = later(hi[0], x);
     }
     for c in chunks {
         for k in 0..4 {
-            lo[k] = min(lo[k], c[k]);
-            hi[k] = max(hi[k], c[k]);
+            lo[k] = earlier(lo[k], c[k]);
+            hi[k] = later(hi[k], c[k]);
         }
     }
     (
-        min(min(lo[0], lo[1]), min(lo[2], lo[3])),
-        max(max(hi[0], hi[1]), max(hi[2], hi[3])),
+        earlier(earlier(lo[0], lo[1]), earlier(lo[2], lo[3])),
+        later(later(hi[0], hi[1]), later(hi[2], hi[3])),
     )
 }
 
@@ -121,7 +125,10 @@ fn wba_loop(ctx: &mut SchedContext, rng: &mut StdRng, mut current: f64) {
         increases.clear();
         for &t in ctx.ready() {
             let row = &finishes[t.index() * nv..][..nv];
-            increases.extend(row.iter().map(|&f| (f - current).max(0.0)));
+            increases.extend(
+                row.iter()
+                    .map(|&f| if f > current { f - current } else { 0.0 }),
+            );
         }
         let (i_min, i_max) = extremes(&increases);
         // exactly one `next_u64` per step on every branch (see the module
@@ -132,18 +139,16 @@ fn wba_loop(ctx: &mut SchedContext, rng: &mut StdRng, mut current: f64) {
             rng.gen_range(0..increases.len())
         } else {
             // weight by (I_max - I): zero for the worst, largest for the
-            // best; sample proportionally
-            let total: f64 = increases
-                .iter()
-                .map(|&i| if i.is_finite() { i_max - i } else { 0.0 })
-                .sum();
+            // best; sample proportionally. Every increase lies in
+            // [I_min, I_max], so every weight is finite.
+            let total: f64 = increases.iter().map(|&i| i_max - i).sum();
             if total <= 0.0 {
                 rng.gen_range(0..increases.len())
             } else {
                 let mut x = rng.gen::<f64>() * total;
                 let mut pick = increases.len() - 1;
                 for (idx, &i) in increases.iter().enumerate() {
-                    let w = if i.is_finite() { i_max - i } else { 0.0 };
+                    let w = i_max - i;
                     if x < w {
                         pick = idx;
                         break;
@@ -161,14 +166,14 @@ fn wba_loop(ctx: &mut SchedContext, rng: &mut StdRng, mut current: f64) {
         // then the whole rows of the tasks that just became ready
         let tail = ctx.append_tails()[v];
         for &r in ctx.ready() {
-            finishes[r.index() * nv + v] = tail.max(sweep.row(nv, r)[v]) + ctx.exec_row(r)[v];
+            finishes[r.index() * nv + v] = later(tail, sweep.row(nv, r)[v]) + ctx.exec_row(r)[v];
         }
         for (s, _) in ctx.succs(t) {
             if ctx.is_ready(s) {
                 fill_finish_row(ctx, &sweep, &mut finishes, s);
             }
         }
-        current = current.max(ctx.finish_time(t));
+        current = later(current, ctx.finish_time(t));
     }
     ctx.give_f64(finishes);
     ctx.give_f64(increases);
@@ -202,7 +207,7 @@ impl KernelRun for Wba {
         // each, and the same running-max fold over their finishes
         for k in 0..ctx.placed_count() {
             rng.next_u64();
-            current = current.max(ctx.finish_time(trace.task(k)));
+            current = later(current, ctx.finish_time(trace.task(k)));
         }
         wba_loop(ctx, &mut rng, current);
         ctx.take_recording(trace);

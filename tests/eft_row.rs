@@ -196,7 +196,7 @@ fn fused_rows_match_per_node_queries_on_scheduler_states() {
 fn fused_rows_match_on_boundary_shapes() {
     // a hand-built state with a zero-duration task sitting at the tail of a
     // timeline while finishing before the slot beneath it: the append
-    // compose must key on the tail finish, not the max finish
+    // compose must key on the max finish, not the last slot's finish
     let mut g = TaskGraph::new();
     let a = g.add_task("a", 1.0);
     let z = g.add_task("z", 0.0);
@@ -209,11 +209,12 @@ fn fused_rows_match_on_boundary_shapes() {
     ctx.reset(&inst);
     ctx.place(a, NodeId(0), 2.0); // occupies [2, 3]
     ctx.place(z, NodeId(0), 2.0); // zero-duration boundary slot at [2, 2],
-                                  // sorted after `a`: the tail finish (2.0)
-                                  // is *smaller* than the max finish (3.0)
-    assert_eq!(ctx.append_tails(), &[2.0, 0.0]);
+                                  // sorted after `a`: the last slot's finish
+                                  // (2.0) is *smaller* than the max finish
+                                  // (3.0)
+    assert_eq!(ctx.append_tails(), &[3.0, 0.0]);
     // b and c are both ready (c's predecessors are placed); the append
-    // query reads node 0's tail finish 2, below its max finish 3
+    // query reads node 0's max finish 3, not its last slot's finish 2
     check_rows(&ctx, "boundary");
 
     // an empty state: every timeline empty, tails all zero

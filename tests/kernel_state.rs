@@ -1,5 +1,5 @@
 //! Property suite for the kernel's run-state bookkeeping: the per-node
-//! timelines, the cached append tails and per-node maxima, and the
+//! timelines, the per-node max finishes behind the append tails, and the
 //! incremental ready queue that [`SchedContext::place`] and
 //! [`SchedContext::unplace`] maintain.
 //!
@@ -18,7 +18,7 @@
 //!   placed, in ascending id order;
 //! * each node's slots, kept by the model in the order a
 //!   `partition_point(|s| s.start <= start)` insert gives, yield bit for
-//!   bit the kernel's `append_tails()` (the last slot's finish),
+//!   bit the kernel's `append_tails()` (the max finish over the slots),
 //!   `current_makespan()`, and `earliest_start_insertion` gap scan (which
 //!   walks the slots in timeline order);
 //! * whenever every task is placed, `snapshot_schedule()` gives every task
@@ -85,7 +85,7 @@ impl Model {
     fn tails(&self) -> Vec<f64> {
         self.timelines
             .iter()
-            .map(|tl| tl.last().map_or(0.0, |s| s.1))
+            .map(|tl| tl.iter().map(|s| s.1).fold(0.0, f64::max))
             .collect()
     }
 
