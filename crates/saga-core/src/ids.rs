@@ -4,24 +4,19 @@
 //! few thousand, so 32 bits is ample and keeps hot arrays of ids compact
 //! (see the type-size guidance in the Rust Performance Book).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a task in a [`crate::TaskGraph`].
 ///
 /// Ids are dense: the `k`-th added task has id `k`, so they double as vector
 /// indices via [`TaskId::index`].
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub u32);
 
 /// Identifier of a compute node in a [`crate::Network`].
 ///
 /// Dense, like [`TaskId`].
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl TaskId {

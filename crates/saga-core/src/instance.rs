@@ -5,11 +5,12 @@ use crate::{Network, TaskGraph};
 /// A scheduling problem instance: the pair `(N, G)` of Section II.
 ///
 /// Its one JSON form is an object (`speeds`, `links`, `tasks`, `deps`,
-/// infinite links as `null`). `Serialize`/`Deserialize` build and read it
-/// as a value tree, for records that keep the tree (witness files);
-/// [`Instance::read_json`] reads it straight from the text, for records
-/// decoded in one pass (checkpoint lines, [`Instance::from_json`]). Both
-/// decoders end in one validating constructor.
+/// infinite links as `null`). [`Instance::write_json`] writes it and
+/// [`Instance::read_json`] reads it, each in one pass over the text, for
+/// every record that embeds an instance (checkpoint lines, witness files,
+/// [`Instance::to_json`] and [`Instance::from_json`]). `Deserialize` reads
+/// it from a value tree: the reference decoder the one-pass one is tested
+/// against. Both decoders end in one validating constructor.
 #[derive(Debug)]
 pub struct Instance {
     /// The compute network `N`.
@@ -54,10 +55,57 @@ impl Instance {
         }
     }
 
-    /// The instance's JSON value form, pretty-printed.
+    /// The instance's JSON form, indented two spaces per level.
     pub fn to_json(&self) -> String {
-        // saga-lint: allow(error-discipline) — the value tree is vectors and tuples of primitives; the vendored serializer has no failure path for it
-        serde_json::to_string_pretty(self).expect("instance serialization cannot fail")
+        let mut w = serde_json::Writer::pretty();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes the instance's JSON form as the next value of `w`. Its
+    /// dependencies go in `(from, to)` order, whatever order mutation left
+    /// the adjacency lists in, so the text is a function of the instance's
+    /// value: an instance and its round trip print identically (checkpoint
+    /// replay and resumed runs must emit byte-identical witness files).
+    pub fn write_json(&self, w: &mut serde_json::Writer) {
+        let g = &self.graph;
+        let mut deps: Vec<(u32, u32, f64)> =
+            g.dependencies().map(|(a, b, c)| (a.0, b.0, c)).collect();
+        deps.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        w.begin_object();
+        w.key("speeds");
+        w.begin_array();
+        for &s in self.network.speeds() {
+            w.number(s);
+        }
+        w.end_array();
+        // `number` writes an infinite link as `null`
+        w.key("links");
+        w.begin_array();
+        for &x in self.network.links() {
+            w.number(x);
+        }
+        w.end_array();
+        w.key("tasks");
+        w.begin_array();
+        for t in g.tasks() {
+            w.begin_array();
+            w.string(g.name(t));
+            w.number(g.cost(t));
+            w.end_array();
+        }
+        w.end_array();
+        w.key("deps");
+        w.begin_array();
+        for (a, b, c) in deps {
+            w.begin_array();
+            w.number(a.into());
+            w.number(b.into());
+            w.number(c);
+            w.end_array();
+        }
+        w.end_array();
+        w.end_object();
     }
 
     /// Parses an instance previously produced by [`Instance::to_json`].
@@ -83,52 +131,23 @@ impl Instance {
 }
 
 mod dto {
-    //! The JSON form of [`Instance`]: [`InstanceDto`]'s fields, with
-    //! infinite link strengths as `None`, and its two decoders.
+    //! The decoders of [`Instance`]'s JSON form: [`InstanceDto`]'s fields,
+    //! with infinite link strengths as `None`.
     use super::Instance;
     use crate::{Network, TaskGraph};
-    use serde::{Deserialize, Serialize, Value};
+    use serde::{Deserialize, Value};
     use serde_json::{required, Error, Reader};
-
-    fn enc(x: f64) -> Option<f64> {
-        x.is_finite().then_some(x)
-    }
 
     fn dec(x: Option<f64>) -> f64 {
         x.unwrap_or(f64::INFINITY)
     }
 
-    #[derive(Serialize, Deserialize)]
+    #[derive(Deserialize)]
     struct InstanceDto {
         speeds: Vec<f64>,
         links: Vec<Option<f64>>,
         tasks: Vec<(String, f64)>,
         deps: Vec<(u32, u32, f64)>,
-    }
-
-    impl Serialize for Instance {
-        fn to_value(&self) -> Value {
-            let g = &self.graph;
-            // Canonical dep order: adjacency lists reflect mutation history
-            // (perturbation add/remove churn), and the parse side re-inserts
-            // in sorted order anyway. Sorting here makes serialization a
-            // stable function of the instance's *value*, so an instance and
-            // its JSON round-trip print identically (checkpoint replay and
-            // resumed runs must emit byte-identical witness files).
-            let mut deps: Vec<(u32, u32, f64)> =
-                g.dependencies().map(|(a, b, c)| (a.0, b.0, c)).collect();
-            deps.sort_unstable_by_key(|&(a, b, _)| (a, b));
-            InstanceDto {
-                speeds: self.network.speeds().to_vec(),
-                links: self.network.links().iter().map(|&x| enc(x)).collect(),
-                tasks: g
-                    .tasks()
-                    .map(|t| (g.name(t).to_string(), g.cost(t)))
-                    .collect(),
-                deps,
-            }
-            .to_value()
-        }
     }
 
     /// The one validating constructor behind both decoders, with infinite

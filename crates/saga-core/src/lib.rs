@@ -8,7 +8,8 @@
 //! paper's generators rely on.
 //!
 //! Everything downstream (`saga-schedulers`, `saga-datasets`, `saga-pisa`)
-//! builds on this crate; it has no dependencies beyond `rand` and `serde`.
+//! builds on this crate; it has no dependencies beyond `rand`, `serde` and
+//! `serde_json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,6 @@
 //! to recompute execution times in hot loops.
 
 use crate::{Instance, NodeId, ScheduleError, TaskId};
-use serde::{Deserialize, Serialize};
 
 /// Relative/absolute tolerance used when comparing schedule times.
 ///
@@ -16,7 +15,7 @@ pub const TIME_EPS: f64 = 1e-9;
 #[inline]
 #[expect(
     clippy::disallowed_methods,
-    reason = "a deserialized or hand-built schedule can hold any finish, NaN included: only the kernel's own times are NaN-free"
+    reason = "a hand-built schedule (`from_assignments`) can hold any finish, NaN included: only the kernel's own times are NaN-free"
 )]
 fn le_with_tol(required: f64, actual: f64) -> bool {
     if required.is_infinite() {
@@ -27,7 +26,7 @@ fn le_with_tol(required: f64, actual: f64) -> bool {
 }
 
 /// One scheduled task: the paper's `(t, v, r)` plus the finish time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Assignment {
     /// The scheduled task.
     pub task: TaskId,
@@ -40,7 +39,7 @@ pub struct Assignment {
 }
 
 /// A complete schedule for an [`Instance`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schedule {
     /// Per-task assignment, indexed by [`TaskId`].
     assignments: Vec<Assignment>,
@@ -111,7 +110,7 @@ impl Schedule {
     /// The makespan `m(S) = max_t finish(t)`; `0` for an empty schedule.
     #[expect(
         clippy::disallowed_methods,
-        reason = "a deserialized or hand-built schedule can hold any finish, NaN included: only the kernel's own times are NaN-free"
+        reason = "a hand-built schedule (`from_assignments`) can hold any finish, NaN included: only the kernel's own times are NaN-free"
     )]
     pub fn makespan(&self) -> f64 {
         self.assignments
@@ -140,7 +139,7 @@ impl Schedule {
     /// is always an error.
     #[expect(
         clippy::disallowed_methods,
-        reason = "a deserialized or hand-built schedule can hold any finish, NaN included: only the kernel's own times are NaN-free"
+        reason = "a hand-built schedule (`from_assignments`) can hold any finish, NaN included: only the kernel's own times are NaN-free"
     )]
     pub fn verify(&self, inst: &Instance) -> Result<(), ScheduleError> {
         let g = &inst.graph;

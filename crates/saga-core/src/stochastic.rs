@@ -17,10 +17,9 @@
 use crate::dist::{clipped_gaussian, standard_normal};
 use crate::{later, Assignment, Instance, NodeId, Schedule, TaskId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A weight distribution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Dist {
     /// A deterministic weight.
     Fixed(f64),
@@ -98,7 +97,7 @@ impl Dist {
 }
 
 /// An instance whose weights are random variables over a fixed topology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StochasticInstance {
     /// Template topology (weights unused during realization).
     template: Instance,

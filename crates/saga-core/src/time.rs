@@ -18,7 +18,7 @@
 //! at every fold. Keep `f64::max`/`f64::min` where an operand can be NaN:
 //! a difference of two times, a quotient of sums (which can overflow to
 //! `+inf`), or a value from outside the model (a sampled weight, a release
-//! time, a deserialized schedule).
+//! time, a hand-built schedule).
 
 /// Whether `x` may enter a time fold: not NaN and not `-0.0`.
 fn foldable(x: f64) -> bool {

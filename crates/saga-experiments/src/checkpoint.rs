@@ -10,13 +10,14 @@
 //! last ulp nor encode the unbounded cells' infinities. A cell's witness
 //! instance is embedded in the [`Instance`] JSON form.
 //!
-//! Lines are written through the value tree (`serde_json::to_string`) and
-//! read back in one pass with `serde_json::Reader`: the record's fields,
-//! and the instance through [`Instance::read_json`], decode straight from
-//! the text, with no tree built. The decoders keep the derived value-tree
-//! decoders' rules: the first occurrence of a field wins, unknown and
-//! repeated fields are skipped but must be valid JSON, and a missing
-//! field, a wrong type or trailing bytes reject the line.
+//! Each format's encoder and decoder sit side by side, and both make one
+//! pass over the text with no value tree built: a line is written field by
+//! field through `serde_json::Writer` (the instance through
+//! [`Instance::write_json`]) and read back with `serde_json::Reader` (the
+//! instance through [`Instance::read_json`]). The decoders keep the
+//! derived value-tree decoders' rules: the first occurrence of a field
+//! wins, unknown and repeated fields are skipped but must be valid JSON,
+//! and a missing field, a wrong type or trailing bytes reject the line.
 //!
 //! Torn lines — a crash mid-append, a byte that is not UTF-8 — are
 //! counted and skipped, so a damaged checkpoint only costs re-running the
@@ -26,8 +27,7 @@
 
 use saga_core::Instance;
 use saga_pisa::PisaResult;
-use serde::Serialize;
-use serde_json::{required, Reader};
+use serde_json::{required, Reader, Writer};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::io::{self, Write};
 use std::ops::Range;
@@ -56,17 +56,13 @@ mod sealed {
     pub trait Record: Clone + Sized {
         /// What [`Checkpoint::record`](super::Checkpoint::record) takes.
         type Input: ?Sized;
-        fn encode(key: &str, value: &Self::Input) -> std::io::Result<String>;
+        fn encode(key: &str, value: &Self::Input) -> String;
         /// The key and record of one line, read in one pass; an error for
         /// a line that is not a well-formed record.
         fn decode(line: &str) -> Result<(String, Self), serde_json::Error>;
     }
 }
 pub(crate) use sealed::Record;
-
-fn invalid_data(e: impl std::fmt::Display) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-}
 
 fn hex_bits(x: f64) -> String {
     format!("{:016x}", x.to_bits())
@@ -88,32 +84,31 @@ fn read_hex_bits(r: &mut Reader<'_>) -> Result<f64, serde_json::Error> {
     from_hex_bits(&text).ok_or_else(|| serde_json::Error::custom(format!("bad hex bits `{text}`")))
 }
 
-/// One [`CellCheckpoint`] line, as written. `ratio` repeats the ratio as a
-/// plain float for human readers; `None` encodes an unbounded cell,
-/// mirroring the witness-library format.
-#[derive(Serialize)]
-struct CellRecord {
-    key: String,
-    ratio_bits: String,
-    initial_bits: String,
-    evaluations: usize,
-    ratio: Option<f64>,
-    instance: Instance,
-}
-
+/// A [`CellCheckpoint`] line: `{key, ratio_bits, initial_bits,
+/// evaluations, ratio, instance}`. `ratio` repeats the ratio as a plain
+/// float for human readers, `null` for an unbounded cell, mirroring the
+/// witness-library format.
 impl Record for PisaResult {
     type Input = PisaResult;
 
-    fn encode(key: &str, res: &PisaResult) -> io::Result<String> {
-        let record = CellRecord {
-            key: key.to_string(),
-            ratio_bits: hex_bits(res.ratio),
-            initial_bits: hex_bits(res.initial_ratio),
-            evaluations: res.evaluations,
-            ratio: res.ratio.is_finite().then_some(res.ratio),
-            instance: res.instance.clone(),
-        };
-        serde_json::to_string(&record).map_err(invalid_data)
+    fn encode(key: &str, res: &PisaResult) -> String {
+        let mut w = Writer::compact();
+        w.begin_object();
+        w.key("key");
+        w.string(key);
+        w.key("ratio_bits");
+        w.string(&hex_bits(res.ratio));
+        w.key("initial_bits");
+        w.string(&hex_bits(res.initial_ratio));
+        w.key("evaluations");
+        w.number(res.evaluations as f64);
+        // `number` writes a non-finite ratio as `null`
+        w.key("ratio");
+        w.number(res.ratio);
+        w.key("instance");
+        res.instance.write_json(&mut w);
+        w.end_object();
+        w.finish()
     }
 
     fn decode(line: &str) -> Result<(String, PisaResult), serde_json::Error> {
@@ -153,24 +148,21 @@ impl Record for PisaResult {
     }
 }
 
-/// One [`RowCheckpoint`] line, as written: the makespans as space-joined
-/// hex words.
-#[derive(Serialize)]
-struct RowRecord {
-    key: String,
-    bits: String,
-}
-
+/// A [`RowCheckpoint`] line: `{key, bits}`, the makespans as
+/// space-joined hex words.
 impl Record for Vec<f64> {
     type Input = [f64];
 
-    fn encode(key: &str, row: &[f64]) -> io::Result<String> {
+    fn encode(key: &str, row: &[f64]) -> String {
         let bits = row.iter().map(|&m| hex_bits(m)).collect::<Vec<_>>();
-        let record = RowRecord {
-            key: key.to_string(),
-            bits: bits.join(" "),
-        };
-        serde_json::to_string(&record).map_err(invalid_data)
+        let mut w = Writer::compact();
+        w.begin_object();
+        w.key("key");
+        w.string(key);
+        w.key("bits");
+        w.string(&bits.join(" "));
+        w.end_object();
+        w.finish()
     }
 
     fn decode(line: &str) -> Result<(String, Vec<f64>), serde_json::Error> {
@@ -360,7 +352,7 @@ impl<R: Record> Checkpoint<R> {
     /// the batch and surface the error with everything already recorded
     /// still intact.
     pub fn record(&self, key: &str, value: &R::Input) -> io::Result<()> {
-        let line = R::encode(key, value)?;
+        let line = R::encode(key, value);
         // a poisoned file mutex still wraps a usable handle: the writer that
         // panicked completed or abandoned its line, and ours appends whole
         let mut file = self

@@ -3,19 +3,27 @@
 //! identified by PISA so that other researchers can use them to evaluate
 //! their own algorithms".
 //!
-//! Witnesses serialize to JSON-lines; a new scheduler can be scored against
-//! every stored witness without re-running the (comparatively expensive)
-//! annealing search. Each line is parsed once: a record keeps its witness
-//! as the [`Instance`] JSON value tree, and [`WitnessRecord::instance`]
-//! decodes that tree directly.
+//! Witnesses are stored as JSON lines, `{target, baseline, ratio,
+//! instance}`; a new scheduler can be scored against every stored witness
+//! without re-running the (comparatively expensive) annealing search.
+//! [`WitnessLibrary::to_jsonl`] writes each line in one pass with
+//! `serde_json::Writer`, and [`WitnessLibrary::from_jsonl`] reads it in one
+//! pass with `serde_json::Reader`, under the derived value-tree decoders'
+//! rules: the first occurrence of a field wins, unknown and repeated fields
+//! are skipped but must be valid JSON, and a missing field, a wrong type or
+//! trailing bytes reject the line. A record keeps its witness as the
+//! instance's JSON text, which must be valid JSON but need not be a valid
+//! instance: [`WitnessRecord::instance`] decodes it, so a damaged witness
+//! fails there, one record at a time, and counts as a mismatch in
+//! [`WitnessLibrary::revalidate`].
 
 use crate::makespan_ratio;
 use saga_core::Instance;
 use saga_schedulers::Scheduler;
-use serde::{Deserialize, Serialize};
+use serde_json::{required, Reader, Writer};
 
 /// One published adversarial instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WitnessRecord {
     /// Scheduler whose weakness the instance exhibits.
     pub target: String,
@@ -23,25 +31,76 @@ pub struct WitnessRecord {
     pub baseline: String,
     /// Recorded makespan ratio; `None` encodes an unbounded (`> 1000`) cell.
     pub ratio: Option<f64>,
-    /// The instance, in its JSON value form (JSON-safe infinities).
-    pub instance: serde_json::Value,
+    /// The instance's JSON text (infinite links as `null`): compact as
+    /// [`new`](Self::new) writes it, or the span a file held, which
+    /// [`WitnessLibrary::from_jsonl`] checks to be JSON but not to be an
+    /// instance.
+    pub instance: String,
 }
 
 impl WitnessRecord {
     /// Builds a record from a found instance.
     pub fn new(target: &str, baseline: &str, ratio: f64, inst: &Instance) -> Self {
+        let mut w = Writer::compact();
+        inst.write_json(&mut w);
         WitnessRecord {
             target: target.to_string(),
             baseline: baseline.to_string(),
             ratio: ratio.is_finite().then_some(ratio),
-            instance: inst.to_value(),
+            instance: w.finish(),
         }
     }
 
     /// Decodes the stored instance. Fails on a hand-edited or corrupted
     /// record — library files come from disk, so the parse is fallible.
     pub fn instance(&self) -> Result<Instance, serde_json::Error> {
-        serde_json::from_value(&self.instance)
+        Instance::from_json(&self.instance)
+    }
+
+    /// The record's JSON line, without its newline.
+    fn to_line(&self) -> String {
+        let mut w = Writer::compact();
+        w.begin_object();
+        w.key("target");
+        w.string(&self.target);
+        w.key("baseline");
+        w.string(&self.baseline);
+        // `number` writes an unbounded ratio (`None`, stored as `inf`) as `null`
+        w.key("ratio");
+        w.number(self.ratio_value());
+        w.key("instance");
+        w.raw(&self.instance);
+        w.end_object();
+        w.finish()
+    }
+
+    /// Reads one record's JSON line.
+    fn from_line(line: &str) -> Result<Self, serde_json::Error> {
+        let mut r = Reader::new(line);
+        let (mut target, mut baseline, mut ratio, mut instance) = (None, None, None, None);
+        r.begin_object()?;
+        while let Some(field) = r.next_key()? {
+            match &*field {
+                "target" if target.is_none() => target = Some(r.string()?.into_owned()),
+                "baseline" if baseline.is_none() => baseline = Some(r.string()?.into_owned()),
+                "ratio" if ratio.is_none() => {
+                    ratio = Some(if r.take_null()? {
+                        None
+                    } else {
+                        Some(r.number()?)
+                    })
+                }
+                "instance" if instance.is_none() => instance = Some(r.raw()?.to_string()),
+                _ => r.skip()?,
+            }
+        }
+        r.end()?;
+        Ok(WitnessRecord {
+            target: required(target, "target")?,
+            baseline: required(baseline, "baseline")?,
+            ratio: required(ratio, "ratio")?,
+            instance: required(instance, "instance")?,
+        })
     }
 
     /// The recorded ratio as an `f64` (`inf` for unbounded).
@@ -77,12 +136,9 @@ impl WitnessLibrary {
         WitnessLibrary { records }
     }
 
-    /// Serializes to JSON lines.
+    /// Writes one JSON line per record.
     pub fn to_jsonl(&self) -> String {
-        self.records
-            .iter()
-            .map(|r| format!("{}\n", r.to_value()))
-            .collect()
+        self.records.iter().map(|r| r.to_line() + "\n").collect()
     }
 
     /// Parses JSON lines (blank lines ignored).
@@ -92,7 +148,7 @@ impl WitnessLibrary {
             if line.trim().is_empty() {
                 continue;
             }
-            records.push(serde_json::from_str(line)?);
+            records.push(WitnessRecord::from_line(line)?);
         }
         Ok(WitnessLibrary { records })
     }
@@ -223,8 +279,10 @@ mod tests {
         let inst = saga_core::Instance::new(saga_core::Network::complete(&[1.0], 1.0), g);
         let r = WitnessRecord::new("HEFT", "CPoP", f64::INFINITY, &inst);
         assert!(r.ratio.is_none());
-        let line = serde_json::to_string(&r).unwrap();
-        let back: WitnessRecord = serde_json::from_str(&line).unwrap();
+        let line = r.to_line();
+        assert!(line.contains(r#""ratio":null"#), "{line}");
+        let back = WitnessRecord::from_line(&line).unwrap();
+        assert!(back.ratio.is_none());
         assert!(back.ratio_value().is_infinite());
     }
 }

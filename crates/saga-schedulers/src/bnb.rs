@@ -78,10 +78,8 @@ impl BnbSearch {
     /// A safe lower bound on the optimal makespan: the larger of (a) the
     /// critical path executed entirely on the fastest node with free
     /// communication and (b) the total work spread over all node speeds.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the bound is NaN when a summed cost and a speed are both `+inf`: `inf / inf` in `cp` or `area`"
-    )]
+    /// A term that is `inf / inf` (a summed cost that overflowed, over an
+    /// infinite speed) counts as 0, which bounds every makespan.
     fn lower_bound(inst: &Instance) -> f64 {
         let fastest = inst.network.speed(inst.network.fastest_node());
         if fastest == 0.0 {
@@ -104,7 +102,8 @@ impl BnbSearch {
         } else {
             0.0
         };
-        cp.max(area)
+        let term = |x: f64| if x.is_nan() { 0.0 } else { x };
+        later(term(cp), term(area))
     }
 }
 
@@ -113,10 +112,6 @@ impl Scheduler for BnbSearch {
         "BnB"
     }
 
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the bound is NaN when a summed cost and a speed are both `+inf`: `inf / inf` in `cp` or `area`"
-    )]
     fn schedule_into(&self, inst: &Instance, ctx: &mut SchedContext) -> Schedule {
         // initial upper bound: best of the fast heuristics
         let mut best = crate::Heft.schedule_into(inst, ctx);
@@ -133,7 +128,7 @@ impl Scheduler for BnbSearch {
             return best; // nothing finite to search below
         }
         let mut lb = Self::lower_bound(inst);
-        while ub - lb > self.epsilon * lb.max(1e-12) {
+        while ub - lb > self.epsilon * later(lb, 1e-12) {
             let mid = 0.5 * (lb + ub);
             let mut oracle = Oracle {
                 bound: mid,
@@ -189,6 +184,27 @@ mod tests {
             let opt = crate::BruteForce::default().schedule(&inst).makespan();
             assert!(lb <= opt + 1e-9, "LB {lb} above OPT {opt}");
         }
+    }
+
+    /// Costs whose chain and total overflow to `+inf`, on a network with an
+    /// infinite speed: `inf / inf` used to make the bound NaN, which ended
+    /// the bisection at once and returned the heuristic incumbent.
+    #[test]
+    fn overflowing_costs_over_an_infinite_speed_keep_the_bound_and_the_search() {
+        let mut g = saga_core::TaskGraph::new();
+        let a = g.add_task("a", 1e300);
+        let b = g.add_task("b", f64::MAX);
+        g.add_dependency(a, b, 1.0).unwrap();
+        let inst =
+            saga_core::Instance::new(saga_core::Network::complete(&[f64::INFINITY, 1.0], 1.0), g);
+        let lb = BnbSearch::lower_bound(&inst);
+        let opt = crate::BruteForce::default().schedule(&inst).makespan();
+        assert!(!lb.is_nan(), "the bound is a number");
+        assert!(lb <= opt, "LB {lb} above OPT {opt}");
+        let bnb = BnbSearch::default();
+        let s = bnb.schedule(&inst);
+        s.verify(&inst).unwrap();
+        assert!(s.makespan() <= (1.0 + bnb.epsilon) * opt);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! - `Instance::from_json`, which reads an instance's text in one pass too;
 //! - the `Instance` value-tree decoder (`Deserialize`);
 //! - `WitnessLibrary::from_jsonl` (plus `WitnessRecord::instance`), which
-//!   keeps the value tree.
+//!   reads each line in one pass and keeps the instance as its JSON text,
+//!   decoded by `Instance::from_json`.
 //!
 //! Random bytes and mutated valid lines go through each one: nothing may
 //! panic, every checkpoint line that does not decode, or that repeats a
@@ -496,6 +497,57 @@ fn row_decoders_agree(line: &str) -> Option<(String, Vec<u64>)> {
     want
 }
 
+/// A witness line's fields as the derived value-tree decoder reads them:
+/// the oracle of `WitnessLibrary::from_jsonl`.
+#[derive(serde::Deserialize)]
+struct OracleWitness {
+    target: String,
+    baseline: String,
+    ratio: Option<f64>,
+    instance: Value,
+}
+
+/// A witness line's target, baseline, ratio bits and decoded instance.
+type WitnessBits = (String, String, Option<u64>, Option<InstanceBits>);
+
+/// A witness line through `WitnessLibrary::from_jsonl` and through the
+/// value tree, which must agree: the same fields, instance text that
+/// parses to the tree's instance value, and the same decoded instance.
+fn witness_decoders_agree(line: &str) -> Option<WitnessBits> {
+    let want = serde_json::from_str::<OracleWitness>(line).ok();
+    let got = WitnessLibrary::from_jsonl(line).ok().map(|lib| {
+        assert_eq!(lib.records.len(), 1, "{line:?}");
+        lib.records.into_iter().next().unwrap()
+    });
+    assert_eq!(
+        got.is_some(),
+        want.is_some(),
+        "one-pass and value-tree decodes differ on {line:?}"
+    );
+    let (got, want) = (got?, want?);
+    let text: Value = serde_json::from_str(&got.instance).unwrap();
+    assert_eq!(text, want.instance, "{line:?}");
+    let want = (
+        want.target,
+        want.baseline,
+        want.ratio.map(f64::to_bits),
+        serde_json::from_value::<Instance>(&want.instance)
+            .ok()
+            .map(|i| instance_bits(&i)),
+    );
+    let got = (
+        got.target.clone(),
+        got.baseline.clone(),
+        got.ratio.map(f64::to_bits),
+        got.instance().ok().map(|i| instance_bits(&i)),
+    );
+    assert_eq!(
+        got, want,
+        "one-pass and value-tree decodes differ on {line:?}"
+    );
+    Some(want)
+}
+
 /// Instance text through `Instance::from_json` and through the value
 /// decoder, which must agree bit for bit.
 fn instance_decoders_agree(text: &str) -> Option<InstanceBits> {
@@ -744,9 +796,13 @@ fn assert_variants_agree<T: PartialEq + std::fmt::Debug>(
 }
 
 /// Every decoder an instance-bearing line reaches; none may panic, and
-/// `Instance::from_json` must agree with the value decoder.
+/// `Instance::from_json` and each line's `WitnessLibrary::from_jsonl` must
+/// agree with the value decoders.
 fn decode_instance_everywhere(text: &str) {
     instance_decoders_agree(text);
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
+        witness_decoders_agree(line);
+    }
     if let Ok(v) = serde_json::from_str::<serde_json::Value>(text) {
         let _ = serde_json::from_value::<Instance>(&v);
         if let Some(inst) = v.get("instance") {
@@ -767,14 +823,16 @@ proptest! {
     #[test]
     fn instance_value_and_text_round_trip_bit_identically(inst in arb_instance()) {
         let want = instance_bits(&inst);
-        let value = serde_json::to_value(&inst).unwrap();
+        let text = inst.to_json();
+        let value: Value = serde_json::from_str(&text).unwrap();
         let via_value: Instance = serde_json::from_value(&value).unwrap();
         prop_assert_eq!(instance_bits(&via_value), want.clone());
-        let via_text = Instance::from_json(&inst.to_json()).unwrap();
+        let via_text = Instance::from_json(&text).unwrap();
         prop_assert_eq!(instance_bits(&via_text), want);
-        // the pretty text parses back to exactly the value form
-        let reparsed: serde_json::Value = serde_json::from_str(&inst.to_json()).unwrap();
-        prop_assert_eq!(reparsed, value);
+        // the compact form a witness stores is the pretty form's value, as
+        // the value tree prints it
+        let compact = WitnessRecord::new("", "", 1.0, &inst).instance;
+        prop_assert_eq!(compact, value.to_string());
     }
 
     #[test]
@@ -836,12 +894,16 @@ proptest! {
         open_rows(&mutated_file(&rows, seed ^ 1, 12), "row_mutated");
 
         // the same mutations through the witness and instance decoders
-        let witness_lines: Vec<Vec<u8>> = results
-            .iter()
-            .map(|(k, r)| {
-                let w = WitnessRecord::new(k, k, r.ratio, &r.instance);
-                serde_json::to_string(&w).unwrap().into_bytes()
-            })
+        let witnesses = WitnessLibrary {
+            records: results
+                .iter()
+                .map(|(k, r)| WitnessRecord::new(k, k, r.ratio, &r.instance))
+                .collect(),
+        };
+        let witness_lines: Vec<Vec<u8>> = witnesses
+            .to_jsonl()
+            .lines()
+            .map(|l| l.as_bytes().to_vec())
             .collect();
         let pretty: Vec<Vec<u8>> = results.iter().map(|(_, r)| r.instance.to_json().into_bytes()).collect();
         for file in [mutated_file(&witness_lines, seed ^ 2, 8), mutated_file(&pretty, seed ^ 3, 1), cell_file] {
@@ -869,6 +931,11 @@ proptest! {
         }
         for (_, r) in &results {
             assert_variants_agree(&r.instance.to_json(), instance_decoders_agree, 4, &mut rng);
+            let witness = WitnessLibrary {
+                records: vec![WitnessRecord::new("HEFT", "CPoP", r.ratio, &r.instance)],
+            };
+            let line = witness.to_jsonl();
+            assert_variants_agree(line.trim_end(), witness_decoders_agree, 4, &mut rng);
         }
     }
 
@@ -935,8 +1002,8 @@ fn paper_checkpoints_decode_as_the_value_tree_does() {
         assert!(cell_decoders_agree(line).is_some(), "{line}");
         if i % 10 == 0 {
             assert_variants_agree(line, cell_decoders_agree, 2, &mut rng);
-            let instance = serde_json::from_str::<Value>(line).unwrap();
-            let text = serde_json::to_string_pretty(instance.get("instance").unwrap()).unwrap();
+            let (_, cell) = CellCheckpoint::decode_line(line).unwrap();
+            let text = cell.instance.to_json();
             assert_variants_agree(&text, instance_decoders_agree, 2, &mut rng);
         }
     }
@@ -1106,6 +1173,67 @@ fn evaluation_counts_past_usize_max_are_malformed() {
 const PINNED_CELL_LINE: &str = r#"{"key":"app/blast/HEFT-vs-CPoP#ccr0.5#i20#r1#s000000000000a551","ratio_bits":"7ff0000000000000","initial_bits":"3ff4000000000000","evaluations":1234,"ratio":null,"instance":{"speeds":[1.5,0,2],"links":[null,0.25,null,0.25,null,0.001,null,0.001,null],"tasks":[["α-start",1],["タスク\t2",0.30000000000000004],["🚀 \"end\"\\",0.0000003]],"deps":[[0,1,2.5],[0,2,0],[1,2,602000000000000000000000]]}}"#;
 const PINNED_WITNESS_LINE: &str = r#"{"target":"HEFT","baseline":"CPoP","ratio":null,"instance":{"speeds":[1.5,0,2],"links":[null,0.25,null,0.25,null,0.001,null,0.001,null],"tasks":[["α-start",1],["タスク\t2",0.30000000000000004],["🚀 \"end\"\\",0.0000003]],"deps":[[0,1,2.5],[0,2,0],[1,2,602000000000000000000000]]}}"#;
 const PINNED_KEY: &str = "app/blast/HEFT-vs-CPoP#ccr0.5#i20#r1#s000000000000a551";
+/// A cell line with a finite ratio (`7/3`, which prints long) and an
+/// evaluation count of 2^53 + 1, which a JSON number rounds to 2^53.
+const PINNED_FINITE_CELL_LINE: &str = r#"{"key":"fig4/HEFT-vs-CPoP#i1000#r5#s000000000000f164","ratio_bits":"4002aaaaaaaaaaab","initial_bits":"3ff0000000000000","evaluations":9007199254740992,"ratio":2.3333333333333335,"instance":{"speeds":[1.5,0,2],"links":[null,0.25,null,0.25,null,0.001,null,0.001,null],"tasks":[["α-start",1],["タスク\t2",0.30000000000000004],["🚀 \"end\"\\",0.0000003]],"deps":[[0,1,2.5],[0,2,0],[1,2,602000000000000000000000]]}}"#;
+const PINNED_FINITE_KEY: &str = "fig4/HEFT-vs-CPoP#i1000#r5#s000000000000f164";
+/// Two row-checkpoint lines: a row with `1.5`, `+inf` and `0.1 + 0.2`, and
+/// an empty row.
+const PINNED_ROW_LINES: [&str; 2] = [
+    r#"{"key":"fig2/chains#k0#s0000000000000001","bits":"3ff8000000000000 7ff0000000000000 3fd3333333333334"}"#,
+    r#"{"key":"fig2/chains#k1#s0000000000000001","bits":""}"#,
+];
+/// `pinned_result().instance.to_json()`: the 2-space pretty form, with null
+/// links, escaped multi-byte names and floats that print long.
+const PINNED_PRETTY_INSTANCE: &str = r#"{
+  "speeds": [
+    1.5,
+    0,
+    2
+  ],
+  "links": [
+    null,
+    0.25,
+    null,
+    0.25,
+    null,
+    0.001,
+    null,
+    0.001,
+    null
+  ],
+  "tasks": [
+    [
+      "α-start",
+      1
+    ],
+    [
+      "タスク\t2",
+      0.30000000000000004
+    ],
+    [
+      "🚀 \"end\"\\",
+      0.0000003
+    ]
+  ],
+  "deps": [
+    [
+      0,
+      1,
+      2.5
+    ],
+    [
+      0,
+      2,
+      0
+    ],
+    [
+      1,
+      2,
+      602000000000000000000000
+    ]
+  ]
+}"#;
 
 fn pinned_result() -> PisaResult {
     let inf = f64::INFINITY;
@@ -1139,10 +1267,33 @@ fn encoders_reproduce_the_pinned_record_bytes() {
         &[(PINNED_KEY.to_string(), res.clone())],
     );
     assert_eq!(cells, vec![PINNED_CELL_LINE.as_bytes().to_vec()]);
+    let finite = PisaResult {
+        ratio: 7.0 / 3.0,
+        initial_ratio: 1.0,
+        evaluations: (1 << 53) + 1,
+        ..res.clone()
+    };
+    let cells = cell_lines(
+        "cell_pinned_finite_encode",
+        &[(PINNED_FINITE_KEY.to_string(), finite)],
+    );
+    assert_eq!(cells, vec![PINNED_FINITE_CELL_LINE.as_bytes().to_vec()]);
+    let rows = row_lines(
+        "row_pinned_encode",
+        &[
+            (
+                "fig2/chains#k0#s0000000000000001".to_string(),
+                vec![1.5, f64::INFINITY, 0.1 + 0.2],
+            ),
+            ("fig2/chains#k1#s0000000000000001".to_string(), vec![]),
+        ],
+    );
+    assert_eq!(rows, PINNED_ROW_LINES.map(|l| l.as_bytes().to_vec()));
     let lib = WitnessLibrary {
         records: vec![WitnessRecord::new("HEFT", "CPoP", res.ratio, &res.instance)],
     };
     assert_eq!(lib.to_jsonl(), format!("{PINNED_WITNESS_LINE}\n"));
+    assert_eq!(res.instance.to_json(), PINNED_PRETTY_INSTANCE);
 }
 
 #[test]
