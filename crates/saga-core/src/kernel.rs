@@ -19,15 +19,13 @@
 //!   in id order, so the per-placement "which tasks are ready" question is
 //!   answered in O(out-degree) instead of an O(|T|) rescan.
 //!
-//! Every query reproduces [`ScheduleBuilder`](crate::ScheduleBuilder)
-//! semantics bit-for-bit (the golden-determinism suite in the workspace root
-//! pins this): the cached tables hold exactly the values the builder used to
+//! Every query reproduces the pre-kernel schedule builder's semantics
+//! bit-for-bit (the golden-determinism suite in the workspace root pins
+//! this): the cached tables hold exactly the values the builder used to
 //! recompute, and iteration orders match the original adjacency-list orders.
 //!
 //! The tables snapshot the instance at [`SchedContext::reset`] time; callers
-//! must not mutate the instance between `reset` and the queries that follow
-//! (the same contract the borrow in `ScheduleBuilder` used to enforce
-//! statically).
+//! must not mutate the instance between `reset` and the queries that follow.
 
 use crate::incremental::{DirtyRegion, RunTrace};
 use crate::{later, Assignment, Instance, NodeId, Schedule, TaskId};
@@ -1443,6 +1441,79 @@ mod tests {
         Instance::new(Network::complete(&[1.0, 2.0], 2.0), g)
     }
 
+    /// `a` → `b`, `a` → `c` (4 bytes each), unit costs 2, speeds 1 and 2,
+    /// links 2.
+    fn fork_instance() -> Instance {
+        let mut g = TaskGraph::new();
+        let a = g.add_task("a", 2.0);
+        let b = g.add_task("b", 2.0);
+        let c = g.add_task("c", 2.0);
+        g.add_dependency(a, b, 4.0).unwrap();
+        g.add_dependency(a, c, 4.0).unwrap();
+        Instance::new(Network::complete(&[1.0, 2.0], 2.0), g)
+    }
+
+    #[test]
+    fn data_ready_and_eft_account_for_communication() {
+        let inst = fork_instance();
+        let mut ctx = SchedContext::new();
+        ctx.reset(&inst);
+        ctx.place(TaskId(0), NodeId(1), 0.0); // exec 1 on the speed-2 node
+                                              // same node: no communication
+        assert_eq!(ctx.data_ready_time(TaskId(1), NodeId(1)), 1.0);
+        assert_eq!(ctx.eft(TaskId(1), NodeId(1), true), (1.0, 2.0));
+        // cross node: 4 bytes / strength 2 = 2, then exec 2 on speed 1
+        assert_eq!(ctx.data_ready_time(TaskId(1), NodeId(0)), 3.0);
+        assert_eq!(ctx.eft(TaskId(1), NodeId(0), true), (3.0, 5.0));
+    }
+
+    #[test]
+    fn insertion_fills_only_gaps_the_task_fits() {
+        let inst = fork_instance();
+        let mut ctx = SchedContext::new();
+        ctx.reset(&inst);
+        // occupy [5, 7] on node 0, leaving a gap [0, 5)
+        ctx.place(TaskId(2), NodeId(0), 5.0);
+        assert_eq!(ctx.earliest_start_append(NodeId(0), 0.0), 7.0);
+        assert_eq!(ctx.earliest_start_insertion(NodeId(0), 0.0, 2.0), 0.0);
+        assert_eq!(ctx.earliest_start_insertion(NodeId(0), 0.0, 5.0), 0.0);
+        assert_eq!(ctx.earliest_start_insertion(NodeId(0), 0.0, 6.0), 7.0);
+        // a ready time inside the gap shrinks it
+        assert_eq!(ctx.earliest_start_insertion(NodeId(0), 4.0, 2.0), 7.0);
+        // a gap between two slots: [2, 6) after [0, 2]
+        ctx.reset(&inst);
+        ctx.place(TaskId(0), NodeId(0), 0.0);
+        ctx.place(TaskId(1), NodeId(0), 6.0);
+        assert_eq!(ctx.earliest_start_insertion(NodeId(0), 0.0, 4.0), 2.0);
+        assert_eq!(ctx.earliest_start_insertion(NodeId(0), 0.0, 4.5), 8.0);
+    }
+
+    #[test]
+    fn current_makespan_tracks_placed_tasks() {
+        let inst = fork_instance();
+        let mut ctx = SchedContext::new();
+        ctx.reset(&inst);
+        assert_eq!(ctx.current_makespan(), 0.0);
+        ctx.place(TaskId(0), NodeId(0), 0.0);
+        assert_eq!(ctx.current_makespan(), 2.0);
+        ctx.place(TaskId(1), NodeId(1), 4.0);
+        assert_eq!(ctx.current_makespan(), 5.0);
+    }
+
+    #[test]
+    fn a_zero_speed_node_gives_an_infinite_finish_that_verifies() {
+        let mut g = TaskGraph::new();
+        g.add_task("a", 1.0);
+        let inst = Instance::new(Network::complete(&[0.0], 1.0), g);
+        let mut ctx = SchedContext::new();
+        ctx.reset(&inst);
+        let (s, f) = ctx.eft(TaskId(0), NodeId(0), true);
+        assert_eq!(s, 0.0);
+        assert!(f.is_infinite());
+        ctx.place(TaskId(0), NodeId(0), s);
+        ctx.snapshot_schedule().verify(&inst).unwrap();
+    }
+
     #[test]
     fn cached_tables_match_direct_computation() {
         let inst = diamond_instance();
@@ -1471,8 +1542,10 @@ mod tests {
         let mut ctx = SchedContext::new();
         ctx.reset(&inst);
         assert_eq!(ctx.ready(), &[TaskId(0)]);
+        assert!(ctx.is_ready(TaskId(0)) && !ctx.is_ready(TaskId(1)));
         ctx.place(TaskId(0), NodeId(0), 0.0);
         assert_eq!(ctx.ready(), &[TaskId(1), TaskId(2)]);
+        assert!(ctx.is_ready(TaskId(1)) && ctx.is_ready(TaskId(2)));
         ctx.place(TaskId(2), NodeId(1), 2.0);
         assert_eq!(ctx.ready(), &[TaskId(1)]);
         ctx.place(TaskId(1), NodeId(0), 1.0);

@@ -3,7 +3,7 @@
 //! The related-machines task-graph scheduling model from *PISA: An
 //! Adversarial Approach to Comparing Task Graph Scheduling Algorithms*
 //! (Coleman & Krishnamachari): task graphs, complete networks, schedules and
-//! their Section-II validity checker, an insertion-capable schedule builder,
+//! their Section-II validity checker, the insertion-capable scheduling kernel,
 //! HEFT-style ranking utilities, and the clipped-gaussian samplers the
 //! paper's generators rely on.
 //!
@@ -11,10 +11,8 @@
 //! builds on this crate; it has no dependencies beyond `rand`, `serde` and
 //! `serde_json`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod builder;
 pub mod dist;
 mod error;
 pub mod gantt;
@@ -32,7 +30,6 @@ mod seed;
 pub mod stochastic;
 mod time;
 
-pub use builder::ScheduleBuilder;
 pub use error::{GraphError, NetworkError, ScheduleError};
 pub use graph::{DepEdge, TaskGraph};
 pub use ids::{NodeId, TaskId};

@@ -372,13 +372,14 @@ mod tests {
         let inst = base();
         let plan = {
             // simple hand plan: a on v1, b on v1, c on v0
-            let mut bld = crate::ScheduleBuilder::new(&inst);
-            bld.place(TaskId(0), NodeId(1), 0.0);
-            let (s, _) = bld.eft(TaskId(1), NodeId(1), false);
-            bld.place(TaskId(1), NodeId(1), s);
-            let (s, _) = bld.eft(TaskId(2), NodeId(0), false);
-            bld.place(TaskId(2), NodeId(0), s);
-            bld.finish()
+            let mut ctx = crate::SchedContext::new();
+            ctx.reset(&inst);
+            ctx.place(TaskId(0), NodeId(1), 0.0);
+            let (s, _) = ctx.eft(TaskId(1), NodeId(1), false);
+            ctx.place(TaskId(1), NodeId(1), s);
+            let (s, _) = ctx.eft(TaskId(2), NodeId(0), false);
+            ctx.place(TaskId(2), NodeId(0), s);
+            ctx.snapshot_schedule()
         };
         let sim = simulate_fixed(&plan, &inst);
         sim.verify(&inst).unwrap();
@@ -391,12 +392,13 @@ mod tests {
         let stoch = StochasticInstance::jittered(&inst, 0.3);
         let mut rng = StdRng::seed_from_u64(3);
         let plan = {
-            let mut bld = crate::ScheduleBuilder::new(&inst);
+            let mut ctx = crate::SchedContext::new();
+            ctx.reset(&inst);
             for t in inst.graph.topological_order() {
-                let (s, _) = bld.eft(t, NodeId(t.index() as u32 % 2), false);
-                bld.place(t, NodeId(t.index() as u32 % 2), s);
+                let (s, _) = ctx.eft(t, NodeId(t.index() as u32 % 2), false);
+                ctx.place(t, NodeId(t.index() as u32 % 2), s);
             }
-            bld.finish()
+            ctx.snapshot_schedule()
         };
         for _ in 0..20 {
             let realized = stoch.realize(&mut rng);
@@ -410,12 +412,13 @@ mod tests {
         let inst = base();
         let stoch = StochasticInstance::jittered(&inst, 0.25);
         let plan = {
-            let mut bld = crate::ScheduleBuilder::new(&inst);
+            let mut ctx = crate::SchedContext::new();
+            ctx.reset(&inst);
             for t in inst.graph.topological_order() {
-                let (s, _) = bld.eft(t, NodeId(0), false);
-                bld.place(t, NodeId(0), s);
+                let (s, _) = ctx.eft(t, NodeId(0), false);
+                ctx.place(t, NodeId(0), s);
             }
-            bld.finish()
+            ctx.snapshot_schedule()
         };
         let mut rng = StdRng::seed_from_u64(4);
         let (mean, p95) = static_plan_makespan(&plan, &stoch, 200, &mut rng);

@@ -22,7 +22,6 @@
 //!
 //! Every generator is deterministic given an [`StdRng`] seed.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::rngs::StdRng;

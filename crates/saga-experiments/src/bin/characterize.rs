@@ -47,38 +47,51 @@ fn main() {
 
     // profile the published adversarial witnesses, if present
     let path = "results/fig4_witnesses.jsonl";
-    if let Ok(text) = std::fs::read_to_string(path) {
-        if let Ok(lib) = WitnessLibrary::from_jsonl(&text) {
-            println!(
-                "\nPISA witness instances ({} from {path}):",
-                lib.records.len()
-            );
-            let instances: Vec<_> = lib
-                .records
-                .iter()
-                .map(|r| r.instance().expect("stored instance is valid"))
-                .collect();
-            let p = mean_profile(&instances);
-            print_profile("witnesses", &p);
-            // how far from the chains dataset (their seed family) did the
-            // search wander?
-            let chains_idx = generators
-                .iter()
-                .position(|g| g.name == "chains")
-                .expect("chains generator");
-            let base = &profiles[chains_idx];
-            println!(
-                "\nwitnesses vs the chains family: depth {} vs {}, width {} vs {}, CCR {:.2} vs {:.2}",
-                p.depth, base.depth, p.width, base.width, p.ccr, base.ccr
-            );
-            let deepest = instances
-                .iter()
-                .map(|i| profile(i).depth)
-                .max()
-                .unwrap_or(0);
-            println!("deepest witness: {deepest} levels");
-        }
-    } else {
+    let Ok(text) = std::fs::read_to_string(path) else {
         eprintln!("(no witness library at {path}; run `fig4` to profile witnesses too)");
+        return;
+    };
+    let lib = match WitnessLibrary::from_jsonl(&text) {
+        Ok(lib) => lib,
+        Err(e) => {
+            eprintln!("(witness library at {path} does not parse: {e}; witnesses not profiled)");
+            return;
+        }
+    };
+    // a record whose instance does not decode has nothing to profile
+    let instances: Vec<_> = lib
+        .records
+        .iter()
+        .filter_map(|r| r.instance().ok())
+        .collect();
+    println!(
+        "\nPISA witness instances ({} from {path}):",
+        instances.len()
+    );
+    let skipped = lib.records.len() - instances.len();
+    if skipped > 0 {
+        println!("skipped {skipped} witness record(s) whose instance does not decode");
     }
+    if instances.is_empty() {
+        return;
+    }
+    let p = mean_profile(&instances);
+    print_profile("witnesses", &p);
+    // how far from the chains dataset (their seed family) did the search
+    // wander?
+    let chains_idx = generators
+        .iter()
+        .position(|g| g.name == "chains")
+        .expect("chains generator");
+    let base = &profiles[chains_idx];
+    println!(
+        "\nwitnesses vs the chains family: depth {} vs {}, width {} vs {}, CCR {:.2} vs {:.2}",
+        p.depth, base.depth, p.width, base.width, p.ccr, base.ccr
+    );
+    let deepest = instances
+        .iter()
+        .map(|i| profile(i).depth)
+        .max()
+        .unwrap_or(0);
+    println!("deepest witness: {deepest} levels");
 }

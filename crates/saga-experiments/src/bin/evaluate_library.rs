@@ -9,12 +9,17 @@
 //! runs), sharded across workers, with results in record order at any
 //! thread count.
 //!
+//! A record whose instance does not decode is not scored and counts as a
+//! revalidation mismatch, as in [`WitnessLibrary::revalidate`]. An unknown
+//! scheduler exits 2, an unreadable or malformed library file exits 1,
+//! each with a `fatal:` line.
+//!
 //! Usage: `evaluate_library [scheduler] [--library PATH]`
 //! (default scheduler: `Ensemble` = HEFT+CPoP+MaxMin portfolio).
 
 use saga_experiments::cli;
 use saga_experiments::engine::{BatchEngine, Progress};
-use saga_pisa::library::WitnessLibrary;
+use saga_pisa::library::{ratio_matches, WitnessLibrary};
 use saga_pisa::makespan_ratio;
 use saga_schedulers::Scheduler;
 
@@ -33,34 +38,38 @@ fn main() {
     let default_path = "results/fig4_witnesses.jsonl".to_string();
     let path: String = cli::arg_or(&args, "library", default_path);
 
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read witness library {path}: {e} (run `fig4` first)"));
-    let lib = WitnessLibrary::from_jsonl(&text).expect("well-formed library");
-    println!("loaded {} witnesses from {path}", lib.records.len());
-
     let candidate: Box<dyn Scheduler> = if name.eq_ignore_ascii_case("ensemble") {
         Box::new(saga_schedulers::Ensemble::default_portfolio())
     } else {
-        saga_schedulers::by_name(&name).unwrap_or_else(|| panic!("unknown scheduler {name}"))
+        saga_schedulers::by_name(&name)
+            .unwrap_or_else(|| cli::fatal(2, &format!("unknown scheduler {name:?}")))
     };
+
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        cli::fatal(
+            1,
+            &format!("cannot read witness library {path}: {e} (run `fig4` first)"),
+        )
+    });
+    let lib = WitnessLibrary::from_jsonl(&text)
+        .unwrap_or_else(|e| cli::fatal(1, &format!("malformed witness library {path}: {e}")));
+    println!("loaded {} witnesses from {path}", lib.records.len());
 
     let engine = BatchEngine::new();
     let progress = Progress::new("evaluate_library", lib.records.len());
     let rows: Vec<Option<Row>> = engine.map_ctx(lib.records.iter().collect(), |ctx, r| {
-        // candidate scoring needs only the baseline to resolve (a record
-        // whose target scheduler was renamed is still a scorable trap);
-        // revalidation additionally needs the target and counts as a
-        // mismatch when it is unknown
-        let row = saga_schedulers::by_name(&r.baseline).map(|baseline| {
-            let inst = r.instance().expect("stored instance is valid");
+        // candidate scoring needs only the baseline to resolve and the
+        // instance to decode (a record whose target scheduler was renamed
+        // is still a scorable trap); revalidation additionally needs the
+        // target and counts as a mismatch when it is unknown
+        let scorable = saga_schedulers::by_name(&r.baseline).zip(r.instance().ok());
+        let row = scorable.map(|(baseline, inst)| {
             ctx.with_pinned(&inst, |ctx| {
                 let b = baseline.makespan_into(&inst, ctx);
                 let c = candidate.makespan_into(&inst, ctx);
                 let stored = r.ratio_value();
                 let revalidated = saga_schedulers::by_name(&r.target).is_some_and(|target| {
-                    let live = makespan_ratio(target.makespan_into(&inst, ctx), b);
-                    (live.is_infinite() && stored.is_infinite())
-                        || (live - stored).abs() <= 1e-6 * stored.abs().max(1.0)
+                    ratio_matches(makespan_ratio(target.makespan_into(&inst, ctx), b), stored)
                 });
                 Row {
                     target: r.target.clone(),

@@ -22,11 +22,16 @@ fn raw_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, Stri
     }
 }
 
-/// Prints `fatal: {msg}` and exits 2, the usage-error exit of every
-/// experiment binary.
-fn usage_exit(msg: &str) -> ! {
+/// Prints `fatal: {msg}` and exits with `code`: 2 for a usage error, 1
+/// for a file the run cannot read or write.
+pub fn fatal(code: i32, msg: &str) -> ! {
     eprintln!("fatal: {msg}");
-    std::process::exit(2)
+    std::process::exit(code)
+}
+
+/// [`fatal`] with exit 2, the usage-error exit of every experiment binary.
+fn usage_exit(msg: &str) -> ! {
+    fatal(2, msg)
 }
 
 /// The value following `--name`, parsed, or `default` when the flag is
@@ -178,11 +183,13 @@ pub fn checkpoint_path(
 /// run's `result`, or prints a `fatal:` line and exits 1.
 pub fn written_or_exit<T>(result: std::io::Result<T>) -> T {
     result.unwrap_or_else(|e| {
-        eprintln!(
-            "fatal: checkpoint write failed: {e} — records written before the failure \
-             are flushed; re-run with --resume after freeing space"
-        );
-        std::process::exit(1)
+        fatal(
+            1,
+            &format!(
+                "checkpoint write failed: {e} — records written before the failure \
+                 are flushed; re-run with --resume after freeing space"
+            ),
+        )
     })
 }
 
@@ -191,8 +198,10 @@ pub fn written_or_exit<T>(result: std::io::Result<T>) -> T {
 /// `what`, resume.
 pub fn open_checkpoint<R: Record>(path: &Path, resume: bool, what: &str) -> Checkpoint<R> {
     let checkpoint = Checkpoint::open(path, resume).unwrap_or_else(|e| {
-        eprintln!("fatal: cannot open checkpoint {}: {e}", path.display());
-        std::process::exit(1)
+        fatal(
+            1,
+            &format!("cannot open checkpoint {}: {e}", path.display()),
+        )
     });
     if resume && checkpoint.loaded() > 0 {
         eprintln!(

@@ -592,9 +592,9 @@ impl OnlineEval {
                 .map(|_| jitter_rng.gen_range(0.0..=stagger.max(1e-12)))
                 .collect();
             let releases = ReleaseTimes::staggered(&inst, stagger, |i| jitters[i] * 0.1);
-            let se = simulate_online(&inst, &releases, &OnlineEft);
+            let se = simulate_online(&inst, &releases, &OnlineEft, ctx);
             releases.verify(&inst, &se).expect("valid online schedule");
-            let so = simulate_online(&inst, &releases, &OnlineOlb);
+            let so = simulate_online(&inst, &releases, &OnlineOlb, ctx);
             releases.verify(&inst, &so).expect("valid online schedule");
             progress.tick();
             (h, se.makespan(), so.makespan())

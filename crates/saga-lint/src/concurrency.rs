@@ -1,5 +1,5 @@
-//! The concurrency-protocol rule families: `atomics-discipline`,
-//! `lock-discipline`, `unsafe-discipline`.
+//! The concurrency-protocol rule families: `atomics-discipline` and
+//! `lock-discipline`.
 //!
 //! These extend the token-sequence approach of [`crate::rules`] to the
 //! concurrency surface of the workspace:
@@ -15,14 +15,10 @@
 //!   order, and `.lock().unwrap()`/`.expect()` is flagged in favor of the
 //!   poison-recovery idiom
 //!   `.unwrap_or_else(|poisoned| poisoned.into_inner())`.
-//! * **`unsafe-discipline`** — every `unsafe` block/fn/impl needs an
-//!   adjacent `// SAFETY:` comment (or a `/// # Safety` doc section for
-//!   fns), and calls to `#[target_feature]` functions must sit behind a
-//!   runtime feature gate (see [`Config::feature_gates`]).
 //!
 //! This module *collects* the per-file facts (declarations, ordering
-//! uses, nesting events) and emits the purely local findings (missing
-//! SAFETY comments, ungated calls, poison-unwrap); the registry
+//! uses, nesting events) and emits the purely local finding
+//! (poison-unwrap); the registry
 //! cross-checks live in `lib.rs` because they need the whole workspace
 //! plus the parsed ARCHITECTURE.md tables.
 //!
@@ -32,7 +28,6 @@
 //! registry keys on (binding name, declaring file). That granularity is
 //! deliberate — it is exactly what a reviewer sees in the diff.
 
-use crate::config::Config;
 use crate::diag::Finding;
 use crate::lexer::TokKind;
 use crate::scan::FileScan;
@@ -78,14 +73,15 @@ const ATOMIC_METHODS: &[&str] = &[
     "fetch_update",
 ];
 
-/// A declared atomic binding (static, field, local, or parameter).
+/// A declared atomic or `Mutex` binding (static, field, local, or
+/// parameter).
 #[derive(Debug, Clone)]
-pub struct AtomicDecl {
+pub struct Decl {
     /// Binding name (registry key, together with the declaring file).
     pub name: String,
     /// 1-based declaration line.
     pub line: u32,
-    /// Column of the `Atomic*` type token.
+    /// Column of the `Atomic*` or `Mutex` type token.
     pub col: u32,
 }
 
@@ -101,17 +97,6 @@ pub struct AtomicUse {
     /// 1-based line of the `Ordering` token.
     pub line: u32,
     /// Column of the `Ordering` token.
-    pub col: u32,
-}
-
-/// A declared `Mutex` binding.
-#[derive(Debug, Clone)]
-pub struct LockDecl {
-    /// Binding name (registry key, together with the declaring file).
-    pub name: String,
-    /// 1-based declaration line.
-    pub line: u32,
-    /// Column of the `Mutex` type token.
     pub col: u32,
 }
 
@@ -132,15 +117,15 @@ pub struct LockNesting {
 #[derive(Debug, Default)]
 pub struct ConcurrencyScan {
     /// Atomic declarations, deduplicated by name.
-    pub atomic_decls: Vec<AtomicDecl>,
+    pub atomic_decls: Vec<Decl>,
     /// Literal-ordering atomic operations.
     pub atomic_uses: Vec<AtomicUse>,
     /// Mutex declarations, deduplicated by name.
-    pub lock_decls: Vec<LockDecl>,
+    pub lock_decls: Vec<Decl>,
     /// Nested acquisitions, for rank adjudication in `lib.rs`.
     pub nestings: Vec<LockNesting>,
-    /// Purely local findings (SAFETY comments, poison unwraps, ungated
-    /// `#[target_feature]` calls) — raw, before suppression filtering.
+    /// Purely local findings (poison unwraps) — raw, before suppression
+    /// filtering.
     pub findings: Vec<Finding>,
 }
 
@@ -151,40 +136,16 @@ struct Held {
     depth: i32,
 }
 
-/// Runs the three concurrency rule families over one non-test file.
+/// Runs the two concurrency rule families over one non-test file.
 /// Test files and `#[cfg(test)]` regions are out of scope: the
 /// protocols govern shipped code.
-pub fn scan_file(rel: &str, scan: &FileScan, cfg: &Config) -> ConcurrencyScan {
+pub fn scan_file(rel: &str, scan: &FileScan) -> ConcurrencyScan {
     let mut out = ConcurrencyScan::default();
     let sig: Vec<usize> = (0..scan.toks.len())
         .filter(|&i| !scan.toks[i].is_comment())
         .collect();
-    let finding = |rule: &'static str, line: u32, col: u32, message: String| Finding {
-        file: rel.to_string(),
-        line,
-        col,
-        rule,
-        message,
-    };
 
-    // pass 0: names of `#[target_feature]`-gated functions
-    let mut gated: Vec<String> = Vec::new();
-    for p in 0..sig.len() {
-        if scan.toks[sig[p]].is_ident("target_feature") {
-            for q in p + 1..(p + 16).min(sig.len()) {
-                if scan.toks[sig[q]].is_ident("fn") {
-                    if let Some(name) = sig.get(q + 1).map(|&i| &scan.toks[i]) {
-                        if name.kind == TokKind::Ident {
-                            gated.push(name.text.clone());
-                        }
-                    }
-                    break;
-                }
-            }
-        }
-    }
-
-    // pass 1: everything else, one linear walk with lock-hold tracking
+    // one linear walk with lock-hold tracking
     let mut depth = 0i32;
     let mut held: Vec<Held> = Vec::new();
     for p in 0..sig.len() {
@@ -211,30 +172,22 @@ pub fn scan_file(rel: &str, scan: &FileScan, cfg: &Config) -> ConcurrencyScan {
             }
         }
 
-        // ---- atomic declarations
-        if ATOMIC_TYPES.contains(&t.text.as_str()) {
-            if let Some(name) = binding_name(scan, &sig, p) {
-                if !out.atomic_decls.iter().any(|d| d.name == name) {
-                    out.atomic_decls.push(AtomicDecl {
-                        name,
-                        line: t.line,
-                        col: t.col,
-                    });
-                }
-            }
-        }
-
-        // ---- mutex declarations (`Mutex` exactly; `MutexGuard` etc. are
-        // not acquisition points)
-        if t.text == "Mutex" {
-            if let Some(name) = binding_name(scan, &sig, p) {
-                if !out.lock_decls.iter().any(|d| d.name == name) {
-                    out.lock_decls.push(LockDecl {
-                        name,
-                        line: t.line,
-                        col: t.col,
-                    });
-                }
+        // ---- atomic and mutex declarations (`Mutex` exactly; `MutexGuard`
+        // etc. are not acquisition points)
+        let decls = if ATOMIC_TYPES.contains(&t.text.as_str()) {
+            Some(&mut out.atomic_decls)
+        } else if t.text == "Mutex" {
+            Some(&mut out.lock_decls)
+        } else {
+            None
+        };
+        if let Some((decls, name)) = decls.zip(binding_name(scan, &sig, p)) {
+            if !decls.iter().any(|d| d.name == name) {
+                decls.push(Decl {
+                    name,
+                    line: t.line,
+                    col: t.col,
+                });
             }
         }
 
@@ -289,18 +242,19 @@ pub fn scan_file(rel: &str, scan: &FileScan, cfg: &Config) -> ConcurrencyScan {
                     match m {
                         "unwrap" | "expect" => {
                             let mt = &scan.toks[sig[r + 1]];
-                            out.findings.push(finding(
-                                "lock-discipline",
-                                mt.line,
-                                mt.col,
-                                format!(
+                            out.findings.push(Finding {
+                                file: rel.to_string(),
+                                line: mt.line,
+                                col: mt.col,
+                                rule: "lock-discipline",
+                                message: format!(
                                     "`.lock().{m}(…)` aborts on poison — use the \
                                      poison-recovery idiom \
                                      `.unwrap_or_else(|poisoned| poisoned.into_inner())` \
                                      (a panicked holder already unwound; the data is \
                                      still consistent for these protocols)"
                                 ),
-                            ));
+                            });
                         }
                         "unwrap_or_else" => {}
                         _ => break,
@@ -315,57 +269,6 @@ pub fn scan_file(rel: &str, scan: &FileScan, cfg: &Config) -> ConcurrencyScan {
                     guard,
                     depth,
                 });
-            }
-        }
-
-        // ---- unsafe blocks / fns / impls
-        if t.text == "unsafe" {
-            let next = sig.get(p + 1).map(|&j| &scan.toks[j]);
-            let (form, wants_doc) = match next {
-                Some(n) if n.is_punct('{') => ("block", false),
-                Some(n) if n.is_ident("fn") => ("fn", true),
-                Some(n) if n.is_ident("impl") => ("impl", true),
-                Some(n) if n.is_ident("extern") => ("extern block", false),
-                _ => ("block", false),
-            };
-            if !has_safety_comment(scan, i, wants_doc) {
-                let hint = if wants_doc {
-                    "document the contract in a `/// # Safety` section or an \
-                     adjacent `// SAFETY:` comment"
-                } else {
-                    "state the invariant that makes it sound in an adjacent \
-                     `// SAFETY:` comment"
-                };
-                out.findings.push(finding(
-                    "unsafe-discipline",
-                    t.line,
-                    t.col,
-                    format!("`unsafe` {form} without a SAFETY justification — {hint}"),
-                ));
-            }
-        }
-
-        // ---- calls to #[target_feature] fns must sit behind a gate
-        if gated.iter().any(|g| g == &t.text)
-            && is_punct_at(scan, &sig, p + 1, '(')
-            && !(p > 0 && scan.toks[sig[p - 1]].is_ident("fn"))
-        {
-            let enclosing = scan.enclosing_fn(i);
-            let self_gated = enclosing.is_some_and(|f| gated.iter().any(|g| g == f));
-            if !self_gated && !gate_precedes(scan, &sig, p, cfg) {
-                out.findings.push(finding(
-                    "unsafe-discipline",
-                    t.line,
-                    t.col,
-                    format!(
-                        "call to `#[target_feature]` fn `{}` without a runtime \
-                         feature gate ({}) in the enclosing function — an \
-                         unguarded call on unsupported hardware is undefined \
-                         behavior",
-                        t.text,
-                        cfg.feature_gates.join("/"),
-                    ),
-                ));
             }
         }
     }
@@ -567,66 +470,13 @@ fn let_binding_before<'a>(scan: &'a FileScan, sig: &[usize], p: usize) -> Option
     None
 }
 
-/// Does an adjacent comment justify the `unsafe` at raw token index `i`?
-/// Looks backward over the item's own tokens (attrs, `pub`, doc lines) to
-/// the previous statement boundary for a comment containing `SAFETY` (or
-/// `# Safety` when `accept_doc`), and — for expression-position blocks —
-/// forward past the `{` for a leading interior `// SAFETY:` comment.
-fn has_safety_comment(scan: &FileScan, i: usize, accept_doc: bool) -> bool {
-    for j in (0..i).rev() {
-        let t = &scan.toks[j];
-        if t.is_comment() {
-            if t.text.contains("SAFETY") || (accept_doc && t.text.contains("# Safety")) {
-                return true;
-            }
-            continue;
-        }
-        if t.is_punct(';') || t.is_punct('{') || t.is_punct('}') {
-            break;
-        }
-    }
-    // `let x = unsafe { /* SAFETY: … */ … }`: leading interior comment
-    let mut j = i + 1;
-    while j < scan.toks.len() && !scan.toks[j].is_punct('{') {
-        j += 1;
-    }
-    j += 1;
-    while j < scan.toks.len() && scan.toks[j].is_comment() {
-        if scan.toks[j].text.contains("SAFETY") {
-            return true;
-        }
-        j += 1;
-    }
-    false
-}
-
-/// Does a runtime feature-gate identifier (from [`Config::feature_gates`])
-/// appear earlier in the same enclosing function as the call at `p`?
-fn gate_precedes(scan: &FileScan, sig: &[usize], p: usize, cfg: &Config) -> bool {
-    let my_fn = scan.fn_of[sig[p]];
-    if my_fn.is_none() {
-        return false;
-    }
-    for q in (0..p).rev() {
-        let i = sig[q];
-        if scan.fn_of[i] != my_fn {
-            break;
-        }
-        let t = &scan.toks[i];
-        if t.kind == TokKind::Ident && cfg.feature_gates.iter().any(|g| *g == t.text) {
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn run(src: &str) -> ConcurrencyScan {
         let scan = FileScan::new(src, false);
-        scan_file("x/lib.rs", &scan, &Config::workspace())
+        scan_file("x/lib.rs", &scan)
     }
 
     #[test]
@@ -713,52 +563,10 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_forms_require_safety_comments() {
-        let bad = "fn f() { unsafe { g() }; }\nunsafe fn h() {}\n";
-        let out = run(bad);
-        assert_eq!(out.findings.len(), 2, "{:?}", out.findings);
-        assert!(out.findings.iter().all(|f| f.rule == "unsafe-discipline"));
-
-        let good = "fn f() {\n\
-                    // SAFETY: g upholds its contract here\n\
-                    unsafe { g() };\n\
-                    }\n\
-                    /// Does things.\n\
-                    ///\n\
-                    /// # Safety\n\
-                    /// Caller must ensure the invariant.\n\
-                    unsafe fn h() {}\n\
-                    fn k() { let x = unsafe { /* SAFETY: checked above */ p.read() }; }";
-        assert!(run(good).findings.is_empty(), "{:?}", run(good).findings);
-    }
-
-    #[test]
-    fn target_feature_calls_need_a_gate() {
-        let src = "#[target_feature(enable = \"avx\")]\n\
-                   /// # Safety\n\
-                   unsafe fn kern(x: &mut [f64]) {}\n\
-                   fn gated(x: &mut [f64]) {\n\
-                   if std::arch::is_x86_feature_detected!(\"avx\") {\n\
-                   // SAFETY: gated on runtime AVX detection above\n\
-                   unsafe { kern(x) };\n\
-                   }\n\
-                   }\n\
-                   fn ungated(x: &mut [f64]) {\n\
-                   // SAFETY: (wrongly) assumed\n\
-                   unsafe { kern(x) };\n\
-                   }";
-        let out = run(src);
-        assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
-        assert_eq!(out.findings[0].rule, "unsafe-discipline");
-        assert!(out.findings[0].message.contains("`kern`"));
-        assert_eq!(out.findings[0].line, 12);
-    }
-
-    #[test]
     fn test_code_is_out_of_scope() {
         let src = "#[cfg(test)]\nmod tests {\n\
                    static T: AtomicUsize = AtomicUsize::new(0);\n\
-                   fn t() { T.store(1, Ordering::Relaxed); unsafe { g() }; }\n\
+                   fn t() { T.store(1, Ordering::Relaxed); }\n\
                    }";
         let out = run(src);
         assert!(out.atomic_decls.is_empty());

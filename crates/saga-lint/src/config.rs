@@ -33,10 +33,6 @@ pub struct Config {
     /// holds the concurrency tables (`atomics-discipline`,
     /// `lock-discipline`).
     pub registry_doc: &'static str,
-    /// Identifiers accepted as runtime feature gates for
-    /// `#[target_feature]` call sites (`unsafe-discipline`): a call is
-    /// gated when one of these appears earlier in the enclosing function.
-    pub feature_gates: Vec<&'static str>,
     /// Path fragments never scanned (fixture corpora, build output).
     pub skip: Vec<&'static str>,
 }
@@ -82,7 +78,6 @@ impl Config {
                         "best_eft_node_scalar",
                         "new",
                         "release",
-                        "earliest_start_insertion",
                         "first_idle_node",
                         "start",
                         "fused_rows",
@@ -108,7 +103,6 @@ impl Config {
                 "crates/saga-pisa/src/library.rs",
             ],
             registry_doc: "ARCHITECTURE.md",
-            feature_gates: vec!["is_x86_feature_detected"],
             skip: vec!["crates/saga-lint/tests/fixtures/", "/target/"],
         }
     }
@@ -126,7 +120,7 @@ impl Config {
     pub fn hot_entries<'a>(&'a self, rel: &str) -> Vec<&'a HotPath> {
         self.hot_paths
             .iter()
-            .filter(|h| rel == h.path || (h.path.ends_with('/') && rel.starts_with(h.path)))
+            .filter(|h| Self::matches(&[h.path], rel))
             .collect()
     }
 }
@@ -142,5 +136,5 @@ pub const RULES: &[&str] = &[
     "env-registry",
     "atomics-discipline",
     "lock-discipline",
-    "unsafe-discipline",
+    "workspace-lints",
 ];

@@ -14,20 +14,24 @@
 //!    tests);
 //! 2. **hot-path allocation** (`hot-alloc`) — the scheduling kernel, the
 //!    incremental path, scheduler `run` entry points and the annealer inner
-//!    loop stay allocation-free after warm-up;
+//!    loop stay allocation-free after warm-up, and every function a
+//!    hot-path entry names is defined in the files it covers;
 //! 3. **error discipline** (`error-discipline`) — IO/checkpoint/parse
 //!    library paths propagate `io::Error` instead of aborting mid-grid;
 //! 4. **env-toggle registry** (`env-registry`) — every literal
 //!    `env::var("NAME")` read is declared in ARCHITECTURE.md's registry
 //!    table, and every declared toggle is actually read;
-//! 5. **concurrency protocols** (`atomics-discipline`, `lock-discipline`,
-//!    `unsafe-discipline`) — every atomic binding and its literal
-//!    `Ordering::X` uses must match ARCHITECTURE.md's "Atomic protocol
-//!    registry", every `Mutex` must be ranked in the "Lock-order registry"
-//!    (nested acquisitions ascend in rank; `.lock().unwrap()` yields to
-//!    the poison-recovery idiom), and every `unsafe` block/fn carries a
-//!    SAFETY justification with `#[target_feature]` calls behind runtime
-//!    gates. See `crate::concurrency`.
+//! 5. **concurrency protocols** (`atomics-discipline`, `lock-discipline`)
+//!    — every atomic binding and its literal `Ordering::X` uses must match
+//!    ARCHITECTURE.md's "Atomic protocol registry", and every `Mutex` must
+//!    be ranked in the "Lock-order registry" (nested acquisitions ascend in
+//!    rank; `.lock().unwrap()` yields to the poison-recovery idiom). See
+//!    `crate::concurrency`;
+//! 6. **workspace lints** (`workspace-lints`) — the root `Cargo.toml`
+//!    forbids unsafe code in its `[workspace.lints.rust]` table, and the
+//!    root package and every member inherit it with `[lints] workspace =
+//!    true`, so rustc holds the ban for every target. See
+//!    `crate::manifests`.
 //!
 //! Violations are silenced only by an inline
 //! `// saga-lint: allow(<rule>) — <reason>` with a mandatory reason; a
@@ -36,13 +40,13 @@
 //! See ARCHITECTURE.md → "Machine-checked invariants" for the contract and
 //! `cargo run -p saga-lint` for the CI gate.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod concurrency;
 pub mod config;
 pub mod diag;
 pub mod lexer;
+pub mod manifests;
 pub mod registry;
 pub mod rules;
 pub mod scan;
@@ -61,11 +65,21 @@ pub fn lint_root(root: &Path, cfg: &Config) -> std::io::Result<Report> {
     let mut env_reads: Vec<EnvRead> = Vec::new();
     let mut suppressions_by_file: Vec<(String, Vec<Suppression>)> = Vec::new();
     let mut conc_by_file: Vec<(String, concurrency::ConcurrencyScan)> = Vec::new();
+    // per hot-path entry, the names of its `fns` some covered file defines
+    // (`None` while the entry has covered no file)
+    let mut hot_defined: Vec<Option<Vec<&str>>> = vec![None; cfg.hot_paths.len()];
 
     for file in workspace::discover(root, &cfg.skip)? {
         let src = std::fs::read_to_string(&file.abs)?;
         let force_test = file.kind == FileKind::Test;
         let scan = FileScan::new(&src, force_test);
+        for (h, defined) in cfg.hot_paths.iter().zip(&mut hot_defined) {
+            if Config::matches(&[h.path], &file.rel) {
+                let fns = h.fns.unwrap_or_default().iter();
+                let live = fns.filter(|f| scan.fn_names.iter().any(|n| n == *f));
+                defined.get_or_insert_with(Vec::new).extend(live);
+            }
+        }
         let outcome = rules::lint_file(&file.rel, file.kind, &scan, cfg);
         report.files_scanned += 1;
         report.suppressed += outcome.suppressed;
@@ -95,6 +109,10 @@ pub fn lint_root(root: &Path, cfg: &Config) -> std::io::Result<Report> {
         &mut report,
     );
     report_unused_suppressions(&suppressions_by_file, &mut report);
+    report_stale_hot_fns(cfg, &hot_defined, &mut report);
+    report
+        .findings
+        .extend(manifests::check(root, &workspace::members(root)?)?);
 
     report
         .findings
@@ -362,38 +380,31 @@ fn cross_check_concurrency(
     }
 
     // registry → code: stale rows are findings at the table
-    for row in &reg.atomics {
-        let declared = conc_by_file
-            .iter()
-            .any(|(f, c)| f == &row.path && c.atomic_decls.iter().any(|d| d.name == row.name));
+    let atomic_rows = reg.atomics.iter().map(|r| (&r.name, &r.path, r.line, true));
+    let lock_rows = reg.locks.iter().map(|r| (&r.name, &r.path, r.line, false));
+    for (name, path, line, atomic) in atomic_rows.chain(lock_rows) {
+        let declared = conc_by_file.iter().any(|(f, c)| {
+            let decls = if atomic {
+                &c.atomic_decls
+            } else {
+                &c.lock_decls
+            };
+            f == path && decls.iter().any(|d| &d.name == name)
+        });
         if !declared {
+            let (rule, what) = if atomic {
+                ("atomics-discipline", "atomic")
+            } else {
+                ("lock-discipline", "mutex")
+            };
             report.findings.push(Finding {
                 file: cfg.registry_doc.to_string(),
-                line: row.line,
+                line,
                 col: 1,
-                rule: "atomics-discipline",
+                rule,
                 message: format!(
-                    "registry declares atomic `{}` in `{}` but no such \
-                     declaration exists — remove the stale row",
-                    row.name, row.path
-                ),
-            });
-        }
-    }
-    for row in &reg.locks {
-        let declared = conc_by_file
-            .iter()
-            .any(|(f, c)| f == &row.path && c.lock_decls.iter().any(|d| d.name == row.name));
-        if !declared {
-            report.findings.push(Finding {
-                file: cfg.registry_doc.to_string(),
-                line: row.line,
-                col: 1,
-                rule: "lock-discipline",
-                message: format!(
-                    "registry declares mutex `{}` in `{}` but no such \
-                     declaration exists — remove the stale row",
-                    row.name, row.path
+                    "registry declares {what} `{name}` in `{path}` but no such \
+                     declaration exists — remove the stale row"
                 ),
             });
         }
@@ -420,6 +431,33 @@ fn report_unused_suppressions(
                         "suppression allows `{}` but silenced no finding — \
                          remove it (or the code it excused has drifted)",
                         s.rules.join(", ")
+                    ),
+                });
+            }
+        }
+    }
+}
+
+/// Hot-path entries → code: a `fns` name that none of the entry's
+/// covered files defines guards nothing (the function was renamed or
+/// moved), so it is a finding at the entry's path, the way a stale
+/// env-registry row is. An entry that covers no scanned file is not
+/// judged.
+fn report_stale_hot_fns(cfg: &Config, hot_defined: &[Option<Vec<&str>>], report: &mut Report) {
+    for (h, defined) in cfg.hot_paths.iter().zip(hot_defined) {
+        let Some(defined) = defined else { continue };
+        for name in h.fns.unwrap_or_default() {
+            if !defined.contains(name) {
+                report.findings.push(Finding {
+                    file: h.path.to_string(),
+                    line: 1,
+                    col: 1,
+                    rule: "hot-alloc",
+                    message: format!(
+                        "saga-lint's hot-path entry for `{}` names `{name}`, \
+                         but no function of that name is defined there — \
+                         remove the stale name or follow the rename",
+                        h.path
                     ),
                 });
             }

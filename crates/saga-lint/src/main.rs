@@ -3,8 +3,6 @@
 //! finding. Run as `cargo run -p saga-lint` (CI runs it with `--json` and
 //! uploads the report).
 
-#![forbid(unsafe_code)]
-
 use saga_lint::config::Config;
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -262,7 +262,7 @@ pub fn lint_file(rel: &str, kind: FileKind, scan: &FileScan, cfg: &Config) -> Fi
     let mut conc = if kind == FileKind::Test {
         ConcurrencyScan::default()
     } else {
-        concurrency::scan_file(rel, scan, cfg)
+        concurrency::scan_file(rel, scan)
     };
     raw.append(&mut conc.findings);
 

@@ -24,19 +24,26 @@ pub fn discover(root: &Path, skip: &[&str]) -> std::io::Result<Vec<SourceFile>> 
     for top in ["src", "tests", "examples"] {
         walk(root, &root.join(top), skip, &mut files)?;
     }
-    for group in ["crates", "vendor"] {
-        let dir = root.join(group);
-        if !dir.is_dir() {
-            continue;
-        }
-        for member in sorted_entries(&dir)? {
-            for sub in ["src", "tests"] {
-                walk(root, &member.join(sub), skip, &mut files)?;
-            }
+    for member in members(root)? {
+        for sub in ["src", "tests"] {
+            walk(root, &member.join(sub), skip, &mut files)?;
         }
     }
     files.sort_by(|a, b| a.rel.cmp(&b.rel));
     Ok(files)
+}
+
+/// The member directories [`discover`] walks: every directory under
+/// `crates/` and `vendor/`, sorted.
+pub fn members(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut out = Vec::new();
+    for group in ["crates", "vendor"] {
+        let dir = root.join(group);
+        if dir.is_dir() {
+            out.extend(sorted_entries(&dir)?);
+        }
+    }
+    Ok(out)
 }
 
 fn sorted_entries(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -79,7 +86,8 @@ fn walk(root: &Path, dir: &Path, skip: &[&str], out: &mut Vec<SourceFile>) -> st
     Ok(())
 }
 
-fn relativize(root: &Path, path: &Path) -> String {
+/// `path` relative to `root`, `/`-separated (the form diagnostics print).
+pub(crate) fn relativize(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     let mut s = String::new();
     for c in rel.components() {

@@ -4,7 +4,7 @@
 //! exercised on a miniature workspace, and — the gate the corpus exists
 //! for — a self-check that the shipped workspace lints clean.
 
-use saga_lint::config::Config;
+use saga_lint::config::{Config, HotPath};
 use saga_lint::rules::{lint_file, FileKind, FileOutcome};
 use saga_lint::scan::FileScan;
 use std::path::{Path, PathBuf};
@@ -214,6 +214,10 @@ fn bad_suppressions_are_themselves_findings() {
     assert_eq!(out.suppressed, 0);
 }
 
+/// The mini-workspace's root manifest: the unsafe ban's one table.
+const WORKSPACE_MANIFEST: &str =
+    "[workspace]\n\n[workspace.lints.rust]\nunsafe_code = \"forbid\"\n";
+
 /// Builds a throwaway mini-workspace for end-to-end `lint_root` runs.
 struct MiniWorkspace {
     root: PathBuf,
@@ -245,7 +249,7 @@ impl MiniWorkspace {
             std::env::temp_dir().join(format!("saga_lint_fixture_{}_{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(root.join("src")).unwrap();
-        std::fs::write(root.join("Cargo.toml"), "[workspace]\n").unwrap();
+        std::fs::write(root.join("Cargo.toml"), WORKSPACE_MANIFEST).unwrap();
         std::fs::write(root.join("src/lib.rs"), lib_src).unwrap();
         let mut doc = String::from("# Architecture\n\n### Env-toggle registry\n\n");
         doc.push_str("| Toggle | Read in | Effect |\n|---|---|---|\n");
@@ -435,52 +439,6 @@ fn lock_discipline_clean_twin_is_silent() {
 }
 
 #[test]
-fn unsafe_discipline_flags_every_unjustified_form() {
-    let out = lint_as(
-        "unsafe_bad.rs",
-        "crates/saga-datasets/src/simd.rs",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&out);
-    assert_eq!(
-        rules.iter().filter(|r| **r == "unsafe-discipline").count(),
-        4,
-        "block without SAFETY, undocumented unsafe fn, unjustified \
-         target_feature fn, ungated call: {:?}",
-        out.findings
-    );
-    assert_eq!(out.findings.len(), 4, "{:?}", out.findings);
-    let messages: Vec<&str> = out.findings.iter().map(|f| f.message.as_str()).collect();
-    assert!(
-        messages
-            .iter()
-            .any(|m| m.contains("without a runtime feature gate")),
-        "{messages:?}"
-    );
-    assert!(
-        messages
-            .iter()
-            .any(|m| m.contains("without a SAFETY justification")),
-        "{messages:?}"
-    );
-}
-
-#[test]
-fn unsafe_discipline_clean_twin_is_silent() {
-    let out = lint_as(
-        "unsafe_clean.rs",
-        "crates/saga-datasets/src/simd.rs",
-        FileKind::Lib,
-    );
-    assert!(
-        out.findings.is_empty(),
-        "SAFETY comments, `# Safety` docs and the runtime gate must \
-         satisfy the rule: {:?}",
-        out.findings
-    );
-}
-
-#[test]
 fn unused_reasoned_suppression_is_flagged() {
     let ws = MiniWorkspace::new("sup_unused", &[], &fixture("suppression_unused.rs"));
     let report = saga_lint::lint_root(&ws.root, &Config::workspace()).unwrap();
@@ -491,6 +449,66 @@ fn unused_reasoned_suppression_is_flagged() {
         "{:?}",
         report.findings
     );
+}
+
+/// `file:line rule` of each finding of a `lint_root` run.
+fn sites(root: &Path, cfg: &Config) -> Vec<String> {
+    let report = saga_lint::lint_root(root, cfg).unwrap();
+    let site = |f: &saga_lint::diag::Finding| format!("{}:{} {}", f.file, f.line, f.rule);
+    report.findings.iter().map(site).collect()
+}
+
+#[test]
+fn workspace_lints_need_the_forbid_table_and_every_opt_in() {
+    let ws = MiniWorkspace::new("manifests", &[], "pub fn nothing() {}\n");
+    let cfg = Config::workspace();
+    let member = |name: &str, lints: &str| {
+        let dir = ws.root.join("crates").join(name);
+        std::fs::create_dir_all(&dir).unwrap();
+        let manifest = format!("[package]\nname = \"{name}\"\n{lints}");
+        std::fs::write(dir.join("Cargo.toml"), manifest).unwrap();
+    };
+    member("a", "\n[lints]\nworkspace = true\n");
+    member("b", "\n[dependencies]\n");
+    assert_eq!(
+        sites(&ws.root, &cfg),
+        ["crates/b/Cargo.toml:1 workspace-lints"]
+    );
+    member("b", "\n[lints]\nworkspace = true\n");
+    assert!(sites(&ws.root, &cfg).is_empty());
+
+    // `deny` can be lifted by an `allow`: only `forbid` passes
+    let root = ws.root.join("Cargo.toml");
+    std::fs::write(&root, WORKSPACE_MANIFEST.replace("forbid", "deny")).unwrap();
+    assert_eq!(sites(&ws.root, &cfg), ["Cargo.toml:4 workspace-lints"]);
+
+    // a root package must opt in like the members
+    std::fs::write(
+        &root,
+        format!("{WORKSPACE_MANIFEST}[package]\nname = \"r\"\n"),
+    )
+    .unwrap();
+    assert_eq!(sites(&ws.root, &cfg), ["Cargo.toml:1 workspace-lints"]);
+}
+
+#[test]
+fn hot_path_names_without_a_definition_are_stale() {
+    let ws = MiniWorkspace::new("hot_stale", &[], "fn hot_loop_renamed() {}\nfn cold() {}\n");
+    let mut cfg = Config::workspace();
+    cfg.hot_paths = vec![HotPath {
+        path: "src/",
+        fns: Some(&["hot_loop", "cold"]),
+    }];
+    let report = saga_lint::lint_root(&ws.root, &cfg).unwrap();
+    assert_eq!(sites(&ws.root, &cfg), ["src/:1 hot-alloc"]);
+    assert!(report.findings[0].message.contains("`hot_loop`"));
+
+    std::fs::write(
+        ws.root.join("src/lib.rs"),
+        "fn hot_loop() {}\nfn cold() {}\n",
+    )
+    .unwrap();
+    assert!(sites(&ws.root, &cfg).is_empty());
 }
 
 #[test]

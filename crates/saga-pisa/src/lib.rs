@@ -23,7 +23,6 @@
 //!   and scratch by any driver (in order on one context here, the parallel
 //!   checkpointing batch engine in `saga-experiments`).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablation;

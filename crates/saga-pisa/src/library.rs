@@ -19,7 +19,6 @@
 
 use crate::makespan_ratio;
 use saga_core::Instance;
-use saga_schedulers::Scheduler;
 use serde_json::{required, Reader, Writer};
 
 /// One published adversarial instance.
@@ -178,40 +177,19 @@ impl WitnessLibrary {
             let ratio = ctx.with_pinned(&inst, |ctx| {
                 makespan_ratio(t.makespan_into(&inst, ctx), b.makespan_into(&inst, ctx))
             });
-            let recorded = r.ratio_value();
-            let matches = (ratio.is_infinite() && recorded.is_infinite())
-                || (ratio - recorded).abs() <= 1e-6 * recorded.abs().max(1.0);
-            if !matches {
+            if !ratio_matches(ratio, r.ratio_value()) {
                 bad += 1;
             }
         }
         bad
     }
+}
 
-    /// Scores a (possibly new) scheduler against every witness: for each
-    /// record, the candidate's makespan ratio against the record's baseline
-    /// on the stored instance. Returns `(target, baseline, stored, candidate)`
-    /// rows — "would the new scheduler fall into the same traps?". Reuses
-    /// one pooled context across all witnesses, like
-    /// [`revalidate`](Self::revalidate).
-    pub fn evaluate(&self, candidate: &dyn Scheduler) -> Vec<(String, String, f64, f64)> {
-        let pool = saga_core::ContextPool::new();
-        let mut ctx = pool.take();
-        self.records
-            .iter()
-            .filter_map(|r| {
-                let baseline = saga_schedulers::by_name(&r.baseline)?;
-                let inst = r.instance().ok()?;
-                let ratio = ctx.with_pinned(&inst, |ctx| {
-                    makespan_ratio(
-                        candidate.makespan_into(&inst, ctx),
-                        baseline.makespan_into(&inst, ctx),
-                    )
-                });
-                Some((r.target.clone(), r.baseline.clone(), r.ratio_value(), ratio))
-            })
-            .collect()
-    }
+/// Whether a recomputed ratio `live` reproduces a `stored` one: both
+/// unbounded, or within `1e-6` relative (absolute below 1).
+pub fn ratio_matches(live: f64, stored: f64) -> bool {
+    (live.is_infinite() && stored.is_infinite())
+        || (live - stored).abs() <= 1e-6 * stored.abs().max(1.0)
 }
 
 #[cfg(test)]
@@ -259,17 +237,6 @@ mod tests {
     fn revalidation_passes_for_fresh_library() {
         let lib = small_library();
         assert_eq!(lib.revalidate(), 0);
-    }
-
-    #[test]
-    fn evaluate_scores_candidates() {
-        let lib = small_library();
-        let rows = lib.evaluate(&saga_schedulers::Cpop);
-        assert_eq!(rows.len(), lib.records.len());
-        for (_, _, stored, candidate) in rows {
-            assert!(stored > 0.0);
-            assert!(candidate >= 0.0);
-        }
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //!
 //! The 17 task-graph scheduling algorithms of the paper's Table I, all
 //! implemented against one [`Scheduler`] trait on top of `saga-core`'s
-//! [`ScheduleBuilder`](saga_core::ScheduleBuilder). The 15 polynomial-time
+//! [`SchedContext`] kernel. The 15 polynomial-time
 //! heuristics are what the paper benchmarks (Fig. 2) and compares
 //! adversarially (Fig. 4); the two exponential reference solvers
 //! (`BruteForce` and the SMT-substitute `BnbSearch`) are excluded from those
 //! experiments exactly as in the paper.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext, Schedule};

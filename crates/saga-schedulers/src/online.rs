@@ -15,7 +15,7 @@
 //! not knowing the future.
 
 use crate::{util, Scheduler};
-use saga_core::{later, Instance, NodeId, Schedule, ScheduleBuilder, TaskId};
+use saga_core::{later, Instance, NodeId, SchedContext, Schedule, TaskId};
 
 /// Release times per task (indexed by [`TaskId`]), making an [`Instance`]
 /// an online problem.
@@ -74,10 +74,12 @@ pub trait OnlinePolicy {
     /// Policy name for reports.
     fn name(&self) -> &'static str;
     /// Chooses a `(task, node, start)` among `visible` (non-empty) ready
-    /// tasks; `min_start[t]` is the earliest legal start (release-aware).
+    /// tasks of `inst`, given the placements so far in `ctx`;
+    /// `min_start[t]` is the earliest legal start (release-aware).
     fn choose(
         &self,
-        b: &ScheduleBuilder<'_>,
+        inst: &Instance,
+        ctx: &SchedContext,
         visible: &[TaskId],
         min_start: &dyn Fn(TaskId, NodeId) -> f64,
     ) -> (TaskId, NodeId, f64);
@@ -94,18 +96,16 @@ impl OnlinePolicy for OnlineEft {
 
     fn choose(
         &self,
-        b: &ScheduleBuilder<'_>,
+        inst: &Instance,
+        _ctx: &SchedContext,
         visible: &[TaskId],
         min_start: &dyn Fn(TaskId, NodeId) -> f64,
     ) -> (TaskId, NodeId, f64) {
         let mut best: Option<(TaskId, NodeId, f64, f64)> = None;
         for &t in visible {
-            for v in b.instance().network.nodes() {
+            for v in inst.network.nodes() {
                 let start = min_start(t, v);
-                let finish = start
-                    + b.instance()
-                        .network
-                        .exec_time(b.instance().graph.cost(t), v);
+                let finish = start + inst.network.exec_time(inst.graph.cost(t), v);
                 let better = match best {
                     None => true,
                     Some((_, _, _, bf)) => finish < bf,
@@ -131,11 +131,12 @@ impl OnlinePolicy for OnlineOlb {
 
     fn choose(
         &self,
-        b: &ScheduleBuilder<'_>,
+        _inst: &Instance,
+        ctx: &SchedContext,
         visible: &[TaskId],
         min_start: &dyn Fn(TaskId, NodeId) -> f64,
     ) -> (TaskId, NodeId, f64) {
-        let v = util::first_idle_node(b.ctx());
+        let v = util::first_idle_node(ctx);
         // earliest-released visible task first (FIFO), ties by id
         let t = *visible
             .iter()
@@ -145,8 +146,9 @@ impl OnlinePolicy for OnlineOlb {
     }
 }
 
-/// Runs the online event loop: placement decisions see only released tasks,
-/// and every start respects `max(release, data-ready, node-available)`.
+/// Runs the online event loop on `ctx` (reset for `inst` here):
+/// placement decisions see only released tasks, and every start respects
+/// `max(release, data-ready, node-available)`.
 #[expect(
     clippy::disallowed_methods,
     reason = "release times are caller data, not model weights: `staggered` gives NaN for an infinite stagger (`0 * inf` at depth 0)"
@@ -155,12 +157,13 @@ pub fn simulate_online(
     inst: &Instance,
     releases: &ReleaseTimes,
     policy: &dyn OnlinePolicy,
+    ctx: &mut SchedContext,
 ) -> Schedule {
     let n = inst.graph.task_count();
-    let mut b = ScheduleBuilder::new(inst);
+    ctx.reset(inst);
     let mut clock = 0.0f64;
-    while b.placed_count() < n {
-        let visible: Vec<TaskId> = b
+    while ctx.placed_count() < n {
+        let visible: Vec<TaskId> = ctx
             .ready()
             .iter()
             .copied()
@@ -168,7 +171,7 @@ pub fn simulate_online(
             .collect();
         if visible.is_empty() {
             // advance to the next arrival among ready tasks
-            clock = b
+            clock = ctx
                 .ready()
                 .iter()
                 .map(|t| releases.0[t.index()])
@@ -176,16 +179,16 @@ pub fn simulate_online(
             continue;
         }
         let min_start = |t: TaskId, v: NodeId| -> f64 {
-            let data = b.data_ready_time(t, v);
-            let avail = b.earliest_start_append(v, 0.0);
+            let data = ctx.data_ready_time(t, v);
+            let avail = ctx.earliest_start_append(v, 0.0);
             later(data, avail).max(releases.0[t.index()])
         };
-        let (t, v, start) = policy.choose(&b, &visible, &min_start);
+        let (t, v, start) = policy.choose(inst, ctx, &visible, &min_start);
         debug_assert!(start >= releases.0[t.index()]);
-        b.place(t, v, start);
+        ctx.place(t, v, start);
         clock = clock.max(releases.0[t.index()]);
     }
-    b.finish()
+    ctx.snapshot_schedule()
 }
 
 /// Convenience wrapper: an online policy with fixed releases, viewed as a
@@ -207,10 +210,8 @@ impl<P: OnlinePolicy + Send + Sync> Scheduler for OnlineScheduler<P> {
         self.policy.name()
     }
 
-    fn schedule_into(&self, inst: &Instance, _ctx: &mut saga_core::SchedContext) -> Schedule {
-        // the online event loop drives its own builder; the shared context
-        // is unused (release-time simulation is not a hot path)
-        simulate_online(inst, &ReleaseTimes::all_zero(inst), &self.policy)
+    fn schedule_into(&self, inst: &Instance, ctx: &mut SchedContext) -> Schedule {
+        simulate_online(inst, &ReleaseTimes::all_zero(inst), &self.policy, ctx)
     }
 }
 
@@ -224,7 +225,7 @@ mod tests {
         for inst in fixtures::smoke_instances() {
             for policy in [&OnlineEft as &dyn OnlinePolicy, &OnlineOlb] {
                 let r = ReleaseTimes::all_zero(&inst);
-                let s = simulate_online(&inst, &r, policy);
+                let s = simulate_online(&inst, &r, policy, &mut SchedContext::new());
                 r.verify(&inst, &s)
                     .unwrap_or_else(|e| panic!("{}: {e}", policy.name()));
             }
@@ -236,7 +237,7 @@ mod tests {
         let inst = fixtures::fig1();
         let r = ReleaseTimes::staggered(&inst, 2.0, |i| 0.1 * i as f64);
         for policy in [&OnlineEft as &dyn OnlinePolicy, &OnlineOlb] {
-            let s = simulate_online(&inst, &r, policy);
+            let s = simulate_online(&inst, &r, policy, &mut SchedContext::new());
             r.verify(&inst, &s)
                 .unwrap_or_else(|e| panic!("{}: {e}", policy.name()));
             for t in inst.graph.tasks() {
@@ -263,8 +264,9 @@ mod tests {
         let inst = fixtures::fig1();
         let zero = ReleaseTimes::all_zero(&inst);
         let late = ReleaseTimes::staggered(&inst, 5.0, |_| 0.0);
-        let m0 = simulate_online(&inst, &zero, &OnlineEft).makespan();
-        let m1 = simulate_online(&inst, &late, &OnlineEft).makespan();
+        let mut ctx = SchedContext::new();
+        let m0 = simulate_online(&inst, &zero, &OnlineEft, &mut ctx).makespan();
+        let m1 = simulate_online(&inst, &late, &OnlineEft, &mut ctx).makespan();
         assert!(m1 >= m0 - 1e-9, "late arrivals produced a faster schedule");
     }
 
@@ -287,7 +289,7 @@ mod tests {
         let g = saga_core::TaskGraph::chain(&[1.0, 1.0], &[0.0]);
         let inst = saga_core::Instance::new(saga_core::Network::complete(&[1.0], 1.0), g);
         let r = ReleaseTimes(vec![10.0, 20.0]);
-        let s = simulate_online(&inst, &r, &OnlineEft);
+        let s = simulate_online(&inst, &r, &OnlineEft, &mut SchedContext::new());
         assert!(s.assignment(saga_core::TaskId(0)).start >= 10.0);
         assert!(s.assignment(saga_core::TaskId(1)).start >= 20.0);
         r.verify(&inst, &s).unwrap();

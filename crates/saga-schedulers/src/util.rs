@@ -1,7 +1,6 @@
 //! Shared helpers for list schedulers, plus reusable test fixtures.
 //!
-//! All helpers operate on the [`SchedContext`] kernel; builder-based callers
-//! reach it through [`ScheduleBuilder::ctx`](saga_core::ScheduleBuilder::ctx).
+//! All helpers operate on the [`SchedContext`] kernel.
 //!
 //! Node selection has two formulations with the same bits: the fused rows
 //! (one row pass over all nodes, then an argmin) on networks of at least

@@ -26,8 +26,6 @@
 //! assert!(sched.verify(&inst).is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use saga_core as core;
 pub use saga_datasets as datasets;
 pub use saga_pisa as pisa;

@@ -167,8 +167,16 @@ fn witness_library_round_trips_through_disk_format() {
     assert_eq!(lib.records.len(), 6);
     let back = WitnessLibrary::from_jsonl(&lib.to_jsonl()).unwrap();
     assert_eq!(back.revalidate(), 0);
-    let rows = back.evaluate(&saga::schedulers::MinMin);
-    assert_eq!(rows.len(), 6);
+    // every record stays scorable: its instance decodes and its baseline
+    // resolves, so a new scheduler can be run on it
+    for r in &back.records {
+        let inst = r.instance().unwrap();
+        assert!(saga::schedulers::by_name(&r.baseline).is_some());
+        saga::schedulers::MinMin
+            .schedule(&inst)
+            .verify(&inst)
+            .unwrap();
+    }
 }
 
 #[test]

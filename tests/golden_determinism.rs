@@ -4,7 +4,7 @@
 //! `tests/golden_makespans.csv` records the bit pattern of every scheduler's
 //! makespan on a fixed battery of instances — the paper-figure smoke set
 //! plus 20 seeded random instances of varied shape — captured on the
-//! pre-kernel `ScheduleBuilder` implementation. Any change to scheduler
+//! pre-kernel schedule-builder implementation. Any change to scheduler
 //! decisions (tie-breaking, float evaluation order, ready-set ordering)
 //! flips bits here and fails the suite.
 //!
