@@ -29,7 +29,7 @@
 //! golden-PISA suites pin this.
 //!
 //! A context built with [`EvalPaths`](crate::EvalPaths) `{ incremental:
-//! false, .. }` takes the full-rebuild reference path instead:
+//! false }` takes the full-rebuild reference path instead:
 //! [`SchedContext::pin_tables_dirty`](crate::SchedContext::pin_tables_dirty)
 //! and the schedulers' incremental entry points widen every dirty region
 //! to [`DirtyRegion::full`].

@@ -67,10 +67,10 @@ fn fold_arrivals(out: &mut [f64], row: &[f64], f: f64, cost: f64) {
     }
 }
 
-/// Which evaluation paths a [`SchedContext`] runs: each `false` field
-/// selects the reference path its fast path must match bit for bit. No
-/// production caller changes the all-fast default; the fields let one test
-/// process run the golden fixtures on every path.
+/// Which evaluation path a [`SchedContext`] runs: `incremental: false`
+/// selects the full-rebuild reference path the incremental fast path must
+/// match bit for bit. No production caller changes the default; the field
+/// lets one test process run the golden fixtures on both paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalPaths {
     /// Incremental delta-evaluation (selective table refresh + prefix
@@ -80,17 +80,11 @@ pub struct EvalPaths {
     /// ([`Self::widen`]), so every evaluation on the context rebuilds its
     /// tables and runs from scratch.
     pub incremental: bool,
-    /// The fused EFT row kernels in the schedulers' node selection; `false`
-    /// forces the scalar per-node queries everywhere.
-    pub fused_rows: bool,
 }
 
 impl Default for EvalPaths {
     fn default() -> Self {
-        EvalPaths {
-            incremental: true,
-            fused_rows: true,
-        }
+        EvalPaths { incremental: true }
     }
 }
 
@@ -108,91 +102,6 @@ impl EvalPaths {
     }
 }
 
-/// The append-start/finish compose over one task's rows:
-/// `starts[v] = later(tails[v], starts[v])` (the data-ready row folded
-/// with the node's max finish) and `finishes[v] = starts[v] + exec[v]`.
-#[inline]
-fn compose_append_rows(starts: &mut [f64], finishes: &mut [f64], tails: &[f64], exec: &[f64]) {
-    for ((s, f), (&tail, &d)) in starts
-        .iter_mut()
-        .zip(finishes.iter_mut())
-        .zip(tails.iter().zip(exec))
-    {
-        let start = later(tail, *s);
-        *s = start;
-        *f = start + d;
-    }
-}
-
-/// The append compose for callers whose data-ready row lives in a cache
-/// they must not clobber (the schedulers' frontier sweeps): reads `ready`
-/// instead of composing `starts` in place, with the same elementwise
-/// expressions as the in-place compose [`SchedContext::eft_row_append_into`]
-/// runs, so the same bits. The callers compose against
-/// [`SchedContext::append_tails`] themselves.
-#[inline]
-pub fn compose_append_rows_from(
-    ready: &[f64],
-    tails: &[f64],
-    exec: &[f64],
-    starts: &mut [f64],
-    finishes: &mut [f64],
-) {
-    for ((s, f), ((&r, &tail), &d)) in starts
-        .iter_mut()
-        .zip(finishes.iter_mut())
-        .zip(ready.iter().zip(tails).zip(exec))
-    {
-        let start = later(tail, r);
-        *s = start;
-        *f = start + d;
-    }
-}
-
-/// Lowest-index argmin over a finish row — the tie-break every roster
-/// scheduler's per-node scan uses today: the first strict improvement wins,
-/// so equal finishes keep the lowest node id. NaN entries never displace an
-/// earlier candidate (`<` is false for them), matching the scalar
-/// comparators' behaviour exactly.
-///
-/// # Panics
-/// Panics (debug) on an empty row; returns node 0 in release.
-#[inline]
-pub fn argmin_finish(finishes: &[f64]) -> NodeId {
-    debug_assert!(!finishes.is_empty(), "argmin over an empty finish row");
-    let mut best = 0usize;
-    let mut bf = f64::INFINITY;
-    for (v, &f) in finishes.iter().enumerate() {
-        if v == 0 || f < bf {
-            best = v;
-            bf = f;
-        }
-    }
-    NodeId(best as u32)
-}
-
-/// Lowest-index argmin by `(start, finish)` lexicographic order — the
-/// earliest-start-first tie-break the ETF-family scans use
-/// (`s < bs || (s == bs && f < bf)`), first strict improvement wins.
-///
-/// # Panics
-/// Panics (debug) on empty rows; returns node 0 in release.
-#[inline]
-pub fn argmin_start_finish(starts: &[f64], finishes: &[f64]) -> NodeId {
-    debug_assert!(!starts.is_empty(), "argmin over an empty start row");
-    debug_assert_eq!(starts.len(), finishes.len());
-    let mut best = 0usize;
-    let (mut bs, mut bf) = (f64::INFINITY, f64::INFINITY);
-    for (v, (&s, &f)) in starts.iter().zip(finishes).enumerate() {
-        if v == 0 || s < bs || (s == bs && f < bf) {
-            best = v;
-            bs = s;
-            bf = f;
-        }
-    }
-    NodeId(best as u32)
-}
-
 /// A placed interval on a node timeline.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Slot {
@@ -202,7 +111,10 @@ pub(crate) struct Slot {
 }
 
 /// Reusable arena + cursor for building schedules without per-run
-/// allocation. See the [module docs](self) for the design.
+/// allocation: cached cost tables, CSR dependency views, per-node
+/// timelines and an incremental ready queue, which
+/// [`reset`](Self::reset) rebuilds for a new instance while reusing
+/// capacity.
 #[derive(Debug, Clone, Default)]
 pub struct SchedContext {
     // ---- cached instance tables (rebuilt by `reset`) ----
@@ -405,7 +317,8 @@ impl SchedContext {
     /// annealer's per-iteration entry point. Refreshes exactly the stale
     /// pieces (a task's execution row, an edge's CSR costs, or a node's
     /// execution column) with the same expressions the full rebuild uses,
-    /// so the refreshed tables are bit-identical to a full [`pin_tables`].
+    /// so the refreshed tables are bit-identical to a full
+    /// [`pin_tables`](Self::pin_tables).
     /// Falls back to the full rebuild for [`DirtyRegion::full`] regions
     /// (link-weight and structural edits among them) or when the cached
     /// tables don't line up with the instance's shape.
@@ -1137,20 +1050,6 @@ impl SchedContext {
         &self.max_finish
     }
 
-    /// [`eft`](Self::eft) without insertion for every node at once, into
-    /// `starts`/`finishes` (length `node_count()`): one
-    /// [`data_ready_times_into`](Self::data_ready_times_into) row pass, then
-    /// a branchless elementwise compose of the maintained max-finish row
-    /// and the cached execution row. Bit-identical to the per-node
-    /// `eft(t, v, false)`.
-    #[inline]
-    pub fn eft_row_append_into(&self, t: TaskId, starts: &mut [f64], finishes: &mut [f64]) {
-        debug_assert_eq!(finishes.len(), self.n_nodes);
-        self.data_ready_times_into(t, starts);
-        let exec = &self.exec[t.index() * self.n_nodes..(t.index() + 1) * self.n_nodes];
-        compose_append_rows(starts, finishes, &self.max_finish, exec);
-    }
-
     /// Checks that the ready queue is strictly ascending by id (debug
     /// builds only) — the order [`ready`](Self::ready) promises and the
     /// scan-and-shift upkeep of [`ready_remove`](Self::ready_remove) and
@@ -1256,14 +1155,6 @@ impl SchedContext {
             }
         }
         self.debug_check_ready();
-    }
-
-    /// Convenience: compute the EFT on `v` and place there. Returns the
-    /// finish time.
-    pub fn place_eft(&mut self, t: TaskId, v: NodeId, insertion: bool) -> f64 {
-        let (start, finish) = self.eft(t, v, insertion);
-        self.place(t, v, start);
-        finish
     }
 
     /// Reverts the placement of `t`, restoring the ready queue and
@@ -1682,52 +1573,6 @@ mod tests {
         changed.network.set_speed(NodeId(1), 4.0);
         ctx.reset(&changed);
         assert_eq!(ctx.exec_time(TaskId(1), NodeId(1)), 0.5);
-    }
-
-    #[test]
-    fn eft_rows_match_per_node_queries_bit_for_bit() {
-        // Includes a zero-duration boundary task that sits last on its
-        // timeline (the last slot finishes at 2 while the max finish is 3 —
-        // see the test above): rows and per-node queries both start after
-        // the max finish.
-        let mut g = TaskGraph::new();
-        g.add_task("a", 1.0);
-        g.add_task("z", 0.0);
-        g.add_task("q", 1.0);
-        g.add_task("r", 2.0);
-        let inst = Instance::new(Network::complete(&[1.0, 2.0], 2.0), g);
-        let mut ctx = SchedContext::new();
-        ctx.reset(&inst);
-        ctx.place(TaskId(0), NodeId(0), 2.0);
-        ctx.place(TaskId(1), NodeId(0), 2.0); // zero-duration boundary task
-        let (mut starts, mut finishes) = ([0.0f64; 2], [0.0f64; 2]);
-        for t in [TaskId(2), TaskId(3)] {
-            ctx.eft_row_append_into(t, &mut starts, &mut finishes);
-            for v in ctx.nodes() {
-                let (s, f) = ctx.eft(t, v, false);
-                assert_eq!(s.to_bits(), starts[v.index()].to_bits(), "{t} on {v}");
-                assert_eq!(f.to_bits(), finishes[v.index()].to_bits(), "{t} on {v}");
-            }
-            assert_eq!(argmin_finish(&finishes), NodeId(1), "{t}");
-            assert_eq!(argmin_start_finish(&starts, &finishes), NodeId(1), "{t}");
-        }
-        assert_eq!(ctx.append_tails(), &[3.0, 0.0]);
-    }
-
-    #[test]
-    fn argmin_helpers_keep_lowest_index_on_ties() {
-        assert_eq!(argmin_finish(&[3.0, 1.0, 1.0, 2.0]), NodeId(1));
-        assert_eq!(argmin_finish(&[5.0, 5.0]), NodeId(0));
-        // NaN comparisons are always false, so NaN never displaces an
-        // earlier candidate and a leading NaN is never displaced — exactly
-        // the scalar comparators' first-entry-then-strict-less behaviour
-        assert_eq!(argmin_finish(&[f64::NAN, 2.0, 1.0]), NodeId(0));
-        assert_eq!(argmin_finish(&[1.0, f64::NAN]), NodeId(0));
-        assert_eq!(
-            argmin_start_finish(&[2.0, 1.0, 1.0], &[9.0, 8.0, 7.0]),
-            NodeId(2)
-        );
-        assert_eq!(argmin_start_finish(&[1.0, 1.0], &[5.0, 5.0]), NodeId(0));
     }
 
     #[test]

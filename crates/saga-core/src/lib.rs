@@ -35,9 +35,7 @@ pub use graph::{DepEdge, TaskGraph};
 pub use ids::{NodeId, TaskId};
 pub use incremental::{DirtyRegion, RunTrace};
 pub use instance::Instance;
-pub use kernel::{
-    argmin_finish, argmin_start_finish, compose_append_rows_from, EvalPaths, SchedContext,
-};
+pub use kernel::{EvalPaths, SchedContext};
 pub use network::Network;
 pub use pool::{ContextPool, PooledContext};
 pub use schedule::{Assignment, Schedule, TIME_EPS};

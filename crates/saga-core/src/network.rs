@@ -100,6 +100,9 @@ pub(crate) fn link_pass(links: &[f64], n: usize) -> (f64, Option<f64>) {
 /// Link strengths are stored as a dense row-major `n x n` symmetric matrix;
 /// zero speeds/strengths are legal and yield infinite times (the paper clips
 /// perturbed weights at 0, which is how its `>1000` ratios arise).
+///
+/// Every speed and strength passes one weight rule: non-negative and not
+/// NaN, with `-0.0` stored as `+0.0`.
 #[derive(Debug)]
 pub struct Network {
     speeds: Vec<f64>,
@@ -111,7 +114,8 @@ impl Network {
     /// every (non-self) link.
     ///
     /// # Panics
-    /// Panics on a negative or NaN speed or strength (see [`weight`]).
+    /// Panics on a negative or NaN speed or strength (the weight rule of
+    /// [`Network`]).
     pub fn complete(speeds: &[f64], link_strength: f64) -> Self {
         let n = speeds.len();
         let mut links = vec![link_strength; n * n];
@@ -135,8 +139,8 @@ impl Network {
     /// [`Self::from_matrix`] for input that may be malformed: an error
     /// instead of a panic when the matrix does not hold `speeds.len()^2`
     /// entries, some off-diagonal entry differs (`!=`) from its mirror, or
-    /// a speed or entry breaks the [`weight`] rule. The symmetry check
-    /// walks the lower triangle in [`SYM_TILE`]-square tiles, so the
+    /// a speed or entry breaks the weight rule of [`Network`]. The symmetry
+    /// check walks the lower triangle in 32 × 32 tiles, so the
     /// mirrored reads of a tile stay in cache instead of striding down
     /// whole columns.
     pub fn try_from_matrix(
@@ -189,7 +193,7 @@ impl Network {
     /// Sets the compute speed `s(v)`.
     ///
     /// # Panics
-    /// Panics on a negative or NaN speed (see [`weight`]).
+    /// Panics on a negative or NaN speed (the weight rule of [`Network`]).
     pub fn set_speed(&mut self, v: NodeId, speed: f64) {
         let Some(speed) = weight(speed) else {
             panic!("speed must be >= 0, got {speed}")
@@ -206,7 +210,8 @@ impl Network {
     /// Sets the (symmetric) communication strength between two distinct nodes.
     ///
     /// # Panics
-    /// Panics on a self-link or a negative or NaN strength (see [`weight`]).
+    /// Panics on a self-link or a negative or NaN strength (the weight rule
+    /// of [`Network`]).
     pub fn set_link(&mut self, u: NodeId, v: NodeId, strength: f64) {
         assert!(u != v, "self-links are fixed at infinite strength");
         let Some(strength) = weight(strength) else {

@@ -158,10 +158,7 @@ mod tests {
     #[test]
     fn paths_survive_reset_and_pool_reuse() {
         use crate::{DirtyRegion, EvalPaths};
-        let reference = EvalPaths {
-            incremental: false,
-            fused_rows: false,
-        };
+        let reference = EvalPaths { incremental: false };
         let mut ctx = SchedContext::with_paths(reference);
         ctx.with_pinned(&tiny_instance(), |ctx| ctx.reset(&tiny_instance()));
         ctx.reset(&tiny_instance());

@@ -26,7 +26,8 @@ fn foldable(x: f64) -> bool {
 }
 
 /// The later of two schedule times: `f64::max(a, b)` for operands that are
-/// never NaN or `-0.0` (see the [module docs](self)), as one compare.
+/// never NaN or `-0.0`, as one compare. No schedule time is either: each
+/// is built with `+`, `×` and `÷` from non-negative, non-NaN weights.
 ///
 /// # Panics
 /// Panics (debug) if either operand is NaN or `-0.0`.
@@ -41,7 +42,7 @@ pub fn later(a: f64, b: f64) -> f64 {
 }
 
 /// The earlier of two schedule times: `f64::min(a, b)` for operands that
-/// are never NaN or `-0.0` (see the [module docs](self)), as one compare.
+/// are never NaN or `-0.0` (see [`later`]), as one compare.
 ///
 /// # Panics
 /// Panics (debug) if either operand is NaN or `-0.0`.

@@ -14,7 +14,6 @@
 //! (communication absorbed into computation), exactly as in the paper.
 
 use rand::rngs::StdRng;
-use rand::Rng;
 use saga_core::dist::{clipped_gaussian, uniform_usize};
 use saga_core::{Instance, Network, TaskGraph, TaskId};
 
@@ -440,12 +439,6 @@ pub fn sample_soykb(rng: &mut StdRng) -> Instance {
 /// Table II `srasearch` row.
 pub fn sample_srasearch(rng: &mut StdRng) -> Instance {
     sample("srasearch", rng)
-}
-
-/// Draws a random machine speed within the workflow's observed range (used
-/// by application-specific PISA to scale network perturbations).
-pub fn sample_speed(rng: &mut StdRng, sp: &WorkflowSpec) -> f64 {
-    rng.gen_range(sp.speed_range.0..=sp.speed_range.1)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! (task counts, node counts, CCR) drawn live from each generator.
 //!
 //! The 16 dataset cells run on the batch engine with one derived RNG stream
-//! per cell ([`derive_seed`](saga_experiments::engine::derive_seed)), so
+//! per cell ([`derive_seed`]), so
 //! sampling shards across workers, the default budget is paper-scale
 //! (100 samples/dataset) and the table is bit-identical for any
 //! `RAYON_NUM_THREADS`.

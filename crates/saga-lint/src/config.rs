@@ -67,23 +67,18 @@ impl Config {
                     path: "crates/saga-schedulers/src/",
                     fns: Some(&["run", "run_recorded"]),
                 },
-                // the shared EFT/insertion helpers those entry points call,
-                // including the fused row-kernel sweeps, their scalar
-                // formulations, and the per-run row scratch they share
-                // (`NodeRows`/`FrontierSweep` `new` and `release`)
+                // the shared node-selection helpers those entry points
+                // call, and the per-run scratch they use (`ReadyRow` and
+                // `FrontierSweep` `new` and `release`)
                 HotPath {
                     path: "crates/saga-schedulers/src/util.rs",
                     fns: Some(&[
                         "best_eft_node",
-                        "best_eft_node_scalar",
                         "new",
                         "release",
                         "first_idle_node",
                         "start",
-                        "fused_rows",
-                        "fused_rows_profitable",
                         "best_node",
-                        "best_node_est",
                         "note_placed",
                     ]),
                 },

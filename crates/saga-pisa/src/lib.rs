@@ -18,7 +18,7 @@
 //! * [`pairwise`] — the all-pairs cell grid behind Fig. 4.
 //! * [`app_specific`] — the Section VII application-specific search over
 //!   rigid scientific-workflow structures at fixed CCR.
-//! * [`runner`] — the [`SearchCell`](runner::SearchCell) runtime: every
+//! * [`runner`] — the [`SearchCell`] runtime: every
 //!   search variant expressed as data, executed against borrowed contexts
 //!   and scratch by any driver (in order on one context here, the parallel
 //!   checkpointing batch engine in `saga-experiments`).

@@ -5,9 +5,8 @@
 //! and (2) every task on the critical path is committed to the single node
 //! that executes the critical path fastest — under the related-machines
 //! model, simply the fastest node. Non-critical tasks use insertion-based
-//! earliest finish time, as in HEFT — through [`util::best_eft_node`]'s
-//! fused row-kernel formulation (the `fused_rows: false` reference path
-//! takes the scalar per-node sweep). Complexity `O(|T|^2 |V|)`.
+//! earliest finish time, as in HEFT, through [`util::best_eft_node`]'s
+//! pruned gap-scan loop. Complexity `O(|T|^2 |V|)`.
 
 use crate::{util, KernelRun};
 use saga_core::{later, DirtyRegion, Instance, RunTrace, SchedContext, TaskId};
@@ -84,18 +83,18 @@ impl Cpop {
                 }
             }
         }
-        let mut rows = util::NodeRows::new(ctx);
+        let mut row = util::ReadyRow::new(ctx);
         while ctx.placed_count() < n {
             let t = select(ctx, &prio);
             if on_path(prio(t), length, tol) {
                 let (s, _) = ctx.eft(t, cp_node, true);
                 ctx.place(t, cp_node, s);
             } else {
-                let (v, s, _) = util::best_eft_node(ctx, t, true, &mut rows);
+                let (v, s, _) = util::best_eft_node(ctx, t, true, &mut row);
                 ctx.place(t, v, s);
             }
         }
-        rows.release(ctx);
+        row.release(ctx);
         if let Some((trace, _)) = replay {
             ctx.take_recording(trace);
             trace.set_aux_scalar(length);

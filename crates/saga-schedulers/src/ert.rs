@@ -27,25 +27,15 @@ impl KernelRun for Ert {
         ctx.reset(inst);
         let n = ctx.task_count();
         let nv = ctx.node_count();
-        let fused = util::fused_rows_profitable(ctx);
-        let mut rows = util::NodeRows::new(ctx);
         let mut sweep = util::FrontierSweep::new(ctx);
         while ctx.placed_count() < n {
             let mut chosen: Option<(saga_core::TaskId, saga_core::NodeId, f64, f64, f64)> = None;
             for &t in ctx.ready() {
                 let ready_row = sweep.row(nv, t);
-                if fused {
-                    // one branchless compose per task; the selection loop
-                    // reads the finished rows instead of recomposing per node
-                    sweep.fused_rows(ctx, t, &mut rows);
-                }
-                for (v, &data_ready) in ready_row.iter().enumerate() {
-                    let (s, f) = if fused {
-                        (rows.starts()[v], rows.finishes()[v])
-                    } else {
-                        let s = sweep.start(ctx, t, v);
-                        (s, s + ctx.exec_row(t)[v])
-                    };
+                let exec = ctx.exec_row(t);
+                for (v, (&data_ready, &duration)) in ready_row.iter().zip(exec).enumerate() {
+                    let s = sweep.start(ctx, t, v);
+                    let f = s + duration;
                     let better = match chosen {
                         None => true,
                         Some((_, _, _, cr, cf)) => data_ready < cr || (data_ready == cr && f < cf),
@@ -60,7 +50,6 @@ impl KernelRun for Ert {
             sweep.note_placed(ctx, t);
         }
         sweep.release(ctx);
-        rows.release(ctx);
     }
 }
 

@@ -8,6 +8,10 @@
 //! processors: `w_ETF <= (2 - 1/n) w_opt^(i) + C`. Complexity `O(|T| |V|^2)`
 //! per the original analysis (our frontier scan is `O(|T|^2 |V|)` worst
 //! case, identical on the paper's instance sizes).
+//!
+//! Placement is append-only, so each ready task's best node comes from
+//! [`util::FrontierSweep::best_node`], one scan of the task's cached
+//! data-ready row.
 
 use crate::{util, KernelRun};
 use saga_core::{Instance, NodeId, SchedContext, TaskId};
@@ -29,17 +33,11 @@ impl KernelRun for Etf {
         // data-ready rows
         let mut sweep = util::FrontierSweep::new(ctx);
         let n = ctx.task_count();
-        let fused = util::fused_rows_profitable(ctx);
-        let mut rows = util::NodeRows::new(ctx);
         while ctx.placed_count() < n {
             let mut chosen: Option<(TaskId, NodeId, f64)> = None;
             for &t in ctx.ready() {
                 // per-task best node: earliest start, earlier finish on ties
-                let (v, s, _) = if fused {
-                    sweep.best_node_est(ctx, t, &mut rows)
-                } else {
-                    sweep.best_node(ctx, t, |(s, f), (bs, bf)| s < bs || (s == bs && f < bf))
-                };
+                let (v, s, _) = sweep.best_node(ctx, t);
                 let better = match chosen {
                     None => true,
                     Some((ct, _, cs)) => s < cs || (s == cs && rank[t.index()] > rank[ct.index()]),
@@ -53,7 +51,6 @@ impl KernelRun for Etf {
             sweep.note_placed(ctx, t);
         }
         sweep.release(ctx);
-        rows.release(ctx);
         ctx.give_f64(rank);
     }
 }

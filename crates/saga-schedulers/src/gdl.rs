@@ -20,9 +20,9 @@
 //! so the sweep runs on [`util::FrontierSweep`]'s cached data-ready rows and
 //! tails: `DA` is read from the row computed once per frontier admission and
 //! `TF` is the cached tail — bit-identical values, minus the
-//! O(ready × nodes × preds) rescans that made GDL the slowest sweep. From
-//! [`util::WIDE_NODES`] nodes up the starts come from one fused compose
-//! per ready task into a pooled [`util::NodeRows`].
+//! O(ready × nodes × preds) rescans that made GDL the slowest sweep. Each
+//! start is composed in the selection loop itself
+//! ([`util::FrontierSweep::start`]).
 
 use crate::{util, KernelRun};
 use saga_core::{later, Instance, SchedContext};
@@ -81,27 +81,15 @@ fn gdl_loop(ctx: &mut SchedContext, levels: &[f64]) {
     let mut sweep = util::FrontierSweep::new(ctx);
     let n = ctx.task_count();
     let (sl, med_exec) = levels.split_at(n);
-    let nv = ctx.node_count();
-    // The dynamic-level comparison itself must keep its exact FP expression
-    // (`SL - start + delta` is not reassociable), so the row kernels only
-    // replace the per-(task, node) start recompose with one fused pass.
-    let fused = util::fused_rows_profitable(ctx);
-    let mut rows = util::NodeRows::new(ctx);
     while ctx.placed_count() < n {
         let mut chosen: Option<(saga_core::TaskId, saga_core::NodeId, f64, f64)> = None;
         for &t in ctx.ready() {
-            let ready_row = sweep.row(nv, t);
             let med = med_exec[t.index()];
             let level = sl[t.index()];
-            if fused {
-                sweep.fused_rows(ctx, t, &mut rows);
-            }
             for (v, &duration) in ctx.exec_row(t).iter().enumerate() {
-                let start = if fused {
-                    rows.starts()[v]
-                } else {
-                    later(ready_row[v], ctx.append_tails()[v])
-                };
+                // the dynamic level keeps its exact FP expression:
+                // `SL - start + delta` is not reassociable
+                let start = sweep.start(ctx, t, v);
                 let delta = med - duration;
                 let dl = level - start + delta;
                 let better = match chosen {
@@ -118,7 +106,6 @@ fn gdl_loop(ctx: &mut SchedContext, levels: &[f64]) {
         sweep.note_placed(ctx, t);
     }
     sweep.release(ctx);
-    rows.release(ctx);
 }
 
 impl KernelRun for Gdl {

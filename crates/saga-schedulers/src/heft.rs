@@ -7,10 +7,8 @@
 //! (insertion-based policy). Complexity `O(|T|^2 |V|)`.
 //!
 //! The per-step node selection is [`util::best_eft_node`] with the
-//! insertion policy: one batched data-ready row pass per task, per-node gap
-//! scans only where the incumbent bound admits a win (the fused row-kernel
-//! formulation; a context on the `fused_rows: false` reference path takes
-//! the scalar per-node sweep).
+//! insertion policy: one batched data-ready row pass per task, then per-node
+//! gap scans only where the incumbent bound admits a win.
 
 use crate::{util, KernelRun};
 use saga_core::{DirtyRegion, Instance, RunTrace, SchedContext};
@@ -41,14 +39,14 @@ impl KernelRun for Heft {
         let mut rank = ctx.take_f64();
         let mut order = ctx.take_tasks();
         priority_order(ctx, &mut rank, &mut order);
-        let mut rows = util::NodeRows::new(ctx);
+        let mut row = util::ReadyRow::new(ctx);
         // `sort_by` is stable, so equal ranks keep topological order and
         // every predecessor is placed before its successors.
         for &t in &order {
-            let (v, s, _) = util::best_eft_node(ctx, t, true, &mut rows);
+            let (v, s, _) = util::best_eft_node(ctx, t, true, &mut row);
             ctx.place(t, v, s);
         }
-        rows.release(ctx);
+        row.release(ctx);
         ctx.give_f64(rank);
         ctx.give_tasks(order);
     }
@@ -82,12 +80,12 @@ impl KernelRun for Heft {
                 k += 1;
             }
         }
-        let mut rows = util::NodeRows::new(ctx);
+        let mut row = util::ReadyRow::new(ctx);
         for &t in &order[k..] {
-            let (v, s, _) = util::best_eft_node(ctx, t, true, &mut rows);
+            let (v, s, _) = util::best_eft_node(ctx, t, true, &mut row);
             ctx.place(t, v, s);
         }
-        rows.release(ctx);
+        row.release(ctx);
         ctx.take_recording(trace);
         ctx.give_f64(rank);
         ctx.give_tasks(order);

@@ -5,7 +5,8 @@
 //! two-phase *levelized* scheduler). Tasks are partitioned into precedence
 //! levels (longest path depth from a source); within each level — whose
 //! tasks are mutually independent — tasks are taken largest-cost-first and
-//! each is assigned to the node minimizing its completion time.
+//! each is assigned to the node minimizing its completion time, by
+//! [`util::best_eft_node`] with the append policy.
 
 use crate::{util, KernelRun};
 use saga_core::{later, Instance, SchedContext};
@@ -51,7 +52,7 @@ impl KernelRun for Lmt {
         }
         let max_level = level.iter().copied().fold(0.0f64, later);
         let mut tier = ctx.take_tasks();
-        let mut rows = util::NodeRows::new(ctx);
+        let mut row = util::ReadyRow::new(ctx);
         let mut l = 0.0f64;
         while l <= max_level {
             tier.clear();
@@ -63,12 +64,12 @@ impl KernelRun for Lmt {
                     .then(a.cmp(&c))
             });
             for &t in &tier {
-                let (v, s, _) = util::best_eft_node(ctx, t, false, &mut rows);
+                let (v, s, _) = util::best_eft_node(ctx, t, false, &mut row);
                 ctx.place(t, v, s);
             }
             l += 1.0;
         }
-        rows.release(ctx);
+        row.release(ctx);
         ctx.give_f64(level);
         ctx.give_tasks(tier);
     }

@@ -5,10 +5,9 @@
 //! scheduled tasks — "HEFT without insertion or its priority function", as
 //! the paper puts it. Complexity `O(|T|^2 |V|)`.
 //!
-//! Append-only, so the node selection is one fused
-//! [`SchedContext::eft_row_append_into`] pass plus the lowest-index argmin
-//! when the context runs the fused rows (the `fused_rows: false` reference
-//! path takes the scalar per-node sweep).
+//! Append-only, so the node selection is [`util::best_eft_node`] with the
+//! append policy: one batched data-ready row pass per task, then one
+//! incumbent-pruned scan of the nodes' append starts.
 
 use crate::{util, KernelRun};
 use saga_core::{Instance, SchedContext};
@@ -27,13 +26,13 @@ impl KernelRun for Mct {
         // popping the lowest-id ready task at each step reproduces the
         // smallest-id-tie-break topological order without materializing it
         let n = ctx.task_count();
-        let mut rows = util::NodeRows::new(ctx);
+        let mut row = util::ReadyRow::new(ctx);
         while ctx.placed_count() < n {
             let t = ctx.ready()[0];
-            let (v, s, _) = util::best_eft_node(ctx, t, false, &mut rows);
+            let (v, s, _) = util::best_eft_node(ctx, t, false, &mut row);
             ctx.place(t, v, s);
         }
-        rows.release(ctx);
+        row.release(ctx);
     }
 }
 

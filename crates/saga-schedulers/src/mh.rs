@@ -3,8 +3,9 @@
 //! The comparator Topcuoglu et al. evaluated HEFT/CPoP against; the paper
 //! describes it as "similar to HEFT without insertion". Tasks are ordered
 //! once by static upward rank, then each is appended (no gap-filling) to the
-//! node minimizing its completion time. Implemented here so the repository
-//! can reproduce the historical comparisons its Table I cites.
+//! node minimizing its completion time ([`util::best_eft_node`] with the
+//! append policy). Implemented here so the repository can reproduce the
+//! historical comparisons its Table I cites.
 
 use crate::{util, KernelRun};
 use saga_core::{Instance, SchedContext};
@@ -25,12 +26,12 @@ impl KernelRun for Mh {
         let mut order = ctx.take_tasks();
         order.extend_from_slice(ctx.topo_order());
         order.sort_by(|&a, &b| rank[b.index()].total_cmp(&rank[a.index()]));
-        let mut rows = util::NodeRows::new(ctx);
+        let mut row = util::ReadyRow::new(ctx);
         for &t in &order {
-            let (v, s, _) = util::best_eft_node(ctx, t, false, &mut rows);
+            let (v, s, _) = util::best_eft_node(ctx, t, false, &mut row);
             ctx.place(t, v, s);
         }
-        rows.release(ctx);
+        row.release(ctx);
         ctx.give_f64(rank);
         ctx.give_tasks(order);
     }

@@ -2,73 +2,32 @@
 //!
 //! All helpers operate on the [`SchedContext`] kernel.
 //!
-//! Node selection has two formulations with the same bits: the fused rows
-//! (one row pass over all nodes, then an argmin) on networks of at least
-//! [`WIDE_NODES`] nodes, and the scalar per-node comparator loop below
-//! that width or on a context built with `fused_rows: false`. Either way
-//! the per-node scratch is a [`NodeRows`] the scheduler borrows from the
-//! context pool once per run, so no width falls back to per-node
-//! data-ready queries.
+//! Each node-selection helper has one loop: [`best_eft_node`] scans the
+//! nodes once over a batched data-ready row, pruned by the incumbent
+//! finish, and [`FrontierSweep::best_node`] scans a ready task's cached
+//! row. The data-ready row of [`best_eft_node`] lives in a [`ReadyRow`] the
+//! scheduler borrows from the context pool once per run, so no query
+//! allocates at any network width.
 
 use saga_core::{later, DirtyRegion, NodeId, RunTrace, SchedContext, TaskId};
 
-/// Minimum network width for the fused row formulation to pay. Below it,
-/// materializing row buffers loses to the register-resident comparator
-/// loops: the fused rows measured 6–8% slower at 4 nodes. Above it they
-/// win: with the scalar loops at every width, `pisa_bench` read `fig2`
-/// `items_per_s` ×0.958 (0 of 8 alternating pairs won) and `app` ×0.993
-/// on a 2-vCPU Xeon. So narrow networks keep the scalar per-node path —
-/// the same code a context on the `fused_rows: false` reference path takes
-/// everywhere. Bit-identical either way.
-pub(crate) const WIDE_NODES: usize = 8;
+/// Node-axis scratch for [`best_eft_node`]: one data-ready row of `|V|`
+/// entries, borrowed from the context pool once per run ([`Self::new`])
+/// and returned at its end ([`Self::release`]), so a network of any width
+/// costs the run one pool borrow instead of a per-query allocation.
+pub struct ReadyRow(Vec<f64>);
 
-/// Whether the selection helpers should take the fused row path on `ctx`:
-/// the context runs the fused rows ([`EvalPaths`](saga_core::EvalPaths))
-/// and its network is at least [`WIDE_NODES`] wide, where the row compose
-/// beats the scalar comparator loop. The band has no upper end:
-/// the rows live in the caller's [`NodeRows`], sized to the network.
-#[inline]
-pub(crate) fn fused_rows_profitable(ctx: &SchedContext) -> bool {
-    ctx.paths().fused_rows && ctx.node_count() >= WIDE_NODES
-}
-
-/// Node-axis scratch for the selection helpers: a start row and a finish
-/// row of `|V|` entries each, borrowed from the context pool once per run
-/// ([`Self::new`]) and returned at its end ([`Self::release`]), so a
-/// network of any width costs the run two pool borrows instead of a
-/// per-query allocation or a fixed-capacity stack array.
-pub(crate) struct NodeRows {
-    starts: Vec<f64>,
-    finishes: Vec<f64>,
-}
-
-impl NodeRows {
-    /// Borrows both rows from the context pool, sized to its network.
+impl ReadyRow {
+    /// Borrows the row from the context pool, sized to its network.
     pub fn new(ctx: &mut SchedContext) -> Self {
-        let nv = ctx.node_count();
-        let mut starts = ctx.take_f64();
-        let mut finishes = ctx.take_f64();
-        starts.resize(nv, 0.0);
-        finishes.resize(nv, 0.0);
-        NodeRows { starts, finishes }
+        let mut row = ctx.take_f64();
+        row.resize(ctx.node_count(), 0.0);
+        ReadyRow(row)
     }
 
-    /// The start row the last fill wrote.
-    #[inline]
-    pub fn starts(&self) -> &[f64] {
-        &self.starts
-    }
-
-    /// The finish row the last fill wrote.
-    #[inline]
-    pub fn finishes(&self) -> &[f64] {
-        &self.finishes
-    }
-
-    /// Returns both rows to the context pool.
+    /// Returns the row to the context pool.
     pub fn release(self, ctx: &mut SchedContext) {
-        ctx.give_f64(self.starts);
-        ctx.give_f64(self.finishes);
+        ctx.give_f64(self.0);
     }
 }
 
@@ -78,12 +37,11 @@ impl NodeRows {
 /// once — and every `(start, finish)` the sweep compares is recomposed as
 /// `later(tail, ready) + duration` from that row, the kernel's maintained
 /// append-tail row ([`SchedContext::append_tails`]) and the cached execution
-/// row, division-free and bit-identical to the direct queries. ETF, ERT and
-/// GDL recompose with one branchless fused sweep ([`Self::fused_rows`]) into
-/// their [`NodeRows`] from [`WIDE_NODES`] nodes up; MinMin/MaxMin scan the
-/// rows in one scalar loop, and WBA composes finish rows of its own from
-/// them.
-pub(crate) struct FrontierSweep {
+/// row, division-free and bit-identical to the direct queries. ETF picks
+/// each task's node with [`Self::best_node`]; ERT, GDL and MinMin/MaxMin
+/// scan the rows in selection loops of their own, and WBA composes finish
+/// rows of its own from them.
+pub struct FrontierSweep {
     /// `drt[t * |V| + v]`, valid for tasks that have entered the ready set.
     drt: Vec<f64>,
 }
@@ -138,62 +96,27 @@ impl FrontierSweep {
         }
     }
 
-    /// The fused `(start, finish)` rows of ready task `t` over all nodes,
-    /// into `rows`: the cached data-ready row composed elementwise with the
-    /// kernel's append-tail row and the execution row — the same
-    /// elementwise compose [`SchedContext::eft_row_append_into`] runs,
-    /// minus the data-ready pass the sweep already cached. Element `v` is
-    /// bit-identical to [`Self::start`] / `start + duration`.
-    #[inline]
-    pub fn fused_rows(&self, ctx: &SchedContext, t: TaskId, rows: &mut NodeRows) {
+    /// ETF's best node for ready task `t`: the earliest append start over
+    /// the cached data-ready row, the earlier finish on equal starts, and
+    /// the lowest node id on full ties (nodes in ascending id order, first
+    /// win kept). Each `(start, finish)` is bit-identical to
+    /// `ctx.eft(t, v, false)`.
+    pub fn best_node(&self, ctx: &SchedContext, t: TaskId) -> (NodeId, f64, f64) {
         let nv = ctx.node_count();
-        saga_core::compose_append_rows_from(
-            &self.drt[t.index() * nv..][..nv],
-            ctx.append_tails(),
-            ctx.exec_row(t),
-            &mut rows.starts,
-            &mut rows.finishes,
-        );
-    }
-
-    /// The best node for `t` under `better((start, finish), (best_start,
-    /// best_finish))`, scanning nodes in ascending id order (first win on
-    /// ties) over the cached rows: ETF's scalar formulation of
-    /// [`Self::best_node_est`].
-    pub fn best_node(
-        &self,
-        ctx: &SchedContext,
-        t: TaskId,
-        better: impl Fn((f64, f64), (f64, f64)) -> bool,
-    ) -> (NodeId, f64, f64) {
+        let cols = self.row(nv, t).iter().zip(ctx.append_tails());
         let mut best: Option<(NodeId, f64, f64)> = None;
-        for (v, &duration) in ctx.exec_row(t).iter().enumerate() {
-            let s = self.start(ctx, t, v);
+        for (v, ((&ready, &tail), &duration)) in cols.zip(ctx.exec_row(t)).enumerate() {
+            let s = later(tail, ready);
             let f = s + duration;
             let take = match best {
                 None => true,
-                Some((_, bs, bf)) => better((s, f), (bs, bf)),
+                Some((_, bs, bf)) => s < bs || (s == bs && f < bf),
             };
             if take {
                 best = Some((NodeId(v as u32), s, f));
             }
         }
         best.expect("network has at least one node")
-    }
-
-    /// [`Self::best_node`] under the earliest-start comparator
-    /// (`s < bs || (s == bs && f < bf)`) as one fused row compose into
-    /// `rows` plus the lexicographic argmin — bit-identical to the
-    /// comparator form at every width.
-    pub fn best_node_est(
-        &self,
-        ctx: &SchedContext,
-        t: TaskId,
-        rows: &mut NodeRows,
-    ) -> (NodeId, f64, f64) {
-        self.fused_rows(ctx, t, rows);
-        let v = saga_core::argmin_start_finish(&rows.starts, &rows.finishes);
-        (v, rows.starts[v.index()], rows.finishes[v.index()])
     }
 
     /// Returns the buffer to the context pool.
@@ -203,42 +126,36 @@ impl FrontierSweep {
 }
 
 /// The node minimizing the earliest finish time of `t`, with the
-/// corresponding `(start, finish)`. Ties go to the lower node id. `rows`
-/// is the caller's per-run scratch.
+/// corresponding `(start, finish)`. Ties go to the lower node id. `row` is
+/// the caller's per-run scratch.
 ///
-/// With the row kernels enabled, append-policy queries are one fused
-/// [`SchedContext::eft_row_append_into`] pass plus the lowest-index argmin,
-/// and insertion-policy queries run the pruned gap-scan loop over the
-/// batched data-ready row; both reproduce the full per-node sweep bit for
-/// bit (a node only wins on a strictly smaller finish, and the true finish
-/// never beats the `data_ready + duration` skip bound). Networks narrower
-/// than [`WIDE_NODES`] and the `fused_rows: false` reference path take the
-/// scalar per-node formulation.
-pub(crate) fn best_eft_node(
+/// One batched data-ready row pass, then one scan zipping that row with
+/// the execution row. A node whose `data_ready + duration` already reaches
+/// the incumbent finish is skipped: its start is never before its
+/// data-ready time, and a node wins only on a strictly smaller finish.
+/// Every other node's start is the policy's query, the gap scan
+/// ([`SchedContext::earliest_start_insertion`]) with `insertion`, the
+/// append start ([`SchedContext::earliest_start_append`]) without, so the
+/// answer is bit for bit the per-node `ctx.eft` argmin.
+pub fn best_eft_node(
     ctx: &SchedContext,
     t: TaskId,
     insertion: bool,
-    rows: &mut NodeRows,
+    row: &mut ReadyRow,
 ) -> (NodeId, f64, f64) {
-    if !fused_rows_profitable(ctx) {
-        return best_eft_node_scalar(ctx, t, insertion, &mut rows.starts);
-    }
-    let (starts, finishes) = (&mut rows.starts, &mut rows.finishes);
-    if !insertion {
-        ctx.eft_row_append_into(t, starts, finishes);
-        let v = saga_core::argmin_finish(finishes);
-        return (v, starts[v.index()], finishes[v.index()]);
-    }
-    // insertion: the gap scans stay per node (pruned by the incumbent
-    // bound), fed from one batched data-ready row pass
-    ctx.data_ready_times_into(t, starts);
-    let exec = ctx.exec_row(t);
+    let ready_row = &mut row.0;
+    ctx.data_ready_times_into(t, ready_row);
     let (mut best, mut bs, mut bf) = (usize::MAX, 0.0f64, f64::INFINITY);
-    for (v, (&ready, &duration)) in starts.iter().zip(exec).enumerate() {
+    for (v, (&ready, &duration)) in ready_row.iter().zip(ctx.exec_row(t)).enumerate() {
         if best != usize::MAX && ready + duration >= bf {
             continue;
         }
-        let s = ctx.earliest_start_insertion(NodeId(v as u32), ready, duration);
+        let node = NodeId(v as u32);
+        let s = if insertion {
+            ctx.earliest_start_insertion(node, ready, duration)
+        } else {
+            ctx.earliest_start_append(node, ready)
+        };
         let f = s + duration;
         if best == usize::MAX || f < bf {
             best = v;
@@ -248,44 +165,6 @@ pub(crate) fn best_eft_node(
     }
     assert!(best != usize::MAX, "network has at least one node");
     (NodeId(best as u32), bs, bf)
-}
-
-/// The pre-row-kernel formulation of [`best_eft_node`]: per-node
-/// comparator queries over the batched data-ready row (written into
-/// `ready`), with the same skip bound.
-fn best_eft_node_scalar(
-    ctx: &SchedContext,
-    t: TaskId,
-    insertion: bool,
-    ready: &mut [f64],
-) -> (NodeId, f64, f64) {
-    ctx.data_ready_times_into(t, ready);
-    let mut best: Option<(NodeId, f64, f64)> = None;
-    for v in ctx.nodes() {
-        let ready = ready[v.index()];
-        let duration = ctx.exec_time(t, v);
-        if let Some((_, _, bf)) = best {
-            if ready + duration >= bf {
-                continue;
-            }
-        }
-        // same composition as `ctx.eft`, reusing the ready time computed
-        // for the bound
-        let s = if insertion {
-            ctx.earliest_start_insertion(v, ready, duration)
-        } else {
-            ctx.earliest_start_append(v, ready)
-        };
-        let f = s + duration;
-        let better = match best {
-            None => true,
-            Some((_, _, bf)) => f < bf,
-        };
-        if better {
-            best = Some((v, s, f));
-        }
-    }
-    best.expect("network has at least one node")
 }
 
 /// The node of the predecessor whose message constrains `t`'s start the most
@@ -511,16 +390,16 @@ mod tests {
     fn best_eft_node_prefers_faster_node() {
         let inst = fixtures::fig1();
         let mut ctx = ctx_for(&inst);
-        let mut rows = NodeRows::new(&mut ctx);
+        let mut row = ReadyRow::new(&mut ctx);
         // t1 alone: fastest node (v2, speed 1.5) gives the earliest finish
-        let (v, s, f) = best_eft_node(&ctx, TaskId(0), true, &mut rows);
+        let (v, s, f) = best_eft_node(&ctx, TaskId(0), true, &mut row);
         assert_eq!(v, NodeId(2));
         assert_eq!(s, 0.0);
         assert!((f - 1.7 / 1.5).abs() < 1e-12);
     }
 
     #[test]
-    fn best_node_est_prefers_earliest_start_then_finish() {
+    fn best_node_prefers_earliest_start_then_finish() {
         let inst = fixtures::fig1();
         let mut ctx = ctx_for(&inst);
         ctx.place(TaskId(0), NodeId(0), 0.0); // occupies node 0 until 1.7
@@ -528,8 +407,7 @@ mod tests {
                                               // can start at data-ready, so the earliest-start winner is the node
                                               // with the cheapest incoming message, ties broken by finish
         let sweep = FrontierSweep::new(&mut ctx);
-        let mut rows = NodeRows::new(&mut ctx);
-        let (v, s, f) = sweep.best_node_est(&ctx, TaskId(1), &mut rows);
+        let (v, s, f) = sweep.best_node(&ctx, TaskId(1));
         let mut expect: Option<(NodeId, f64, f64)> = None;
         for cand in ctx.nodes() {
             let (cs, cf) = ctx.eft(TaskId(1), cand, false);

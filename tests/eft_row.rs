@@ -1,28 +1,36 @@
-//! Property suite for the fused EFT row kernels (PR 8).
+//! Property suite for the schedulers' node selection.
 //!
-//! The schedulers' append-policy selections answer "what is `t`'s (start,
-//! finish) on each node?" through [`SchedContext::eft_row_append_into`]
-//! plus the lowest-index argmin helpers, instead of one
-//! `ctx.eft(t, v, false)` query per node. The contract is bitwise: on any reachable partial state, the
-//! fused row must reproduce the per-node queries bit for bit, and the
-//! argmin helpers must pick exactly the node the Option-based comparator
-//! loops picked — including interior idle gaps and zero-duration boundary
-//! tasks whose finish precedes the node's max finish. (The per-node
-//! insertion query `eft(t, v, true)` has no row form; `kernel_state.rs`
-//! checks it against a naive model.)
+//! Each selection helper is one loop, and this suite holds each to an
+//! oracle built from per-node kernel queries, on every ready task of
+//! reachable partial states:
+//!
+//! * [`util::best_eft_node`] with the insertion policy (HEFT, CPoP) and
+//!   the append policy (MCT, LMT, MH) must return the lowest-index argmin
+//!   of the `ctx.eft(t, v, insertion)` finishes, with that node's start and
+//!   finish bit for bit;
+//! * ETF's [`FrontierSweep::best_node`] must return the lowest-index argmin
+//!   of `ctx.eft(t, v, false)` by `(start, finish)`;
+//! * the sweep's cached row must equal `ctx.data_ready_time(t, v)` and its
+//!   start compose [`FrontierSweep::start`] (GDL's and ERT's start) must
+//!   equal `ctx.eft(t, v, false).0`, bit for bit.
 //!
 //! Half-placed states are generated from the schedulers themselves: each
-//! roster scheduler's final schedule is replayed for the first half of the
+//! roster scheduler's final schedule is replayed for a prefix of the
 //! topological order, so the probed timelines carry that scheduler's real
 //! placement style (HEFT/CPoP leave insertion gaps, load balancers leave
-//! ragged tails, MET leaves pile-ups). Any divergence flips bits here long
-//! before it could reach the golden fixtures, and the golden suites pin
-//! the scalar path end to end by running their fixtures on a context built
-//! with `EvalPaths { fused_rows: false, .. }`.
+//! ragged tails, MET leaves pile-ups). Homogeneous networks and zero-cost
+//! tasks and messages make ties common, so a changed tie-break shows, and
+//! a dead node makes infinite finishes.
+//!
+//! [`util::best_eft_node`]: saga::schedulers::util::best_eft_node
+//! [`FrontierSweep::best_node`]: saga::schedulers::util::FrontierSweep::best_node
+//! [`FrontierSweep::start`]: saga::schedulers::util::FrontierSweep::start
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use saga::core::{Instance, Network, NodeId, SchedContext, TaskGraph, TaskId};
+use saga::datasets::iot;
+use saga::schedulers::util::{best_eft_node, FrontierSweep, ReadyRow};
 use saga::schedulers::Scheduler;
 
 /// [`random_instance_with_zeros`] on a network whose links all have
@@ -112,91 +120,151 @@ fn half_placed(inst: &Instance, sched: &dyn Scheduler, num: usize, den: usize) -
     ctx
 }
 
-/// Asserts the fused row and argmin helpers bit-identical to the per-node
-/// queries and comparator loops for every ready task of `ctx`.
-fn check_rows(ctx: &SchedContext, label: &str) {
+/// The lowest-index argmin of `key` over `ctx`'s nodes: the first node
+/// wins, and a later node only on `better(its key, the incumbent's)`.
+fn first_best<K: Copy>(
+    ctx: &SchedContext,
+    key: impl Fn(NodeId) -> K,
+    better: impl Fn(K, K) -> bool,
+) -> (NodeId, K) {
+    let mut best: Option<(NodeId, K)> = None;
+    for v in ctx.nodes() {
+        let k = key(v);
+        if best.is_none_or(|(_, bk)| better(k, bk)) {
+            best = Some((v, k));
+        }
+    }
+    best.expect("network has at least one node")
+}
+
+fn bits((v, s, f): (NodeId, f64, f64)) -> (NodeId, u64, u64) {
+    (v, s.to_bits(), f.to_bits())
+}
+
+/// Asserts every selection helper equal to its per-node oracle for every
+/// ready task of `ctx`, and returns how many tasks it checked.
+fn check_selection(ctx: &mut SchedContext, label: &str) -> usize {
+    let mut row = ReadyRow::new(ctx);
+    let sweep = FrontierSweep::new(ctx);
     let nv = ctx.node_count();
-    let mut starts = vec![0.0f64; nv];
-    let mut finishes = vec![0.0f64; nv];
-    for &t in ctx.ready() {
-        ctx.eft_row_append_into(t, &mut starts, &mut finishes);
-        // the row vs the per-node queries, element by element
-        let mut exp_eft: Option<(NodeId, f64, f64)> = None;
-        let mut exp_est: Option<(NodeId, f64, f64)> = None;
+    let ready = ctx.ready().to_vec();
+    for &t in &ready {
+        for insertion in [true, false] {
+            let (v, (s, f)) = first_best(ctx, |v| ctx.eft(t, v, insertion), |a, b| a.1 < b.1);
+            assert_eq!(
+                bits(best_eft_node(ctx, t, insertion, &mut row)),
+                bits((v, s, f)),
+                "{label}: best_eft_node({t}, insertion {insertion}) diverged"
+            );
+        }
+        let (v, (s, f)) = first_best(
+            ctx,
+            |v| ctx.eft(t, v, false),
+            |(s, f), (bs, bf)| s < bs || (s == bs && f < bf),
+        );
+        assert_eq!(
+            bits(sweep.best_node(ctx, t)),
+            bits((v, s, f)),
+            "{label}: best_node({t}) diverged"
+        );
         for v in ctx.nodes() {
-            let (es, ef) = ctx.eft(t, v, false);
+            let ready_time = ctx.data_ready_time(t, v);
             assert_eq!(
-                starts[v.index()].to_bits(),
-                es.to_bits(),
-                "{label}: start({t}, {v}) diverged: row {} vs query {es}",
-                starts[v.index()],
+                sweep.row(nv, t)[v.index()].to_bits(),
+                ready_time.to_bits(),
+                "{label}: cached data ready({t}, {v}) diverged"
             );
+            let (s, _) = ctx.eft(t, v, false);
             assert_eq!(
-                finishes[v.index()].to_bits(),
-                ef.to_bits(),
-                "{label}: finish({t}, {v}) diverged: row {} vs query {ef}",
-                finishes[v.index()],
+                sweep.start(ctx, t, v.index()).to_bits(),
+                s.to_bits(),
+                "{label}: start({t}, {v}) diverged"
             );
-            let take_eft = match exp_eft {
-                None => true,
-                Some((_, _, bf)) => ef < bf,
-            };
-            if take_eft {
-                exp_eft = Some((v, es, ef));
+        }
+    }
+    sweep.release(ctx);
+    row.release(ctx);
+    ready.len()
+}
+
+/// `inst` with every speed and link strength set to 1 (a dead node stays
+/// dead), so equal finishes on several nodes are common.
+fn homogeneous(inst: &Instance) -> Instance {
+    let speeds: Vec<f64> = inst
+        .network
+        .speeds()
+        .iter()
+        .map(|&s| if s == 0.0 { 0.0 } else { 1.0 })
+        .collect();
+    Instance::new(Network::complete(&speeds, 1.0), inst.graph.clone())
+}
+
+/// [`check_selection`] on the quarter-, half- and three-quarter-placed
+/// states every roster scheduler builds for `inst`; returns how many ready
+/// tasks it checked.
+fn check_scheduler_states(inst: &Instance, label: &str) -> usize {
+    let mut checked = 0;
+    for s in &saga::schedulers::benchmark_schedulers() {
+        // early frontiers are wide, late ones probe long timelines
+        for (num, den) in [(1usize, 4usize), (1, 2), (3, 4)] {
+            let mut ctx = half_placed(inst, s.as_ref(), num, den);
+            let state = format!("{} {label} {num}/{den}", s.name());
+            checked += check_selection(&mut ctx, &state);
+        }
+    }
+    checked
+}
+
+#[test]
+fn selection_helpers_match_per_node_argmins_on_scheduler_states() {
+    for seed in [3u64, 17] {
+        for (tasks, nodes) in [
+            (12usize, 1usize),
+            (16, 3),
+            (24, 7),
+            (24, 8),
+            (28, 9),
+            (30, 32),
+        ] {
+            let mut inst = random_instance_with_zeros(seed, tasks, nodes, 0.2);
+            if seed == 17 && nodes > 1 {
+                // a dead node: every positive cost runs forever there
+                inst.network.set_speed(NodeId(nodes as u32 - 1), 0.0);
             }
-            let take_est = match exp_est {
-                None => true,
-                Some((_, bs, bf)) => es < bs || (es == bs && ef < bf),
-            };
-            if take_est {
-                exp_est = Some((v, es, ef));
+            for (shape, inst) in [
+                ("random", inst.clone()),
+                ("homogeneous", homogeneous(&inst)),
+            ] {
+                let label = format!("{shape} seed {seed} {tasks}t/{nodes}v");
+                assert!(check_scheduler_states(&inst, &label) > 0, "{label}");
             }
         }
-        // the argmin helpers vs the Option-based comparator loops
-        let (ev, _, _) = exp_eft.unwrap();
-        assert_eq!(
-            saga::core::argmin_finish(&finishes),
-            ev,
-            "{label}: argmin_finish({t}) diverged"
-        );
-        let (sv, _, _) = exp_est.unwrap();
-        assert_eq!(
-            saga::core::argmin_start_finish(&starts, &finishes),
-            sv,
-            "{label}: argmin_start_finish({t}) diverged"
-        );
     }
 }
 
 #[test]
-fn fused_rows_match_per_node_queries_on_scheduler_states() {
-    let scheds = saga::schedulers::benchmark_schedulers();
-    for seed in [3u64, 17, 88] {
-        // 3–6 nodes exercise the narrow regime (scalar comparator loops by
-        // default); 10 nodes crosses the `WIDE_NODES` band so the scheduler
-        // replays drive the fused dispatch in the selection helpers too
-        for (tasks, nodes) in [(12usize, 3usize), (24, 4), (40, 6), (36, 10)] {
-            let inst = random_instance_with_zeros(seed, tasks, nodes, 0.2);
-            for s in &scheds {
-                // quarter-, half- and three-quarter-placed states: early
-                // frontiers are wide, late ones probe long timelines
-                for (num, den) in [(1usize, 4usize), (1, 2), (3, 4)] {
-                    let ctx = half_placed(&inst, s.as_ref(), num, den);
-                    check_rows(
-                        &ctx,
-                        &format!("{} seed {seed} {tasks}t/{nodes}v {num}/{den}", s.name()),
-                    );
-                }
-            }
-        }
+fn selection_helpers_match_on_a_111_node_iot_instance() {
+    // the edge/fog/cloud network of the IoT datasets: 100 edge, 5 fog and
+    // 6 cloud nodes, whose infinite cloud links tie arrivals
+    let mut rng = StdRng::seed_from_u64(111);
+    let graphs = [
+        iot::etl_graph(&mut rng),
+        iot::stats_graph(&mut rng),
+        iot::predict_graph(&mut rng),
+        iot::train_graph(&mut rng),
+    ];
+    for (k, g) in graphs.into_iter().enumerate() {
+        let inst = Instance::new(iot::build_edge_fog_cloud(100, 5, 6), g);
+        assert_eq!(inst.network.node_count(), 111);
+        assert!(check_scheduler_states(&inst, &format!("iot graph {k}")) > 0);
     }
 }
 
 #[test]
-fn fused_rows_match_on_boundary_shapes() {
+fn selection_helpers_match_on_boundary_shapes() {
     // a hand-built state with a zero-duration task sitting at the tail of a
     // timeline while finishing before the slot beneath it: the append
-    // compose must key on the max finish, not the last slot's finish
+    // starts must key on the max finish, not the last slot's finish
     let mut g = TaskGraph::new();
     let a = g.add_task("a", 1.0);
     let z = g.add_task("z", 0.0);
@@ -214,13 +282,23 @@ fn fused_rows_match_on_boundary_shapes() {
                                   // (3.0)
     assert_eq!(ctx.append_tails(), &[3.0, 0.0]);
     // b and c are both ready (c's predecessors are placed); the append
-    // query reads node 0's max finish 3, not its last slot's finish 2
-    check_rows(&ctx, "boundary");
+    // query reads node 0's max finish 3, not its last slot's finish 2,
+    // while the insertion query fills the gap before `a`
+    assert_eq!(check_selection(&mut ctx, "boundary"), 2);
 
     // an empty state: every timeline empty, tails all zero
     let mut fresh = SchedContext::new();
     fresh.reset(&inst);
-    check_rows(&fresh, "empty");
+    assert_eq!(check_selection(&mut fresh, "empty"), 3);
+
+    // one node of speed 0: every positive cost finishes at infinity, and
+    // the selection still answers the only node
+    let mut g = TaskGraph::new();
+    g.add_task("x", 1.0);
+    let dead = Instance::new(Network::complete(&[0.0], 1.0), g);
+    let mut ctx = SchedContext::new();
+    ctx.reset(&dead);
+    assert_eq!(check_selection(&mut ctx, "dead"), 1);
 }
 
 #[test]
@@ -232,7 +310,7 @@ fn single_strength_rows_match_per_node_queries_on_scheduler_states() {
                 let inst = single_strength(seed, tasks, nodes, link);
                 for s in &scheds {
                     for (num, den) in [(1usize, 4usize), (1, 2), (3, 4), (1, 1)] {
-                        let ctx = half_placed(&inst, s.as_ref(), num, den);
+                        let mut ctx = half_placed(&inst, s.as_ref(), num, den);
                         let label = format!(
                             "{} link {link} seed {seed} {tasks}t/{nodes}v {num}/{den}",
                             s.name()
@@ -244,7 +322,7 @@ fn single_strength_rows_match_per_node_queries_on_scheduler_states() {
                             "{label}: single-strength fold not selected"
                         );
                         assert!(check_ready_rows(&ctx, &label) > 0);
-                        check_rows(&ctx, &label);
+                        check_selection(&mut ctx, &label);
                     }
                 }
             }

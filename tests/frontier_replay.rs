@@ -10,9 +10,8 @@
 //! through task-weight and dependency-weight edits on instances built to
 //! reach the edges of those rules, and requires the schedule of a default
 //! (incremental) context to equal, placement for placement and bit for
-//! bit, the schedules of a context on `EvalPaths { incremental: false, .. }`
-//! (a full run every time) and of one on `EvalPaths { fused_rows: false,
-//! .. }`:
+//! bit, the schedule of a context on `EvalPaths { incremental: false }`
+//! (a full run every time):
 //!
 //! * integer task and dependency weights on speeds and link strengths of 1
 //!   or 2, so every time is exact and a dirty task's fresh finish often
@@ -143,21 +142,11 @@ fn assert_same(a: &Schedule, b: &Schedule, what: &str) {
 }
 
 /// Runs `edits` rounds of weight edits on `inst`, checking after each that
-/// the three contexts agree on every scheduler.
+/// the two contexts agree on every scheduler.
 fn drive(inst: &mut Instance, rng: &mut StdRng, edits: usize, label: &str) {
     let scheds: Vec<Box<dyn Scheduler>> =
         vec![Box::new(MinMin), Box::new(MaxMin), Box::new(Wba::default())];
-    let paths = [
-        EvalPaths::default(),
-        EvalPaths {
-            incremental: false,
-            ..EvalPaths::default()
-        },
-        EvalPaths {
-            fused_rows: false,
-            ..EvalPaths::default()
-        },
-    ];
+    let paths = [EvalPaths::default(), EvalPaths { incremental: false }];
     let mut warm: Vec<Warm> = paths
         .iter()
         .map(|&p| Warm {
@@ -196,6 +185,8 @@ fn narrow_integer_instances_replay_bit_identically() {
     }
 }
 
+/// 8–32 nodes: wide networks on which MinMin and MaxMin still replay past
+/// a ready dirty task.
 #[test]
 fn fused_band_integer_instances_replay_bit_identically() {
     let mut rng = StdRng::seed_from_u64(0xBA2D);

@@ -8,14 +8,11 @@
 //! decisions (tie-breaking, float evaluation order, ready-set ordering)
 //! flips bits here and fails the suite.
 //!
-//! Both fixtures are checked twice in the same process: on the default
-//! evaluation paths and on the scalar reference path (a context built with
-//! `EvalPaths { fused_rows: false, .. }`, which sends every node selection
-//! through the per-node queries instead of the fused EFT row kernels).
-//! On both paths they are also checked through one pinned row per
-//! instance (`with_pinned`, then `makespan_into` in roster order), the
-//! path `fig2` takes, where parameterless schedulers' makespans are
-//! memoized on the context.
+//! Both fixtures are checked twice in the same process: each scheduler in
+//! a fresh context, and through one pinned row per instance
+//! (`with_pinned`, then `makespan_into` in roster order), the path `fig2`
+//! takes, where parameterless schedulers' makespans are memoized on the
+//! context.
 //!
 //! Regenerate (only when a behavior change is *intended* and reviewed):
 //!
@@ -28,7 +25,7 @@ mod common;
 use common::{assert_matches_golden, regenerate};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use saga::core::{EvalPaths, Instance, SchedContext};
+use saga::core::{Instance, SchedContext};
 use saga::datasets;
 use saga::schedulers::util::fixtures;
 use saga::schedulers::{self, Scheduler};
@@ -125,34 +122,25 @@ fn wide_battery() -> Vec<(String, Instance)> {
     v
 }
 
-/// The scalar reference path: fused EFT row kernels off.
-const SCALAR_ROWS: EvalPaths = EvalPaths {
-    incremental: true,
-    fused_rows: false,
-};
-
-/// How a fixture's makespans are evaluated, on which paths.
+/// How a fixture's makespans are evaluated.
 #[derive(Clone, Copy)]
 enum Eval {
     /// Each scheduler's `schedule_into` in its own fresh context.
-    Fresh(EvalPaths),
+    Fresh,
     /// One pinned row per instance, the path `fig2` takes: `with_pinned`,
     /// then every scheduler's `makespan_into` in roster order on the one
     /// context (parameterless schedulers' makespans are memoized there).
-    PinnedRow(EvalPaths),
+    PinnedRow,
 }
 
 /// `schedulers`' makespans on `inst`, in order, evaluated by `eval`.
 fn makespans(eval: Eval, schedulers: &[Box<dyn Scheduler>], inst: &Instance) -> Vec<f64> {
     match eval {
-        Eval::Fresh(paths) => schedulers
+        Eval::Fresh => schedulers
             .iter()
-            .map(|s| {
-                s.schedule_into(inst, &mut SchedContext::with_paths(paths))
-                    .makespan()
-            })
+            .map(|s| s.schedule_into(inst, &mut SchedContext::new()).makespan())
             .collect(),
-        Eval::PinnedRow(paths) => SchedContext::with_paths(paths).with_pinned(inst, |ctx| {
+        Eval::PinnedRow => SchedContext::new().with_pinned(inst, |ctx| {
             schedulers
                 .iter()
                 .map(|s| s.makespan_into(inst, ctx))
@@ -222,84 +210,47 @@ fn golden_path() -> std::path::PathBuf {
 
 #[test]
 fn makespans_match_golden_bits() {
-    assert_matches_golden(
-        &golden_path(),
-        &current_lines(Eval::Fresh(EvalPaths::default())),
-        "makespans",
-    );
+    assert_matches_golden(&golden_path(), &current_lines(Eval::Fresh), "makespans");
 }
 
 #[test]
 fn large_makespans_match_golden_bits() {
     assert_matches_golden(
         &golden_large_path(),
-        &current_large_lines(Eval::Fresh(EvalPaths::default())),
+        &current_large_lines(Eval::Fresh),
         "large-instance makespans",
     );
 }
 
-/// No network in this fixture has 8 or more nodes, so today it runs the
-/// same scalar code as [`makespans_match_golden_bits`]: it only guards the
-/// fused-row band's lower bound (`util::WIDE_NODES`), should that ever
-/// drop to these widths. The large fixture is the one whose in-band rows
-/// tell the two paths apart.
-#[test]
-fn makespans_match_golden_bits_on_scalar_rows() {
-    assert_matches_golden(
-        &golden_path(),
-        &current_lines(Eval::Fresh(SCALAR_ROWS)),
-        "scalar-path makespans",
-    );
-}
-
-#[test]
-fn large_makespans_match_golden_bits_on_scalar_rows() {
-    assert_matches_golden(
-        &golden_large_path(),
-        &current_large_lines(Eval::Fresh(SCALAR_ROWS)),
-        "scalar-path large-instance makespans",
-    );
-}
-
-/// Both fixtures through one pinned row per instance, on the default and
-/// the scalar paths: the memoized `makespan_into` calls of a Fig. 2 row
-/// must reproduce the fresh-context bits.
+/// Both fixtures through one pinned row per instance: the memoized
+/// `makespan_into` calls of a Fig. 2 row must reproduce the fresh-context
+/// bits.
 #[test]
 fn makespans_match_golden_bits_through_pinned_rows() {
-    for (paths, what) in [(EvalPaths::default(), "default"), (SCALAR_ROWS, "scalar")] {
-        assert_matches_golden(
-            &golden_path(),
-            &current_lines(Eval::PinnedRow(paths)),
-            &format!("pinned-row makespans ({what} paths)"),
-        );
-    }
+    assert_matches_golden(
+        &golden_path(),
+        &current_lines(Eval::PinnedRow),
+        "pinned-row makespans",
+    );
 }
 
 #[test]
 fn large_makespans_match_golden_bits_through_pinned_rows() {
-    for (paths, what) in [(EvalPaths::default(), "default"), (SCALAR_ROWS, "scalar")] {
-        assert_matches_golden(
-            &golden_large_path(),
-            &current_large_lines(Eval::PinnedRow(paths)),
-            &format!("pinned-row large-instance makespans ({what} paths)"),
-        );
-    }
+    assert_matches_golden(
+        &golden_large_path(),
+        &current_large_lines(Eval::PinnedRow),
+        "pinned-row large-instance makespans",
+    );
 }
 
 #[test]
 #[ignore = "writes the golden fixture; run with GOLDEN_REGEN=1 when a behavior change is intended"]
 fn regenerate_golden_large() {
-    regenerate(
-        &golden_large_path(),
-        &current_large_lines(Eval::Fresh(EvalPaths::default())),
-    );
+    regenerate(&golden_large_path(), &current_large_lines(Eval::Fresh));
 }
 
 #[test]
 #[ignore = "writes the golden fixture; run with GOLDEN_REGEN=1 when a behavior change is intended"]
 fn regenerate_golden() {
-    regenerate(
-        &golden_path(),
-        &current_lines(Eval::Fresh(EvalPaths::default())),
-    );
+    regenerate(&golden_path(), &current_lines(Eval::Fresh));
 }

@@ -15,12 +15,11 @@
 //! prefix replay, the default path since PR 5), or engine sharding flips
 //! bits here and fails the suite.
 //!
-//! The battery also runs, in the same process, on each reference
+//! The battery also runs, in the same process, on the reference
 //! evaluation path: in order on one context built with
-//! `EvalPaths { incremental: false, .. }` (every evaluation rebuilds its
-//! tables and re-runs both schedulers from scratch) and on one built with
-//! `EvalPaths { fused_rows: false, .. }` (every node selection on the
-//! scalar per-node queries). Both must reproduce the same fixture bits.
+//! `EvalPaths { incremental: false }` (every evaluation rebuilds its
+//! tables and re-runs both schedulers from scratch). It must reproduce the
+//! same fixture bits.
 //!
 //! Regenerate (only when a behavior change is *intended* and reviewed):
 //!
@@ -193,27 +192,11 @@ fn pisa_cells_match_golden_bits() {
 
 #[test]
 fn pisa_cells_match_golden_bits_without_incremental_evaluation() {
-    let full_rebuild = EvalPaths {
-        incremental: false,
-        ..EvalPaths::default()
-    };
+    let full_rebuild = EvalPaths { incremental: false };
     assert_matches_golden(
         &golden_path(),
         &lines_on_paths(full_rebuild),
         "PISA cells on the full-rebuild path",
-    );
-}
-
-#[test]
-fn pisa_cells_match_golden_bits_on_scalar_rows() {
-    let scalar_rows = EvalPaths {
-        fused_rows: false,
-        ..EvalPaths::default()
-    };
-    assert_matches_golden(
-        &golden_path(),
-        &lines_on_paths(scalar_rows),
-        "PISA cells on the scalar-row path",
     );
 }
 

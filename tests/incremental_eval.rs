@@ -85,10 +85,7 @@ fn roundtrip(
     iters: usize,
     label: &str,
 ) {
-    let reference = EvalPaths {
-        incremental: false,
-        ..EvalPaths::default()
-    };
+    let reference = EvalPaths { incremental: false };
     let mut warm = [
         Warm::new(EvalPaths::default(), scheds),
         Warm::new(reference, scheds),
@@ -152,7 +149,7 @@ fn perturb_evaluate_undo_roundtrips_bit_identically() {
 fn section_vii_instances_roundtrip_bit_identically() {
     // the Section VII grid: rigid workflow graphs of up to ~45 tasks on
     // 4-10-node networks under the weight-only perturber — deep replay
-    // prefixes, and networks on both sides of the fused-row cutoff
+    // prefixes, on networks both narrower and wider than 8 nodes
     let scheds = saga::schedulers::benchmark_schedulers();
     let mut node_counts = Vec::new();
     for (w, workflow) in WORKFLOW_NAMES.iter().enumerate() {
@@ -171,7 +168,6 @@ fn section_vii_instances_roundtrip_bit_identically() {
             );
         }
     }
-    // the fused-row band starts at 8 nodes
     assert!(node_counts.iter().any(|&n| n < 8), "{node_counts:?}");
     assert!(node_counts.iter().any(|&n| n >= 8), "{node_counts:?}");
 }
