@@ -193,13 +193,15 @@ mod dto {
         while let Some(field) = r.next_key()? {
             match &*field {
                 "speeds" if speeds.is_none() => speeds = Some(r.array(|r| r.number_as())?),
-                // `null` is an infinite link, as `dec` reads it
+                // `null` is an infinite link, as `dec` reads it; a network
+                // with one link strength repeats one token, converted once
                 "links" if links.is_none() => {
+                    let mut last = None;
                     links = Some(r.array(|r| {
                         if r.take_null()? {
                             Ok(f64::INFINITY)
                         } else {
-                            r.number_as()
+                            r.number_reusing(&mut last)
                         }
                     })?)
                 }
@@ -299,5 +301,43 @@ mod tests {
         assert_eq!(back.graph.cost(TaskId(1)), 4.0);
         assert_eq!(back.graph.dependency_cost(TaskId(0), TaskId(1)), Some(3.0));
         assert_eq!(back.graph.name(TaskId(0)), "a");
+    }
+
+    /// A `links` row whose neighbours are near-identical spellings: each
+    /// entry has the bits `str::parse` gives its own text, whether the
+    /// token before it is the same value spelled otherwise, a prefix of it,
+    /// or a token that differs in its last digit.
+    #[test]
+    fn link_rows_with_near_identical_neighbours_decode_to_parse_bits() {
+        // row-major; entries (i, j) and (j, i) spell one float
+        let rows = [
+            ["null", "0.1", "0.10", "1e-1"],
+            [
+                "0.1000000000000000055511151231257827",
+                "null",
+                "0.24404401143232343",
+                "0.24404401143232345",
+            ],
+            ["0.1", "0.24404401143232343", "null", "0.2440440114323234"],
+            ["0.10", "0.24404401143232345", "0.2440440114323234", "null"],
+        ];
+        let links = rows.concat().join(",");
+        let json =
+            format!(r#"{{"speeds":[1,1,1,1],"links":[{links}],"tasks":[["a",1]],"deps":[]}}"#);
+        let read = Instance::from_json(&json).unwrap();
+        let tree: Instance = serde_json::from_str(&json).unwrap();
+        for (i, row) in rows.iter().enumerate() {
+            for (j, token) in row.iter().enumerate() {
+                let want = token.parse().unwrap_or(f64::INFINITY).to_bits();
+                let (u, v) = (crate::NodeId(i as u32), crate::NodeId(j as u32));
+                assert_eq!(read.network.link(u, v).to_bits(), want, "({i}, {j})");
+                assert_eq!(tree.network.link(u, v).to_bits(), want, "({i}, {j})");
+            }
+        }
+        // the row is not one value: the test reads distinct bits
+        assert_ne!(
+            "0.24404401143232343".parse::<f64>().unwrap(),
+            "0.24404401143232345".parse::<f64>().unwrap()
+        );
     }
 }

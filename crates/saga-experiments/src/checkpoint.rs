@@ -18,6 +18,11 @@
 //! derived value-tree decoders' rules: the first occurrence of a field
 //! wins, unknown and repeated fields are skipped but must be valid JSON,
 //! and a missing field, a wrong type or trailing bytes reject the line.
+//! The reader scans each number token once: a skipped field's numbers are
+//! checked and never converted, and a `links` row converts each run of
+//! one repeated strength once. A row's `bits` are read in one loop that
+//! decodes each hex word in place, splitting where
+//! `str::split_whitespace` splits.
 //!
 //! Torn lines — a crash mid-append, a byte that is not UTF-8 — are
 //! counted and skipped, so a damaged checkpoint only costs re-running the
@@ -76,6 +81,43 @@ fn from_hex_bits(s: &str) -> Option<f64> {
         return None;
     }
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
+}
+
+/// The `f64`s of a row's hex words, read in one loop over `text` and each
+/// decoded in place: what `text.split_whitespace().map(from_hex_bits)`
+/// gives, so words are split on Unicode whitespace and each must be
+/// exactly 16 hex digits; `None` if one is not.
+fn from_hex_words(text: &str) -> Option<Vec<f64>> {
+    let mut row = Vec::with_capacity((text.len() + 1) / 17);
+    let (mut word, mut digits) = (0u64, 0usize);
+    let mut i = 0;
+    loop {
+        let b = text.as_bytes().get(i).copied();
+        if let Some(d) = b.and_then(|b| char::from(b).to_digit(16)) {
+            // a longer word loses high digits here, then fails its count
+            word = word << 4 | u64::from(d);
+            digits += 1;
+            i += 1;
+            continue;
+        }
+        // anything else ends the word: whitespace or the end of the text
+        if b.is_some() {
+            let c = text[i..].chars().next()?;
+            if !c.is_whitespace() {
+                return None;
+            }
+            i += c.len_utf8();
+        }
+        match digits {
+            0 => {}
+            16 => row.push(f64::from_bits(word)),
+            _ => return None,
+        }
+        if b.is_none() {
+            return Some(row);
+        }
+        (word, digits) = (0, 0);
+    }
 }
 
 /// A hex-bits field: a string that must parse as `f64` bits.
@@ -174,8 +216,7 @@ impl Record for Vec<f64> {
                 "key" if key.is_none() => key = Some(r.string()?.into_owned()),
                 "bits" if row.is_none() => {
                     let bits = r.string()?;
-                    let words = bits.split_whitespace().map(from_hex_bits);
-                    row = Some(words.collect::<Option<Vec<_>>>().ok_or_else(|| {
+                    row = Some(from_hex_words(&bits).ok_or_else(|| {
                         serde_json::Error::custom(format!("bad hex bits in `{bits}`"))
                     })?)
                 }

@@ -732,6 +732,7 @@ fn invalid_values() -> Vec<String> {
         "\"\\x\"",
         "\"\\ud800\"",
         "\"\\u12\"",
+        "\"\\u+041\"",
         "\"\\ud800\\u0041\"",
         "\"open",
         "[1,]",
@@ -937,6 +938,15 @@ proptest! {
             let line = witness.to_jsonl();
             assert_variants_agree(line.trim_end(), witness_decoders_agree, 4, &mut rng);
         }
+    }
+
+    #[test]
+    fn row_bits_of_random_spellings_split_as_split_whitespace_does(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bits: String = (0..rng.gen_range(0..12))
+            .map(|_| ROW_PIECES[rng.gen_range(0..ROW_PIECES.len())])
+            .collect();
+        row_decoders_agree(&row_line(&bits));
     }
 
     #[test]
@@ -1146,6 +1156,81 @@ fn hex_words_of_other_shapes_are_malformed() {
             "{bad:?}"
         );
         assert_eq!(cell_decoders_agree(&cell(bad)), None, "{bad:?}");
+    }
+}
+
+/// A row line whose `bits` field holds `bits`, escaped by the writer.
+fn row_line(bits: &str) -> String {
+    let mut w = serde_json::Writer::compact();
+    w.begin_object();
+    w.key("key");
+    w.string("k");
+    w.key("bits");
+    w.string(bits);
+    w.end_object();
+    w.finish()
+}
+
+/// Pieces of `bits` spellings: words of every case and of other lengths,
+/// signs, and blanks `split_whitespace` splits on or does not.
+const ROW_PIECES: &[&str] = &[
+    "3ff0000000000000",
+    "7FF0000000000000",
+    "c00921fB54442d18",
+    "3ff000000000000",
+    "03ff0000000000000",
+    "+",
+    "-",
+    "g",
+    "0",
+    " ",
+    "  ",
+    "\t",
+    "\n",
+    "\r",
+    "\u{b}",
+    "\u{c}",
+    "\u{1c}",
+    "\u{85}",
+    "\u{a0}",
+    "\u{2003}",
+    "\u{200b}",
+    "\u{2028}",
+    "\u{3000}",
+    "é",
+];
+
+/// The in-place row decoder splits and decodes `bits` exactly as
+/// `split_whitespace` and the 16-digit word decoder do, whatever the
+/// spacing, case or damage.
+#[test]
+fn row_bits_split_as_split_whitespace_does() {
+    let one = "3ff0000000000000";
+    // each case with the number of words it decodes to, `None` if malformed
+    let cases = [
+        (String::new(), Some(0)),
+        (" \t ".to_string(), Some(0)),
+        (format!("{one}  {one}"), Some(2)),
+        (format!("{one}\t{one}"), Some(2)),
+        (format!(" {one} {one} "), Some(2)),
+        (format!("\n{one}\r"), Some(1)),
+        (format!("{one}\u{a0}{one}\u{3000}"), Some(2)),
+        (format!("{one}\u{85}{one}\u{b}{one}"), Some(3)),
+        (format!("{one}\u{200b}{one}"), None),
+        (format!("{one}\u{1c}{one}"), None),
+        ("3FF0000000000000 7fF0000000000000".to_string(), Some(2)),
+        (format!("+{}", &one[1..]), None),
+        (format!("-{}", &one[1..]), None),
+        (format!("{one} +{one}"), None),
+        (one[..15].to_string(), None),
+        (format!("{one}0"), None),
+        (format!("{one} {}", &one[..15]), None),
+        (format!("{one}{one}"), None),
+        (format!("{one} é"), None),
+    ];
+    for (bits, words) in cases {
+        let got = row_decoders_agree(&row_line(&bits));
+        assert_eq!(got.map(|(_, row)| row.len()), words, "{bits:?}");
     }
 }
 
