@@ -6,7 +6,7 @@ use std::fmt;
 
 /// Errors raised when mutating a [`crate::TaskGraph`].
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // variant fields are self-describing
+#[expect(missing_docs, reason = "variant fields are self-describing")]
 pub enum GraphError {
     /// Adding the dependency would create a directed cycle.
     CycleWouldForm { from: TaskId, to: TaskId },
@@ -48,7 +48,7 @@ impl std::error::Error for GraphError {}
 /// Why speeds and a link matrix cannot form a [`crate::Network`]
 /// ([`crate::Network::try_from_matrix`]).
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // variant fields are self-describing
+#[expect(missing_docs, reason = "variant fields are self-describing")]
 pub enum NetworkError {
     /// The matrix does not hold `nodes * nodes` entries.
     WrongSize { nodes: usize, entries: usize },
@@ -86,7 +86,7 @@ impl std::error::Error for NetworkError {}
 /// starting only after all its dependencies have finished *and* their outputs
 /// have arrived at the task's node.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // variant fields are self-describing
+#[expect(missing_docs, reason = "variant fields are self-describing")]
 pub enum ScheduleError {
     /// A task from the instance was never scheduled.
     MissingTask { task: TaskId },

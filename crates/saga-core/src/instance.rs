@@ -1,5 +1,8 @@
 //! A problem instance `(N, G)`: a network paired with a task graph.
 
+// a parse path: a malformed instance is an error for the caller, never an abort
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::{Network, TaskGraph};
 
 /// A scheduling problem instance: the pair `(N, G)` of Section II.

@@ -1214,6 +1214,7 @@ impl SchedContext {
         // `finish - duration` loses an ulp, which is enough to re-order a
         // zero-duration task behind the slot whose boundary it sits on and
         // make verify() report a phantom overlap.
+        // saga-lint: allow(hot-alloc) — builds the owned `Schedule` that `schedule_into` returns; the kernel schedulers' `makespan_into` never calls it
         let mut assignments: Vec<Assignment> = Vec::with_capacity(self.placed_count);
         for (vi, timeline) in self.timelines.iter().enumerate() {
             for s in timeline {

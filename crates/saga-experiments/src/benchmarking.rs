@@ -89,7 +89,10 @@ pub fn fig2_key(dataset: &str, k: usize, seed: u64) -> String {
 /// `instances` rows from [`BatchEngine::dataset_makespans_sharded`], keyed
 /// by [`fig2_key`]. Rows outside `shard` are `None`; rows stored in
 /// `checkpoint` replay. Stops at the first checkpoint write error.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the grid, plus the shard, progress and checkpoint every grid takes"
+)]
 pub fn fig2_rows(
     engine: &BatchEngine,
     schedulers: &[Box<dyn Scheduler>],

@@ -30,6 +30,9 @@
 //! a different record: the first record is kept. `saga-merge` reads its
 //! inputs with the same line splitter, `lines`.
 
+// a checkpoint IO path: a failed write or torn line is handled, never an abort
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use saga_core::Instance;
 use saga_pisa::PisaResult;
 use serde_json::{required, Reader, Writer};

@@ -30,6 +30,9 @@
 //!   each unit of work has a stable key that picks its shard and its
 //!   checkpoint record, so stored records replay instead of re-running.
 
+// a checkpoint IO path: a failed write is returned, never an abort mid-grid
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::checkpoint::{Checkpoint, Record};
 use crate::workers;
 use saga_core::{ContextPool, Instance, SchedContext};
@@ -241,7 +244,10 @@ impl BatchEngine {
     /// A checkpoint write failure skips rows not yet started (mirroring
     /// [`run_cells`](Self::run_cells)) and returns the first I/O error with
     /// everything recorded before it already flushed.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the rows, their seeds and keys, plus the shard, progress and checkpoint every grid takes"
+    )]
     pub fn dataset_makespans_sharded(
         &self,
         schedulers: &[Box<dyn Scheduler>],

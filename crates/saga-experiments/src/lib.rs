@@ -29,6 +29,10 @@
 //! take CPU-hours; defaults are sized to finish in seconds while preserving
 //! every qualitative claim.
 
+// the crate root, so the deny reaches every module; `grids` lifts it for
+// the invariants of the fixed paper grids
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use saga_core::Instance;
 use saga_schedulers::Scheduler;
 

@@ -20,6 +20,11 @@ use std::sync::Mutex;
 
 /// The worker count for the next parallel call: `RAYON_NUM_THREADS` if it
 /// is a positive integer, otherwise the machine's available parallelism.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the worker count changes how the work is split, never a result: \
+              the output is the sequential map for any count"
+)]
 pub(crate) fn count() -> usize {
     std::env::var("RAYON_NUM_THREADS")
         .ok()
@@ -92,6 +97,12 @@ where
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the tests count distinct worker threads and bound a wait with a \
+              deadline; neither reaches a result"
+)]
 mod tests {
     use super::*;
     use std::collections::HashSet;

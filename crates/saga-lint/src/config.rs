@@ -2,8 +2,8 @@
 //!
 //! Config is code, not a parsed file — the deny lists change only when the
 //! architecture changes, reviewers diff them like any other source, and the
-//! linter needs no config-format parser of its own. Paths are matched as
-//! `/`-separated suffix-or-prefix substrings of the workspace-relative path.
+//! linter needs no config-format parser of its own. Paths are
+//! workspace-relative and `/`-separated.
 
 /// A hot-path deny-list entry: a file (or directory) where allocation is
 /// forbidden, optionally narrowed to specific functions.
@@ -16,23 +16,20 @@ pub struct HotPath {
     pub fns: Option<&'static [&'static str]>,
 }
 
+impl HotPath {
+    /// Does the entry cover `rel` (workspace-relative, `/`-separated)? A
+    /// directory entry (trailing `/`) covers by prefix, a file entry by
+    /// equality.
+    pub fn covers(&self, rel: &str) -> bool {
+        rel == self.path || (self.path.ends_with('/') && rel.starts_with(self.path))
+    }
+}
+
 /// Full rule configuration for one lint run.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Crates/files whose outputs are result-producing: determinism rules
-    /// (`nondet-collection`, `nondet-time`, `nondet-rng`, `nondet-env`)
-    /// apply here.
-    pub result_producing: Vec<&'static str>,
     /// The hot-path allocation deny list (`hot-alloc`).
     pub hot_paths: Vec<HotPath>,
-    /// IO/checkpoint/parse-path files where `unwrap`/`expect`/`panic!` are
-    /// forbidden in library code (`error-discipline`).
-    pub error_paths: Vec<&'static str>,
-    /// Markdown file holding the env-toggle registry table
-    /// (`env-registry`), relative to the workspace root. The same file
-    /// holds the concurrency tables (`atomics-discipline`,
-    /// `lock-discipline`).
-    pub registry_doc: &'static str,
     /// Path fragments never scanned (fixture corpora, build output).
     pub skip: Vec<&'static str>,
 }
@@ -42,14 +39,6 @@ impl Config {
     /// "Machine-checked invariants" section documents.
     pub fn workspace() -> Self {
         Config {
-            result_producing: vec![
-                "crates/saga-core/src/",
-                "crates/saga-schedulers/src/",
-                "crates/saga-pisa/src/",
-                "crates/saga-experiments/src/engine.rs",
-                "crates/saga-experiments/src/checkpoint.rs",
-                "crates/saga-experiments/src/grids.rs",
-            ],
             hot_paths: vec![
                 // the kernel and the incremental path must stay
                 // allocation-free everywhere outside warm-up
@@ -90,46 +79,53 @@ impl Config {
                     fns: Some(&["run_annealing", "accept"]),
                 },
             ],
-            error_paths: vec![
-                "crates/saga-experiments/src/engine.rs",
-                "crates/saga-experiments/src/checkpoint.rs",
-                "crates/saga-experiments/src/lib.rs",
-                "crates/saga-core/src/instance.rs",
-                "crates/saga-pisa/src/library.rs",
-            ],
-            registry_doc: "ARCHITECTURE.md",
             skip: vec!["crates/saga-lint/tests/fixtures/", "/target/"],
         }
-    }
-
-    /// Does `rel` (workspace-relative, `/`-separated) match any entry in
-    /// `list`? Directory entries (trailing `/`) match by prefix, file
-    /// entries by equality.
-    pub fn matches(list: &[&str], rel: &str) -> bool {
-        list.iter()
-            .any(|p| rel == *p || (p.ends_with('/') && rel.starts_with(p)))
     }
 
     /// The hot-path entries applying to `rel` (possibly several: a
     /// directory-wide entry plus a per-file one).
     pub fn hot_entries<'a>(&'a self, rel: &str) -> Vec<&'a HotPath> {
-        self.hot_paths
-            .iter()
-            .filter(|h| Self::matches(&[h.path], rel))
-            .collect()
+        self.hot_paths.iter().filter(|h| h.covers(rel)).collect()
     }
 }
 
 /// All rule names, for suppression validation and docs.
-pub const RULES: &[&str] = &[
-    "nondet-collection",
-    "nondet-time",
-    "nondet-rng",
-    "nondet-env",
-    "hot-alloc",
-    "error-discipline",
-    "env-registry",
-    "atomics-discipline",
-    "lock-discipline",
-    "workspace-lints",
+pub const RULES: &[&str] = &["hot-alloc", "workspace-lints"];
+
+/// The result-producing crates' `clippy.toml` files, relative to the
+/// workspace root: each must list every [`DETERMINISM_BANS`] pair
+/// (`workspace-lints`).
+pub const CLIPPY_TOMLS: &[&str] = &[
+    "crates/saga-core/clippy.toml",
+    "crates/saga-schedulers/clippy.toml",
+    "crates/saga-pisa/clippy.toml",
+    "crates/saga-experiments/clippy.toml",
+];
+
+/// The files whose library code never unwraps, expects or panics: each
+/// must hold [`ERROR_DENY`] as a line of its own (`workspace-lints`).
+/// `saga-experiments/src/lib.rs` is a crate root, so its line covers
+/// the whole library.
+pub const ERROR_SCOPE: &[&str] = &[
+    "crates/saga-core/src/instance.rs",
+    "crates/saga-pisa/src/library.rs",
+    "crates/saga-experiments/src/engine.rs",
+    "crates/saga-experiments/src/checkpoint.rs",
+    "crates/saga-experiments/src/lib.rs",
+];
+
+/// The line each of [`ERROR_SCOPE`] must hold.
+pub const ERROR_DENY: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]";
+
+/// The `(clippy.toml key, path)` pairs each of [`CLIPPY_TOMLS`] must
+/// list: hash-order collections, wall clocks and environment reads stay
+/// out of result-producing code.
+pub const DETERMINISM_BANS: &[(&str, &str)] = &[
+    ("disallowed-types", "std::collections::HashMap"),
+    ("disallowed-types", "std::collections::HashSet"),
+    ("disallowed-methods", "std::time::Instant::now"),
+    ("disallowed-methods", "std::time::SystemTime::now"),
+    ("disallowed-methods", "std::env::var"),
+    ("disallowed-methods", "std::env::var_os"),
 ];

@@ -122,12 +122,12 @@ mod tests {
             file: "f.rs".into(),
             line: 1,
             col: 1,
-            rule: "nondet-time",
+            rule: "hot-alloc",
             message: "m".into(),
         });
         let j = r.to_json();
         assert!(j.contains("\"files_scanned\": 2"));
-        assert!(j.contains("\"rule\": \"nondet-time\""));
+        assert!(j.contains("\"rule\": \"hot-alloc\""));
         assert!(j.contains("\"total\": 1"));
     }
 }

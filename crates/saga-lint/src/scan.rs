@@ -49,12 +49,11 @@ pub struct FileScan {
 }
 
 impl FileScan {
-    /// Lexes and structurally scans `src`. With `force_test`, every token is
-    /// treated as test code (integration-test files).
-    pub fn new(src: &str, force_test: bool) -> Self {
+    /// Lexes and structurally scans `src`.
+    pub fn new(src: &str) -> Self {
         let toks = crate::lexer::lex(src);
         let n = toks.len();
-        let mut in_test = vec![force_test; n];
+        let mut in_test = vec![false; n];
         let mut fn_of: Vec<Option<usize>> = vec![None; n];
         let mut fn_names: Vec<String> = Vec::new();
         let mut suppressions = Vec::new();
@@ -71,9 +70,7 @@ impl FileScan {
         let mut i = 0usize;
         while i < n {
             let t = &toks[i];
-            if !force_test {
-                in_test[i] = !test_frames.is_empty();
-            }
+            in_test[i] = !test_frames.is_empty();
             fn_of[i] = fn_frames.last().map(|&(f, _)| f);
             if t.is_comment() {
                 if let Some(s) = parse_suppression(t) {
@@ -97,9 +94,7 @@ impl FileScan {
                             let mut saw_not = false;
                             while j < n {
                                 let a = &toks[j];
-                                if !force_test {
-                                    in_test[j] = !test_frames.is_empty();
-                                }
+                                in_test[j] = !test_frames.is_empty();
                                 fn_of[j] = fn_frames.last().map(|&(f, _)| f);
                                 if a.is_punct('[') {
                                     bdepth += 1;
@@ -239,7 +234,7 @@ mod tests {
     #[test]
     fn cfg_test_mod_regions_are_marked() {
         let src = "fn live() { a(); }\n#[cfg(test)]\nmod tests {\n fn t() { b(); } }\nfn more() {}";
-        let s = FileScan::new(src, false);
+        let s = FileScan::new(src);
         let a = s.toks.iter().position(|t| t.is_ident("a")).unwrap();
         let b = s.toks.iter().position(|t| t.is_ident("b")).unwrap();
         let more = s.toks.iter().position(|t| t.is_ident("more")).unwrap();
@@ -251,7 +246,7 @@ mod tests {
     #[test]
     fn test_attr_marks_single_fn() {
         let src = "#[test]\nfn check() { x(); }\nfn live() { y(); }";
-        let s = FileScan::new(src, false);
+        let s = FileScan::new(src);
         let x = s.toks.iter().position(|t| t.is_ident("x")).unwrap();
         let y = s.toks.iter().position(|t| t.is_ident("y")).unwrap();
         assert!(s.in_test[x]);
@@ -261,7 +256,7 @@ mod tests {
     #[test]
     fn cfg_not_test_is_not_test_code() {
         let src = "#[cfg(not(test))]\nmod live { fn f() { x(); } }";
-        let s = FileScan::new(src, false);
+        let s = FileScan::new(src);
         let x = s.toks.iter().position(|t| t.is_ident("x")).unwrap();
         assert!(!s.in_test[x]);
     }
@@ -269,7 +264,7 @@ mod tests {
     #[test]
     fn enclosing_fn_tracks_nesting() {
         let src = "fn outer() { let c = |q| { q }; inner_call(); }\nfn second() { z(); }";
-        let s = FileScan::new(src, false);
+        let s = FileScan::new(src);
         let call = s
             .toks
             .iter()
@@ -283,7 +278,7 @@ mod tests {
     #[test]
     fn trait_fn_decl_does_not_open_a_frame() {
         let src = "trait T { fn decl(&self); }\nfn real() { w(); }";
-        let s = FileScan::new(src, false);
+        let s = FileScan::new(src);
         let w = s.toks.iter().position(|t| t.is_ident("w")).unwrap();
         assert_eq!(s.enclosing_fn(w), Some("real"));
     }
@@ -291,10 +286,10 @@ mod tests {
     #[test]
     fn suppressions_parse_with_and_without_reason() {
         let src = "// saga-lint: allow(hot-alloc) — warm-up only\n\
-                   // saga-lint: allow(error-discipline)\n\
+                   // saga-lint: allow(workspace-lints)\n\
                    // saga-lint: allow(a, b) - two rules\n\
                    // saga-lint: nonsense";
-        let s = FileScan::new(src, false);
+        let s = FileScan::new(src);
         assert_eq!(s.suppressions.len(), 4);
         assert!(s.suppressions[0].has_reason);
         assert_eq!(s.suppressions[0].rules, ["hot-alloc"]);

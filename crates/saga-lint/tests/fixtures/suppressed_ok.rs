@@ -1,11 +1,8 @@
 // Fixture: real violations silenced by well-formed, reasoned suppressions —
 // one on the line above, one trailing on the same line. Expected: 0
 // findings, 2 suppressed.
-pub fn place(n: usize) -> Vec<Vec<u64>> {
-    let mut timelines: Vec<Vec<u64>> = Vec::with_capacity(n);
+pub fn place(timelines: &mut Vec<Vec<u64>>, n: usize) -> Vec<usize> {
     // saga-lint: allow(hot-alloc) — warm-up growth: runs once per new node count, steady state reuses capacity
     timelines.resize_with(n, Vec::new);
-    let labels: Vec<String> = (0..n).map(|i| i.to_string()).collect(); // saga-lint: allow(hot-alloc) — diagnostic labels, built only on the error path
-    let _ = labels;
-    timelines
+    timelines.iter().map(Vec::len).collect() // saga-lint: allow(hot-alloc) — diagnostic widths, built only on the error path
 }

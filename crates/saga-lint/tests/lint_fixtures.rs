@@ -1,11 +1,11 @@
-//! The fixture corpus: every rule family proven to fire on a
-//! known-violation file and stay silent on a known-clean one, the
-//! suppression grammar proven end-to-end, the env-registry cross-check
-//! exercised on a miniature workspace, and — the gate the corpus exists
-//! for — a self-check that the shipped workspace lints clean.
+//! The fixture corpus: `hot-alloc` proven to fire on a known-violation
+//! file and stay silent on a known-clean one, the suppression grammar
+//! proven end-to-end, the manifest checks exercised on a miniature
+//! workspace, and — the gate the corpus exists for — a self-check that the
+//! shipped workspace lints clean.
 
-use saga_lint::config::{Config, HotPath};
-use saga_lint::rules::{lint_file, FileKind, FileOutcome};
+use saga_lint::config::{Config, HotPath, CLIPPY_TOMLS, ERROR_DENY, ERROR_SCOPE};
+use saga_lint::rules::{lint_file, FileOutcome};
 use saga_lint::scan::FileScan;
 use std::path::{Path, PathBuf};
 
@@ -17,10 +17,8 @@ fn fixture(name: &str) -> String {
 }
 
 /// Lints a fixture as though it sat at `rel` in the workspace.
-fn lint_as(name: &str, rel: &str, kind: FileKind) -> FileOutcome {
-    let src = fixture(name);
-    let scan = FileScan::new(&src, kind == FileKind::Test);
-    lint_file(rel, kind, &scan, &Config::workspace())
+fn lint_as(name: &str, rel: &str) -> FileOutcome {
+    lint_file(rel, &FileScan::new(&fixture(name)), &Config::workspace())
 }
 
 fn rules_of(out: &FileOutcome) -> Vec<&'static str> {
@@ -28,95 +26,27 @@ fn rules_of(out: &FileOutcome) -> Vec<&'static str> {
 }
 
 #[test]
-fn nondet_fixture_fires_all_three_determinism_rules() {
-    let out = lint_as(
-        "nondet_bad.rs",
-        "crates/saga-core/src/sampling.rs",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&out);
-    assert_eq!(
-        rules.iter().filter(|r| **r == "nondet-collection").count(),
-        3,
-        "every HashMap mention flags: {rules:?}"
-    );
-    assert_eq!(rules.iter().filter(|r| **r == "nondet-time").count(), 1);
-    assert_eq!(
-        rules.iter().filter(|r| **r == "nondet-rng").count(),
-        2,
-        "entropy construction and the unplumbed literal seed: {rules:?}"
-    );
-    assert_eq!(out.findings.len(), 6);
-}
-
-#[test]
-fn nondet_clean_fixture_is_silent_including_its_test_mod() {
-    let out = lint_as(
-        "nondet_clean.rs",
-        "crates/saga-core/src/sampling.rs",
-        FileKind::Lib,
-    );
-    assert!(
-        out.findings.is_empty(),
-        "clean file must not flag (HashMap/Instant live in cfg(test)): {:?}",
-        out.findings
-    );
-}
-
-#[test]
-fn nondet_rules_do_not_apply_outside_result_producing_code() {
-    // same violating source, but in a crate outside the determinism scope
-    let out = lint_as(
-        "nondet_bad.rs",
-        "crates/saga-datasets/src/sampling.rs",
-        FileKind::Lib,
-    );
-    assert!(out.findings.is_empty(), "{:?}", out.findings);
-}
-
-#[test]
-fn nondet_env_fixture_flags_every_env_read() {
-    let out = lint_as(
-        "nondet_env_bad.rs",
-        "crates/saga-pisa/src/x.rs",
-        FileKind::Lib,
-    );
-    assert_eq!(rules_of(&out), ["nondet-env"; 2], "{:?}", out.findings);
-    // outside the result-producing crates an env read is not a finding
-    let out = lint_as(
-        "nondet_env_bad.rs",
-        "crates/saga-experiments/src/cli.rs",
-        FileKind::Lib,
-    );
-    assert!(out.findings.is_empty(), "{:?}", out.findings);
-}
-
-#[test]
-fn nondet_env_clean_twin_is_silent() {
-    let out = lint_as(
-        "nondet_env_clean.rs",
-        "crates/saga-core/src/x.rs",
-        FileKind::Lib,
-    );
-    assert!(out.findings.is_empty(), "{:?}", out.findings);
-}
-
-#[test]
 fn hot_alloc_fixture_flags_every_allocation_shape() {
-    let out = lint_as(
-        "hot_alloc_bad.rs",
-        "crates/saga-core/src/kernel.rs",
-        FileKind::Lib,
-    );
+    let out = lint_as("hot_alloc_bad.rs", "crates/saga-core/src/kernel.rs");
     let rules = rules_of(&out);
     assert_eq!(
         rules.iter().filter(|r| **r == "hot-alloc").count(),
-        5,
-        "Vec::new, vec!, .collect(), format!, .clone(): {:?}",
+        8,
+        "every shape once: {:?}",
         out.findings
     );
     let messages: Vec<&str> = out.findings.iter().map(|f| f.message.as_str()).collect();
-    for shape in ["Vec::new", "vec!", ".collect()", "format!", ".clone()"] {
+    let shapes = [
+        "Vec::new",
+        "Vec::with_capacity",
+        "vec!",
+        ".collect()",
+        "format!",
+        ".clone()",
+        ".to_string()",
+        ".to_owned()",
+    ];
+    for shape in shapes {
         assert!(
             messages.iter().any(|m| m.contains(shape)),
             "missing {shape} in {messages:?}"
@@ -126,11 +56,7 @@ fn hot_alloc_fixture_flags_every_allocation_shape() {
 
 #[test]
 fn hot_alloc_fn_scoping_spares_constructors() {
-    let out = lint_as(
-        "hot_alloc_clean.rs",
-        "crates/saga-schedulers/src/sweep.rs",
-        FileKind::Lib,
-    );
+    let out = lint_as("hot_alloc_clean.rs", "crates/saga-schedulers/src/sweep.rs");
     assert!(
         out.findings.is_empty(),
         "vec! in `new` is outside the run/run_recorded deny list: {:?}",
@@ -139,56 +65,8 @@ fn hot_alloc_fn_scoping_spares_constructors() {
 }
 
 #[test]
-fn error_discipline_fixture_flags_unwrap_expect_panic() {
-    let out = lint_as(
-        "error_bad.rs",
-        "crates/saga-experiments/src/engine.rs",
-        FileKind::Lib,
-    );
-    let rules = rules_of(&out);
-    assert_eq!(
-        rules.iter().filter(|r| **r == "error-discipline").count(),
-        3,
-        "{:?}",
-        out.findings
-    );
-}
-
-#[test]
-fn error_discipline_exempts_binaries() {
-    let out = lint_as(
-        "error_bad.rs",
-        "crates/saga-experiments/src/bin/fig9.rs",
-        FileKind::Bin,
-    );
-    assert!(
-        out.findings.is_empty(),
-        "binaries may exit loudly: {:?}",
-        out.findings
-    );
-}
-
-#[test]
-fn error_discipline_spares_unwrap_or_else_poison_recovery() {
-    let out = lint_as(
-        "error_clean.rs",
-        "crates/saga-experiments/src/engine.rs",
-        FileKind::Lib,
-    );
-    assert!(
-        out.findings.is_empty(),
-        "`unwrap_or_else` is not `unwrap`: {:?}",
-        out.findings
-    );
-}
-
-#[test]
 fn reasoned_suppressions_silence_without_findings() {
-    let out = lint_as(
-        "suppressed_ok.rs",
-        "crates/saga-core/src/kernel.rs",
-        FileKind::Lib,
-    );
+    let out = lint_as("suppressed_ok.rs", "crates/saga-core/src/kernel.rs");
     assert!(out.findings.is_empty(), "{:?}", out.findings);
     assert_eq!(
         out.suppressed, 2,
@@ -198,11 +76,7 @@ fn reasoned_suppressions_silence_without_findings() {
 
 #[test]
 fn bad_suppressions_are_themselves_findings() {
-    let out = lint_as(
-        "suppression_bad.rs",
-        "crates/saga-core/src/kernel.rs",
-        FileKind::Lib,
-    );
+    let out = lint_as("suppression_bad.rs", "crates/saga-core/src/kernel.rs");
     let rules = rules_of(&out);
     assert!(rules.contains(&"suppression-missing-reason"), "{rules:?}");
     assert!(rules.contains(&"suppression-unknown-rule"), "{rules:?}");
@@ -214,64 +88,60 @@ fn bad_suppressions_are_themselves_findings() {
     assert_eq!(out.suppressed, 0);
 }
 
-/// The mini-workspace's root manifest: the unsafe ban's one table.
-const WORKSPACE_MANIFEST: &str =
-    "[workspace]\n\n[workspace.lints.rust]\nunsafe_code = \"forbid\"\n";
+/// The mini-workspace's root manifest: the unsafe ban's table, then the
+/// `#[allow]` ban's.
+const WORKSPACE_MANIFEST: &str = "[workspace]
 
-/// Builds a throwaway mini-workspace for end-to-end `lint_root` runs.
+[workspace.lints.rust]
+unsafe_code = \"forbid\"
+
+[workspace.lints.clippy]
+allow_attributes = \"deny\"
+allow_attributes_without_reason = \"deny\"
+";
+
+/// A result-producing crate's `clippy.toml` with every determinism ban.
+const CLIPPY_TOML: &str = "disallowed-methods = [
+    { path = \"std::time::Instant::now\", reason = \"a clock\" },
+    { path = \"std::time::SystemTime::now\", reason = \"a clock\" },
+    { path = \"std::env::var\", reason = \"an env read\" },
+    { path = \"std::env::var_os\", reason = \"an env read\" },
+]
+disallowed-types = [
+    { path = \"std::collections::HashMap\", reason = \"hash order\" },
+    { path = \"std::collections::HashSet\", reason = \"hash order\" },
+]
+";
+
+/// Builds a throwaway mini-workspace for end-to-end `lint_root` runs: a
+/// root manifest, one library file, the `clippy.toml` files and the
+/// error-handling files.
 struct MiniWorkspace {
     root: PathBuf,
 }
 
 impl MiniWorkspace {
-    fn new(tag: &str, registry_rows: &[&str], lib_src: &str) -> Self {
-        Self::build(tag, registry_rows, None, lib_src)
-    }
-
-    /// Like [`new`](Self::new) but the ARCHITECTURE.md also carries the
-    /// two concurrency tables, with the given data rows.
-    fn with_concurrency(
-        tag: &str,
-        atomic_rows: &[&str],
-        lock_rows: &[&str],
-        lib_src: &str,
-    ) -> Self {
-        Self::build(tag, &[], Some((atomic_rows, lock_rows)), lib_src)
-    }
-
-    fn build(
-        tag: &str,
-        registry_rows: &[&str],
-        concurrency: Option<(&[&str], &[&str])>,
-        lib_src: &str,
-    ) -> Self {
+    fn new(tag: &str, lib_src: &str) -> Self {
         let root =
             std::env::temp_dir().join(format!("saga_lint_fixture_{}_{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         std::fs::create_dir_all(root.join("src")).unwrap();
         std::fs::write(root.join("Cargo.toml"), WORKSPACE_MANIFEST).unwrap();
         std::fs::write(root.join("src/lib.rs"), lib_src).unwrap();
-        let mut doc = String::from("# Architecture\n\n### Env-toggle registry\n\n");
-        doc.push_str("| Toggle | Read in | Effect |\n|---|---|---|\n");
-        for row in registry_rows {
-            doc.push_str(row);
-            doc.push('\n');
+        for file in CLIPPY_TOMLS {
+            let path = root.join(file);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, CLIPPY_TOML).unwrap();
         }
-        if let Some((atomic_rows, lock_rows)) = concurrency {
-            doc.push_str("\n#### Atomic protocol registry\n\n");
-            doc.push_str("| Binding | Declared in | Protocol | Allowed ops |\n|---|---|---|---|\n");
-            for row in atomic_rows {
-                doc.push_str(row);
-                doc.push('\n');
-            }
-            doc.push_str("\n#### Lock-order registry\n\n");
-            doc.push_str("| Binding | Declared in | Rank | Protocol |\n|---|---|---|---|\n");
-            for row in lock_rows {
-                doc.push_str(row);
-                doc.push('\n');
-            }
+        for file in ERROR_SCOPE {
+            let path = root.join(file);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(
+                path,
+                format!("//! An error-handling file.\n\n{ERROR_DENY}\n"),
+            )
+            .unwrap();
         }
-        std::fs::write(root.join("ARCHITECTURE.md"), doc).unwrap();
         MiniWorkspace { root }
     }
 }
@@ -283,164 +153,8 @@ impl Drop for MiniWorkspace {
 }
 
 #[test]
-fn env_registry_cross_check_catches_both_directions() {
-    let ws = MiniWorkspace::new(
-        "env",
-        &[
-            "| `SAGA_DECLARED` | src/lib.rs | A declared, read toggle. |",
-            "| `SAGA_STALE` | nowhere | Declared but never read. |",
-        ],
-        "pub fn toggles() -> (bool, bool) {\n\
-         \x20   let a = std::env::var(\"SAGA_DECLARED\").is_ok();\n\
-         \x20   let b = std::env::var(\"SAGA_UNDECLARED\").is_ok();\n\
-         \x20   (a, b)\n\
-         }\n",
-    );
-    let report = saga_lint::lint_root(&ws.root, &Config::workspace()).unwrap();
-    let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
-    assert_eq!(
-        rules,
-        vec!["env-registry", "env-registry"],
-        "{:?}",
-        report.findings
-    );
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.file == "src/lib.rs" && f.message.contains("SAGA_UNDECLARED")),
-        "undeclared read flags at the read site"
-    );
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.file == "ARCHITECTURE.md" && f.message.contains("SAGA_STALE")),
-        "stale registry row flags at the table"
-    );
-}
-
-#[test]
-fn env_registry_missing_table_is_one_finding() {
-    let ws = MiniWorkspace::new("notable", &[], "pub fn nothing() {}\n");
-    // overwrite with a doc that has no registry heading at all
-    std::fs::write(ws.root.join("ARCHITECTURE.md"), "# Architecture\n").unwrap();
-    let report = saga_lint::lint_root(&ws.root, &Config::workspace()).unwrap();
-    assert_eq!(report.findings.len(), 1);
-    assert_eq!(report.findings[0].rule, "env-registry");
-    assert_eq!(report.findings[0].file, "ARCHITECTURE.md");
-}
-
-#[test]
-fn atomics_discipline_catches_undeclared_out_of_protocol_and_stale() {
-    let ws = MiniWorkspace::with_concurrency(
-        "atomics_bad",
-        &[
-            "| `declared` | `src/lib.rs` | test protocol | `fetch_add(AcqRel)`, `load(Acquire)` |",
-            "| `ghost` | `src/lib.rs` | stale row | `load(SeqCst)` |",
-        ],
-        &[],
-        &fixture("atomics_bad.rs"),
-    );
-    let report = saga_lint::lint_root(&ws.root, &Config::workspace()).unwrap();
-    let msgs: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
-    assert!(
-        report
-            .findings
-            .iter()
-            .all(|f| f.rule == "atomics-discipline"),
-        "{msgs:?}"
-    );
-    assert_eq!(report.findings.len(), 4, "{msgs:?}");
-    assert!(
-        msgs.iter().any(|m| m.contains("`rogue` is not declared")),
-        "undeclared atomic flags at the declaration: {msgs:?}"
-    );
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("fetch_add(Ordering::Relaxed)") && m.contains("outside")),
-        "out-of-protocol ordering flags at the use: {msgs:?}"
-    );
-    assert!(
-        msgs.iter()
-            .any(|m| m.contains("rogue.store") && m.contains("no")),
-        "use of an unregistered atomic flags: {msgs:?}"
-    );
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.file == "ARCHITECTURE.md" && f.message.contains("ghost")),
-        "stale registry row flags at the table: {msgs:?}"
-    );
-}
-
-#[test]
-fn atomics_discipline_clean_twin_is_silent() {
-    let ws = MiniWorkspace::with_concurrency(
-        "atomics_clean",
-        &["| `declared` | `src/lib.rs` | test protocol | `fetch_add(AcqRel)`, `load(Acquire)` |"],
-        &[],
-        &fixture("atomics_clean.rs"),
-    );
-    let report = saga_lint::lint_root(&ws.root, &Config::workspace()).unwrap();
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-}
-
-#[test]
-fn lock_discipline_catches_undeclared_poison_inversion_and_reentry() {
-    let ws = MiniWorkspace::with_concurrency(
-        "lock_bad",
-        &[],
-        &[
-            "| `low` | `src/lib.rs` | 10 | outer lock |",
-            "| `high` | `src/lib.rs` | 20 | inner lock |",
-        ],
-        &fixture("lock_bad.rs"),
-    );
-    let report = saga_lint::lint_root(&ws.root, &Config::workspace()).unwrap();
-    let msgs: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
-    assert!(
-        report.findings.iter().all(|f| f.rule == "lock-discipline"),
-        "{msgs:?}"
-    );
-    assert_eq!(report.findings.len(), 4, "{msgs:?}");
-    assert!(
-        msgs.iter().any(|m| m.contains("`rogue` is not declared")),
-        "unregistered mutex flags at the declaration: {msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("lock-order inversion")),
-        "descending-rank nesting flags: {msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("self-deadlock")),
-        "same-lock re-acquisition flags: {msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("aborts on poison")),
-        "`lock().unwrap()` flags: {msgs:?}"
-    );
-}
-
-#[test]
-fn lock_discipline_clean_twin_is_silent() {
-    let ws = MiniWorkspace::with_concurrency(
-        "lock_clean",
-        &[],
-        &[
-            "| `low` | `src/lib.rs` | 10 | outer lock |",
-            "| `high` | `src/lib.rs` | 20 | inner lock |",
-        ],
-        &fixture("lock_clean.rs"),
-    );
-    let report = saga_lint::lint_root(&ws.root, &Config::workspace()).unwrap();
-    assert!(report.findings.is_empty(), "{:?}", report.findings);
-}
-
-#[test]
 fn unused_reasoned_suppression_is_flagged() {
-    let ws = MiniWorkspace::new("sup_unused", &[], &fixture("suppression_unused.rs"));
+    let ws = MiniWorkspace::new("sup_unused", &fixture("suppression_unused.rs"));
     let report = saga_lint::lint_root(&ws.root, &Config::workspace()).unwrap();
     let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
     assert_eq!(rules, vec!["suppression-unused"], "{:?}", report.findings);
@@ -460,7 +174,7 @@ fn sites(root: &Path, cfg: &Config) -> Vec<String> {
 
 #[test]
 fn workspace_lints_need_the_forbid_table_and_every_opt_in() {
-    let ws = MiniWorkspace::new("manifests", &[], "pub fn nothing() {}\n");
+    let ws = MiniWorkspace::new("manifests", "pub fn nothing() {}\n");
     let cfg = Config::workspace();
     let member = |name: &str, lints: &str| {
         let dir = ws.root.join("crates").join(name);
@@ -492,8 +206,79 @@ fn workspace_lints_need_the_forbid_table_and_every_opt_in() {
 }
 
 #[test]
+fn workspace_lints_need_every_determinism_ban() {
+    let ws = MiniWorkspace::new("clippy", "pub fn nothing() {}\n");
+    let cfg = Config::workspace();
+    assert!(sites(&ws.root, &cfg).is_empty());
+
+    // a deleted file lifts every ban at once: one finding at its path
+    let pisa = ws.root.join("crates/saga-pisa/clippy.toml");
+    std::fs::remove_file(&pisa).unwrap();
+    assert_eq!(
+        sites(&ws.root, &cfg),
+        ["crates/saga-pisa/clippy.toml:1 workspace-lints"]
+    );
+
+    // so does a file that lacks one path, or lists it under the wrong key
+    let lacking: String = CLIPPY_TOML
+        .lines()
+        .filter(|l| !l.contains("\"std::env::var_os\""))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(&pisa, lacking).unwrap();
+    assert_eq!(
+        sites(&ws.root, &cfg),
+        ["crates/saga-pisa/clippy.toml:1 workspace-lints"]
+    );
+    let report = saga_lint::lint_root(&ws.root, &cfg).unwrap();
+    assert!(report.findings[0].message.contains("`std::env::var_os`"));
+    let misplaced = CLIPPY_TOML.replace("disallowed-types", "disallowed-methods");
+    std::fs::write(&pisa, misplaced).unwrap();
+    assert_eq!(sites(&ws.root, &cfg).len(), 2);
+}
+
+#[test]
+fn workspace_lints_need_the_allow_ban_and_every_error_deny() {
+    let ws = MiniWorkspace::new("expect_only", "pub fn nothing() {}\n");
+    let cfg = Config::workspace();
+    assert!(sites(&ws.root, &cfg).is_empty());
+
+    // `#[allow]` must stay refused: a weaker level is a finding at its
+    // line, a missing key one at line 1
+    let root = ws.root.join("Cargo.toml");
+    let warn =
+        WORKSPACE_MANIFEST.replace("allow_attributes = \"deny\"", "allow_attributes = \"warn\"");
+    std::fs::write(&root, warn).unwrap();
+    assert_eq!(sites(&ws.root, &cfg), ["Cargo.toml:7 workspace-lints"]);
+    let unreasoned: String = WORKSPACE_MANIFEST
+        .lines()
+        .filter(|l| !l.starts_with("allow_attributes_without_reason"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    std::fs::write(&root, unreasoned).unwrap();
+    assert_eq!(sites(&ws.root, &cfg), ["Cargo.toml:1 workspace-lints"]);
+    std::fs::write(&root, WORKSPACE_MANIFEST).unwrap();
+
+    // a deleted error-handling file, a deleted deny line and a commented
+    // one are each one finding at the file's path
+    let library = ws.root.join("crates/saga-pisa/src/library.rs");
+    std::fs::remove_file(&library).unwrap();
+    assert_eq!(
+        sites(&ws.root, &cfg),
+        ["crates/saga-pisa/src/library.rs:1 workspace-lints"]
+    );
+    for text in ["//! No deny.\n".to_string(), format!("// {ERROR_DENY}\n")] {
+        std::fs::write(&library, text).unwrap();
+        assert_eq!(
+            sites(&ws.root, &cfg),
+            ["crates/saga-pisa/src/library.rs:1 workspace-lints"]
+        );
+    }
+}
+
+#[test]
 fn hot_path_names_without_a_definition_are_stale() {
-    let ws = MiniWorkspace::new("hot_stale", &[], "fn hot_loop_renamed() {}\nfn cold() {}\n");
+    let ws = MiniWorkspace::new("hot_stale", "fn hot_loop_renamed() {}\nfn cold() {}\n");
     let mut cfg = Config::workspace();
     cfg.hot_paths = vec![HotPath {
         path: "src/",

@@ -17,6 +17,9 @@
 //! fails there, one record at a time, and counts as a mismatch in
 //! [`WitnessLibrary::revalidate`].
 
+// a parse path: a damaged record is an error for the caller, never an abort
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::makespan_ratio;
 use saga_core::Instance;
 use serde_json::{required, Reader, Writer};

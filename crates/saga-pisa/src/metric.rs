@@ -139,7 +139,10 @@ pub fn metric_search(
 
 /// [`metric_search`] borrowing the scheduling context and scratch instances
 /// from the caller — the batch-runner entry point.
-#[allow(clippy::too_many_arguments)] // mirrors `metric_search` plus the two borrows
+#[expect(
+    clippy::too_many_arguments,
+    reason = "mirrors `metric_search` plus the two borrows"
+)]
 pub fn metric_search_in(
     objective: Objective,
     target: &dyn Scheduler,

@@ -441,7 +441,7 @@ struct OracleCell {
     ratio_bits: String,
     initial_bits: String,
     evaluations: usize,
-    #[allow(dead_code)] // type-checked, not used
+    #[expect(dead_code, reason = "type-checked, not used")]
     ratio: Option<f64>,
     instance: Instance,
 }
